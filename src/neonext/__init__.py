@@ -12,9 +12,10 @@ from .neocell import (
     forward_blockdiag,
     forward_patchwise,
     materialize_block_diagonal,
+    neocell_backward,
     output_shape,
 )
-from .autodiff import Grads, Param, Tape, backward, fd_check, neocell_backward
+from .autodiff import Grads, Param, Tape, backward, fd_check
 from .blocks import batchnorm_forward, gelu, pointwise_conv, space_to_depth
 from .model import ModelSpec, build_model, named_spec
 from .trainer import OptimSpec, RunConfig, ScheduleSpec, lr_at, run_ablation, train_run

@@ -19,14 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, ShapeError, UsageError
-from .neocell import (
-    NeoCellParams,
-    NeoCellSpec,
-    group_backward,
-    group_forward,
-)
-from .rng import Rng
-from .tensor import Matrix, Tensor4
 
 _ids = itertools.count(1)
 
@@ -147,43 +139,6 @@ def tracked_mul(tape: Tape, x: Val, y: Val) -> Val:
 
     tape.record(out, (x, y), back)
     return out
-
-
-def neocell_backward(x: Tensor4, spec: NeoCellSpec, params: NeoCellParams, grad_out: Tensor4):
-    """Analytic gradients of the patchwise forward.
-
-    Per patch with output gradient G: grad_L accumulates G @ (X @ R)^T,
-    grad_R accumulates (L @ X)^T @ G, grad_bias accumulates G, and
-    grad_X = L^T @ G @ R^T; shifted groups route gradients through the same
-    cyclic rolls as the forward.  Returns (grad_x, grad_params) with
-    grad_params shaped exactly like ``params``.
-    """
-    spec.validate_input(x.dims)
-    params.validate(spec)
-    n, c, H, W = x.dims
-    if grad_out.dims[:2] != (n, c):
-        raise ShapeError(f"grad_out dims {grad_out.dims} do not match input {x.dims}")
-    gx = np.empty((n, c, H, W), dtype=np.float64)
-    gl: list = [None] * c
-    gr: list = [None] * c
-    gb: list = [None] * c if spec.use_bias else None
-    for g in spec.groups:
-        L, R, _ = params.stacked(g)
-        gxg, gL, gR, gB = group_backward(
-            x.array[:, g.start : g.stop],
-            L,
-            R,
-            spec.use_bias,
-            g.shift,
-            grad_out.array[:, g.start : g.stop],
-        )
-        gx[:, g.start : g.stop] = gxg
-        for i, ch in enumerate(g.channels):
-            gl[ch] = Matrix(gL[i])
-            gr[ch] = Matrix(gR[i])
-            if spec.use_bias:
-                gb[ch] = Matrix(gB[i])
-    return Tensor4(gx), NeoCellParams(gl, gr, gb)
 
 
 @dataclass

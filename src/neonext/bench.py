@@ -14,6 +14,7 @@ times are reported, never asserted: only the multiply ratios are portable.
 
 from __future__ import annotations
 
+import concurrent.futures
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,9 +27,12 @@ from .neocell import (
     GroupSpec,
     MultCounter,
     NeoCellSpec,
-    forward_blockdiag,
+    blockdiag_factors,
+    blockdiag_product,
     forward_patchwise,
+    merge_parts,
     neoinit_params,
+    part_forward,
 )
 from .rng import Rng
 from .tensor import Tensor4
@@ -111,16 +115,24 @@ def dwconv_reference(x: Tensor4, kernels: np.ndarray, counter: MultCounter | Non
     k = kernels.shape[1]
     if k % 2 == 0:
         raise ShapeError(f"kernel size must be odd for symmetric padding, got {k}")
-    pad = k // 2
-    padded = np.zeros((n, c, H + 2 * pad, W + 2 * pad), dtype=np.float64)
-    padded[:, :, pad : pad + H, pad : pad + W] = x.array
-    out = np.zeros((n, c, H, W), dtype=np.float64)
-    for di in range(k):
-        for dj in range(k):
-            out += kernels[None, :, di, dj, None, None] * padded[:, :, di : di + H, dj : dj + W]
+    out = _dwconv(x.array, kernels)
     if counter is not None:
         counter.add(n * c * H * W * k * k)
     return Tensor4(out)
+
+
+def _dwconv(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """Array-level depthwise kernel of ``dwconv_reference``, in the dtype of x."""
+    n, c, H, W = x.shape
+    k = kernels.shape[1]
+    pad = k // 2
+    padded = np.zeros((n, c, H + 2 * pad, W + 2 * pad), dtype=x.dtype)
+    padded[:, :, pad : pad + H, pad : pad + W] = x
+    out = np.zeros((n, c, H, W), dtype=x.dtype)
+    for di in range(k):
+        for dj in range(k):
+            out += kernels[None, :, di, dj, None, None] * padded[:, :, di : di + H, dj : dj + W]
+    return out
 
 
 # -------------------------------------------------------- counted execution
@@ -161,60 +173,44 @@ BENCH_CSV_HEADER = (
 
 
 def _bench_callable(op: str, c: int, h: int, w: int, k: int, seed: int, dtype: str):
+    """(fn, multiplies): fn runs the op's array kernel on a fixed seeded
+    (1, c, h, w) input cast to ``dtype`` and returns a (1, c, h, w) array."""
     rng = Rng(seed)
+    dt = np.dtype(dtype)
     if op in ("neocell", "blockdiag"):
         spec = _square_spec(c, k)
         params = neoinit_params(spec, rng)
-        x = Tensor4(rng.normal((1, c, h, w), 1.0))
+        x = rng.normal((1, c, h, w), 1.0).astype(dt)
         if op == "neocell":
-            mults = flops_neocell(c, h, w, k).multiplies
-            fn = lambda: forward_patchwise(x, spec, params)
-        else:
-            counter = MultCounter()
-            forward_blockdiag(x, spec, params, counter)
-            mults = counter.multiplies
-            fn = lambda: forward_blockdiag(x, spec, params)
-    elif op == "dwconv":
+            (part,) = merge_parts(spec)
+            L, R = (a.astype(dt) for a in params.stacked(part)[:2])
+            fn = lambda: part_forward(x, L, R, None, part.shifts)
+            return fn, flops_neocell(c, h, w, k).multiplies
+        A, B = (a.astype(dt) for a in blockdiag_factors(spec.groups[0], params, h, w))
+        counter = MultCounter()
+        blockdiag_product(A, x, B, counter)
+        return (lambda: blockdiag_product(A, x, B)), counter.multiplies
+    if op == "dwconv":
         if k % 2 == 0:
             raise ConfigError(f"dwconv benchmark needs odd k, got {k}")
-        kernels = rng.normal((c, k, k), 1.0)
-        x = Tensor4(rng.normal((1, c, h, w), 1.0))
-        mults = flops_dwconv(c, h, w, k).multiplies
-        fn = lambda: dwconv_reference(x, kernels)
-    else:
-        raise ConfigError(f"unknown bench op {op!r}; known: {BENCH_OPS}")
-    if dtype == "float32":
-        # 32-bit is a benchmark-only option: cast once, time raw numpy work
-        x32 = x.array.astype(np.float32)
-        if op == "dwconv":
-            k32 = kernels.astype(np.float32)
-            pad = k // 2
-            padded = np.zeros((1, c, h + 2 * pad, w + 2 * pad), dtype=np.float32)
-            padded[:, :, pad : pad + h, pad : pad + w] = x32
-
-            def fn32():
-                out = np.zeros((1, c, h, w), dtype=np.float32)
-                for di in range(k):
-                    for dj in range(k):
-                        out += k32[None, :, di, dj, None, None] * padded[:, :, di : di + h, dj : dj + w]
-                return out
-
-            return fn32, mults
-        L32 = np.stack([params.left[ch].array for ch in range(c)]).astype(np.float32)
-        R32 = np.stack([params.right[ch].array for ch in range(c)]).astype(np.float32)
-
-        def fn32():
-            p = x32.reshape(1, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5)
-            y = np.matmul(np.matmul(L32[:, None, None], p), R32[:, None, None])
-            return y
-
-        return fn32, mults
-    return fn, mults
+        kernels = rng.normal((c, k, k), 1.0).astype(dt)
+        x = rng.normal((1, c, h, w), 1.0).astype(dt)
+        fn = lambda: _dwconv(x, kernels)
+        return fn, flops_dwconv(c, h, w, k).multiplies
+    raise ConfigError(f"unknown bench op {op!r}; known: {BENCH_OPS}")
 
 
-def _checksum(result) -> float:
-    arr = result.array if isinstance(result, Tensor4) else np.asarray(result)
-    return float(arr.sum())
+def _timed_runs(run_once, warmup: int, iters: int):
+    """Last result and the wall time of each timed call."""
+    result = None
+    for _ in range(warmup):
+        result = run_once()
+    times = []
+    for _ in range(iters):
+        t0 = time.perf_counter()
+        result = run_once()
+        times.append(time.perf_counter() - t0)
+    return result, np.asarray(times)
 
 
 def bench(
@@ -234,27 +230,19 @@ def bench(
         raise ConfigError(f"iters must be >= 1, got {iters}")
     if dtype not in ("float64", "float32"):
         raise ConfigError(f"dtype must be float64 or float32, got {dtype!r}")
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     fn, mults = _bench_callable(op, c, h, w, k, seed, dtype)
-    if threads > 1:
-        import concurrent.futures
-
-        pool = concurrent.futures.ThreadPoolExecutor(max_workers=threads)
-
-        def run_once():
-            futures = [pool.submit(fn) for _ in range(threads)]
-            return [f.result() for f in futures][0]
-
+    if threads == 1:
+        result, times_arr = _timed_runs(fn, warmup, iters)
     else:
-        run_once = fn
-    result = None
-    for _ in range(warmup):
-        result = run_once()
-    times = []
-    for _ in range(iters):
-        t0 = time.perf_counter()
-        result = run_once()
-        times.append(time.perf_counter() - t0)
-    times_arr = np.asarray(times)
+        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+
+            def run_once():
+                futures = [pool.submit(fn) for _ in range(threads)]
+                return [f.result() for f in futures][0]
+
+            result, times_arr = _timed_runs(run_once, warmup, iters)
     return BenchResult(
         op=op,
         shape=(c, h, w, k),
@@ -263,7 +251,7 @@ def bench(
         t_median=float(np.median(times_arr)),
         t_mean=float(times_arr.mean()),
         multiplies=mults,
-        checksum=_checksum(result),
+        checksum=float(result.sum()),
         threads=threads,
         dtype=dtype,
         warmup=warmup,

@@ -128,6 +128,11 @@ class BatchNormStats:
     def copy(self) -> "BatchNormStats":
         return BatchNormStats(self.mean.copy(), self.var.copy())
 
+    def update(self, mu: np.ndarray, var: np.ndarray) -> None:
+        """Fold one batch's statistics in with momentum ``BN_MOMENTUM``."""
+        self.mean = (1 - BN_MOMENTUM) * self.mean + BN_MOMENTUM * mu
+        self.var = (1 - BN_MOMENTUM) * self.var + BN_MOMENTUM * var
+
 
 def _bn_train_fwd(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     mu = a.mean(axis=(0, 2, 3))
@@ -185,8 +190,7 @@ def batchnorm_forward(
         out, ctx = _bn_train_fwd(x.array, gamma, beta)
         if update_stats:
             _, _, mu, var = ctx
-            running_stats.mean = (1 - BN_MOMENTUM) * running_stats.mean + BN_MOMENTUM * mu
-            running_stats.var = (1 - BN_MOMENTUM) * running_stats.var + BN_MOMENTUM * var
+            running_stats.update(mu, var)
         return Tensor4(out)
     if mode == "eval":
         out, _ = _bn_eval_fwd(x.array, gamma, beta, running_stats)

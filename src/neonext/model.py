@@ -20,10 +20,15 @@ size is not divisible by the requested size, the largest of {7, 4, 2, 1}
 that divides the map is substituted and the substitution is recorded in the
 manifest.
 
-Initialization: patch matrices via the identity/skewed-identity scheme with
-Gaussian noise ("neoinit") or, for the ablation baseline, random normal with
-std 1/sqrt(h) (left) and 1/sqrt(w) (right); pointwise and classifier weights
-are N(0, 2/fan_in); biases zero; batchnorm gamma 1, beta 0.
+``NeoCellLayer`` holds its patch weights as one stacked ``Param`` triple per
+``neocell.Part`` and runs ``neocell``'s part kernel forward and on the tape;
+``neocell`` owns the patch layout.
+
+Initialization: patch matrices via ``neocell.init_part`` (the
+identity/skewed-identity scheme with Gaussian noise, "neoinit", or, for the
+ablation baseline, random normal with std 1/sqrt(h) (left) and 1/sqrt(w)
+(right)); pointwise and classifier weights are N(0, 2/fan_in); biases zero;
+batchnorm gamma 1, beta 0.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ import numpy as np
 from .autodiff import Param, Tape, Val
 from .blocks import (
     BN_EPS,
-    BN_MOMENTUM,
     BatchNormStats,
     _bn_eval_fwd,
     _bn_train_bwd,
@@ -49,7 +53,7 @@ from .blocks import (
     _s2d_fwd,
 )
 from .errors import ConfigError, ParameterError, ShapeError
-from .neocell import GroupSpec, NeoCellSpec, group_backward, group_forward, neoinit_pattern
+from .neocell import GroupSpec, NeoCellSpec, init_part, merge_parts, part_backward, part_forward
 from .rng import Rng
 from .tensor import Tensor4, read_tensor, write_tensor
 
@@ -178,87 +182,19 @@ class ForwardCtx:
     update_stats: bool = False
 
 
-@dataclass(frozen=True)
-class _Part:
-    """Contiguous run of groups sharing patch geometry, merged for speed."""
-
-    start: int
-    stop: int
-    h: int
-    w: int
-    h_out: int
-    w_out: int
-    shifts: tuple[tuple[int, int, int], ...]   # (offset-in-part, size, shift)
-
-
-def _merge_parts(spec: NeoCellSpec) -> list[_Part]:
-    ordered = sorted(spec.groups, key=lambda g: g.start)
-    parts: list[_Part] = []
-    run: list[GroupSpec] = []
-    for g in ordered:
-        if run and (g.h, g.w, g.h_out, g.w_out) == (run[0].h, run[0].w, run[0].h_out, run[0].w_out):
-            run.append(g)
-        else:
-            if run:
-                parts.append(_part_from_run(run))
-            run = [g]
-    parts.append(_part_from_run(run))
-    return parts
-
-
-def _part_from_run(run: list[GroupSpec]) -> _Part:
-    base = run[0].start
-    shifts = tuple((g.start - base, g.count, g.shift) for g in run)
-    return _Part(base, run[-1].stop, run[0].h, run[0].w, run[0].h_out, run[0].w_out, shifts)
-
-
-def _roll_subgroups(a: np.ndarray, shifts, sign: int) -> np.ndarray:
-    """Per-subgroup cyclic roll on the spatial axes; returns a fresh array."""
-    out = a.copy()
-    for off, size, s in shifts:
-        if s:
-            out[:, off : off + size] = np.roll(
-                a[:, off : off + size], (sign * s, sign * s), axis=(2, 3)
-            )
-    return out
-
-
 class NeoCellLayer:
     def __init__(self, name: str, spec: NeoCellSpec, rng: Rng, init: str = "neoinit"):
         self.name = name
         self.spec = spec
-        self.parts = _merge_parts(spec)
+        self.parts = merge_parts(spec)
         self.part_params: list[tuple[Param, Param, Param | None]] = []
         for pi, part in enumerate(self.parts):
-            count = part.stop - part.start
-            if init == "neoinit":
-                left = np.stack(
-                    [
-                        neoinit_pattern(part.h_out, part.h)
-                        + rng.normal((part.h_out, part.h), 1.0 / np.sqrt(part.h_out * part.h))
-                        for _ in range(count)
-                    ]
-                )
-                right = np.stack(
-                    [
-                        neoinit_pattern(part.w, part.w_out)
-                        + rng.normal((part.w, part.w_out), 1.0 / np.sqrt(part.w * part.w_out))
-                        for _ in range(count)
-                    ]
-                )
-            elif init == "random-normal":
-                left = rng.normal((count, part.h_out, part.h), 1.0 / np.sqrt(part.h))
-                right = rng.normal((count, part.w, part.w_out), 1.0 / np.sqrt(part.w))
-            elif init == "zeros":
-                left = np.zeros((count, part.h_out, part.h))
-                right = np.zeros((count, part.w, part.w_out))
-            else:
-                raise ConfigError(f"unknown neocell init {init!r}")
+            left, right = init_part(part, rng, init)
             pl = Param(f"{name}.p{pi}.left", left, "neocell_left")
             pr = Param(f"{name}.p{pi}.right", right, "neocell_right")
             pb = None
             if spec.use_bias:
-                pb = Param(f"{name}.p{pi}.bias", np.zeros((count, part.h_out, part.w_out)), "neocell_bias")
+                pb = Param(f"{name}.p{pi}.bias", np.zeros((part.count, part.h_out, part.w_out)), "neocell_bias")
             self.part_params.append((pl, pr, pb))
 
     def params(self):
@@ -275,35 +211,28 @@ class NeoCellLayer:
     def forward(self, v: Val, tape: Tape | None, ctx: ForwardCtx) -> Val:
         x = v.array
         self.spec.validate_input(x.shape)
-        n, c, H, W = x.shape
-        oh, ow = self.out_shape(x.shape)[2:]
-        out = np.empty((n, c, oh, ow), dtype=np.float64)
-        rolled_parts = []
+        out = np.empty(self.out_shape(x.shape), dtype=np.float64)
         for part, (pl, pr, pb) in zip(self.parts, self.part_params):
-            xs = _roll_subgroups(x[:, part.start : part.stop], part.shifts, -1)
-            rolled_parts.append(xs)
-            y = group_forward(xs, pl.array, pr.array, pb.array if pb is not None else None, 0)
-            out[:, part.start : part.stop] = _roll_subgroups(y, part.shifts, +1)
+            s = slice(part.start, part.stop)
+            bias = pb.array if pb is not None else None
+            out[:, s] = part_forward(x[:, s], pl.array, pr.array, bias, part.shifts)
         ov = Val(out)
         if tape is not None:
             parts = self.parts
             pparams = self.part_params
-            use_bias = self.spec.use_bias
 
             def back(gout):
                 gx = np.empty_like(x)
                 grads = []
-                for part, (pl, pr, pb), xs in zip(parts, pparams, rolled_parts):
-                    g0 = _roll_subgroups(gout[:, part.start : part.stop], part.shifts, -1)
-                    gxs, gl, gr, gb = group_backward(xs, pl.array, pr.array, use_bias, 0, g0)
-                    gx[:, part.start : part.stop] = _roll_subgroups(gxs, part.shifts, +1)
+                for part, (pl, pr, pb) in zip(parts, pparams):
+                    s = slice(part.start, part.stop)
+                    gx[:, s], gl, gr, gb = part_backward(
+                        x[:, s], pl.array, pr.array, pb is not None, part.shifts, gout[:, s]
+                    )
                     grads.extend([gl, gr] + ([gb] if pb is not None else []))
                 return [gx] + grads
 
-            ins = [v]
-            for pl, pr, pb in pparams:
-                ins.extend([pl, pr] + ([pb] if pb is not None else []))
-            tape.record(ov, tuple(ins), back)
+            tape.record(ov, (v, *self.params()), back)
         return ov
 
 
@@ -327,8 +256,7 @@ class BatchNormLayer:
             out, bctx = _bn_train_fwd(x, self.gamma.array, self.beta.array)
             if ctx.update_stats:
                 _, _, mu, var = bctx
-                self.stats.mean = (1 - BN_MOMENTUM) * self.stats.mean + BN_MOMENTUM * mu
-                self.stats.var = (1 - BN_MOMENTUM) * self.stats.var + BN_MOMENTUM * var
+                self.stats.update(mu, var)
             ov = Val(out)
             if tape is not None:
                 gamma = self.gamma.array

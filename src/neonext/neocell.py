@@ -7,35 +7,37 @@ bias), where L is (h_out x h) and R is (w x w_out).  Channels are organized
 into groups that may differ in patch size, in resampling factors, and in a
 cyclic spatial shift of the patch grid.
 
-Two equivalent executions are kept side by side:
+This module is the only one that knows the patch layout.  Consecutive groups
+of equal patch geometry merge into one ``Part``, and one kernel pair,
+``part_forward`` / ``part_backward``, computes every patch product and its
+gradients: ``model.NeoCellLayer`` runs it on stacked ``Param`` weights, and
+``forward_patchwise`` / ``neocell_backward`` run it on per-channel
+``NeoCellParams``.  A shifted subgroup is computed by pre-rolling its
+channels by -shift on both spatial axes, applying the unshifted operator,
+and rolling the result back by +shift.  Patch weights are initialized in
+one place, ``init_part``.
 
-- ``forward_patchwise``: explicit patch split, batched small products; this
-  is the reference path and the one the model uses;
-- ``forward_blockdiag``: one product per channel plane with materialized
-  block-diagonal factors A (left) and B (right); shifts rotate A and B
-  cyclically along both axes, so the grid corners wrap instead of zeroing.
+``forward_blockdiag`` is the independent reference: one product per channel
+plane with materialized block-diagonal factors A (left) and B (right).
+Shifts rotate A and B cyclically along both axes, so the grid corners wrap
+instead of zeroing; this is exactly the conjugation the rolls perform.
 
-Shifted groups are computed by pre-rolling the input by -shift on both
-spatial axes, applying the unshifted operator, and rolling the result back
-by +shift, which is exactly the conjugation the rotated block matrices
-perform.  Shifts are restricted to square non-resampling groups; combining a
-shift with h != h_out has no defined output alignment.
-
-Non-divisible spatial sizes are a hard error; the operator defines no
-padding.
+Shifts are restricted to square non-resampling groups; combining a shift
+with h != h_out has no defined output alignment.  Non-divisible spatial
+sizes are a hard error; the operator defines no padding.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ConfigError, ParameterError, ShapeError
 from .neoinit import neoinit_pattern
 from .rng import Rng
-from .tensor import Matrix, Tensor4, read_tensor, write_tensor
+from .tensor import Matrix, Tensor4
 
 
 @dataclass(frozen=True)
@@ -186,68 +188,84 @@ class NeoCellParams:
                             f"expected {g.h_out}x{g.w_out}"
                         )
 
-    def stacked(self, g: GroupSpec):
-        """Group weights as stacked arrays (cg, h_out, h), (cg, w, w_out), bias or None."""
-        L = np.stack([self.left[c].array for c in g.channels])
-        R = np.stack([self.right[c].array for c in g.channels])
-        B = None
-        if self.bias is not None:
-            B = np.stack([self.bias[c].array for c in g.channels])
+    def stacked(self, unit):
+        """Weights of channels [unit.start, unit.stop) of a group or part, as
+        stacked arrays (c, h_out, h), (c, w, w_out), bias or None."""
+        s = slice(unit.start, unit.stop)
+        L = np.stack([m.array for m in self.left[s]])
+        R = np.stack([m.array for m in self.right[s]])
+        B = None if self.bias is None else np.stack([m.array for m in self.bias[s]])
         return L, R, B
 
 
-def identity_params(spec: NeoCellSpec) -> NeoCellParams:
-    """Exact-identity weights; only valid for square non-resampling groups."""
-    left, right, bias = {}, {}, {}
-    for g in spec.groups:
-        if g.h_out != g.h or g.w_out != g.w:
-            raise ParameterError("identity params need square non-resampling groups")
-        for c in g.channels:
-            left[c] = Matrix(np.eye(g.h))
-            right[c] = Matrix(np.eye(g.w))
-            bias[c] = Matrix(np.zeros((g.h_out, g.w_out)))
-    C = spec.channel_count
-    return NeoCellParams(
-        [left[c] for c in range(C)],
-        [right[c] for c in range(C)],
-        [bias[c] for c in range(C)] if spec.use_bias else None,
-    )
+@dataclass(frozen=True)
+class Part:
+    """Contiguous run of groups sharing patch geometry, computed as one batch."""
+
+    start: int
+    stop: int
+    h: int
+    w: int
+    h_out: int
+    w_out: int
+    shifts: tuple[tuple[int, int, int], ...]   # (offset-in-part, size, shift)
+
+    @property
+    def count(self) -> int:
+        return self.stop - self.start
+
+
+def merge_parts(spec: NeoCellSpec) -> list[Part]:
+    """The spec's groups in channel order, runs of equal geometry merged."""
+    ordered = sorted(spec.groups, key=lambda g: g.start)
+    parts = []
+    for geometry, run in itertools.groupby(ordered, key=lambda g: (g.h, g.w, g.h_out, g.w_out)):
+        run = list(run)
+        base = run[0].start
+        shifts = tuple((g.start - base, g.count, g.shift) for g in run)
+        parts.append(Part(base, run[-1].stop, *geometry, shifts))
+    return parts
+
+
+def init_part(part: Part, rng: Rng | None, init: str = "neoinit"):
+    """Initial stacked (left, right) weights of one part.
+
+    ``"neoinit"``: the identity / skewed-identity pattern plus Gaussian noise
+    of std 1/sqrt(rows*cols), one draw per channel, all lefts of the part
+    before all rights; ``rng=None`` gives the noise-free patterns.
+    ``"random-normal"`` (the ablation baseline): left std 1/sqrt(h), right
+    std 1/sqrt(w), one draw per side.
+    """
+    count = part.count
+    if init == "neoinit":
+
+        def draw(rows, cols):
+            pattern = neoinit_pattern(rows, cols)
+            if rng is None:
+                return pattern
+            return pattern + rng.normal((rows, cols), 1.0 / np.sqrt(rows * cols))
+
+        left = np.stack([draw(part.h_out, part.h) for _ in range(count)])
+        right = np.stack([draw(part.w, part.w_out) for _ in range(count)])
+    elif init == "random-normal":
+        left = rng.normal((count, part.h_out, part.h), 1.0 / np.sqrt(part.h))
+        right = rng.normal((count, part.w, part.w_out), 1.0 / np.sqrt(part.w))
+    else:
+        raise ConfigError(f"unknown neocell init {init!r}")
+    return left, right
 
 
 def neoinit_params(spec: NeoCellSpec, rng: Rng, noise: bool = True) -> NeoCellParams:
-    """Identity / skewed-identity weights, optionally perturbed by the rng."""
-    left, right, bias = {}, {}, {}
-    for g in spec.groups:
-        for c in g.channels:
-            l = neoinit_pattern(g.h_out, g.h)
-            r = neoinit_pattern(g.w, g.w_out)
-            if noise:
-                l = l + rng.normal((g.h_out, g.h), 1.0 / np.sqrt(g.h_out * g.h))
-                r = r + rng.normal((g.w, g.w_out), 1.0 / np.sqrt(g.w * g.w_out))
-            left[c] = Matrix(l)
-            right[c] = Matrix(r)
-            bias[c] = Matrix(np.zeros((g.h_out, g.w_out)))
-    C = spec.channel_count
+    """``init_part`` NeoInit weights for every channel; bias zero."""
+    parts = merge_parts(spec)
+    stacks = [init_part(part, rng if noise else None) for part in parts]
+    bias = None
+    if spec.use_bias:
+        bias = [Matrix(np.zeros((p.h_out, p.w_out))) for p in parts for _ in range(p.count)]
     return NeoCellParams(
-        [left[c] for c in range(C)],
-        [right[c] for c in range(C)],
-        [bias[c] for c in range(C)] if spec.use_bias else None,
-    )
-
-
-def random_normal_params(spec: NeoCellSpec, rng: Rng) -> NeoCellParams:
-    """Baseline init: left ~ N(0, 1/h) elementwise std 1/sqrt(h), right ~ std 1/sqrt(w)."""
-    left, right, bias = {}, {}, {}
-    for g in spec.groups:
-        for c in g.channels:
-            left[c] = Matrix(rng.normal((g.h_out, g.h), 1.0 / np.sqrt(g.h)))
-            right[c] = Matrix(rng.normal((g.w, g.w_out), 1.0 / np.sqrt(g.w)))
-            bias[c] = Matrix(np.zeros((g.h_out, g.w_out)))
-    C = spec.channel_count
-    return NeoCellParams(
-        [left[c] for c in range(C)],
-        [right[c] for c in range(C)],
-        [bias[c] for c in range(C)] if spec.use_bias else None,
+        [Matrix(m) for L, _ in stacks for m in L],
+        [Matrix(m) for _, R in stacks for m in R],
+        bias,
     )
 
 
@@ -261,127 +279,79 @@ class MultCounter:
         self.multiplies += int(n)
 
 
-def save_params(directory, spec: NeoCellSpec, params: NeoCellParams) -> None:
-    """Write one layer's weights: a group-spec manifest plus stacked tensors.
-
-    Layout: ``manifest.txt`` describing every group and the bias flag, and
-    per group ``g{i}_left.t4`` (cg, 1, h_out, h), ``g{i}_right.t4`` and,
-    when biased, ``g{i}_bias.t4`` in the flat binary tensor format.
-    """
-    params.validate(spec)
-    d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
-    lines = [f"use_bias {int(spec.use_bias)}"]
-    for i, g in enumerate(spec.groups):
-        lines.append(
-            f"group {i} channels {g.start} {g.stop} h {g.h} w {g.w} "
-            f"h_out {g.h_out} w_out {g.w_out} shift {g.shift}"
-        )
-        L, R, B = params.stacked(g)
-        write_tensor(d / f"g{i}_left.t4", Tensor4(L[:, None]))
-        write_tensor(d / f"g{i}_right.t4", Tensor4(R[:, None]))
-        if spec.use_bias:
-            write_tensor(d / f"g{i}_bias.t4", Tensor4(B[:, None]))
-    (d / "manifest.txt").write_text("\n".join(lines) + "\n")
+def _roll_subgroups(a: np.ndarray, shifts, sign: int) -> np.ndarray:
+    """Per-subgroup cyclic roll on the spatial axes; returns a fresh array."""
+    out = a.copy()
+    for off, size, s in shifts:
+        if s:
+            out[:, off : off + size] = np.roll(
+                a[:, off : off + size], (sign * s, sign * s), axis=(2, 3)
+            )
+    return out
 
 
-def load_params(directory) -> tuple[NeoCellSpec, NeoCellParams]:
-    d = Path(directory)
-    lines = (d / "manifest.txt").read_text().splitlines()
-    use_bias = bool(int(lines[0].split()[1]))
-    groups = []
-    for ln in lines[1:]:
-        t = ln.split()
-        groups.append(
-            GroupSpec(int(t[3]), int(t[4]), int(t[6]), int(t[8]), int(t[10]), int(t[12]), int(t[14]))
-        )
-    spec = NeoCellSpec(tuple(groups), use_bias=use_bias)
-    C = spec.channel_count
-    left: list = [None] * C
-    right: list = [None] * C
-    bias: list = [None] * C
-    for i, g in enumerate(spec.groups):
-        L = read_tensor(d / f"g{i}_left.t4").array[:, 0]
-        R = read_tensor(d / f"g{i}_right.t4").array[:, 0]
-        B = read_tensor(d / f"g{i}_bias.t4").array[:, 0] if use_bias else None
-        for j, c in enumerate(g.channels):
-            left[c] = Matrix(L[j])
-            right[c] = Matrix(R[j])
-            if use_bias:
-                bias[c] = Matrix(B[j])
-    params = NeoCellParams(left, right, bias if use_bias else None)
-    params.validate(spec)
-    return spec, params
-
-
-def group_forward(
-    xg: np.ndarray,
+def part_forward(
+    x: np.ndarray,
     L: np.ndarray,
     R: np.ndarray,
     bias: np.ndarray | None,
-    shift: int,
+    shifts,
     counter: MultCounter | None = None,
 ) -> np.ndarray:
-    """Patchwise kernel for one group.
+    """The patch kernel for one part, in the dtype of its inputs.
 
-    xg is (n, cg, H, W); L is (cg, h_out, h); R is (cg, w, w_out).
-    Returns (n, cg, H/h*h_out, W/w*w_out).
+    x is (n, cp, H, W); L is (cp, h_out, h); R is (cp, w, w_out); bias is
+    (cp, h_out, w_out) or None; ``shifts`` is ``Part.shifts``.
+    Returns (n, cp, H/h*h_out, W/w*w_out).
     """
-    n, cg, H, W = xg.shape
-    h_out, h = L.shape[1], L.shape[2]
-    w, w_out = R.shape[1], R.shape[2]
-    if shift:
-        xg = np.roll(xg, (-shift, -shift), axis=(2, 3))
+    n, cp, H, W = x.shape
+    h_out, h = L.shape[1:]
+    w, w_out = R.shape[1:]
     nh, nw = H // h, W // w
-    patches = xg.reshape(n, cg, nh, h, nw, w).transpose(0, 1, 2, 4, 3, 5)
-    lx = np.matmul(L[:, None, None], patches)
-    y = np.matmul(lx, R[:, None, None])
+    patches = _roll_subgroups(x, shifts, -1).reshape(n, cp, nh, h, nw, w).transpose(0, 1, 2, 4, 3, 5)
+    y = np.matmul(np.matmul(L[:, None, None], patches), R[:, None, None])
     if counter is not None:
-        counter.add(n * cg * nh * nw * (h_out * h * w + h_out * w * w_out))
+        counter.add(n * cp * nh * nw * (h_out * h * w + h_out * w * w_out))
     if bias is not None:
         y = y + bias[:, None, None]
-    y = y.transpose(0, 1, 2, 4, 3, 5).reshape(n, cg, nh * h_out, nw * w_out)
-    if shift:
-        y = np.roll(y, (shift, shift), axis=(2, 3))
-    return y
+    y = y.transpose(0, 1, 2, 4, 3, 5).reshape(n, cp, nh * h_out, nw * w_out)
+    return _roll_subgroups(y, shifts, +1)
 
 
-def group_backward(
-    xg: np.ndarray,
+def part_backward(
+    x: np.ndarray,
     L: np.ndarray,
     R: np.ndarray,
     has_bias: bool,
-    shift: int,
+    shifts,
     gy: np.ndarray,
 ):
-    """Gradients of ``group_forward`` for one group.
+    """Gradients of ``part_forward`` for the output gradient ``gy``.
 
-    Returns (grad_x, grad_L, grad_R, grad_bias-or-None).  Weight gradients
-    sum patch and batch contributions in one fixed reduction, so repeated
-    backward passes are bit-identical.
+    Per patch with output gradient G: grad_L accumulates G @ (X @ R)^T,
+    grad_R accumulates (L @ X)^T @ G, grad_bias accumulates G, and
+    grad_X = L^T @ G @ R^T; G goes through the same subgroup rolls as the
+    forward.  Returns (grad_x, grad_L, grad_R, grad_bias-or-None).  Weight
+    gradients sum patch and batch contributions in one fixed reduction, so
+    repeated backward passes are bit-identical.
     """
-    n, cg, H, W = xg.shape
-    h_out, h = L.shape[1], L.shape[2]
-    w, w_out = R.shape[1], R.shape[2]
-    if shift:
-        xg = np.roll(xg, (-shift, -shift), axis=(2, 3))
-        gy = np.roll(gy, (-shift, -shift), axis=(2, 3))
+    n, cp, H, W = x.shape
+    h_out, h = L.shape[1:]
+    w, w_out = R.shape[1:]
     nh, nw = H // h, W // w
-    p = xg.reshape(n, cg, nh, h, nw, w).transpose(0, 1, 2, 4, 3, 5)
-    g6 = gy.reshape(n, cg, nh, h_out, nw, w_out).transpose(0, 1, 2, 4, 3, 5)
-    lx = np.matmul(L[:, None, None], p)                      # (n,cg,nh,nw,h_out,w)
-    xr = np.matmul(p, R[:, None, None])                      # (n,cg,nh,nw,h,w_out)
-    grad_l = np.matmul(g6, np.swapaxes(xr, -1, -2)).sum(axis=(0, 2, 3))
-    grad_r = np.matmul(np.swapaxes(lx, -1, -2), g6).sum(axis=(0, 2, 3))
+    p = _roll_subgroups(x, shifts, -1).reshape(n, cp, nh, h, nw, w).transpose(0, 1, 2, 4, 3, 5)
+    g6 = _roll_subgroups(gy, shifts, -1).reshape(n, cp, nh, h_out, nw, w_out).transpose(0, 1, 2, 4, 3, 5)
+    grad_l = np.matmul(g6, np.swapaxes(np.matmul(p, R[:, None, None]), -1, -2)).sum(axis=(0, 2, 3))
+    grad_r = np.matmul(np.swapaxes(np.matmul(L[:, None, None], p), -1, -2), g6).sum(axis=(0, 2, 3))
     grad_b = g6.sum(axis=(0, 2, 3)) if has_bias else None
     gp = np.matmul(
         np.swapaxes(L, 1, 2)[:, None, None],
         np.matmul(g6, np.swapaxes(R, 1, 2)[:, None, None]),
     )
-    gx = gp.transpose(0, 1, 2, 4, 3, 5).reshape(n, cg, H, W)
-    if shift:
-        gx = np.roll(gx, (shift, shift), axis=(2, 3))
-    return gx, grad_l, grad_r, grad_b
+    del p, g6   # free the rolled inputs first: this bounds the backward's peak memory
+    gx = gp.transpose(0, 1, 2, 4, 3, 5).reshape(n, cp, H, W)
+    del gp
+    return _roll_subgroups(gx, shifts, +1), grad_l, grad_r, grad_b
 
 
 def forward_patchwise(
@@ -390,20 +360,43 @@ def forward_patchwise(
     params: NeoCellParams,
     counter: MultCounter | None = None,
 ) -> Tensor4:
-    """Reference execution: explicit patch split per group."""
+    """Reference execution: the part kernel on per-channel weights."""
     spec.validate_input(x.dims)
     params.validate(spec)
     n, c, H, W = x.dims
-    out_h, out_w = output_shape(spec, (H, W))
-    out = np.empty((n, c, out_h, out_w), dtype=np.float64)
-    for g in spec.groups:
-        L, R, B = params.stacked(g)
-        if not spec.use_bias:
-            B = None
-        out[:, g.start : g.stop] = group_forward(
-            x.array[:, g.start : g.stop], L, R, B, g.shift, counter
-        )
+    out = np.empty((n, c) + output_shape(spec, (H, W)), dtype=np.float64)
+    for part in merge_parts(spec):
+        s = slice(part.start, part.stop)
+        L, R, B = params.stacked(part)
+        bias = B if spec.use_bias else None
+        out[:, s] = part_forward(x.array[:, s], L, R, bias, part.shifts, counter)
     return Tensor4(out)
+
+
+def neocell_backward(x: Tensor4, spec: NeoCellSpec, params: NeoCellParams, grad_out: Tensor4):
+    """Analytic gradients of ``forward_patchwise`` through ``part_backward``.
+
+    Returns (grad_x, grad_params) with grad_params shaped exactly like
+    ``params``.
+    """
+    spec.validate_input(x.dims)
+    params.validate(spec)
+    n, c, H, W = x.dims
+    if grad_out.dims[:2] != (n, c):
+        raise ShapeError(f"grad_out dims {grad_out.dims} do not match input {x.dims}")
+    gx = np.empty((n, c, H, W), dtype=np.float64)
+    gl, gr, gb = [], [], []
+    for part in merge_parts(spec):
+        s = slice(part.start, part.stop)
+        L, R, _ = params.stacked(part)
+        gx[:, s], gL, gR, gB = part_backward(
+            x.array[:, s], L, R, spec.use_bias, part.shifts, grad_out.array[:, s]
+        )
+        gl.extend(Matrix(m) for m in gL)
+        gr.extend(Matrix(m) for m in gR)
+        if spec.use_bias:
+            gb.extend(Matrix(m) for m in gB)
+    return Tensor4(gx), NeoCellParams(gl, gr, gb if spec.use_bias else None)
 
 
 def materialize_block_diagonal(group: GroupSpec, left: Matrix, right: Matrix, H: int, W: int):
@@ -439,6 +432,26 @@ def materialize_block_diagonal(group: GroupSpec, left: Matrix, right: Matrix, H:
     return Matrix(A), Matrix(B)
 
 
+def blockdiag_factors(group: GroupSpec, params: NeoCellParams, H: int, W: int):
+    """Block-diagonal factors of every channel of ``group``, stacked:
+    A is (cg, H/h*h_out, H) and B is (cg, W, W/w*w_out)."""
+    mats = [
+        materialize_block_diagonal(group, params.left[ch], params.right[ch], H, W)
+        for ch in group.channels
+    ]
+    return np.stack([a.array for a, _ in mats]), np.stack([b.array for _, b in mats])
+
+
+def blockdiag_product(
+    A: np.ndarray, X: np.ndarray, B: np.ndarray, counter: MultCounter | None = None
+) -> np.ndarray:
+    """(c, r, H) @ (n, c, H, W) @ (c, W, q) -> (n, c, r, q), in the inputs' dtype."""
+    n, c, H, W = X.shape
+    if counter is not None:
+        counter.add(c * n * (A.shape[1] * H * W + A.shape[1] * W * B.shape[2]))
+    return _stacked_right_product(_stacked_left_product(A, X), B)
+
+
 def _stacked_left_product(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     """(c, r, m) @ (n, c, m, W) -> (n, c, r, W), accumulated in ascending k.
 
@@ -447,7 +460,7 @@ def _stacked_left_product(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     """
     n, c, m, W = X.shape
     r = A.shape[1]
-    out = np.zeros((n, c, r, W), dtype=np.float64)
+    out = np.zeros((n, c, r, W), dtype=np.result_type(A, X))
     for k in range(m):
         out += A[None, :, :, k, None] * X[:, :, None, k, :]
     return out
@@ -457,7 +470,7 @@ def _stacked_right_product(X: np.ndarray, B: np.ndarray) -> np.ndarray:
     """(n, c, r, m) @ (c, m, q) -> (n, c, r, q), accumulated in ascending k."""
     n, c, r, m = X.shape
     q = B.shape[2]
-    out = np.zeros((n, c, r, q), dtype=np.float64)
+    out = np.zeros((n, c, r, q), dtype=np.result_type(X, B))
     for k in range(m):
         out += X[:, :, :, k, None] * B[None, :, None, k, :]
     return out
@@ -479,23 +492,13 @@ def forward_blockdiag(
     spec.validate_input(x.dims)
     params.validate(spec)
     n, c, H, W = x.dims
-    out_h, out_w = output_shape(spec, (H, W))
-    out = np.empty((n, c, out_h, out_w), dtype=np.float64)
+    out = np.empty((n, c) + output_shape(spec, (H, W)), dtype=np.float64)
     for g in spec.groups:
-        mats = [
-            materialize_block_diagonal(g, params.left[ch], params.right[ch], H, W)
-            for ch in g.channels
-        ]
-        A = np.stack([m[0].array for m in mats])
-        B = np.stack([m[1].array for m in mats])
-        xg = x.array[:, g.start : g.stop]
-        y = _stacked_right_product(_stacked_left_product(A, xg), B)
-        if counter is not None:
-            counter.add(g.count * n * (A.shape[1] * H * W + A.shape[1] * W * B.shape[2]))
+        A, B = blockdiag_factors(g, params, H, W)
+        y = blockdiag_product(A, x.array[:, g.start : g.stop], B, counter)
         if spec.use_bias:
             _, _, bias = params.stacked(g)
-            nh, nw = H // g.h, W // g.w
-            tiled = np.tile(bias, (1, nh, nw))
+            tiled = np.tile(bias, (1, H // g.h, W // g.w))
             if g.shift:
                 tiled = np.roll(tiled, (g.shift, g.shift), axis=(1, 2))
             y = y + tiled[None]

@@ -8,7 +8,6 @@ from neonext.autodiff import (
     Val,
     backward,
     fd_check,
-    neocell_backward,
     tracked_matmul,
     tracked_mul,
     tracked_sum,
@@ -21,7 +20,8 @@ from neonext.neocell import (
     NeoCellSpec,
     forward_blockdiag,
     forward_patchwise,
-    identity_params,
+    neocell_backward,
+    neoinit_params,
 )
 from neonext.rng import Rng
 from neonext.tensor import Matrix, Tensor4
@@ -110,7 +110,7 @@ class TestTape:
 class TestNeocellBackward:
     def test_identity_params_pass_gradient_through(self):
         spec = NeoCellSpec((GroupSpec(0, 2, 4, 4, 4, 4),))
-        params = identity_params(spec)
+        params = neoinit_params(spec, Rng(0), noise=False)
         x = Tensor4(Rng(4).normal((1, 2, 8, 8), 1.0))
         gout = Tensor4(Rng(5).normal((1, 2, 8, 8), 1.0))
         gx, _ = neocell_backward(x, spec, params, gout)

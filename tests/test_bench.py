@@ -1,3 +1,5 @@
+import importlib
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +7,8 @@ import pytest
 
 from neonext.bench import (
     BENCH_CSV_HEADER,
+    BENCH_OPS,
+    _bench_callable,
     append_bench_csv,
     bench,
     counted_dwconv,
@@ -18,6 +22,8 @@ from neonext.errors import ConfigError, ShapeError
 from neonext.neocell import MultCounter
 from neonext.rng import Rng
 from neonext.tensor import Tensor4
+
+bench_module = importlib.import_module("neonext.bench")   # the package root exports a bench() function
 
 
 def scalar_dwconv(x, kernels):
@@ -160,3 +166,38 @@ class TestBenchHarness:
         assert second.startswith(first)
         assert second.splitlines()[0] == BENCH_CSV_HEADER
         assert len(second.splitlines()) == 3
+
+
+class TestBenchKernels:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("op", BENCH_OPS)
+    def test_callable_returns_the_output_plane(self, op, dtype):
+        fn, _ = _bench_callable(op, 2, 6, 6, 3, 0, dtype)
+        y = fn()
+        assert y.shape == (1, 2, 6, 6)
+        assert y.dtype == np.dtype(dtype)
+
+    def test_float32_blockdiag_runs_the_block_diagonal_product(self, monkeypatch):
+        dtypes = []
+        real = bench_module.blockdiag_product
+
+        def spy(A, X, B, counter=None):
+            dtypes.append((A.dtype, X.dtype, B.dtype))
+            return real(A, X, B, counter)
+
+        monkeypatch.setattr(bench_module, "blockdiag_product", spy)
+        r = bench("blockdiag", 2, 6, 6, 3, iters=2, warmup=1, dtype="float32")
+        assert len(dtypes) == 4   # multiply count, warmup, two timed calls
+        assert set(dtypes) == {(np.dtype(np.float32),) * 3}
+        assert r.multiplies == bench("blockdiag", 2, 6, 6, 3, iters=1, warmup=0).multiplies
+
+    def test_thread_pool_is_shut_down(self):
+        before = threading.active_count()
+        r = bench("neocell", 2, 8, 8, 4, iters=1, warmup=0, threads=2)
+        assert r.threads == 2
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ConfigError, match="threads"):
+            bench("neocell", 2, 8, 8, 4, iters=1, warmup=0, threads=threads)

@@ -10,7 +10,9 @@ from neonext.blocks import (
     pointwise_conv,
     space_to_depth,
 )
+from neonext.autodiff import Val
 from neonext.errors import ShapeError
+from neonext.model import BatchNormLayer, ForwardCtx
 from neonext.rng import Rng
 from neonext.tensor import Matrix, Tensor4
 
@@ -97,6 +99,18 @@ class TestBatchNorm:
         batchnorm_forward(x, np.ones(2), np.zeros(2), stats, mode="train")
         mu = x.array.mean(axis=(0, 2, 3))
         assert np.allclose(stats.mean, 0.9 * 0.0 + 0.1 * mu, rtol=0, atol=1e-12)
+
+    def test_layer_and_function_share_the_stats_update(self):
+        x = Rng(8).normal((8, 2, 4, 4), 2.0) + 1.0
+        layer = BatchNormLayer("bn", 2)
+        layer.forward(Val(x), None, ForwardCtx("train", update_stats=True))
+        stats = BatchNormStats.fresh(2)
+        batchnorm_forward(Tensor4(x), np.ones(2), np.zeros(2), stats, mode="train")
+        want = BatchNormStats.fresh(2)
+        want.update(x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3)))
+        for got in (layer.stats, stats):
+            assert np.array_equal(got.mean, want.mean)
+            assert np.array_equal(got.var, want.var)
 
     def test_eval_does_not_touch_stats(self):
         x = Tensor4(Rng(8).normal((2, 2, 4, 4), 1.0))

@@ -93,6 +93,16 @@ class TestBenchCli:
         cut = lambda p: [",".join(ln.split(",")[:11]) for ln in Path(p).read_text().splitlines()]
         assert cut(a) == cut(b)
 
+    def test_zero_threads_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        code = main([
+            "bench", "--op", "neocell", "--c", "2", "--h", "8", "--w", "8", "--k", "4",
+            "--threads", "0", "--out", str(out),
+        ])
+        assert code == 1
+        assert "threads" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGradcheckCli:
     @pytest.mark.parametrize("layer", ["neocell", "pointwise", "batchnorm", "gelu"])

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from neonext.autodiff import Tape, backward
+from neonext.autodiff import Param, Tape, backward
+from neonext.equiv import random_case, random_params
 from neonext.errors import ConfigError, ShapeError
 from neonext.model import (
     Block,
     BlockSpec,
     ForwardCtx,
     ModelSpec,
+    NeoCellLayer,
     analytic_param_count,
     build_model,
     load_checkpoint,
@@ -19,7 +23,13 @@ from neonext.model import (
     softmax_cross_entropy,
 )
 from neonext.autodiff import Val
-from neonext.neocell import GroupSpec, NeoCellSpec
+from neonext.neocell import (
+    GroupSpec,
+    NeoCellSpec,
+    forward_blockdiag,
+    forward_patchwise,
+    neocell_backward,
+)
 from neonext.rng import Rng
 from neonext.tensor import Tensor4
 
@@ -133,6 +143,37 @@ class TestBuild:
     def test_widths_must_be_non_decreasing(self):
         with pytest.raises(ConfigError):
             ModelSpec("bad", (1, 1, 1, 1), (64, 32, 96, 192))
+
+
+class TestNeoCellLayerKernel:
+    """The model layer and the per-channel reference API share one kernel."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_layer_matches_reference_paths(self, seed):
+        rng = Rng(seed)
+        x, spec, _ = random_case(rng)
+        params = random_params(spec, rng)
+        layer = NeoCellLayer("cell", spec, rng)
+        for part, triple in zip(layer.parts, layer.part_params):
+            for p, weights in zip(triple, params.stacked(part)):
+                if p is not None:
+                    p.array[...] = weights
+        gout = rng.normal(layer.out_shape(x.dims), 1.0)
+        xp = Param("x", x.array)
+        tape = Tape()
+        out = layer.forward(xp, tape, ForwardCtx())
+        tape.record(Val(0.0), (out,), lambda g: (gout,))
+        grads = backward(tape)
+
+        assert np.array_equal(out.array, forward_patchwise(x, spec, params).array)
+        assert np.abs(out.array - forward_blockdiag(x, spec, params).array).max() <= 1e-10
+        gx, gp = neocell_backward(x, spec, params, Tensor4(gout))
+        assert np.array_equal(grads["x"], gx.array)
+        for part, triple in zip(layer.parts, layer.part_params):
+            for p, want in zip(triple, gp.stacked(part)):
+                if p is not None:
+                    assert np.array_equal(grads[p.name], want)
 
 
 class TestBlockBehavior:

@@ -11,12 +11,9 @@ from neonext.neocell import (
     NeoCellSpec,
     forward_blockdiag,
     forward_patchwise,
-    identity_params,
-    load_params,
     materialize_block_diagonal,
     neoinit_params,
     output_shape,
-    save_params,
 )
 from neonext.neoinit import neoinit_pattern
 from neonext.rng import Rng
@@ -115,7 +112,7 @@ class TestForwardPatchwise:
     def test_identity_bit_exact(self):
         spec = NeoCellSpec((GroupSpec(0, 2, 4, 4, 4, 4), GroupSpec(2, 3, 2, 2, 2, 2)))
         x = Tensor4(Rng(1).normal((2, 3, 8, 8), 1.0))
-        y = forward_patchwise(x, spec, identity_params(spec))
+        y = forward_patchwise(x, spec, neoinit_params(spec, Rng(0), noise=False))
         assert np.array_equal(y.array, x.array)
 
     def test_row_permutation_patch(self):
@@ -148,7 +145,7 @@ class TestForwardPatchwise:
 
     def test_non_divisible_input_is_hard_error(self):
         spec = NeoCellSpec((GroupSpec(0, 1, 4, 4, 4, 4),))
-        params = identity_params(spec)
+        params = neoinit_params(spec, Rng(0), noise=False)
         with pytest.raises(ShapeError, match="group 0.*height"):
             forward_patchwise(Tensor4(np.zeros((1, 1, 6, 8))), spec, params)
 
@@ -198,7 +195,7 @@ class TestForwardBlockdiag:
     def test_identity_params(self):
         spec = NeoCellSpec((GroupSpec(0, 2, 4, 4, 4, 4),))
         x = Tensor4(Rng(9).normal((1, 2, 8, 8), 1.0))
-        y = forward_blockdiag(x, spec, identity_params(spec))
+        y = forward_blockdiag(x, spec, neoinit_params(spec, Rng(0), noise=False))
         assert np.abs(y.array - x.array).max() <= 1e-12
 
     def test_worked_two_block_example_exact(self):
@@ -268,19 +265,3 @@ class TestInvariants:
         a = forward_patchwise(x, spec, params).array
         b = forward_blockdiag(x, spec, params).array
         assert np.abs(a - b).max() <= 1e-10
-
-
-class TestParamsSerialization:
-    def test_roundtrip(self, tmp_path):
-        spec = NeoCellSpec(
-            (GroupSpec(0, 2, 4, 4, 4, 4, shift=1), GroupSpec(2, 3, 7, 7, 7, 7)),
-            use_bias=True,
-        )
-        params = random_params(spec, Rng(17))
-        save_params(tmp_path / "layer0", spec, params)
-        spec2, params2 = load_params(tmp_path / "layer0")
-        assert spec2 == spec
-        for c in range(3):
-            assert np.array_equal(params2.left[c].array, params.left[c].array)
-            assert np.array_equal(params2.right[c].array, params.right[c].array)
-            assert np.array_equal(params2.bias[c].array, params.bias[c].array)
