@@ -24,7 +24,7 @@ import numpy as np
 from .bench import BENCH_OPS, append_bench_csv, bench as run_bench
 from .equiv import run_trials
 from .autodiff import Param, Tape, Val, backward, fd_check
-from .errors import ConfigError
+from .errors import ConfigError, DataError, ParameterError, ShapeError
 from .model import ForwardCtx, build_model, named_spec, one_hot, softmax_cross_entropy
 from .neoinit import InitSpec, format_grid, neoinit
 from .rng import Rng
@@ -253,7 +253,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, DataError, ParameterError, ShapeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -58,6 +58,7 @@ from .rng import Rng
 from .tensor import Tensor4, read_tensor, write_tensor
 
 SIZE_FALLBACKS = (7, 4, 2, 1)
+IN_CHANNELS = 3   # RGB
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,7 @@ class NeoCellLayer:
         for part, (pl, pr, pb) in zip(self.parts, self.part_params):
             s = slice(part.start, part.stop)
             bias = pb.array if pb is not None else None
-            out[:, s] = part_forward(x[:, s], pl.array, pr.array, bias, part.shifts)
+            part_forward(x[:, s], pl.array, pr.array, bias, part.shifts, out=out[:, s])
         ov = Val(out)
         if tape is not None:
             parts = self.parts
@@ -226,8 +227,8 @@ class NeoCellLayer:
                 grads = []
                 for part, (pl, pr, pb) in zip(parts, pparams):
                     s = slice(part.start, part.stop)
-                    gx[:, s], gl, gr, gb = part_backward(
-                        x[:, s], pl.array, pr.array, pb is not None, part.shifts, gout[:, s]
+                    _, gl, gr, gb = part_backward(
+                        x[:, s], pl.array, pr.array, pb is not None, part.shifts, gout[:, s], gx[:, s]
                     )
                     grads.extend([gl, gr] + ([gb] if pb is not None else []))
                 return [gx] + grads
@@ -471,6 +472,8 @@ class Model:
     def forward(self, x: Tensor4, ctx: ForwardCtx | None = None, tape: Tape | None = None) -> Val:
         if ctx is None:
             ctx = ForwardCtx()
+        if x.dims[1] != IN_CHANNELS:
+            raise ShapeError(f"model expects {IN_CHANNELS} input channels, got {x.dims}")
         if x.dims[2] != self.input_size or x.dims[3] != self.input_size:
             raise ShapeError(
                 f"model built for {self.input_size}x{self.input_size} inputs, got {x.dims}"
@@ -486,7 +489,7 @@ class Model:
         return self.forward(x, ForwardCtx(mode=mode, rng=rng)).array
 
     def shape_chain(self, batch: int = 1):
-        dims = (batch, 3, self.input_size, self.input_size)
+        dims = (batch, IN_CHANNELS, self.input_size, self.input_size)
         chain = [("input", dims)]
         for layer in self.layers:
             dims = layer.out_shape(dims)
@@ -551,7 +554,7 @@ def build_model(spec: ModelSpec, input_size: int, rng: Rng, init: str = "neoinit
     manifest = [f"model {spec.name} input {input_size}x{input_size} classes {spec.classes}"]
     layers: list = []
     layers.append(SpaceToDepthLayer(spec.stem_patch))
-    stem_ch = 3 * spec.stem_patch * spec.stem_patch
+    stem_ch = IN_CHANNELS * spec.stem_patch * spec.stem_patch
     layers.append(PointwiseLayer("stem.pointwise", stem_ch, spec.widths[0], rng))
     layers.append(BatchNormLayer("stem.norm", spec.widths[0]))
     map_size = input_size // spec.stem_patch
@@ -601,7 +604,7 @@ def analytic_param_count(spec: ModelSpec, input_size: int) -> int:
     + (e*C^2 + C) (project).  Downsample C->C': 4C + 2C + CC' + C' + 2C'.
     Stem: 48*C0 + C0 + 2*C0.  Head: C3*classes + classes.
     """
-    stem_ch = 3 * spec.stem_patch * spec.stem_patch
+    stem_ch = IN_CHANNELS * spec.stem_patch * spec.stem_patch
     total = stem_ch * spec.widths[0] + spec.widths[0] + 2 * spec.widths[0]
     map_size = input_size // spec.stem_patch
     for si in range(4):

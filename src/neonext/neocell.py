@@ -12,9 +12,15 @@ of equal patch geometry merge into one ``Part``, and one kernel pair,
 ``part_forward`` / ``part_backward``, computes every patch product and its
 gradients: ``model.NeoCellLayer`` runs it on stacked ``Param`` weights, and
 ``forward_patchwise`` / ``neocell_backward`` run it on per-channel
-``NeoCellParams``.  A shifted subgroup is computed by pre-rolling its
-channels by -shift on both spatial axes, applying the unshifted operator,
-and rolling the result back by +shift.  Patch weights are initialized in
+``NeoCellParams``.  The kernel never gathers patches: it runs two band GEMMs
+on plain reshapes of the contiguous (n, c, H, W) layout, L along H on
+(n, c, H/h, h, W) bands and then R along W on (n, c, H/h*h_out*W/w, w)
+rows, whose product is already the output layout.  L goes first, which is
+the order ``MultCounter`` counts: h_out*h*w + h_out*w*w_out multiplies per
+patch.  A shifted subgroup is computed by pre-rolling its channels by
+-shift on both spatial axes, applying the unshifted operator, and rolling
+the result back by +shift, straight into the caller's output; parts with no
+shifted subgroup are not copied at all.  Patch weights are initialized in
 one place, ``init_part``.
 
 ``forward_blockdiag`` is the independent reference: one product per channel
@@ -279,14 +285,27 @@ class MultCounter:
         self.multiplies += int(n)
 
 
-def _roll_subgroups(a: np.ndarray, shifts, sign: int) -> np.ndarray:
-    """Per-subgroup cyclic roll on the spatial axes; returns a fresh array."""
-    out = a.copy()
+def _roll_subgroups(a: np.ndarray, shifts, sign: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Cyclic roll of each subgroup by ``sign * shift`` on both spatial axes.
+
+    One pass over ``a``: four slice copies per shifted subgroup, one plain
+    copy per unshifted one, all written into ``out`` (a fresh array when
+    None).  With ``out`` None and no subgroup shifted, returns ``a`` itself.
+    """
+    if out is None:
+        if not any(s for _, _, s in shifts):
+            return a
+        out = np.empty_like(a)
+    H, W = a.shape[2:]
     for off, size, s in shifts:
-        if s:
-            out[:, off : off + size] = np.roll(
-                a[:, off : off + size], (sign * s, sign * s), axis=(2, 3)
-            )
+        src, dst = a[:, off : off + size], out[:, off : off + size]
+        if not s:
+            dst[...] = src
+            continue
+        rh, rw = (sign * s) % H, (sign * s) % W
+        for d0, s0 in ((slice(rh, None), slice(None, H - rh)), (slice(None, rh), slice(H - rh, None))):
+            for d1, s1 in ((slice(rw, None), slice(None, W - rw)), (slice(None, rw), slice(W - rw, None))):
+                dst[:, :, d0, d1] = src[:, :, s0, s1]
     return out
 
 
@@ -297,25 +316,41 @@ def part_forward(
     bias: np.ndarray | None,
     shifts,
     counter: MultCounter | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """The patch kernel for one part, in the dtype of its inputs.
 
     x is (n, cp, H, W); L is (cp, h_out, h); R is (cp, w, w_out); bias is
-    (cp, h_out, w_out) or None; ``shifts`` is ``Part.shifts``.
-    Returns (n, cp, H/h*h_out, W/w*w_out).
+    (cp, h_out, w_out) or None; ``shifts`` is ``Part.shifts``.  Writes the
+    (n, cp, H/h*h_out, W/w*w_out) result into ``out`` (fresh when None; a
+    channel slice of a larger array is fine) and returns it.
+
+    Two band GEMMs on reshaped views, with no patch transpose: L acts along
+    H on x viewed as (n, cp, H/h, h, W), then R acts along W on that result
+    viewed as (n, cp, H/h*h_out*W/w, w) rows, whose product is already laid
+    out as the output.  L goes first, so each patch costs exactly the
+    h_out*h*w + h_out*w*w_out multiplies that ``counter`` tallies.
     """
     n, cp, H, W = x.shape
     h_out, h = L.shape[1:]
     w, w_out = R.shape[1:]
     nh, nw = H // h, W // w
-    patches = _roll_subgroups(x, shifts, -1).reshape(n, cp, nh, h, nw, w).transpose(0, 1, 2, 4, 3, 5)
-    y = np.matmul(np.matmul(L[:, None, None], patches), R[:, None, None])
+    rows = nh * h_out * nw
+    if out is None:
+        out = np.empty((n, cp, nh * h_out, nw * w_out), dtype=np.result_type(x, L, R))
+    xr = _roll_subgroups(x, shifts, -1)
+    lx = np.matmul(L[:, None], xr.reshape(n, cp, nh, h, W))
     if counter is not None:
         counter.add(n * cp * nh * nw * (h_out * h * w + h_out * w * w_out))
+    # a shifted part does not resample, so its rolled input's buffer fits y
+    y = out if xr is x else xr
+    np.matmul(lx.reshape(n, cp, rows, w), R, out=y.reshape(n, cp, rows, w_out, copy=False))
     if bias is not None:
-        y = y + bias[:, None, None]
-    y = y.transpose(0, 1, 2, 4, 3, 5).reshape(n, cp, nh * h_out, nw * w_out)
-    return _roll_subgroups(y, shifts, +1)
+        patches = y.reshape(n, cp, nh, h_out, nw, w_out, copy=False)
+        patches += bias[:, None, :, None, :]
+    if y is not out:
+        _roll_subgroups(y, shifts, +1, out)
+    return out
 
 
 def part_backward(
@@ -325,33 +360,45 @@ def part_backward(
     has_bias: bool,
     shifts,
     gy: np.ndarray,
+    out: np.ndarray | None = None,
 ):
     """Gradients of ``part_forward`` for the output gradient ``gy``.
 
-    Per patch with output gradient G: grad_L accumulates G @ (X @ R)^T,
-    grad_R accumulates (L @ X)^T @ G, grad_bias accumulates G, and
-    grad_X = L^T @ G @ R^T; G goes through the same subgroup rolls as the
-    forward.  Returns (grad_x, grad_L, grad_R, grad_bias-or-None).  Weight
-    gradients sum patch and batch contributions in one fixed reduction, so
-    repeated backward passes are bit-identical.
+    Uses the forward's two views of x and the same views of G (``gy``
+    rolled like x), with no patch transpose:
+
+    - grad_R = sum over n of (L X)^T G on the (H/h*h_out*W/w, w) rows;
+    - grad_L = sum over (n, H/h) bands of (G R^T) X^T, which equals
+      G (X R)^T;
+    - grad_x = L^T (G R^T), rolled back and written into ``out`` (fresh when
+      None; a channel slice of a larger array is fine).
+
+    Returns (grad_x, grad_L, grad_R, grad_bias-or-None).  Each weight
+    gradient is reduced in one fixed order, so repeated backward passes are
+    bit-identical.  Neither x nor gy is written to.
     """
     n, cp, H, W = x.shape
     h_out, h = L.shape[1:]
     w, w_out = R.shape[1:]
     nh, nw = H // h, W // w
-    p = _roll_subgroups(x, shifts, -1).reshape(n, cp, nh, h, nw, w).transpose(0, 1, 2, 4, 3, 5)
-    g6 = _roll_subgroups(gy, shifts, -1).reshape(n, cp, nh, h_out, nw, w_out).transpose(0, 1, 2, 4, 3, 5)
-    grad_l = np.matmul(g6, np.swapaxes(np.matmul(p, R[:, None, None]), -1, -2)).sum(axis=(0, 2, 3))
-    grad_r = np.matmul(np.swapaxes(np.matmul(L[:, None, None], p), -1, -2), g6).sum(axis=(0, 2, 3))
-    grad_b = g6.sum(axis=(0, 2, 3)) if has_bias else None
-    gp = np.matmul(
-        np.swapaxes(L, 1, 2)[:, None, None],
-        np.matmul(g6, np.swapaxes(R, 1, 2)[:, None, None]),
-    )
-    del p, g6   # free the rolled inputs first: this bounds the backward's peak memory
-    gx = gp.transpose(0, 1, 2, 4, 3, 5).reshape(n, cp, H, W)
-    del gp
-    return _roll_subgroups(gx, shifts, +1), grad_l, grad_r, grad_b
+    rows = nh * h_out * nw
+    if out is None:
+        out = np.empty(x.shape, dtype=np.result_type(x, L, R, gy))
+    xr = _roll_subgroups(x, shifts, -1)
+    g = _roll_subgroups(gy, shifts, -1)
+    grad_b = g.reshape(n, cp, nh, h_out, nw, w_out).sum(axis=(0, 2, 4)) if has_bias else None
+    xbands = xr.reshape(n, cp, nh, h, W)
+    lx = np.matmul(L[:, None], xbands).reshape(n, cp, rows, w)
+    gv = g.reshape(n, cp, rows, w_out)
+    grad_r = np.matmul(lx.swapaxes(-1, -2), gv).sum(axis=0)
+    gr = np.matmul(gv, R.swapaxes(-1, -2), out=lx).reshape(n, cp, nh, h_out, W)
+    grad_l = np.matmul(gr, xbands.swapaxes(-1, -2)).sum(axis=(0, 2))
+    # xr is dead now; when it is a rolled copy, its buffer takes L^T (G R^T)
+    gx = out if xr is x else xr
+    np.matmul(L.swapaxes(-1, -2)[:, None], gr, out=gx.reshape(n, cp, nh, h, W, copy=False))
+    if gx is not out:
+        _roll_subgroups(gx, shifts, +1, out)
+    return out, grad_l, grad_r, grad_b
 
 
 def forward_patchwise(
@@ -369,7 +416,7 @@ def forward_patchwise(
         s = slice(part.start, part.stop)
         L, R, B = params.stacked(part)
         bias = B if spec.use_bias else None
-        out[:, s] = part_forward(x.array[:, s], L, R, bias, part.shifts, counter)
+        part_forward(x.array[:, s], L, R, bias, part.shifts, counter, out[:, s])
     return Tensor4(out)
 
 
@@ -389,8 +436,8 @@ def neocell_backward(x: Tensor4, spec: NeoCellSpec, params: NeoCellParams, grad_
     for part in merge_parts(spec):
         s = slice(part.start, part.stop)
         L, R, _ = params.stacked(part)
-        gx[:, s], gL, gR, gB = part_backward(
-            x.array[:, s], L, R, spec.use_bias, part.shifts, grad_out.array[:, s]
+        _, gL, gR, gB = part_backward(
+            x.array[:, s], L, R, spec.use_bias, part.shifts, grad_out.array[:, s], gx[:, s]
         )
         gl.extend(Matrix(m) for m in gL)
         gr.extend(Matrix(m) for m in gR)

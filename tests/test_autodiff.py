@@ -171,6 +171,42 @@ class TestNeocellBackward:
             worst = max(worst, rel(gx.array[idx], fd))
         assert worst <= 1e-4
 
+    def test_rectangular_resampling_matches_central_differences(self):
+        # h != w and h_out != w_out on an H != W input: every weight entry and
+        # every input pixel is probed, so a swapped axis shows up
+        spec = NeoCellSpec((GroupSpec(0, 2, 2, 4, 3, 1),), use_bias=True)
+        params = random_params(spec, Rng(23))
+        x = Tensor4(Rng(24).normal((2, 2, 4, 8), 1.0))
+        _, gx, gp = loss_and_grads_neocell(x, spec, params)
+        eps = 1e-5
+
+        def rel(a, fd):
+            return abs(a - fd) / max(abs(a), abs(fd), 1e-5)
+
+        def loss_with(p):
+            return 0.5 * float((forward_patchwise(x, spec, p).array ** 2).sum())
+
+        worst = 0.0
+        for attr in ("left", "right", "bias"):
+            for c in range(2):
+                base = getattr(params, attr)[c].array
+                for idx in np.ndindex(base.shape):
+                    losses = []
+                    for sign in (1, -1):
+                        mats = list(getattr(params, attr))
+                        delta = np.zeros_like(base)
+                        delta[idx] = sign * eps
+                        mats[c] = Matrix(base + delta)
+                        losses.append(loss_with(NeoCellParams(**{**_params_kw(params), attr: mats})))
+                    fd = (losses[0] - losses[1]) / (2 * eps)
+                    worst = max(worst, rel(getattr(gp, attr)[c].array[idx], fd))
+        for idx in np.ndindex(x.dims):
+            delta = np.zeros(x.dims)
+            delta[idx] = eps
+            fd = (loss_with_x(x.array + delta, spec, params) - loss_with_x(x.array - delta, spec, params)) / (2 * eps)
+            worst = max(worst, rel(gx.array[idx], fd))
+        assert worst <= 1e-4
+
     def test_blockdiag_and_patchwise_gradients_agree(self):
         spec = NeoCellSpec((GroupSpec(0, 2, 4, 4, 4, 4, shift=2),), use_bias=True)
         params = random_params(spec, Rng(9))

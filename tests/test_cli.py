@@ -103,6 +103,11 @@ class TestBenchCli:
         assert "threads" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_indivisible_size_exits_1(self, capsys):
+        code = main(["bench", "--op", "neocell", "--c", "2", "--h", "30", "--k", "4", "--iters", "1"])
+        assert code == 1
+        assert "error: height 30 not divisible" in capsys.readouterr().err
+
 
 class TestGradcheckCli:
     @pytest.mark.parametrize("layer", ["neocell", "pointwise", "batchnorm", "gelu"])
@@ -121,6 +126,11 @@ class TestGradcheckCli:
         code = main(["gradcheck", "--layer", "pointwise", "--c", "2", "--h", "4", "--w", "4",
                      "--threshold", "1e-18"])
         assert code == 1
+
+    def test_indivisible_size_exits_1(self, capsys):
+        code = main(["gradcheck", "--layer", "neocell", "--h", "6", "--k", "4"])
+        assert code == 1
+        assert "error: group 0: height 6 not divisible" in capsys.readouterr().err
 
 
 class TestTrainCli:

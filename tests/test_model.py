@@ -135,6 +135,11 @@ class TestBuild:
         with pytest.raises(ShapeError):
             build_model(spec, 30, Rng(0))
 
+    def test_wrong_channel_count_is_shape_error(self):
+        model = build_model(named_spec("neonext-micro", classes=10), 32, Rng(0))
+        with pytest.raises(ShapeError, match="expects 3 input channels"):
+            model.logits(Tensor4(np.zeros((2, 4, 32, 32))))
+
     def test_manifest_records_parameter_total(self):
         spec = named_spec("neonext-micro", classes=10)
         model = build_model(spec, 32, Rng(0))
@@ -174,6 +179,36 @@ class TestNeoCellLayerKernel:
             for p, want in zip(triple, gp.stacked(part)):
                 if p is not None:
                     assert np.array_equal(grads[p.name], want)
+
+
+class TestNeoCellLayerAliasing:
+    """The kernel reads its inputs in place and writes only fresh arrays."""
+
+    @pytest.mark.parametrize(
+        "groups",
+        [
+            (GroupSpec(0, 2, 4, 4, 4, 4), GroupSpec(2, 5, 4, 4, 4, 4, shift=3)),
+            (GroupSpec(0, 3, 2, 2, 1, 1),),
+        ],
+        ids=["shifted", "downsample"],
+    )
+    def test_inputs_untouched_and_outputs_unaliased(self, groups):
+        spec = NeoCellSpec(groups)
+        rng = Rng(31)
+        layer = NeoCellLayer("cell", spec, rng)
+        x = rng.normal((2, spec.channel_count, 8, 8), 1.0)
+        gout = rng.normal(layer.out_shape(x.shape), 1.0)
+        x_before, gout_before = x.copy(), gout.copy()
+        xp = Param("x", x)
+        tape = Tape()
+        out = layer.forward(xp, tape, ForwardCtx())
+        tape.record(Val(0.0), (out,), lambda g: (gout,))
+        grads = backward(tape)
+
+        assert np.array_equal(xp.array, x_before)
+        assert np.array_equal(gout, gout_before)
+        assert not np.shares_memory(out.array, xp.array)
+        assert not np.shares_memory(grads["x"], gout)
 
 
 class TestBlockBehavior:

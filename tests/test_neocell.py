@@ -150,6 +150,27 @@ class TestForwardPatchwise:
             forward_patchwise(Tensor4(np.zeros((1, 1, 6, 8))), spec, params)
 
 
+# h != w and h_out != w_out on an H != W input, so a kernel that mixes up the
+# two axes cannot pass
+RECT_SPEC = NeoCellSpec((GroupSpec(0, 2, 2, 4, 3, 1),), use_bias=True)
+
+
+class TestRectangularResampling:
+    def _case(self):
+        return Tensor4(Rng(21).normal((2, 2, 4, 8), 1.0)), random_params(RECT_SPEC, Rng(22))
+
+    def test_matches_scalar_loop_oracle(self):
+        x, params = self._case()
+        got = forward_patchwise(x, RECT_SPEC, params).array
+        assert got.shape == (2, 2, 6, 2)
+        assert np.abs(got - scalar_loop_forward(x, RECT_SPEC, params)).max() <= 1e-12
+
+    def test_matches_blockdiag(self):
+        x, params = self._case()
+        got = forward_patchwise(x, RECT_SPEC, params).array
+        assert np.abs(got - forward_blockdiag(x, RECT_SPEC, params).array).max() <= 1e-10
+
+
 class TestMaterialize:
     def test_two_block_diagonal_layout(self):
         g = GroupSpec(0, 1, 2, 2, 2, 2)
