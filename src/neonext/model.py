@@ -24,6 +24,12 @@ manifest.
 ``neocell.Part`` and runs ``neocell``'s part kernel forward and on the tape;
 ``neocell`` owns the patch layout.
 
+Activation layout: space-to-depth turns the C-ordered input into a
+channel-major array (memory of a C-contiguous (c, n, h, w) array, see
+``blocks``), and every later layer keeps that order up to the global pool,
+so pointwise layers and batchnorm work on free (c, n*h*w) views.  Layers
+allocate their outputs and input gradients in their input's memory order.
+
 Initialization: patch matrices via ``neocell.init_part`` (the
 identity/skewed-identity scheme with Gaussian noise, "neoinit", or, for the
 ablation baseline, random normal with std 1/sqrt(h) (left) and 1/sqrt(w)
@@ -40,8 +46,8 @@ import numpy as np
 
 from .autodiff import Param, Tape, Val
 from .blocks import (
-    BN_EPS,
     BatchNormStats,
+    _bn_eval_bwd,
     _bn_eval_fwd,
     _bn_train_bwd,
     _bn_train_fwd,
@@ -212,7 +218,7 @@ class NeoCellLayer:
     def forward(self, v: Val, tape: Tape | None, ctx: ForwardCtx) -> Val:
         x = v.array
         self.spec.validate_input(x.shape)
-        out = np.empty(self.out_shape(x.shape), dtype=np.float64)
+        out = np.empty_like(x, shape=self.out_shape(x.shape))   # in x's memory order
         for part, (pl, pr, pb) in zip(self.parts, self.part_params):
             s = slice(part.start, part.stop)
             bias = pb.array if pb is not None else None
@@ -273,12 +279,7 @@ class BatchNormLayer:
             stats = self.stats
 
             def back(g):
-                invstd = 1.0 / np.sqrt(stats.var + BN_EPS)
-                xhat = (x - stats.mean[None, :, None, None]) * invstd[None, :, None, None]
-                gx = g * scale[None, :, None, None]
-                ggamma = (g * xhat).sum(axis=(0, 2, 3))
-                gbeta = g.sum(axis=(0, 2, 3))
-                return gx, ggamma, gbeta
+                return _bn_eval_bwd(x, scale, stats, g)
 
             tape.record(ov, (v, self.gamma, self.beta), back)
         return ov
@@ -411,7 +412,9 @@ class GlobalPoolLayer:
         ov = Val(v.array.mean(axis=(2, 3)))
 
         def back(g):
-            return (np.broadcast_to(g[:, :, None, None] / (h * w), (n, c, h, w)).copy(),)
+            gx = np.empty_like(v.array)   # in the input's memory order
+            gx[...] = (g / (h * w))[:, :, None, None]
+            return (gx,)
 
         _record(tape, ov, (v,), back)
         return ov
@@ -648,16 +651,37 @@ def save_checkpoint(model: Model, directory: str | Path) -> None:
 
 
 def load_checkpoint(model: Model, directory: str | Path) -> None:
+    """Load what ``save_checkpoint`` wrote into ``model``.
+
+    Every ``index.txt`` entry must name a parameter or running stat of the
+    model and carry its shape, every one of them must be listed, and each
+    tensor file must hold that many values; otherwise ``ConfigError`` names
+    the entry and the model is left untouched.
+    """
     d = Path(directory)
+    targets = {p.name: p.array for p in model.params()}
+    for bn in model.bn_layers():
+        targets[f"{bn.name}.running_mean"] = bn.stats.mean
+        targets[f"{bn.name}.running_var"] = bn.stats.var
     entries = {}
     for line in (d / "index.txt").read_text().splitlines():
-        name, fname, _ = line.split("\t")
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ConfigError(f"checkpoint index line is malformed: {line!r}")
+        name, fname, shape = fields
+        if name not in targets:
+            raise ConfigError(f"checkpoint entry {name} is not in the model")
+        want = ",".join(map(str, targets[name].shape))
+        if shape != want:
+            raise ConfigError(f"checkpoint entry {name} has shape {shape}, the model's is {want}")
         entries[name] = fname
-    for p in model.params():
-        if p.name not in entries:
-            raise ConfigError(f"checkpoint misses parameter {p.name}")
-        arr = read_tensor(d / entries[p.name]).array.reshape(p.array.shape)
-        p.array[...] = arr
-    for bn in model.bn_layers():
-        bn.stats.mean = read_tensor(d / entries[f"{bn.name}.running_mean"]).array.reshape(-1).copy()
-        bn.stats.var = read_tensor(d / entries[f"{bn.name}.running_var"]).array.reshape(-1).copy()
+    loaded = {}
+    for name, target in targets.items():
+        if name not in entries:
+            raise ConfigError(f"checkpoint misses parameter {name}")
+        arr = read_tensor(d / entries[name]).array
+        if arr.size != target.size:
+            raise ConfigError(f"checkpoint entry {name} holds {arr.size} values, expected {target.size}")
+        loaded[name] = arr.reshape(target.shape)
+    for name, target in targets.items():
+        target[...] = loaded[name]

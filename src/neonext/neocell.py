@@ -13,9 +13,11 @@ of equal patch geometry merge into one ``Part``, and one kernel pair,
 gradients: ``model.NeoCellLayer`` runs it on stacked ``Param`` weights, and
 ``forward_patchwise`` / ``neocell_backward`` run it on per-channel
 ``NeoCellParams``.  The kernel never gathers patches: it runs two band GEMMs
-on plain reshapes of the contiguous (n, c, H, W) layout, L along H on
-(n, c, H/h, h, W) bands and then R along W on (n, c, H/h*h_out*W/w, w)
-rows, whose product is already the output layout.  L goes first, which is
+on plain reshapes of (n, c, H, W), L along H on (n, c, H/h, h, W) bands and
+then R along W on (n, c, H/h*h_out*W/w, w) rows, whose product is already
+the output layout.  The reshapes only need each (H, W) plane contiguous, so
+the kernel runs unchanged on C-ordered arrays and on the channel-major ones
+a model passes (see ``blocks``).  L goes first, which is
 the order ``MultCounter`` counts: h_out*h*w + h_out*w*w_out multiplies per
 patch.  A shifted subgroup is computed by pre-rolling its channels by
 -shift on both spatial axes, applying the unshifted operator, and rolling

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Grads, Param, Tape, Val, backward
-from .data import Batch, BatchPlan, Dataset, augment, batches, load_cifar10, split_dataset, synth_task
+from .data import AUGMENT_POLICIES, Batch, BatchPlan, Dataset, augment, batches, load_cifar10, split_dataset, synth_task
 from .errors import ConfigError, NumericError
 from .model import (
     ForwardCtx,
@@ -107,6 +107,10 @@ class RunConfig:
             raise ConfigError(f"init must be neoinit or random-normal, got {self.init!r}")
         if self.data not in ("synthetic", "cifar10"):
             raise ConfigError(f"data must be synthetic or cifar10, got {self.data!r}")
+        if self.augment not in AUGMENT_POLICIES:
+            raise ConfigError(f"augment must be one of {AUGMENT_POLICIES}, got {self.augment!r}")
+        if not (0.0 <= self.label_smoothing < 1.0):
+            raise ConfigError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
 
     def schedule(self) -> ScheduleSpec:
         # warmup clamps to the run length so short runs stay valid
@@ -264,6 +268,10 @@ def train_run(cfg: RunConfig, seed: int | None = None) -> RunReport:
     seed = cfg.seeds[0] if seed is None else seed
     t0 = time.perf_counter()
     train_ds, val_ds = _load_data(cfg)
+    if not 1 <= cfg.batch_size <= train_ds.size:
+        raise ConfigError(
+            f"batch_size {cfg.batch_size} must be in [1, {train_ds.size}], the train split size"
+        )
     root = Rng(seed)
     init_rng = root.derive(1)
     aug_rng = root.derive(2)
@@ -444,40 +452,48 @@ def parse_config(text_or_path) -> RunConfig:
         key, value = key.strip(), value.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
+        if key in kv:
+            raise ConfigError(f"duplicate config key {key!r}")
         kv[key] = value
 
     def get(key, default):
         return kv.get(key, default)
 
-    clip_raw = get("grad_clip", "none").lower()
-    clip = None if clip_raw in ("", "none") else float(clip_raw)
+    def num(key, default, convert=float):
+        raw = get(key, default)
+        try:
+            return convert(raw)
+        except ValueError:
+            raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from None
+
+    clip = None if get("grad_clip", "none").lower() in ("", "none") else num("grad_clip", None)
     opt = OptimSpec(
         kind=get("optimizer", "sgd-momentum"),
-        lr=float(get("lr", "0.1")),
-        momentum=float(get("momentum", "0.9")),
-        betas=(float(get("beta1", "0.9")), float(get("beta2", "0.999"))),
-        weight_decay=float(get("weight_decay", "0.0")),
+        lr=num("lr", "0.1"),
+        momentum=num("momentum", "0.9"),
+        betas=(num("beta1", "0.9"), num("beta2", "0.999")),
+        weight_decay=num("weight_decay", "0.0"),
         grad_clip=clip,
     )
-    seeds = tuple(int(s) for s in get("seeds", "1").split(",") if s.strip())
+    seeds = num("seeds", "1", lambda raw: tuple(int(s) for s in raw.split(",") if s.strip()))
     return RunConfig(
         model=get("model", "neonext-micro"),
         data=get("data", "synthetic"),
         data_dir=get("data_dir", ""),
-        classes=int(get("classes", "10")),
-        synth_train=int(get("synth_train", "1920")),
-        synth_val=int(get("synth_val", "512")),
+        classes=num("classes", "10", int),
+        synth_train=num("synth_train", "1920", int),
+        synth_val=num("synth_val", "512", int),
         optimizer=opt,
-        epochs=int(get("epochs", "3")),
-        warmup_epochs=int(get("warmup_epochs", "1")),
-        floor_lr=float(get("floor_lr", "0.0")),
-        batch_size=int(get("batch_size", "64")),
+        epochs=num("epochs", "3", int),
+        warmup_epochs=num("warmup_epochs", "1", int),
+        floor_lr=num("floor_lr", "0.0"),
+        batch_size=num("batch_size", "64", int),
         seeds=seeds,
         init=get("init", "neoinit"),
         augment=get("augment", "basic"),
-        label_smoothing=float(get("label_smoothing", "0.1")),
-        mixup_alpha=float(get("mixup_alpha", "0.8")),
-        drop_path=float(get("drop_path", "0.05")),
+        label_smoothing=num("label_smoothing", "0.1"),
+        mixup_alpha=num("mixup_alpha", "0.8"),
+        drop_path=num("drop_path", "0.05"),
         out_dir=get("out_dir", "runs/out"),
     )
 

@@ -1,8 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from neonext.blocks import (
     BatchNormStats,
+    _channel_cols,
+    _gelu_cdf,
+    _pw_bwd,
+    _pw_fwd,
     batchnorm_forward,
     depth_to_space,
     gelu,
@@ -67,6 +73,19 @@ class TestPointwise:
                 for j in range(4):
                     want[n, :, i, j] = W @ x.array[n, :, i, j] + b
         assert np.abs(got - want).max() <= 1e-12
+
+    def test_channel_major_input_runs_without_layout_copies(self):
+        rng = Rng(11)
+        a = rng.normal((3, 2, 4, 5), 1.0).transpose(1, 0, 2, 3)   # (n, c, h, w) = (2, 3, 4, 5), channel-major
+        cols = _channel_cols(a)
+        assert np.shares_memory(cols, a)
+        assert np.array_equal(cols, a.transpose(1, 0, 2, 3).reshape(3, 40))
+        W, g = rng.normal((6, 3), 1.0), rng.normal((6, 2, 4, 5), 1.0).transpose(1, 0, 2, 3)
+        y = _pw_fwd(a, W, np.zeros(6))
+        gx, _, _ = _pw_bwd(a, W, g, True)
+        for out in (y, gx):
+            assert out.transpose(1, 0, 2, 3).flags.c_contiguous
+        assert np.allclose(y, np.einsum("oc,nchw->nohw", W, a), rtol=0, atol=1e-14)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError, match="channels"):
@@ -138,6 +157,11 @@ class TestGelu:
     def test_spot_value_against_table(self):
         y = gelu(Tensor4(np.full((1, 1, 1, 1), 1.0))).array.item()
         assert abs(y - PHI_1) <= 1e-4
+
+    def test_cdf_matches_erf_form_on_a_grid(self):
+        x = np.linspace(-10.0, 10.0, 2001)
+        want = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x])
+        assert np.abs(_gelu_cdf(x) - want).max() <= 1e-15
 
     def test_odd_part(self):
         # x*Phi(x) + (-x)*Phi(-x) = x*(Phi(x) - Phi(-x)) checked numerically

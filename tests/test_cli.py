@@ -162,6 +162,12 @@ class TestTrainCli:
         assert main(["train", "--config", str(cfg)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_unparsable_value_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        write_tiny_config(cfg, tmp_path / "out", epochs="three")
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: config key 'epochs'")
+
     def test_missing_config_exits_1(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.cfg")]) == 1
 

@@ -211,6 +211,61 @@ class TestNeoCellLayerAliasing:
         assert not np.shares_memory(grads["x"], gout)
 
 
+def channel_major(a):
+    """True when (n, c, h, w) ``a`` has the memory of a C-contiguous (c, n, h, w) array."""
+    return a.transpose(1, 0, 2, 3).flags.c_contiguous
+
+
+def to_channel_major(a):
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+
+
+def c_ordered(a):
+    return a.flags.c_contiguous
+
+
+class TestActivationLayout:
+    """Inside a model, activations stay channel-major from the stem on."""
+
+    @pytest.mark.parametrize(
+        "groups",
+        [
+            (GroupSpec(0, 2, 4, 4, 4, 4), GroupSpec(2, 5, 4, 4, 4, 4, shift=3)),
+            (GroupSpec(0, 3, 2, 2, 1, 1),),
+        ],
+        ids=["shifted", "downsample"],
+    )
+    def test_neocell_layer_keeps_input_memory_order(self, groups):
+        spec = NeoCellSpec(groups)
+        rng = Rng(32)
+        layer = NeoCellLayer("cell", spec, rng)
+        x = rng.normal((2, spec.channel_count, 8, 8), 1.0)
+        gout = rng.normal(layer.out_shape(x.shape), 1.0)
+        results = []
+        for convert, in_order in ((np.ascontiguousarray, c_ordered), (to_channel_major, channel_major)):
+            xp = Param("x", convert(x))
+            tape = Tape()
+            out = layer.forward(xp, tape, ForwardCtx())
+            tape.record(Val(0.0), (out,), lambda g: (convert(gout),))
+            gx = backward(tape)["x"]
+            assert in_order(xp.array) and in_order(out.array) and in_order(gx)
+            results.append((out.array, gx))
+        for a, b in zip(*results):
+            assert np.abs(a - b).max() <= 1e-12
+
+    def test_block_outputs_are_channel_major_in_train_mode(self):
+        model = build_model(named_spec("neonext-micro", classes=10), 32, Rng(33))
+        ctx = ForwardCtx("train", Rng(34), update_stats=False)
+        v = Val(Rng(35).normal((4, 3, 32, 32), 1.0))
+        blocks = 0
+        for layer in model.layers:
+            v = layer.forward(v, Tape(), ctx)
+            if isinstance(layer, Block):
+                blocks += 1
+                assert channel_major(v.array), layer.name
+        assert blocks == sum(model.spec.depths)
+
+
 class TestBlockBehavior:
     def _block(self, drop_path=0.0):
         cell = NeoCellSpec((GroupSpec(0, 8, 4, 4, 4, 4),), use_bias=False)
@@ -306,6 +361,30 @@ class TestCheckpoint:
         (tmp_path / "ckpt" / "index.txt").write_text("\n".join(idx[1:]) + "\n")
         with pytest.raises(ConfigError, match="misses"):
             load_checkpoint(model, tmp_path / "ckpt")
+
+    def _saved(self, tmp_path):
+        model = build_model(named_spec("neonext-micro", classes=10), 32, Rng(13))
+        save_checkpoint(model, tmp_path / "ckpt")
+        return model, tmp_path / "ckpt" / "index.txt"
+
+    def test_shape_column_checked(self, tmp_path):
+        model, index = self._saved(tmp_path)
+        lines = index.read_text().splitlines()
+        name, fname, _ = lines[0].split("\t")
+        lines[0] = f"{name}\t{fname}\t999,999"
+        index.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=f"{name} has shape 999,999"):
+            load_checkpoint(model, tmp_path / "ckpt")
+
+    def test_entry_not_in_model_rejected(self, tmp_path):
+        model, index = self._saved(tmp_path)
+        lines = index.read_text().splitlines()
+        _, fname, shape = lines[0].split("\t")
+        index.write_text("\n".join(lines + [f"bogus.param\t{fname}\t{shape}"]) + "\n")
+        before = [p.array.copy() for p in model.params()]
+        with pytest.raises(ConfigError, match="bogus.param"):
+            load_checkpoint(model, tmp_path / "ckpt")
+        assert all(np.array_equal(p.array, b) for p, b in zip(model.params(), before))
 
 
 class TestDeterminism:

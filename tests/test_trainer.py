@@ -187,6 +187,12 @@ class TestTrainRun:
             other = Path(rb.checkpoint_path) / "params" / f.name
             assert f.read_bytes() == other.read_bytes()
 
+    def test_batch_larger_than_train_split_rejected_before_any_work(self, tmp_path):
+        cfg = tiny_cfg(tmp_path, batch_size=193)    # the train split holds 192
+        with pytest.raises(ConfigError, match="batch_size 193"):
+            train_run(cfg)
+        assert not Path(cfg.out_dir).exists()
+
     def test_divergence_reported_not_raised(self, tmp_path):
         cfg = tiny_cfg(tmp_path, epochs=2, optimizer=OptimSpec(lr=1e9), init="random-normal")
         report = train_run(cfg)
@@ -244,6 +250,23 @@ class TestConfigFile:
     def test_bad_init_rejected(self):
         with pytest.raises(ConfigError, match="init"):
             parse_config(f"{CONFIG_HEADER}\ninit = magic\n")
+
+    def test_unparsable_number_names_its_key(self):
+        with pytest.raises(ConfigError, match="'epochs'.*'three'"):
+            parse_config(f"{CONFIG_HEADER}\nepochs = three\n")
+
+    def test_duplicate_key_rejected(self):
+        with pytest.raises(ConfigError, match="duplicate config key 'epochs'"):
+            parse_config(f"{CONFIG_HEADER}\nepochs = 2\nepochs = 5\n")
+
+    def test_unknown_augment_rejected(self):
+        with pytest.raises(ConfigError, match="augment"):
+            parse_config(f"{CONFIG_HEADER}\naugment = fancy\n")
+
+    @pytest.mark.parametrize("value", ["3", "1.0", "-0.1"])
+    def test_label_smoothing_outside_unit_interval_rejected(self, value):
+        with pytest.raises(ConfigError, match="label_smoothing"):
+            parse_config(f"{CONFIG_HEADER}\nlabel_smoothing = {value}\n")
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config(f"{CONFIG_HEADER}\n\n# a comment\nepochs = 7\n")
