@@ -16,7 +16,6 @@ from .neocell import (
     output_shape,
 )
 from .autodiff import Grads, Param, Tape, backward, fd_check
-from .blocks import batchnorm_forward, gelu, pointwise_conv, space_to_depth
 from .model import ModelSpec, build_model, named_spec
 from .trainer import OptimSpec, RunConfig, ScheduleSpec, lr_at, run_ablation, train_run
 from .bench import BenchResult, OpCost, bench, dwconv_reference, flops_dwconv, flops_neocell
@@ -28,7 +27,6 @@ __all__ = [
     "GroupSpec", "NeoCellSpec", "NeoCellParams",
     "forward_patchwise", "forward_blockdiag", "materialize_block_diagonal", "output_shape",
     "Grads", "Param", "Tape", "backward", "fd_check", "neocell_backward",
-    "space_to_depth", "pointwise_conv", "batchnorm_forward", "gelu",
     "ModelSpec", "build_model", "named_spec",
     "OptimSpec", "ScheduleSpec", "RunConfig", "lr_at", "train_run", "run_ablation",
     "OpCost", "BenchResult", "flops_dwconv", "flops_neocell", "dwconv_reference", "bench",

@@ -29,10 +29,10 @@ from .neocell import (
     NeoCellSpec,
     blockdiag_factors,
     blockdiag_product,
+    cell_forward,
     forward_patchwise,
     merge_parts,
     neoinit_params,
-    part_forward,
 )
 from .rng import Rng
 from .tensor import Tensor4
@@ -182,9 +182,9 @@ def _bench_callable(op: str, c: int, h: int, w: int, k: int, seed: int, dtype: s
         params = neoinit_params(spec, rng)
         x = rng.normal((1, c, h, w), 1.0).astype(dt)
         if op == "neocell":
-            (part,) = merge_parts(spec)
-            L, R = (a.astype(dt) for a in params.stacked(part)[:2])
-            fn = lambda: part_forward(x, L, R, None, part.shifts)
+            parts = merge_parts(spec)
+            L, R = (a.astype(dt) for a in params.stacked(parts[0])[:2])
+            fn = lambda: cell_forward(x, parts, [(L, R, None)])
             return fn, flops_neocell(c, h, w, k).multiplies
         A, B = (a.astype(dt) for a in blockdiag_factors(spec.groups[0], params, h, w))
         counter = MultCounter()

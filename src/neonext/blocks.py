@@ -1,9 +1,9 @@
 """Building blocks around the patch operator: space-to-depth, pointwise
 (1x1) channel mixing, batch normalization, and exact GELU.
 
-Array-level kernels (_*_fwd/_*_bwd) carry the math and the gradients; the
-public functions wrap them behind the Tensor4 carrier.  The model layers in
-``model`` reuse the same kernels on the tape.
+Array-level kernels (_*_fwd/_*_bwd) carry the math and the gradients, and
+they are the only implementation: the layers in ``model`` run them forward
+and on the tape.
 
 Layout contract: the kernels take (n, c, h, w) arrays in any memory order,
 but they are built for channel-major ones, whose memory is that of a
@@ -14,8 +14,7 @@ over (n, h, w) each sweep one row.  Pointwise results are channel-major
 views of their GEMM output, and the elementwise kernels keep their input's
 order.  Inside a model every activation after space-to-depth is
 channel-major: ``_s2d_fwd`` makes the one layout copy, at the model's
-entry.  The Tensor4 wrappers still hand out C-ordered arrays, because
-``Tensor4`` normalizes at its boundary.
+entry.
 """
 
 from __future__ import annotations
@@ -25,9 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import ParameterError, ShapeError
-from .tensor import Matrix, Tensor4
-
 BN_EPS = 1e-8
 BN_MOMENTUM = 0.1
 
@@ -35,28 +31,6 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 # ---------------------------------------------------------------- rearrange
-
-def space_to_depth(x: Tensor4, p: int) -> Tensor4:
-    """(n, c, H, W) -> (n, c*p*p, H/p, W/p).
-
-    Output channel c*p*p + pi*p + pj holds input pixel (i*p + pi, j*p + pj)
-    of channel c; the rearrangement is exact and invertible.
-    """
-    if p < 1:
-        raise ParameterError(f"space_to_depth: p must be >= 1, got {p}")
-    n, c, H, W = x.dims
-    if H % p or W % p:
-        raise ShapeError(f"space_to_depth: {H}x{W} not divisible by p={p}")
-    return Tensor4(_s2d_fwd(x.array, p))
-
-
-def depth_to_space(x: Tensor4, p: int) -> Tensor4:
-    """Inverse of ``space_to_depth``."""
-    n, c, H, W = x.dims
-    if c % (p * p):
-        raise ShapeError(f"depth_to_space: {c} channels not divisible by p*p={p * p}")
-    return Tensor4(_s2d_bwd(x.array, p))
-
 
 def _s2d_fwd(a: np.ndarray, p: int) -> np.ndarray:
     """Space-to-depth of ``a`` into a channel-major result (one copy)."""
@@ -115,21 +89,6 @@ def _pw_bwd(a: np.ndarray, W: np.ndarray, g: np.ndarray, with_bias: bool):
     return gx, gw, gb
 
 
-def pointwise_conv(x: Tensor4, weight: Matrix, bias=None) -> Tensor4:
-    """Per-pixel linear map across channels (a 1x1 convolution)."""
-    n, c, h, w = x.dims
-    if weight.cols != c:
-        raise ShapeError(
-            f"pointwise_conv: weight is {weight.rows}x{weight.cols}, input has {c} channels"
-        )
-    b = None
-    if bias is not None:
-        b = np.asarray(bias, dtype=np.float64).reshape(-1)
-        if b.size != weight.rows:
-            raise ShapeError(f"pointwise_conv: bias has {b.size} entries, expected {weight.rows}")
-    return Tensor4(_pw_fwd(x.array, weight.array, b))
-
-
 # ---------------------------------------------------------------- batchnorm
 
 @dataclass
@@ -142,9 +101,6 @@ class BatchNormStats:
     @classmethod
     def fresh(cls, channels: int) -> "BatchNormStats":
         return cls(np.zeros(channels), np.ones(channels))
-
-    def copy(self) -> "BatchNormStats":
-        return BatchNormStats(self.mean.copy(), self.var.copy())
 
     def update(self, mu: np.ndarray, var: np.ndarray) -> None:
         """Fold one batch's statistics in with momentum ``BN_MOMENTUM``."""
@@ -195,40 +151,6 @@ def _bn_eval_bwd(a: np.ndarray, scale: np.ndarray, stats: BatchNormStats, g: np.
     return g * scale[None, :, None, None], ggamma, g.sum(axis=(0, 2, 3))
 
 
-def batchnorm_forward(
-    x: Tensor4,
-    gamma,
-    beta,
-    running_stats: BatchNormStats,
-    mode: str = "train",
-    update_stats: bool = True,
-) -> Tensor4:
-    """Per-channel normalization.
-
-    Train mode normalizes with batch statistics over (n, h, w) and, when
-    ``update_stats``, folds them into the running stats with momentum
-    ``BN_MOMENTUM``.  Eval mode applies the affine map derived from the
-    running stats.  Zero-variance channels are tamed by ``BN_EPS``.
-    """
-    n, c, h, w = x.dims
-    gamma = np.asarray(gamma, dtype=np.float64).reshape(-1)
-    beta = np.asarray(beta, dtype=np.float64).reshape(-1)
-    if gamma.size != c or beta.size != c:
-        raise ShapeError(f"batchnorm: gamma/beta sizes {gamma.size}/{beta.size}, expected {c}")
-    if running_stats.mean.size != c:
-        raise ShapeError(f"batchnorm: running stats cover {running_stats.mean.size} channels, expected {c}")
-    if mode == "train":
-        out, ctx = _bn_train_fwd(x.array, gamma, beta)
-        if update_stats:
-            _, _, mu, var = ctx
-            running_stats.update(mu, var)
-        return Tensor4(out)
-    if mode == "eval":
-        out, _ = _bn_eval_fwd(x.array, gamma, beta, running_stats)
-        return Tensor4(out)
-    raise ParameterError(f"batchnorm: mode must be 'train' or 'eval', got {mode!r}")
-
-
 # --------------------------------------------------------------------- gelu
 
 def _gelu_cdf(a: np.ndarray) -> np.ndarray:
@@ -236,13 +158,8 @@ def _gelu_cdf(a: np.ndarray) -> np.ndarray:
     return ndtr(a)
 
 
-def _gelu_fwd(a: np.ndarray) -> np.ndarray:
-    return a * _gelu_cdf(a)
-
-
-def _gelu_bwd(a: np.ndarray, g: np.ndarray, cdf: np.ndarray | None = None) -> np.ndarray:
-    if cdf is None:
-        cdf = _gelu_cdf(a)
+def _gelu_bwd(a: np.ndarray, g: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """Gradient of a * Phi(a), given ``cdf`` = Phi(a) from the forward."""
     # g * (Phi(a) + a * phi(a)), built in one buffer
     d = np.square(a)
     d *= -0.5
@@ -252,15 +169,3 @@ def _gelu_bwd(a: np.ndarray, g: np.ndarray, cdf: np.ndarray | None = None) -> np
     d += cdf
     d *= g
     return d
-
-
-def gelu(x: Tensor4) -> Tensor4:
-    """Elementwise x * Phi(x) with the exact Gaussian CDF."""
-    return Tensor4(_gelu_fwd(x.array))
-
-
-# ------------------------------------------------------------ pooling, etc.
-
-def global_avg_pool(x: Tensor4) -> np.ndarray:
-    """(n, c, h, w) -> (n, c) spatial mean."""
-    return x.array.mean(axis=(2, 3))

@@ -21,8 +21,8 @@ that divides the map is substituted and the substitution is recorded in the
 manifest.
 
 ``NeoCellLayer`` holds its patch weights as one stacked ``Param`` triple per
-``neocell.Part`` and runs ``neocell``'s part kernel forward and on the tape;
-``neocell`` owns the patch layout.
+``neocell.Part`` and runs ``neocell``'s one part loop, ``cell_forward`` and,
+on the tape, ``cell_backward``; ``neocell`` owns the patch layout.
 
 Activation layout: space-to-depth turns the C-ordered input into a
 channel-major array (memory of a C-contiguous (c, n, h, w) array, see
@@ -40,6 +40,7 @@ batchnorm gamma 1, beta 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +60,7 @@ from .blocks import (
     _s2d_fwd,
 )
 from .errors import ConfigError, ParameterError, ShapeError
-from .neocell import GroupSpec, NeoCellSpec, init_part, merge_parts, part_backward, part_forward
+from .neocell import GroupSpec, NeoCellSpec, cell_backward, cell_forward, init_part, merge_parts, output_shape
 from .rng import Rng
 from .tensor import Tensor4, read_tensor, write_tensor
 
@@ -205,39 +206,21 @@ class NeoCellLayer:
             self.part_params.append((pl, pr, pb))
 
     def params(self):
-        out = []
-        for pl, pr, pb in self.part_params:
-            out.extend([pl, pr] + ([pb] if pb is not None else []))
-        return out
+        return [p for triple in self.part_params for p in triple if p is not None]
 
     def out_shape(self, dims):
-        g = self.spec.groups[0]
-        n, c, H, W = dims
-        return (n, c, H // g.h * g.h_out, W // g.w * g.w_out)
+        return output_shape(self.spec, dims)
 
     def forward(self, v: Val, tape: Tape | None, ctx: ForwardCtx) -> Val:
         x = v.array
         self.spec.validate_input(x.shape)
-        out = np.empty_like(x, shape=self.out_shape(x.shape))   # in x's memory order
-        for part, (pl, pr, pb) in zip(self.parts, self.part_params):
-            s = slice(part.start, part.stop)
-            bias = pb.array if pb is not None else None
-            part_forward(x[:, s], pl.array, pr.array, bias, part.shifts, out=out[:, s])
-        ov = Val(out)
+        weights = [(pl.array, pr.array, None if pb is None else pb.array) for pl, pr, pb in self.part_params]
+        ov = Val(cell_forward(x, self.parts, weights))
         if tape is not None:
-            parts = self.parts
-            pparams = self.part_params
 
             def back(gout):
-                gx = np.empty_like(x)
-                grads = []
-                for part, (pl, pr, pb) in zip(parts, pparams):
-                    s = slice(part.start, part.stop)
-                    _, gl, gr, gb = part_backward(
-                        x[:, s], pl.array, pr.array, pb is not None, part.shifts, gout[:, s], gx[:, s]
-                    )
-                    grads.extend([gl, gr] + ([gb] if pb is not None else []))
-                return [gx] + grads
+                gx, grads = cell_backward(x, self.parts, weights, gout)
+                return [gx] + [g for triple in grads for g in triple if g is not None]
 
             tape.record(ov, (v, *self.params()), back)
         return ov
@@ -347,6 +330,7 @@ class SpaceToDepthLayer:
 
     def forward(self, v: Val, tape: Tape | None, ctx: ForwardCtx) -> Val:
         p = self.p
+        self.out_shape(v.array.shape)   # ShapeError on an indivisible input
         ov = Val(_s2d_fwd(v.array, p))
         _record(tape, ov, (v,), lambda g: (_s2d_bwd(g, p),))
         return ov
@@ -653,12 +637,17 @@ def save_checkpoint(model: Model, directory: str | Path) -> None:
 def load_checkpoint(model: Model, directory: str | Path) -> None:
     """Load what ``save_checkpoint`` wrote into ``model``.
 
-    Every ``index.txt`` entry must name a parameter or running stat of the
-    model and carry its shape, every one of them must be listed, and each
-    tensor file must hold that many values; otherwise ``ConfigError`` names
-    the entry and the model is left untouched.
+    ``manifest.txt`` must equal ``model.manifest()``.  Every ``index.txt``
+    entry must name a parameter or running stat of the model and carry its
+    shape, every one of them must be listed, and each tensor file must hold
+    that many values.  Otherwise ``ConfigError`` names the first differing
+    manifest line or the entry, and the model is left untouched.
     """
     d = Path(directory)
+    saved = (d / "manifest.txt").read_text().splitlines()
+    for i, (got, want) in enumerate(zip_longest(saved, model.manifest().splitlines()), 1):
+        if got != want:
+            raise ConfigError(f"checkpoint manifest line {i} reads {got!r}, the model's reads {want!r}")
     targets = {p.name: p.array for p in model.params()}
     for bn in model.bn_layers():
         targets[f"{bn.name}.running_mean"] = bn.stats.mean

@@ -10,20 +10,22 @@ cyclic spatial shift of the patch grid.
 This module is the only one that knows the patch layout.  Consecutive groups
 of equal patch geometry merge into one ``Part``, and one kernel pair,
 ``part_forward`` / ``part_backward``, computes every patch product and its
-gradients: ``model.NeoCellLayer`` runs it on stacked ``Param`` weights, and
-``forward_patchwise`` / ``neocell_backward`` run it on per-channel
-``NeoCellParams``.  The kernel never gathers patches: it runs two band GEMMs
-on plain reshapes of (n, c, H, W), L along H on (n, c, H/h, h, W) bands and
-then R along W on (n, c, H/h*h_out*W/w, w) rows, whose product is already
-the output layout.  The reshapes only need each (H, W) plane contiguous, so
-the kernel runs unchanged on C-ordered arrays and on the channel-major ones
-a model passes (see ``blocks``).  L goes first, which is
-the order ``MultCounter`` counts: h_out*h*w + h_out*w*w_out multiplies per
-patch.  A shifted subgroup is computed by pre-rolling its channels by
--shift on both spatial axes, applying the unshifted operator, and rolling
-the result back by +shift, straight into the caller's output; parts with no
-shifted subgroup are not copied at all.  Patch weights are initialized in
-one place, ``init_part``.
+gradients.  One part loop, ``cell_forward`` / ``cell_backward``, runs that
+kernel over the parts, on one stacked (L, R, bias-or-None) per part:
+``model.NeoCellLayer`` passes its ``Param`` arrays, ``forward_patchwise`` /
+``neocell_backward`` the per-channel ``NeoCellParams`` stacked per part.
+
+The kernel never gathers patches: it runs two band GEMMs on plain reshapes
+of (n, c, H, W), L along H on (n, c, H/h, h, W) bands and then R along W on
+(n, c, H/h*h_out*W/w, w) rows, whose product is already the output layout.
+The reshapes only need each (H, W) plane contiguous, so the kernel runs
+unchanged on C-ordered arrays and on the channel-major ones a model passes
+(see ``blocks``).  L goes first, which is the order ``MultCounter``
+counts: h_out*h*w + h_out*w*w_out multiplies per patch.  A shifted subgroup
+is computed by pre-rolling its channels by -shift on both spatial axes,
+applying the unshifted operator, and rolling the result back by +shift,
+straight into the caller's output; parts with no shifted subgroup are not
+copied at all.  Patch weights are initialized in one place, ``init_part``.
 
 ``forward_blockdiag`` is the independent reference: one product per channel
 plane with materialized block-diagonal factors A (left) and B (right).
@@ -317,15 +319,15 @@ def part_forward(
     R: np.ndarray,
     bias: np.ndarray | None,
     shifts,
+    out: np.ndarray,
     counter: MultCounter | None = None,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """The patch kernel for one part, in the dtype of its inputs.
 
     x is (n, cp, H, W); L is (cp, h_out, h); R is (cp, w, w_out); bias is
     (cp, h_out, w_out) or None; ``shifts`` is ``Part.shifts``.  Writes the
-    (n, cp, H/h*h_out, W/w*w_out) result into ``out`` (fresh when None; a
-    channel slice of a larger array is fine) and returns it.
+    (n, cp, H/h*h_out, W/w*w_out) result into ``out`` (a channel slice of a
+    larger array is fine) and returns it.
 
     Two band GEMMs on reshaped views, with no patch transpose: L acts along
     H on x viewed as (n, cp, H/h, h, W), then R acts along W on that result
@@ -338,8 +340,6 @@ def part_forward(
     w, w_out = R.shape[1:]
     nh, nw = H // h, W // w
     rows = nh * h_out * nw
-    if out is None:
-        out = np.empty((n, cp, nh * h_out, nw * w_out), dtype=np.result_type(x, L, R))
     xr = _roll_subgroups(x, shifts, -1)
     lx = np.matmul(L[:, None], xr.reshape(n, cp, nh, h, W))
     if counter is not None:
@@ -362,7 +362,7 @@ def part_backward(
     has_bias: bool,
     shifts,
     gy: np.ndarray,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ):
     """Gradients of ``part_forward`` for the output gradient ``gy``.
 
@@ -372,11 +372,11 @@ def part_backward(
     - grad_R = sum over n of (L X)^T G on the (H/h*h_out*W/w, w) rows;
     - grad_L = sum over (n, H/h) bands of (G R^T) X^T, which equals
       G (X R)^T;
-    - grad_x = L^T (G R^T), rolled back and written into ``out`` (fresh when
-      None; a channel slice of a larger array is fine).
+    - grad_x = L^T (G R^T), rolled back and written into ``out`` (a channel
+      slice of a larger array is fine).
 
-    Returns (grad_x, grad_L, grad_R, grad_bias-or-None).  Each weight
-    gradient is reduced in one fixed order, so repeated backward passes are
+    Returns (grad_L, grad_R, grad_bias-or-None).  Each weight gradient is
+    reduced in one fixed order, so repeated backward passes are
     bit-identical.  Neither x nor gy is written to.
     """
     n, cp, H, W = x.shape
@@ -384,8 +384,6 @@ def part_backward(
     w, w_out = R.shape[1:]
     nh, nw = H // h, W // w
     rows = nh * h_out * nw
-    if out is None:
-        out = np.empty(x.shape, dtype=np.result_type(x, L, R, gy))
     xr = _roll_subgroups(x, shifts, -1)
     g = _roll_subgroups(gy, shifts, -1)
     grad_b = g.reshape(n, cp, nh, h_out, nw, w_out).sum(axis=(0, 2, 4)) if has_bias else None
@@ -400,7 +398,43 @@ def part_backward(
     np.matmul(L.swapaxes(-1, -2)[:, None], gr, out=gx.reshape(n, cp, nh, h, W, copy=False))
     if gx is not out:
         _roll_subgroups(gx, shifts, +1, out)
-    return out, grad_l, grad_r, grad_b
+    return grad_l, grad_r, grad_b
+
+
+def cell_forward(x: np.ndarray, parts, weights, counter: MultCounter | None = None) -> np.ndarray:
+    """The part loop: ``part_forward`` on each part's channels of x.
+
+    ``weights`` holds one stacked (L, R, bias-or-None) per part.  The output
+    is allocated in x's memory order, so channel-major inputs give
+    channel-major outputs.
+    """
+    p = parts[0]
+    n, c, H, W = x.shape
+    out = np.empty_like(x, shape=(n, c, H // p.h * p.h_out, W // p.w * p.w_out))
+    for part, (L, R, bias) in zip(parts, weights):
+        s = slice(part.start, part.stop)
+        part_forward(x[:, s], L, R, bias, part.shifts, out[:, s], counter)
+    return out
+
+
+def cell_backward(x: np.ndarray, parts, weights, gy: np.ndarray):
+    """Gradients of ``cell_forward`` for the output gradient ``gy``.
+
+    Returns (grad_x, grads) with grad_x in x's memory order and one
+    (grad_L, grad_R, grad_bias-or-None) per part, shaped like ``weights``.
+    """
+    gx = np.empty_like(x)
+    grads = []
+    for part, (L, R, bias) in zip(parts, weights):
+        s = slice(part.start, part.stop)
+        grads.append(part_backward(x[:, s], L, R, bias is not None, part.shifts, gy[:, s], gx[:, s]))
+    return gx, grads
+
+
+def _part_weights(spec: NeoCellSpec, params: NeoCellParams, parts):
+    """``cell_forward`` weights from per-channel ones; bias only if the spec
+    enables it."""
+    return [(L, R, B if spec.use_bias else None) for L, R, B in map(params.stacked, parts)]
 
 
 def forward_patchwise(
@@ -409,43 +443,29 @@ def forward_patchwise(
     params: NeoCellParams,
     counter: MultCounter | None = None,
 ) -> Tensor4:
-    """Reference execution: the part kernel on per-channel weights."""
+    """Reference execution: the part loop on per-channel weights."""
     spec.validate_input(x.dims)
     params.validate(spec)
-    n, c, H, W = x.dims
-    out = np.empty((n, c) + output_shape(spec, (H, W)), dtype=np.float64)
-    for part in merge_parts(spec):
-        s = slice(part.start, part.stop)
-        L, R, B = params.stacked(part)
-        bias = B if spec.use_bias else None
-        part_forward(x.array[:, s], L, R, bias, part.shifts, counter, out[:, s])
-    return Tensor4(out)
+    parts = merge_parts(spec)
+    return Tensor4(cell_forward(x.array, parts, _part_weights(spec, params, parts), counter))
 
 
 def neocell_backward(x: Tensor4, spec: NeoCellSpec, params: NeoCellParams, grad_out: Tensor4):
-    """Analytic gradients of ``forward_patchwise`` through ``part_backward``.
+    """Analytic gradients of ``forward_patchwise`` through ``cell_backward``.
 
     Returns (grad_x, grad_params) with grad_params shaped exactly like
     ``params``.
     """
     spec.validate_input(x.dims)
     params.validate(spec)
-    n, c, H, W = x.dims
-    if grad_out.dims[:2] != (n, c):
+    if grad_out.dims[:2] != x.dims[:2]:
         raise ShapeError(f"grad_out dims {grad_out.dims} do not match input {x.dims}")
-    gx = np.empty((n, c, H, W), dtype=np.float64)
-    gl, gr, gb = [], [], []
-    for part in merge_parts(spec):
-        s = slice(part.start, part.stop)
-        L, R, _ = params.stacked(part)
-        _, gL, gR, gB = part_backward(
-            x.array[:, s], L, R, spec.use_bias, part.shifts, grad_out.array[:, s], gx[:, s]
-        )
-        gl.extend(Matrix(m) for m in gL)
-        gr.extend(Matrix(m) for m in gR)
-        if spec.use_bias:
-            gb.extend(Matrix(m) for m in gB)
-    return Tensor4(gx), NeoCellParams(gl, gr, gb if spec.use_bias else None)
+    parts = merge_parts(spec)
+    gx, grads = cell_backward(x.array, parts, _part_weights(spec, params, parts), grad_out.array)
+    gl = [Matrix(m) for gL, _, _ in grads for m in gL]
+    gr = [Matrix(m) for _, gR, _ in grads for m in gR]
+    gb = [Matrix(m) for _, _, gB in grads for m in gB] if spec.use_bias else None
+    return Tensor4(gx), NeoCellParams(gl, gr, gb)
 
 
 def materialize_block_diagonal(group: GroupSpec, left: Matrix, right: Matrix, H: int, W: int):

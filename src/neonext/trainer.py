@@ -363,6 +363,13 @@ class AblationReport:
     accuracy_gap: float                # neoinit mean acc - random mean acc
     report_path: str = ""
 
+    @property
+    def direction_holds(self) -> bool:
+        """NeoInit's mean accuracy beats random-normal's, and no NeoInit run
+        diverged: the published result's direction, checked at desk scale."""
+        neo, rand = self.arms["neoinit"], self.arms["random-normal"]
+        return neo.mean_acc > rand.mean_acc and neo.diverged == 0
+
     def summary_text(self) -> str:
         lines = [
             "init-method ablation",
@@ -377,6 +384,7 @@ class AblationReport:
                 f"diverged {arm.diverged}/{len(arm.runs)}"
             )
         lines.append(f"accuracy gap (neoinit - random-normal): {self.accuracy_gap:+.4f}")
+        lines.append(f"direction holds: {'yes' if self.direction_holds else 'no'}")
         return "\n".join(lines) + "\n"
 
 

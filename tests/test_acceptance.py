@@ -223,7 +223,7 @@ class TestCriterion5Ablation:
             f"(gap {rep.accuracy_gap:+.4f}, random divergences {rand.diverged}/5, {elapsed:.0f}s)",
         )
 
-    @pytest.mark.skipif(not REAL_CIFAR_DIR, reason="set CIFAR10_DIR to run the 10-epoch CIFAR-10 ablation (~2h CPU)")
+    @pytest.mark.skipif(not REAL_CIFAR_DIR, reason="set CIFAR10_DIR to run the 10-epoch CIFAR-10 ablation (~2h CPU), or run `neonext ablate --config` on a cifar10 config")
     def test_cifar_variant(self, tmp_path):
         t0 = time.perf_counter()
         cfg = RunConfig(

@@ -386,6 +386,18 @@ class TestCheckpoint:
             load_checkpoint(model, tmp_path / "ckpt")
         assert all(np.array_equal(p.array, b) for p, b in zip(model.params(), before))
 
+    def test_manifest_mismatch_rejected_before_loading(self, tmp_path):
+        self._saved(tmp_path)
+        manifest = tmp_path / "ckpt" / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        lines[1] = lines[1].replace("pointwise 24", "pointwise 32")
+        manifest.write_text("\n".join(lines) + "\n")
+        other = build_model(named_spec("neonext-micro", classes=10), 32, Rng(14))
+        before = [p.array.copy() for p in other.params()]
+        with pytest.raises(ConfigError, match="manifest line 2 reads .*pointwise 32"):
+            load_checkpoint(other, tmp_path / "ckpt")
+        assert all(np.array_equal(p.array, b) for p, b in zip(other.params(), before))
+
 
 class TestDeterminism:
     def test_eval_forward_deterministic(self):

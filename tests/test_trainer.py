@@ -4,8 +4,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from neonext.autodiff import Grads, Param
+from neonext.data import AUGMENT_POLICIES
+from neonext.model import MODEL_SPECS
 from neonext.errors import ConfigError, NumericError
 from neonext.trainer import (
     CONFIG_HEADER,
@@ -217,6 +221,10 @@ class TestAblation:
         assert all(len(arm.runs) == 2 for arm in report.arms.values())
         text = Path(report.report_path).read_text()
         assert "88.45" in text and "84.65" in text and "3.8" in text
+        neo, rand = report.arms["neoinit"], report.arms["random-normal"]
+        holds = neo.mean_acc > rand.mean_acc and neo.diverged == 0
+        assert f"direction holds: {'yes' if holds else 'no'}\n" in text
+        assert report.summary_text() in text
         assert (Path(cfg.out_dir) / "neoinit_seed1" / "run.csv").is_file()
 
     def test_needs_two_seeds(self, tmp_path):
@@ -224,7 +232,51 @@ class TestAblation:
             run_ablation(tiny_cfg(tmp_path), seeds=[1])
 
 
+_unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+_nonneg = st.floats(min_value=0.0, allow_infinity=False)
+_path = st.text(
+    st.characters(categories=("L", "N"), include_characters="/._-=# "), max_size=24
+).map(str.strip)
+
+_configs = st.builds(
+    RunConfig,
+    model=st.sampled_from(sorted(MODEL_SPECS)),
+    data=st.sampled_from(["synthetic", "cifar10"]),
+    data_dir=_path,
+    classes=st.integers(2, 1000),
+    synth_train=st.integers(1, 10**6),
+    synth_val=st.integers(1, 10**6),
+    optimizer=st.builds(
+        OptimSpec,
+        kind=st.sampled_from(["sgd-momentum", "adamw"]),
+        lr=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        momentum=_unit,
+        betas=st.tuples(_unit, _unit),
+        weight_decay=_nonneg,
+        grad_clip=st.none() | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    ),
+    epochs=st.integers(0, 1000),
+    warmup_epochs=st.integers(0, 1000),
+    floor_lr=_nonneg,
+    batch_size=st.integers(1, 4096),
+    seeds=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=6).map(tuple),
+    init=st.sampled_from(["neoinit", "random-normal"]),
+    augment=st.sampled_from(AUGMENT_POLICIES),
+    label_smoothing=_unit,
+    mixup_alpha=_nonneg,
+    drop_path=_unit,
+    out_dir=_path,
+)
+
+
 class TestConfigFile:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cfg=_configs)
+    def test_write_then_parse_gives_the_same_config(self, tmp_path, cfg):
+        path = tmp_path / "run.cfg"
+        write_config(cfg, path)
+        assert parse_config(path) == cfg
+
     def test_roundtrip(self, tmp_path):
         cfg = RunConfig(
             optimizer=OptimSpec(kind="adamw", lr=0.004, weight_decay=0.05, grad_clip=1.0),
