@@ -15,22 +15,34 @@ kernel over the parts, on one stacked (L, R, bias-or-None) per part:
 ``model.NeoCellLayer`` passes its ``Param`` arrays, ``forward_patchwise`` /
 ``neocell_backward`` the per-channel ``NeoCellParams`` stacked per part.
 
-The kernel never gathers patches: it runs two band GEMMs on plain reshapes
-of (n, c, H, W), L along H on (n, c, H/h, h, W) bands and then R along W on
-(n, c, H/h*h_out*W/w, w) rows, whose product is already the output layout.
-The reshapes only need each (H, W) plane contiguous, so the kernel runs
-unchanged on C-ordered arrays and on the channel-major ones a model passes
-(see ``blocks``).  L goes first, which is the order ``MultCounter``
-counts: h_out*h*w + h_out*w*w_out multiplies per patch.  A shifted subgroup
-is computed by pre-rolling its channels by -shift on both spatial axes,
-applying the unshifted operator, and rolling the result back by +shift,
-straight into the caller's output; parts with no shifted subgroup are not
-copied at all.  Patch weights are initialized in one place, ``init_part``.
+The kernel never gathers patches: it runs two band GEMMs on views of
+(n, c, H, W), L along H on (n, c, H/h, h, W) bands and then R along W on
+(n, c, H/h*h_out*W/w, w) rows of each flattened plane, whose product is
+already the output layout.  The views only need each (H, W) plane
+contiguous, so the kernel runs on C-ordered arrays and on the channel-major
+ones a model passes (see ``blocks``); where every channel holds one
+contiguous (n, H, W) block, as in channel-major arrays, the products along
+W take the n images of a channel as one GEMM.  L goes first, which is the
+order ``MultCounter`` counts: h_out*h*w + h_out*w*w_out multiplies per patch.
+
+Shifts never move activations.  A subgroup shifted by s reads the same
+views from row s and from flat element s: every band along H except the one
+that wraps round, and every chunk along W except those that run across a row
+end.  The wrapping band (rows H-h+s.. and ..s) and the wrapping chunk
+column are gathered, multiplied and written back to their places.  The GEMM
+along W still computes the H - 1 wrapped chunk products of each plane in its
+flat view and discards them (one more per plane where the images of a
+channel are folded); ``MultCounter`` does not count them.  A
+whole-plane part (H == h and W == w) has no band to offset: it runs
+unshifted on L, R and bias rolled by (s, s), which is the same conjugation,
+and rolls the weight gradients back.  Patch weights are initialized in one
+place, ``init_part``.
 
 ``forward_blockdiag`` is the independent reference: one product per channel
 plane with materialized block-diagonal factors A (left) and B (right).
 Shifts rotate A and B cyclically along both axes, so the grid corners wrap
-instead of zeroing; this is exactly the conjugation the rolls perform.
+instead of zeroing; the kernel's offset views and wrap bands compute exactly
+this operator.
 
 Shifts are restricted to square non-resampling groups; combining a shift
 with h != h_out has no defined output alignment.  Non-divisible spatial
@@ -39,7 +51,9 @@ sizes are a hard error; the operator defines no padding.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,28 +303,103 @@ class MultCounter:
         self.multiplies += int(n)
 
 
-def _roll_subgroups(a: np.ndarray, shifts, sign: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Cyclic roll of each subgroup by ``sign * shift`` on both spatial axes.
+@functools.lru_cache(maxsize=256)
+def _conjugation_index(shifts, shape, sign: int) -> np.ndarray:
+    """Flat indices into a C-ordered (cp, r, q) stack that roll each
+    subgroup's matrices by ``sign * shift`` on both axes."""
+    cp, r, q = shape
+    s = sign * np.repeat([s for _, _, s in shifts], [size for _, size, _ in shifts])[:, None]
+    rows, cols = (np.arange(r) - s) % r, (np.arange(q) - s) % q
+    index = (np.arange(cp)[:, None, None] * r + rows[:, :, None]) * q + cols[:, None, :]
+    index.flags.writeable = False
+    return index
 
-    One pass over ``a``: four slice copies per shifted subgroup, one plain
-    copy per unshifted one, all written into ``out`` (a fresh array when
-    None).  With ``out`` None and no subgroup shifted, returns ``a`` itself.
-    """
-    if out is None:
-        if not any(s for _, _, s in shifts):
-            return a
-        out = np.empty_like(a)
-    H, W = a.shape[2:]
-    for off, size, s in shifts:
-        src, dst = a[:, off : off + size], out[:, off : off + size]
-        if not s:
-            dst[...] = src
-            continue
-        rh, rw = (sign * s) % H, (sign * s) % W
-        for d0, s0 in ((slice(rh, None), slice(None, H - rh)), (slice(None, rh), slice(H - rh, None))):
-            for d1, s1 in ((slice(rw, None), slice(None, W - rw)), (slice(None, rw), slice(W - rw, None))):
-                dst[:, :, d0, d1] = src[:, :, s0, s1]
-    return out
+
+def _conjugate(a: np.ndarray, shifts, sign: int) -> np.ndarray:
+    """Stacked (cp, r, q) matrices, each shifted subgroup's rolled by
+    ``sign * shift`` on both axes; ``a`` itself when no subgroup is shifted.
+
+    Rolling a patch matrix by (s, s) conjugates the patch operator by a
+    cyclic shift of s: whole-plane parts take their shifts this way, and
+    every shifted subgroup its bias."""
+    if not any(s for _, _, s in shifts):
+        return a
+    return np.take(a, _conjugation_index(shifts, a.shape, sign))
+
+
+def _runs(part_shifts, whole_plane: bool):
+    """(start, stop, shift) channel runs computed as one batch each.
+
+    Consecutive subgroups of equal shift merge.  A whole-plane part (one
+    patch per plane) is one unshifted run: its shifts are conjugated into
+    the weights instead."""
+    if whole_plane:
+        return [(0, sum(size for _, size, _ in part_shifts), 0)]
+    runs = []
+    for s, run in itertools.groupby(part_shifts, key=lambda t: t[2]):
+        run = list(run)
+        runs.append((run[0][0], run[-1][0] + run[-1][1], s))
+    return runs
+
+
+def _bands(a: np.ndarray, k: int, s: int) -> np.ndarray:
+    """(n, c, H, W) viewed as (n, c, nb, k, W) bands of k rows from row s:
+    all H/k bands when s == 0, the H/k - 1 that do not wrap otherwise."""
+    n, c, H, W = a.shape
+    nb = H // k - (s > 0)
+    return a[:, :, s : s + nb * k].reshape(n, c, nb, k, W, copy=False)
+
+
+def _chunks(a: np.ndarray, k: int, s: int) -> np.ndarray:
+    """(n, c, H, W) viewed as (n, c, m, k) rows of k consecutive elements of
+    each flattened plane, from element s: all H*W/k chunks when s == 0, else
+    H*W/k - 1 of them.  With s > 0, each chunk that holds a row's wrapping
+    patch runs on into the next row instead; the caller overwrites what
+    those chunks produce."""
+    n, c, H, W = a.shape
+    m = H * W // k - (s > 0)
+    return a.reshape(n, c, H * W, copy=False)[:, :, s : s + m * k].reshape(n, c, m, k, copy=False)
+
+
+def _fold(*arrays):
+    """(1, c, n*H, W) views of (n, c, H, W) arrays whose channels each hold
+    one contiguous (n, H, W) block, as channel-major arrays do; the arrays
+    themselves unless all of them do.  Folded, the products along W run
+    one GEMM per channel instead of one per channel and image."""
+    try:
+        return [a.transpose(1, 0, 2, 3).reshape(1, a.shape[1], -1, a.shape[3], copy=False) for a in arrays]
+    except ValueError:
+        return arrays
+
+
+def _wrap(size: int, k: int, s: int, axis: int):
+    """Index tuples of the wrapping patch's two pieces along ``axis``: its
+    k - s leading entries at the end of the axis, its s trailing ones at the
+    start."""
+    pad = (slice(None),) * axis
+    return pad + (slice(size - k + s, None),), pad + (slice(None, s),)
+
+
+def _gather(a: np.ndarray, k: int, s: int, axis: int) -> np.ndarray:
+    """The patches that wrap along ``axis``, made contiguous: k entries wide."""
+    tail, head = _wrap(a.shape[axis], k, s, axis)
+    return np.concatenate((a[tail], a[head]), axis=axis)
+
+
+def _scatter(dst: np.ndarray, band: np.ndarray, s: int, axis: int) -> None:
+    """Inverse of ``_gather``: write ``band`` back to the wrapped places."""
+    k = band.shape[axis]
+    tail, head = _wrap(dst.shape[axis], k, s, axis)
+    pad = (slice(None),) * axis
+    dst[tail] = band[pad + (slice(None, k - s),)]
+    dst[head] = band[pad + (slice(k - s, None),)]
+
+
+def _left(L: np.ndarray, x: np.ndarray, lx: np.ndarray, s: int, xw: np.ndarray | None) -> None:
+    """lx = L x along H, on bands from row s; ``xw`` is x's wrap band."""
+    np.matmul(L[:, None], _bands(x, L.shape[2], s), out=_bands(lx, L.shape[1], s))
+    if s:
+        _scatter(lx, np.matmul(L, xw), s, 2)
 
 
 def part_forward(
@@ -320,6 +409,7 @@ def part_forward(
     bias: np.ndarray | None,
     shifts,
     out: np.ndarray,
+    lx: np.ndarray,
     counter: MultCounter | None = None,
 ) -> np.ndarray:
     """The patch kernel for one part, in the dtype of its inputs.
@@ -327,31 +417,43 @@ def part_forward(
     x is (n, cp, H, W); L is (cp, h_out, h); R is (cp, w, w_out); bias is
     (cp, h_out, w_out) or None; ``shifts`` is ``Part.shifts``.  Writes the
     (n, cp, H/h*h_out, W/w*w_out) result into ``out`` (a channel slice of a
-    larger array is fine) and returns it.
+    larger array is fine) and returns it.  ``lx`` is an (n, cp,
+    H/h*h_out, W) buffer for the L x intermediate; ``cell_forward`` passes a
+    channel-major one, so that ``_fold`` applies to it.
 
-    Two band GEMMs on reshaped views, with no patch transpose: L acts along
-    H on x viewed as (n, cp, H/h, h, W), then R acts along W on that result
+    Two band GEMMs on views, with no patch transpose: L acts along H on x
+    viewed as (n, cp, H/h, h, W) bands, then R acts along W on that result
     viewed as (n, cp, H/h*h_out*W/w, w) rows, whose product is already laid
-    out as the output.  L goes first, so each patch costs exactly the
-    h_out*h*w + h_out*w*w_out multiplies that ``counter`` tallies.
+    out as the output.  A subgroup shifted by s reads the same views from
+    row s and from flat element s; its one wrapping band along H and its
+    wrapping chunk column along W are gathered, multiplied and scattered
+    back.  A whole-plane part instead runs unshifted on weights and bias
+    rolled by (s, s).  L goes first, so each patch costs exactly the
+    h_out*h*w + h_out*w*w_out multiplies that ``counter`` tallies.  It does
+    not count the wrapped chunk products that a shifted subgroup computes
+    and discards: H - 1 per plane, and one more per plane but the last
+    where ``_fold`` stacks the images of a channel.
     """
     n, cp, H, W = x.shape
     h_out, h = L.shape[1:]
     w, w_out = R.shape[1:]
     nh, nw = H // h, W // w
-    rows = nh * h_out * nw
-    xr = _roll_subgroups(x, shifts, -1)
-    lx = np.matmul(L[:, None], xr.reshape(n, cp, nh, h, W))
     if counter is not None:
         counter.add(n * cp * nh * nw * (h_out * h * w + h_out * w * w_out))
-    # a shifted part does not resample, so its rolled input's buffer fits y
-    y = out if xr is x else xr
-    np.matmul(lx.reshape(n, cp, rows, w), R, out=y.reshape(n, cp, rows, w_out, copy=False))
+    whole_plane = (nh, nw) == (1, 1)
+    if whole_plane:
+        L, R = _conjugate(L, shifts, +1), _conjugate(R, shifts, +1)
+    for a, b, s in _runs(shifts, whole_plane):
+        c = slice(a, b)
+        xc, lc = x[:, c], lx[:, c]
+        _left(L[c], xc, lc, s, _gather(xc, h, s, 2) if s else None)
+        lf, of = _fold(lc, out[:, c])
+        np.matmul(_chunks(lf, w, s), R[c], out=_chunks(of, w_out, s))
+        if s:
+            _scatter(of, np.matmul(_gather(lf, w, s, 3), R[c]), s, 3)
     if bias is not None:
-        patches = y.reshape(n, cp, nh, h_out, nw, w_out, copy=False)
-        patches += bias[:, None, :, None, :]
-    if y is not out:
-        _roll_subgroups(y, shifts, +1, out)
+        patches = out.reshape(n, cp, nh, h_out, nw, w_out, copy=False)
+        patches += _conjugate(bias, shifts, +1)[:, None, :, None, :]
     return out
 
 
@@ -363,17 +465,24 @@ def part_backward(
     shifts,
     gy: np.ndarray,
     out: np.ndarray,
+    lx: np.ndarray,
 ):
     """Gradients of ``part_forward`` for the output gradient ``gy``.
 
-    Uses the forward's two views of x and the same views of G (``gy``
-    rolled like x), with no patch transpose:
+    Uses the forward's views of x and the same views of G = ``gy``, with no
+    patch transpose:
 
     - grad_R = sum over n of (L X)^T G on the (H/h*h_out*W/w, w) rows;
     - grad_L = sum over (n, H/h) bands of (G R^T) X^T, which equals
       G (X R)^T;
-    - grad_x = L^T (G R^T), rolled back and written into ``out`` (a channel
-      slice of a larger array is fine).
+    - grad_x = L^T (G R^T), written into ``out`` (a channel slice of a
+      larger array is fine).
+
+    A shifted subgroup reads every view at offset s and handles its
+    wrapping band and chunk column apart, as in the forward; for grad_R the
+    wrap columns of L X are zeroed once gathered, so the wrong chunks add
+    nothing.  ``lx`` is the forward's L X buffer, here reused for G R^T.
+    Whole-plane weight gradients are rolled back by (-s, -s).
 
     Returns (grad_L, grad_R, grad_bias-or-None).  Each weight gradient is
     reduced in one fixed order, so repeated backward passes are
@@ -383,22 +492,57 @@ def part_backward(
     h_out, h = L.shape[1:]
     w, w_out = R.shape[1:]
     nh, nw = H // h, W // w
-    rows = nh * h_out * nw
-    xr = _roll_subgroups(x, shifts, -1)
-    g = _roll_subgroups(gy, shifts, -1)
-    grad_b = g.reshape(n, cp, nh, h_out, nw, w_out).sum(axis=(0, 2, 4)) if has_bias else None
-    xbands = xr.reshape(n, cp, nh, h, W)
-    lx = np.matmul(L[:, None], xbands).reshape(n, cp, rows, w)
-    gv = g.reshape(n, cp, rows, w_out)
-    grad_r = np.matmul(lx.swapaxes(-1, -2), gv).sum(axis=0)
-    gr = np.matmul(gv, R.swapaxes(-1, -2), out=lx).reshape(n, cp, nh, h_out, W)
-    grad_l = np.matmul(gr, xbands.swapaxes(-1, -2)).sum(axis=(0, 2))
-    # xr is dead now; when it is a rolled copy, its buffer takes L^T (G R^T)
-    gx = out if xr is x else xr
-    np.matmul(L.swapaxes(-1, -2)[:, None], gr, out=gx.reshape(n, cp, nh, h, W, copy=False))
-    if gx is not out:
-        _roll_subgroups(gx, shifts, +1, out)
+    grad_b = None
+    if has_bias:
+        grad_b = _conjugate(gy.reshape(n, cp, nh, h_out, nw, w_out).sum(axis=(0, 2, 4)), shifts, -1)
+    whole_plane = (nh, nw) == (1, 1)
+    if whole_plane:
+        L, R = _conjugate(L, shifts, +1), _conjugate(R, shifts, +1)
+    grad_l, grad_r = np.empty_like(L), np.empty_like(R)
+    # BLAS takes G R^T about 3x longer from a transposed view of R
+    Rts = np.ascontiguousarray(R.swapaxes(-1, -2))
+    for a, b, s in _runs(shifts, whole_plane):
+        c = slice(a, b)
+        xc, lc, oc = x[:, c], lx[:, c], out[:, c]
+        Lc, Rt = L[c], Rts[c]
+        xw = _gather(xc, h, s, 2) if s else None
+        _left(Lc, xc, lc, s, xw)
+        lf, gf = _fold(lc, gy[:, c])
+        if s:
+            lw, gw = _gather(lf, w, s, 3), _gather(gf, w_out, s, 3)
+            for piece in _wrap(W, w, s, 3):
+                lf[piece] = 0
+        lrows, grows = _chunks(lf, w, s), _chunks(gf, w_out, s)
+        grad_r[c] = np.matmul(lrows.swapaxes(-1, -2), grows).sum(axis=0)
+        np.matmul(grows, Rt, out=lrows)
+        if s:
+            grad_r[c] += np.matmul(lw.swapaxes(-1, -2), gw).sum(axis=0)
+            _scatter(lf, np.matmul(gw, Rt), s, 3)
+        gbands = _bands(lc, h_out, s)
+        grad_l[c] = np.matmul(gbands, _bands(xc, h, s).swapaxes(-1, -2)).sum(axis=(0, 2))
+        np.matmul(Lc.swapaxes(-1, -2)[:, None], gbands, out=_bands(oc, h, s))
+        if s:
+            grw = _gather(lc, h, s, 2)
+            grad_l[c] += np.matmul(grw, xw.swapaxes(-1, -2)).sum(axis=0)
+            _scatter(oc, np.matmul(Lc.swapaxes(-1, -2), grw), s, 2)
+    if whole_plane:
+        grad_l, grad_r = _conjugate(grad_l, shifts, -1), _conjugate(grad_r, shifts, -1)
     return grad_l, grad_r, grad_b
+
+
+def _lx_buffer(x: np.ndarray, parts, weights) -> np.ndarray:
+    """One flat buffer that fits the largest part's L x intermediate."""
+    n, _, H, W = x.shape
+    size = max(n * p.count * (H // p.h * p.h_out) * W for p in parts)
+    return np.empty(size, dtype=np.result_type(x, *(L for L, _, _ in weights)))
+
+
+def _lx_view(buf: np.ndarray, x: np.ndarray, part: Part) -> np.ndarray:
+    """A part's (n, cp, H/h*h_out, W) L x intermediate in ``buf``, channel-major
+    so that ``_fold`` applies to it."""
+    n, _, H, W = x.shape
+    shape = (part.count, n, H // part.h * part.h_out, W)
+    return buf[: math.prod(shape)].reshape(shape).transpose(1, 0, 2, 3)
 
 
 def cell_forward(x: np.ndarray, parts, weights, counter: MultCounter | None = None) -> np.ndarray:
@@ -406,14 +550,15 @@ def cell_forward(x: np.ndarray, parts, weights, counter: MultCounter | None = No
 
     ``weights`` holds one stacked (L, R, bias-or-None) per part.  The output
     is allocated in x's memory order, so channel-major inputs give
-    channel-major outputs.
+    channel-major outputs; one L x buffer serves every part.
     """
     p = parts[0]
     n, c, H, W = x.shape
     out = np.empty_like(x, shape=(n, c, H // p.h * p.h_out, W // p.w * p.w_out))
+    buf = _lx_buffer(x, parts, weights)
     for part, (L, R, bias) in zip(parts, weights):
         s = slice(part.start, part.stop)
-        part_forward(x[:, s], L, R, bias, part.shifts, out[:, s], counter)
+        part_forward(x[:, s], L, R, bias, part.shifts, out[:, s], _lx_view(buf, x, part), counter)
     return out
 
 
@@ -424,10 +569,12 @@ def cell_backward(x: np.ndarray, parts, weights, gy: np.ndarray):
     (grad_L, grad_R, grad_bias-or-None) per part, shaped like ``weights``.
     """
     gx = np.empty_like(x)
+    buf = _lx_buffer(x, parts, weights)
     grads = []
     for part, (L, R, bias) in zip(parts, weights):
         s = slice(part.start, part.stop)
-        grads.append(part_backward(x[:, s], L, R, bias is not None, part.shifts, gy[:, s], gx[:, s]))
+        lx = _lx_view(buf, x, part)
+        grads.append(part_backward(x[:, s], L, R, bias is not None, part.shifts, gy[:, s], gx[:, s], lx))
     return gx, grads
 
 

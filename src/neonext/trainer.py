@@ -45,6 +45,17 @@ REFERENCE_GAP_PP = 3.8
 _NO_DECAY_KINDS = {"bn_gamma", "bn_beta", "bias", "neocell_bias"}
 
 
+def _require_finite(spec, key: str, ok, rule: str) -> None:
+    """ConfigError naming ``key`` unless its value is finite and ``ok``."""
+    value = getattr(spec, key)
+    if not (math.isfinite(value) and ok(value)):
+        raise ConfigError(f"{key} must be {rule}, got {value}")
+
+
+# least value of each integer RunConfig key
+_INT_FLOORS = {"classes": 2, "synth_train": 1, "synth_val": 1, "epochs": 0, "warmup_epochs": 0, "batch_size": 1}
+
+
 @dataclass(frozen=True)
 class OptimSpec:
     kind: str = "sgd-momentum"
@@ -57,12 +68,16 @@ class OptimSpec:
     def __post_init__(self):
         if self.kind not in ("sgd-momentum", "adamw"):
             raise ConfigError(f"optimizer kind must be sgd-momentum or adamw, got {self.kind!r}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        _require_finite(self, "lr", lambda v: v > 0, "finite and > 0")
         if not (0.0 <= self.momentum < 1.0):
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not all(0.0 <= b < 1.0 for b in self.betas):
-            raise ConfigError(f"betas must be in [0, 1), got {self.betas}")
+        for i, b in enumerate(self.betas, 1):
+            if not (0.0 <= b < 1.0):
+                raise ConfigError(f"beta{i} must be in [0, 1), got {b}")
+        _require_finite(self, "weight_decay", lambda v: v >= 0, "finite and >= 0")
+        if self.grad_clip is not None:
+            # clip_gradients scales by clip/norm: a negative clip would reverse every gradient
+            _require_finite(self, "grad_clip", lambda v: v > 0, "none or finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -111,6 +126,13 @@ class RunConfig:
             raise ConfigError(f"augment must be one of {AUGMENT_POLICIES}, got {self.augment!r}")
         if not (0.0 <= self.label_smoothing < 1.0):
             raise ConfigError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
+        if not (0.0 <= self.drop_path < 1.0):
+            raise ConfigError(f"drop_path must be in [0, 1), got {self.drop_path}")
+        for key, least in _INT_FLOORS.items():
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
+        for key in ("floor_lr", "mixup_alpha"):
+            _require_finite(self, key, lambda v: v >= 0, "finite and >= 0")
 
     def schedule(self) -> ScheduleSpec:
         # warmup clamps to the run length so short runs stay valid

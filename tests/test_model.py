@@ -189,8 +189,10 @@ class TestNeoCellLayerAliasing:
         [
             (GroupSpec(0, 2, 4, 4, 4, 4), GroupSpec(2, 5, 4, 4, 4, 4, shift=3)),
             (GroupSpec(0, 3, 2, 2, 1, 1),),
+            # 8x8 patches on the 8x8 input: the shift goes into the weights
+            (GroupSpec(0, 1, 8, 8, 8, 8), GroupSpec(1, 3, 8, 8, 8, 8, shift=5)),
         ],
-        ids=["shifted", "downsample"],
+        ids=["shifted", "downsample", "whole-plane-shifted"],
     )
     def test_inputs_untouched_and_outputs_unaliased(self, groups):
         spec = NeoCellSpec(groups)

@@ -3,15 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neonext.autodiff import Grads, Param, fd_check
 from neonext.equiv import random_case, random_params, run_trials
 from neonext.errors import ParameterError, ShapeError
 from neonext.neocell import (
     GroupSpec,
     NeoCellParams,
     NeoCellSpec,
+    blockdiag_factors,
+    cell_backward,
+    cell_forward,
     forward_blockdiag,
     forward_patchwise,
     materialize_block_diagonal,
+    merge_parts,
+    neocell_backward,
     neoinit_params,
     output_shape,
 )
@@ -169,6 +175,108 @@ class TestRectangularResampling:
         x, params = self._case()
         got = forward_patchwise(x, RECT_SPEC, params).array
         assert np.abs(got - forward_blockdiag(x, RECT_SPEC, params).array).max() <= 1e-10
+
+
+def _groups(k, shifts):
+    """Square k x k groups of the given (size, shift) in channel order."""
+    groups, start = [], 0
+    for size, shift in shifts:
+        groups.append(GroupSpec(start, start + size, k, k, k, k, shift=shift))
+        start += size
+    return tuple(groups)
+
+
+# (n, H, W, groups): whole-plane parts (H == h, W == w) run on rolled weights;
+# the others read bands at offset s and handle the one wrapping band apart
+SHIFTED_CASES = {
+    "whole-4x4": (2, 4, 4, _groups(4, [(1, 0), (2, 1), (1, 2), (1, 3)])),
+    "whole-2x2": (2, 2, 2, _groups(2, [(1, 0), (2, 1)])),
+    "band-8x8": (2, 8, 8, _groups(4, [(1, 0), (1, 1), (2, 3), (1, 2)])),
+    "band-56x56": (1, 56, 56, _groups(7, [(1, 0), (2, 6)])),
+}
+FD_CASES = ("whole-4x4", "whole-2x2", "band-8x8")
+
+
+def _to_channel_major(a):
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+
+
+def _shifted_case(name, use_bias, channel_major):
+    n, H, W, groups = SHIFTED_CASES[name]
+    spec = NeoCellSpec(groups, use_bias=use_bias)
+    params = random_params(spec, Rng(41))
+    x = Rng(42).normal((n, spec.channel_count, H, W), 1.0)
+    return spec, params, _to_channel_major(x) if channel_major else x
+
+
+def _shifted_params(cases):
+    return pytest.mark.parametrize(
+        "name, use_bias, channel_major",
+        [
+            pytest.param(c, b, m, id=c + "-bias" * b + "-channel-major" * m)
+            for c in cases
+            for b in (False, True)
+            for m in (False, True)
+        ],
+    )
+
+
+class TestShiftedKernel:
+    """Shifted subgroups: band views at offset s, whole-plane conjugation."""
+
+    @_shifted_params(SHIFTED_CASES)
+    def test_matches_blockdiag(self, name, use_bias, channel_major):
+        spec, params, x = _shifted_case(name, use_bias, channel_major)
+        got = forward_patchwise(Tensor4(x), spec, params).array
+        assert np.abs(got - forward_blockdiag(Tensor4(x), spec, params).array).max() <= 1e-10
+
+    @_shifted_params(SHIFTED_CASES)
+    def test_matches_scalar_loop_oracle(self, name, use_bias, channel_major):
+        spec, params, x = _shifted_case(name, use_bias, channel_major)
+        got = forward_patchwise(Tensor4(x), spec, params).array
+        assert np.abs(got - scalar_loop_forward(Tensor4(x), spec, params)).max() <= 1e-12
+
+    @_shifted_params(SHIFTED_CASES)
+    def test_grad_x_is_blockdiag_adjoint(self, name, use_bias, channel_major):
+        # y = A x B per channel, so grad_x = A^T G B^T
+        spec, params, x = _shifted_case(name, use_bias, channel_major)
+        gout = Rng(43).normal(x.shape, 1.0)
+        gx, _ = neocell_backward(Tensor4(x), spec, params, Tensor4(gout))
+        for g in spec.groups:
+            A, B = blockdiag_factors(g, params, *x.shape[2:])
+            want = A.swapaxes(-1, -2)[None] @ gout[:, g.start : g.stop] @ B.swapaxes(-1, -2)[None]
+            assert np.abs(gx.array[:, g.start : g.stop] - want).max() <= 1e-10
+
+    @_shifted_params(FD_CASES)
+    def test_gradients_match_central_differences(self, name, use_bias, channel_major):
+        spec, params, x = _shifted_case(name, use_bias, channel_major)
+        parts = merge_parts(spec)
+        gout = Rng(44).normal(x.shape, 1.0)
+        # a channel-major input is probed through its C-ordered (c, n, H, W) memory
+        xp = Param("x", x.transpose(1, 0, 2, 3) if channel_major else x)
+        weights = [
+            tuple(None if a is None else Param(f"p{i}.{kind}", a) for kind, a in zip(("left", "right", "bias"), stacked))
+            for i, stacked in enumerate(map(params.stacked, parts))
+        ]
+        if not use_bias:
+            weights = [(L, R, None) for L, R, _ in weights]
+        wparams = [p for triple in weights for p in triple if p is not None]
+
+        def run(backward_of=None):
+            xa = xp.array.transpose(1, 0, 2, 3) if channel_major else xp.array
+            arrays = [tuple(None if p is None else p.array for p in triple) for triple in weights]
+            if backward_of is None:
+                return float((cell_forward(xa, parts, arrays) * gout).sum())
+            return cell_backward(xa, parts, arrays, backward_of)
+
+        gx, grads = run(gout)
+        analytic = Grads({"x": gx.transpose(1, 0, 2, 3) if channel_major else gx})
+        for triple, g in zip(weights, grads):
+            for p, gp in zip(triple, g):
+                if p is not None:
+                    analytic[p.name] = gp
+        report = fd_check(run, [xp] + wparams, analytic, threshold=1e-4)
+        assert report.passed, report.table()
 
 
 class TestMaterialize:

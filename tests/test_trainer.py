@@ -268,6 +268,32 @@ _configs = st.builds(
     out_dir=_path,
 )
 
+_nonfinite = st.sampled_from(["nan", "inf", "-inf"])
+_negative = st.floats(min_value=1e-300, allow_infinity=False).map(lambda v: repr(-v))
+_outside_unit = _negative | st.floats(min_value=1.0, allow_infinity=False).map(repr)
+# every numeric config key, with values outside its range
+_BAD_NUMBERS = {
+    "lr": st.floats(max_value=0.0, allow_infinity=False).map(repr) | _nonfinite,
+    "momentum": _outside_unit | _nonfinite,
+    "beta1": _outside_unit | _nonfinite,
+    "beta2": _outside_unit | _nonfinite,
+    "weight_decay": _negative | _nonfinite,
+    "grad_clip": st.floats(max_value=0.0, allow_infinity=False).map(repr) | _nonfinite,
+    "floor_lr": _negative | _nonfinite,
+    "label_smoothing": _outside_unit | _nonfinite,
+    "mixup_alpha": _negative | _nonfinite,
+    "drop_path": _outside_unit | _nonfinite,
+    "classes": st.integers(max_value=1).map(str),
+    "synth_train": st.integers(max_value=0).map(str),
+    "synth_val": st.integers(max_value=0).map(str),
+    "epochs": st.integers(max_value=-1).map(str),
+    "warmup_epochs": st.integers(max_value=-1).map(str),
+    "batch_size": st.integers(max_value=0).map(str),
+}
+_bad_lines = st.sampled_from(sorted(_BAD_NUMBERS)).flatmap(
+    lambda key: st.tuples(st.just(key), _BAD_NUMBERS[key])
+)
+
 
 class TestConfigFile:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -327,6 +353,28 @@ class TestConfigFile:
     def test_grad_clip_none(self):
         cfg = parse_config(f"{CONFIG_HEADER}\ngrad_clip = none\n")
         assert cfg.optimizer.grad_clip is None
+
+    @pytest.mark.parametrize("value", ["-1.0", "0", "nan", "inf", "-inf"])
+    def test_grad_clip_must_be_none_or_finite_positive(self, value):
+        # a negative clip used to scale every gradient by -1/norm
+        with pytest.raises(ConfigError, match="grad_clip"):
+            parse_config(f"{CONFIG_HEADER}\ngrad_clip = {value}\n")
+        assert parse_config(f"{CONFIG_HEADER}\ngrad_clip = 0.5\n").optimizer.grad_clip == 0.5
+
+    @pytest.mark.parametrize(
+        "line",
+        ["lr = nan", "lr = inf", "weight_decay = nan", "floor_lr = nan", "mixup_alpha = -1", "epochs = -2"],
+    )
+    def test_reported_numeric_holes_rejected(self, line):
+        with pytest.raises(ConfigError, match=line.split()[0]):
+            parse_config(f"{CONFIG_HEADER}\n{line}\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(bad=_bad_lines)
+    def test_out_of_range_numeric_value_is_config_error(self, bad):
+        key, value = bad
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"{CONFIG_HEADER}\n{key} = {value}\n")
 
 
 class TestTwoLayerBaseline:
