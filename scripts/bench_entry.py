@@ -26,10 +26,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 CAVEATS = [
-    "Per-layer *.bwd_ms come from perfbench's isolated replay, which feeds each layer a C-ordered "
-    "probe gradient while a real training step feeds channel-major ones, so they include layout "
-    "work the real backward never does; autodiff.overhead_ms (real backward minus the replay sum) "
-    "can therefore read negative on train-micro and eval-micro.",
+    "Per-layer *.bwd_ms come from perfbench's isolated replay of each layer's backward. On "
+    "train-micro and eval-micro the replay feeds a C-ordered probe gradient where a real step "
+    "feeds channel-major ones, so it does layout work the real backward does not, and NeoCell's "
+    "products along W run one GEMM per image instead of one per channel. autodiff.overhead_ms "
+    "(real backward minus the replay sum) reads negative on all three workloads; take per-layer "
+    "backward times as indicative only.",
     "The 2-vCPU hosts these were measured on switch between speed modes about 1.45x apart for "
     "minutes at a time; compare entries by their quartiles, not single runs.",
 ]
