@@ -20,7 +20,6 @@ def main() -> int:
     ap.add_argument("--ks", default="4,7")
     ap.add_argument("--iters", type=int, default=10)
     ap.add_argument("--warmup", type=int, default=2)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default="runs/bench_sweep.csv")
     args = ap.parse_args()
     ks = [int(k) for k in args.ks.split(",")]
@@ -28,14 +27,11 @@ def main() -> int:
         if args.size % k:
             print(f"skip k={k}: {args.size} not divisible", file=sys.stderr)
             continue
-        neo = bench("neocell", args.c, args.size, args.size, k,
-                    iters=args.iters, warmup=args.warmup, threads=args.threads)
-        blk = bench("blockdiag", args.c, args.size, args.size, k,
-                    iters=args.iters, warmup=args.warmup, threads=args.threads)
+        neo = bench("neocell", args.c, args.size, args.size, k, iters=args.iters, warmup=args.warmup)
+        blk = bench("blockdiag", args.c, args.size, args.size, k, iters=args.iters, warmup=args.warmup)
         rows = [neo, blk]
         if k % 2:
-            rows.append(bench("dwconv", args.c, args.size, args.size, k,
-                              iters=args.iters, warmup=args.warmup, threads=args.threads))
+            rows.append(bench("dwconv", args.c, args.size, args.size, k, iters=args.iters, warmup=args.warmup))
         for r in rows:
             append_bench_csv(args.out, r)
         ratio = Fraction(

@@ -2,9 +2,9 @@
 identity-style initialization, and a desk-scale training/benchmark harness.
 """
 
-from .tensor import Matrix, Tensor4, matmul, read_tensor, roll2d, write_tensor
-from .rng import Rng, gaussian_fill
-from .neoinit import InitSpec, neoinit, neoinit_pattern
+from .tensor import Matrix, Tensor4, read_tensor, write_tensor
+from .rng import Rng
+from .neoinit import neoinit_pattern
 from .neocell import (
     GroupSpec,
     NeoCellParams,
@@ -21,9 +21,9 @@ from .trainer import OptimSpec, RunConfig, ScheduleSpec, lr_at, run_ablation, tr
 from .bench import BenchResult, OpCost, bench, dwconv_reference, flops_dwconv, flops_neocell
 
 __all__ = [
-    "Matrix", "Tensor4", "matmul", "roll2d", "read_tensor", "write_tensor",
-    "Rng", "gaussian_fill",
-    "InitSpec", "neoinit", "neoinit_pattern",
+    "Matrix", "Tensor4", "read_tensor", "write_tensor",
+    "Rng",
+    "neoinit_pattern",
     "GroupSpec", "NeoCellSpec", "NeoCellParams",
     "forward_patchwise", "forward_blockdiag", "materialize_block_diagonal", "output_shape",
     "Grads", "Param", "Tape", "backward", "fd_check", "neocell_backward",

@@ -105,42 +105,6 @@ def backward(tape: Tape, loss_grad: float = 1.0) -> Grads:
     return out
 
 
-def tracked_matmul(tape: Tape, a: Val, b: Val) -> Val:
-    """2-D product recorded on the tape; grads are g @ b.T and a.T @ g."""
-    if a.array.shape[1] != b.array.shape[0]:
-        raise ShapeError(f"tracked_matmul: {a.array.shape} @ {b.array.shape}")
-    out = Val(a.array @ b.array)
-    aa, bb = a.array, b.array
-
-    def back(g):
-        return g @ bb.T, aa.T @ g
-
-    tape.record(out, (a, b), back)
-    return out
-
-
-def tracked_sum(tape: Tape, x: Val) -> Val:
-    out = Val(x.array.sum())
-    shape = x.array.shape
-
-    def back(g):
-        return (np.broadcast_to(np.asarray(g), shape).copy(),)
-
-    tape.record(out, (x,), back)
-    return out
-
-
-def tracked_mul(tape: Tape, x: Val, y: Val) -> Val:
-    out = Val(x.array * y.array)
-    xa, ya = x.array, y.array
-
-    def back(g):
-        return g * ya, g * xa
-
-    tape.record(out, (x, y), back)
-    return out
-
-
 @dataclass
 class FdRow:
     name: str

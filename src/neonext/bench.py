@@ -14,7 +14,6 @@ times are reported, never asserted: only the multiply ratios are portable.
 
 from __future__ import annotations
 
-import concurrent.futures
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,7 +59,6 @@ class BenchResult:
     t_mean: float
     multiplies: int
     checksum: float
-    threads: int = 1
     dtype: str = "float64"
     warmup: int = 0
 
@@ -165,7 +163,7 @@ def counted_dwconv(c: int, h: int, w: int, k: int, seed: int = 0) -> int:
 BENCH_OPS = ("neocell", "dwconv", "blockdiag")
 
 BENCH_CSV_HEADER = (
-    "op,c,h,w,k,dtype,threads,iters,warmup,multiplies,checksum,"
+    "op,c,h,w,k,dtype,iters,warmup,multiplies,checksum,"
     "t_min_s,t_median_s,t_mean_s,mults_per_s"
 )
 # columns from t_min_s on are timing-dependent; everything before is
@@ -200,19 +198,6 @@ def _bench_callable(op: str, c: int, h: int, w: int, k: int, seed: int, dtype: s
     raise ConfigError(f"unknown bench op {op!r}; known: {BENCH_OPS}")
 
 
-def _timed_runs(run_once, warmup: int, iters: int):
-    """Last result and the wall time of each timed call."""
-    result = None
-    for _ in range(warmup):
-        result = run_once()
-    times = []
-    for _ in range(iters):
-        t0 = time.perf_counter()
-        result = run_once()
-        times.append(time.perf_counter() - t0)
-    return result, np.asarray(times)
-
-
 def bench(
     op: str,
     c: int,
@@ -222,27 +207,24 @@ def bench(
     iters: int = 10,
     warmup: int = 2,
     seed: int = 0,
-    threads: int = 1,
     dtype: str = "float64",
 ) -> BenchResult:
     """Time one operator on fixed seeded inputs and report stable statistics."""
     if iters < 1:
         raise ConfigError(f"iters must be >= 1, got {iters}")
+    if warmup < 0:
+        raise ConfigError(f"warmup must be >= 0, got {warmup}")
     if dtype not in ("float64", "float32"):
         raise ConfigError(f"dtype must be float64 or float32, got {dtype!r}")
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
     fn, mults = _bench_callable(op, c, h, w, k, seed, dtype)
-    if threads == 1:
-        result, times_arr = _timed_runs(fn, warmup, iters)
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-
-            def run_once():
-                futures = [pool.submit(fn) for _ in range(threads)]
-                return [f.result() for f in futures][0]
-
-            result, times_arr = _timed_runs(run_once, warmup, iters)
+    for _ in range(warmup):
+        fn()
+    times = []
+    for _ in range(iters):
+        t0 = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - t0)
+    times_arr = np.asarray(times)
     return BenchResult(
         op=op,
         shape=(c, h, w, k),
@@ -252,22 +234,30 @@ def bench(
         t_mean=float(times_arr.mean()),
         multiplies=mults,
         checksum=float(result.sum()),
-        threads=threads,
         dtype=dtype,
         warmup=warmup,
     )
 
 
 def append_bench_csv(path, result: BenchResult) -> None:
-    """Append one CSV row, writing the header if the file is new."""
+    """Append one CSV row, writing the header if the file is new or empty.
+
+    A file whose header is not ``BENCH_CSV_HEADER`` (one written with other
+    columns) is refused before anything is written to it.
+    """
     p = Path(path)
-    new = not p.exists()
+    header = ""
+    if p.exists():
+        with open(p) as f:
+            header = f.readline().rstrip("\n")
+    if header and header != BENCH_CSV_HEADER:
+        raise ConfigError(f"{p}: header {header!r} differs from the bench CSV header {BENCH_CSV_HEADER!r}")
     with open(p, "a") as f:
-        if new:
+        if not header:
             f.write(BENCH_CSV_HEADER + "\n")
         c, h, w, k = result.shape
         f.write(
-            f"{result.op},{c},{h},{w},{k},{result.dtype},{result.threads},"
+            f"{result.op},{c},{h},{w},{k},{result.dtype},"
             f"{result.iters},{result.warmup},{result.multiplies},{result.checksum!r},"
             f"{result.t_min!r},{result.t_median!r},{result.t_mean!r},{result.mults_per_s!r}\n"
         )

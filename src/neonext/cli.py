@@ -6,7 +6,7 @@ Subcommands:
 - ``gradcheck``    finite-difference verification of analytic gradients
 - ``train``        run training for every seed in a config file
 - ``ablate``       both init arms over the config's seeds, with a report
-- ``init-dump``    write an initialization matrix (binary + text grid)
+- ``init-dump``    write the left matrix ``init_part`` draws (binary + text grid)
 - ``equiv-check``  randomized patchwise vs block-diagonal agreement trials
 
 Exit codes: 0 success, 1 error or failed check, 2 training diverged.
@@ -26,9 +26,10 @@ from .equiv import run_trials
 from .autodiff import Param, Tape, Val, backward, fd_check
 from .errors import ConfigError, DataError, ParameterError, ShapeError
 from .model import ForwardCtx, build_model, named_spec, one_hot, softmax_cross_entropy
-from .neoinit import InitSpec, format_grid, neoinit
+from .neocell import GroupSpec, NeoCellSpec, init_part, merge_parts
+from .neoinit import format_grid
 from .rng import Rng
-from .tensor import Tensor4, write_matrix
+from .tensor import Matrix, Tensor4, write_matrix
 from .trainer import parse_config, run_ablation, train_run
 
 
@@ -42,7 +43,6 @@ def _add_bench(sub):
     p.add_argument("--iters", type=int, default=10)
     p.add_argument("--warmup", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--dtype", choices=("float64", "float32"), default="float64")
     p.add_argument("--out", type=str, default="", help="CSV file to append to")
 
@@ -92,8 +92,7 @@ def _add_equiv(sub):
 def _cmd_bench(args) -> int:
     result = run_bench(
         args.op, args.c, args.h, args.w, args.k,
-        iters=args.iters, warmup=args.warmup, seed=args.seed,
-        threads=args.threads, dtype=args.dtype,
+        iters=args.iters, warmup=args.warmup, seed=args.seed, dtype=args.dtype,
     )
     print(
         f"{result.op} c={args.c} h={args.h} w={args.w} k={args.k} "
@@ -124,7 +123,6 @@ def _gradcheck_case(args):
         return loss_fn, params
 
     from .model import BatchNormLayer, GeluLayer, NeoCellLayer, PointwiseLayer
-    from .neocell import GroupSpec, NeoCellSpec
 
     x_param = Param("input", rng.normal((2, args.c, args.h, args.w), 1.0), "input")
     if args.layer == "neocell":
@@ -209,8 +207,9 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_init_dump(args) -> int:
-    spec = InitSpec(args.rows, args.cols, noise=not args.no_noise, seed=args.seed)
-    m = neoinit(spec)
+    (part,) = merge_parts(NeoCellSpec((GroupSpec(0, 1, args.cols, 1, args.rows, 1),)))
+    left, _ = init_part(part, None if args.no_noise else Rng(args.seed))
+    m = Matrix(left[0])
     grid = format_grid(m)
     print(grid, end="")
     if args.out:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .neocell import (
     GroupSpec,
     NeoCellParams,
@@ -80,6 +81,8 @@ def random_case(rng: Rng):
 
 
 def run_trials(trials: int, seed: int = 0) -> list[TrialResult]:
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = Rng(seed)
     out = []
     for i in range(trials):

@@ -671,8 +671,9 @@ def blockdiag_product(
 def _stacked_left_product(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     """(c, r, m) @ (n, c, m, W) -> (n, c, r, W), accumulated in ascending k.
 
-    Per output element this performs the same rounded multiply/add sequence
-    as ``tensor.matmul``, so single-channel results are bit-identical to it.
+    Per output element this performs the rounded multiply/add sequence of
+    the scalar loop ``for k: acc += A[i, k] * X[k, j]`` starting from 0.0,
+    so it is bit-identical to that loop.
     """
     n, c, m, W = X.shape
     r = A.shape[1]
@@ -700,10 +701,10 @@ def forward_blockdiag(
 ) -> Tensor4:
     """Whole-plane execution via materialized block-diagonal factors.
 
-    Uses the package's deterministic ascending-k product, so for unshifted
-    groups every output element reproduces the corresponding ``tensor.matmul``
-    patch product bit-exactly (the zero blocks contribute exact no-op
-    additions in between).
+    Both products accumulate in ascending k, so for unshifted groups every
+    output element equals the scalar loop that forms each patch's L @ X and
+    then (L @ X) @ R in ascending k, bit for bit (the zero blocks contribute
+    exact no-op additions in between).
     """
     spec.validate_input(x.dims)
     params.validate(spec)

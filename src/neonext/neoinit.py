@@ -13,32 +13,19 @@ Bounds are half-open so bands never overlap; rounding is half-away-from-zero
 (round(2.5) = 3) so the pattern is platform-independent.  Bands that the
 capping leaves empty stay zero, as do any trailing uncovered rows/columns.
 
-With noise enabled, i.i.d. N(0, 1/(h*w)) samples (std 1/sqrt(h*w)) are added
-to every element on top of the pattern.
+``neocell.init_part``, the one place patch weights are initialized, adds
+i.i.d. N(0, 1/(h*w)) samples (std 1/sqrt(h*w)) to every element on top of
+this pattern.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
-from .rng import Rng, gaussian_fill
 from .tensor import Matrix
-
-
-@dataclass(frozen=True)
-class InitSpec:
-    rows: int
-    cols: int
-    noise: bool = True
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ParameterError(f"InitSpec dims must be positive, got {self.rows}x{self.cols}")
 
 
 def _round_half_away(x: float) -> int:
@@ -68,21 +55,6 @@ def neoinit_pattern(rows: int, cols: int) -> np.ndarray:
             if end > start:
                 out[start:end, i] = 1.0 / (end - start)
     return out
-
-
-def neoinit(spec: InitSpec, rng: Rng | None = None) -> Matrix:
-    """Initialization matrix for the given spec.
-
-    The noisy result decomposes exactly as the noise-free pattern plus
-    ``gaussian_fill(rng, rows, cols, 1/sqrt(rows*cols))``.
-    """
-    base = neoinit_pattern(spec.rows, spec.cols)
-    if not spec.noise:
-        return Matrix(base)
-    if rng is None:
-        rng = Rng(spec.seed)
-    sigma = 1.0 / math.sqrt(spec.rows * spec.cols)
-    return Matrix(base + gaussian_fill(rng, spec.rows, spec.cols, sigma).array)
 
 
 def format_grid(m: Matrix, width: int = 9, decimals: int = 5) -> str:

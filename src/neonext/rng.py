@@ -30,7 +30,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .tensor import Matrix
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -105,12 +104,3 @@ class Rng:
         base = np.array([self._seed ^ _DERIVE], dtype=np.uint64)
         z = _mix64(base + np.uint64(int(tag) & 0xFFFFFFFFFFFFFFFF))
         return Rng(int(z[0]))
-
-
-def gaussian_fill(rng: Rng, rows: int, cols: int, sigma: float) -> Matrix:
-    """Matrix of i.i.d. N(0, sigma^2) samples drawn row-major from the stream."""
-    if sigma < 0:
-        raise ParameterError(f"gaussian_fill: sigma must be >= 0, got {sigma}")
-    if rows < 1 or cols < 1:
-        raise ParameterError(f"gaussian_fill: dims must be positive, got {rows}x{cols}")
-    return Matrix(rng.normal((rows, cols), sigma))

@@ -7,10 +7,11 @@ Conventions, pinned for the whole package:
 - ``Tensor4`` is laid out row-major over (n, c, h, w) with unit stride on
   the last axis, no broadcasting, no negative-stride views;
 - every operation is pure: inputs are never mutated, and both ``Tensor4``
-  and ``Matrix`` freeze their backing buffer at construction;
-- ``matmul`` accumulates along the contraction axis in ascending order with
-  one multiply rounding and one add rounding per term, which makes it
-  bit-identical to the naive scalar triple loop.
+  and ``Matrix`` freeze their backing buffer at construction.
+
+The module holds containers and their file format only; products live with
+the operator (``neocell``), where the block-diagonal reference keeps the
+ascending-k accumulation that matches a scalar loop bit for bit.
 
 Serialization format (used by golden files, ``init-dump`` and checkpoints):
 a 16-byte header of four little-endian uint32 dims (n, c, h, w) followed by
@@ -96,30 +97,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Deterministic matrix product.
-
-    Accumulates over the contraction index in ascending order, one rounded
-    multiply and one rounded add per term, so the result is bit-identical
-    to the scalar loop ``for i: for j: for k: c[i,j] += a[i,k]*b[k,j]``.
-    """
-    if a.cols != b.rows:
-        raise ShapeError(
-            f"matmul: inner dims differ, left is {a.rows}x{a.cols}, "
-            f"right is {b.rows}x{b.cols}"
-        )
-    aa, bb = a.array, b.array
-    out = np.zeros((a.rows, b.cols), dtype=np.float64)
-    for k in range(a.cols):
-        out += aa[:, k : k + 1] * bb[k : k + 1, :]
-    return Matrix(out)
-
-
-def roll2d(x: Tensor4, shift_h: int, shift_w: int) -> Tensor4:
-    """Cyclic rotation along the two spatial axes (shifts taken mod h, w)."""
-    return Tensor4(np.roll(x.array, (shift_h, shift_w), axis=(2, 3)))
 
 
 def write_tensor(path: str | os.PathLike, t: Tensor4) -> None:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from neonext.autodiff import Param, Tape, Val, backward, fd_check
-from neonext.bench import counted_dwconv, counted_neocell, flops_dwconv, flops_neocell
+from neonext.bench import BENCH_CSV_HEADER, counted_dwconv, counted_neocell, flops_dwconv, flops_neocell
 from neonext.cli import main as cli_main
 from neonext.data import synth_task
 from neonext.equiv import run_trials
@@ -284,7 +284,8 @@ class TestCriterion7Determinism:
                 "--iters", "1", "--warmup", "0", "--seed", "2"]
         cli_main(args + ["--out", str(ba)])
         cli_main(args + ["--out", str(bb)])
-        cut = lambda p: [",".join(ln.split(",")[:11]) for ln in Path(p).read_text().splitlines()]
+        timing = BENCH_CSV_HEADER.split(",").index("t_min_s")
+        cut = lambda p: [",".join(ln.split(",")[:timing]) for ln in Path(p).read_text().splitlines()]
         assert cut(ba) == cut(bb)
 
         # train: per-epoch CSV minus wall time, plus checkpoint bytes

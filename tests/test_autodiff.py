@@ -8,12 +8,10 @@ from neonext.autodiff import (
     Val,
     backward,
     fd_check,
-    tracked_matmul,
-    tracked_mul,
-    tracked_sum,
 )
 from neonext.equiv import random_params
 from neonext.errors import NumericError, UsageError
+from neonext.model import ForwardCtx, LinearLayer
 from neonext.neocell import (
     GroupSpec,
     NeoCellParams,
@@ -35,64 +33,82 @@ def loss_and_grads_neocell(x, spec, params):
     return loss, gx, gp
 
 
+def half_square(tape, v):
+    """0.5 * sum(v**2), recorded on the tape when there is one."""
+    a = v.array
+    out = Val(0.5 * (a * a).sum())
+    if tape is not None:
+        tape.record(out, (v,), lambda g: (g * a,))
+    return out
+
+
+CTX = ForwardCtx("train")
+
+
 class TestTape:
     def test_single_matmul_node_closed_form(self):
         rng = Rng(0)
-        a = Param("a", rng.normal((3, 4), 1.0))
-        b = Param("b", rng.normal((4, 2), 1.0))
+        x = Param("x", rng.normal((3, 4), 1.0))
+        lin = LinearLayer("lin", 4, 2, rng)
         tape = Tape()
-        out = tracked_matmul(tape, a, b)
-        loss = tracked_sum(tape, out)
+        y = lin.forward(x, tape, CTX)
+        half_square(tape, y)
         grads = backward(tape)
-        g = np.ones((3, 2))
-        assert np.allclose(grads["a"], g @ b.array.T, rtol=0, atol=0)
-        assert np.allclose(grads["b"], a.array.T @ g, rtol=0, atol=0)
+        g = y.array   # d(0.5 * sum(y**2)) / dy
+        assert np.array_equal(grads["x"], g @ lin.weight.array)
+        assert np.array_equal(grads["lin.weight"], g.T @ x.array)
+        assert np.array_equal(grads["lin.bias"], g.sum(axis=0))
 
     def test_chain_of_two_nodes_matches_fd(self):
         rng = Rng(1)
-        a = Param("a", rng.normal((2, 3), 1.0))
-        b = Param("b", rng.normal((3, 3), 1.0))
-        c = Param("c", rng.normal((3, 2), 1.0))
+        x = Param("x", rng.normal((2, 3), 1.0))
+        first = LinearLayer("first", 3, 3, rng)
+        second = LinearLayer("second", 3, 2, rng)
+        for p in first.params() + second.params():
+            p.array[...] = rng.normal(p.array.shape, 1.0)
+        params = [x] + first.params() + second.params()
 
         def run(tape=None):
-            t = tape if tape is not None else Tape()
-            out = tracked_matmul(t, tracked_matmul(t, a, b), c)
-            return tracked_sum(t, tracked_mul(t, out, out))
+            # ``first`` runs twice, so its gradients accumulate over two nodes
+            h = first.forward(first.forward(x, tape, CTX), tape, CTX)
+            return half_square(tape, second.forward(h, tape, CTX))
 
         tape = Tape()
         run(tape)
         grads = backward(tape)
-        report = fd_check(lambda: float(run().array), [a, b, c], grads, eps=1e-6, threshold=1e-6)
+        report = fd_check(lambda: float(run().array), params, grads, eps=1e-6, threshold=1e-6)
         assert report.passed
 
     def test_zero_loss_gradient_gives_zero_grads(self):
-        a = Param("a", Rng(2).normal((2, 2), 1.0))
+        lin = LinearLayer("lin", 2, 2, Rng(2))
         tape = Tape()
-        tracked_sum(tape, tracked_mul(tape, a, a))
+        half_square(tape, lin.forward(Val(Rng(3).normal((2, 2), 1.0)), tape, CTX))
         grads = backward(tape, loss_grad=0.0)
-        assert not grads["a"].any()
+        assert set(grads) == {"lin.weight", "lin.bias"}
+        assert not any(g.any() for g in grads.values())
 
     def test_empty_tape_is_usage_error(self):
         with pytest.raises(UsageError):
             backward(Tape())
 
     def test_double_backward_is_usage_error(self):
-        a = Param("a", np.ones((2, 2)))
+        lin = LinearLayer("lin", 2, 2, Rng(4))
         tape = Tape()
-        tracked_sum(tape, a)
+        half_square(tape, lin.forward(Val(np.ones((2, 2))), tape, CTX))
         backward(tape)
         with pytest.raises(UsageError, match="consumed"):
             backward(tape)
 
     def test_unreached_param_gets_zeros(self):
-        a = Param("a", np.ones(3))
+        lin = LinearLayer("lin", 3, 2, Rng(5))
         b = Param("b", np.ones(3))
         tape = Tape()
         tape.watch(b)
-        tracked_sum(tape, a)
+        half_square(tape, lin.forward(Val(np.ones((1, 3))), tape, CTX))
         grads = backward(tape)
         assert not grads["b"].any()
-        assert grads["a"].shape == (3,)
+        assert grads["lin.weight"].shape == (2, 3)
+        assert grads["lin.weight"].any()
 
     def test_repeat_backward_bit_identical(self):
         rng = Rng(3)

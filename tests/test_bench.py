@@ -1,5 +1,4 @@
 import importlib
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -142,11 +141,6 @@ class TestBenchHarness:
         r = bench("neocell", 2, 8, 8, 4, iters=1, warmup=0, dtype="float32")
         assert r.dtype == "float32"
 
-    def test_threads_flag(self):
-        r = bench("neocell", 2, 8, 8, 4, iters=1, warmup=0, threads=2)
-        assert r.threads == 2
-        assert r.t_min > 0
-
     def test_traffic_model_positive_and_documented_shape(self):
         cost = flops_dwconv(3, 8, 8, 5)
         assert cost.traffic_bytes == 8 * (2 * 3 * 8 * 8 + 3 * 25)
@@ -166,6 +160,22 @@ class TestBenchHarness:
         assert second.startswith(first)
         assert second.splitlines()[0] == BENCH_CSV_HEADER
         assert len(second.splitlines()) == 3
+
+    def test_csv_with_other_header_refused_before_writing(self, tmp_path):
+        path = tmp_path / "old.csv"
+        old = BENCH_CSV_HEADER.replace("dtype,", "dtype,threads,")
+        path.write_text(old + "\nneocell,1,8,8,4,float64,1,1,0,1024,0.5,1e-05,1e-05,1e-05,1e8\n")
+        before = path.read_bytes()
+        with pytest.raises(ConfigError, match="old.csv"):
+            append_bench_csv(path, bench("neocell", 1, 8, 8, 4, iters=1, warmup=0))
+        assert path.read_bytes() == before
+
+    def test_csv_header_written_to_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.touch()
+        append_bench_csv(path, bench("neocell", 1, 8, 8, 4, iters=1, warmup=0))
+        lines = path.read_text().splitlines()
+        assert lines[0] == BENCH_CSV_HEADER and len(lines) == 2
 
 
 class TestBenchKernels:
@@ -191,13 +201,6 @@ class TestBenchKernels:
         assert set(dtypes) == {(np.dtype(np.float32),) * 3}
         assert r.multiplies == bench("blockdiag", 2, 6, 6, 3, iters=1, warmup=0).multiplies
 
-    def test_thread_pool_is_shut_down(self):
-        before = threading.active_count()
-        r = bench("neocell", 2, 8, 8, 4, iters=1, warmup=0, threads=2)
-        assert r.threads == 2
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("threads", [0, -1])
-    def test_threads_below_one_rejected(self, threads):
-        with pytest.raises(ConfigError, match="threads"):
-            bench("neocell", 2, 8, 8, 4, iters=1, warmup=0, threads=threads)
+    def test_negative_warmup_rejected(self):
+        with pytest.raises(ConfigError, match="warmup must be >= 0, got -1"):
+            bench("neocell", 2, 8, 8, 4, iters=1, warmup=-1)

@@ -3,8 +3,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from neonext.bench import BENCH_CSV_HEADER
 from neonext.cli import main
-from neonext.neoinit import InitSpec, neoinit
+from neonext.neocell import GroupSpec, NeoCellSpec, init_part, merge_parts
+from neonext.rng import Rng
 from neonext.tensor import read_matrix
 from neonext.trainer import CONFIG_HEADER
 
@@ -41,8 +43,17 @@ class TestInitDump:
     def test_noisy_matches_library(self, tmp_path):
         out = tmp_path / "m.t4"
         main(["init-dump", "--rows", "3", "--cols", "5", "--seed", "11", "--out", str(out)])
-        want = neoinit(InitSpec(3, 5, noise=True, seed=11))
-        assert np.array_equal(read_matrix(out).array, want.array)
+        (part,) = merge_parts(NeoCellSpec((GroupSpec(0, 1, 5, 1, 3, 1),)))
+        want = init_part(part, Rng(11))[0][0]
+        assert np.array_equal(read_matrix(out).array, want)
+
+    @pytest.mark.parametrize("rows, cols", [("0", "3"), ("3", "0")])
+    def test_empty_dims_exit_1(self, rows, cols, tmp_path, capsys):
+        out = tmp_path / "m.t4"
+        code = main(["init-dump", "--rows", rows, "--cols", cols, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_repeat_invocation_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.t4", tmp_path / "b.t4"
@@ -72,6 +83,14 @@ class TestEquivCheck:
         main(["equiv-check", "--trials", "10", "--seed", "9", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_trials_below_one_exit_1(self, trials, tmp_path, capsys):
+        out = tmp_path / "equiv.csv"
+        code = main(["equiv-check", "--trials", trials, "--out", str(out)])
+        assert code == 1
+        assert f"error: trials must be >= 1, got {trials}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBenchCli:
     def test_runs_and_appends(self, tmp_path, capsys):
@@ -90,17 +109,18 @@ class TestBenchCli:
                 "--iters", "1", "--warmup", "0", "--seed", "4"]
         main(args + ["--out", str(a)])
         main(args + ["--out", str(b)])
-        cut = lambda p: [",".join(ln.split(",")[:11]) for ln in Path(p).read_text().splitlines()]
+        timing = BENCH_CSV_HEADER.split(",").index("t_min_s")
+        cut = lambda p: [",".join(ln.split(",")[:timing]) for ln in Path(p).read_text().splitlines()]
         assert cut(a) == cut(b)
 
-    def test_zero_threads_exits_1(self, tmp_path, capsys):
+    def test_negative_warmup_exits_1(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         code = main([
             "bench", "--op", "neocell", "--c", "2", "--h", "8", "--w", "8", "--k", "4",
-            "--threads", "0", "--out", str(out),
+            "--warmup", "-1", "--out", str(out),
         ])
         assert code == 1
-        assert "threads" in capsys.readouterr().err
+        assert "error: warmup must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_indivisible_size_exits_1(self, capsys):

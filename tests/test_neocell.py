@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from neonext.autodiff import Grads, Param, fd_check
 from neonext.equiv import random_case, random_params, run_trials
-from neonext.errors import ParameterError, ShapeError
+from neonext.errors import ConfigError, ParameterError, ShapeError
 from neonext.neocell import (
     GroupSpec,
     NeoCellParams,
@@ -23,11 +23,12 @@ from neonext.neocell import (
 )
 from neonext.neoinit import neoinit_pattern
 from neonext.rng import Rng
-from neonext.tensor import Matrix, Tensor4, matmul, roll2d
+from neonext.tensor import Matrix, Tensor4
 
 
 def scalar_loop_forward(x, spec, params):
-    """Independent oracle: evaluate every output element with scalar loops."""
+    """Independent oracle: every patch's L @ X, then (L @ X) @ R, as scalar
+    loops that accumulate from 0.0 in ascending k."""
     n, C, H, W = x.dims
     oh, ow = output_shape(spec, (H, W))
     out = np.zeros((n, C, oh, ow))
@@ -42,13 +43,19 @@ def scalar_loop_forward(x, spec, params):
                 for i in range(H // g.h):
                     for j in range(W // g.w):
                         patch = plane[b, i * g.h : (i + 1) * g.h, j * g.w : (j + 1) * g.w]
+                        lx = np.zeros((g.h_out, g.w))
+                        for p in range(g.h_out):
+                            for q in range(g.w):
+                                acc = 0.0
+                                for a in range(g.h):
+                                    acc += L[p, a] * patch[a, q]
+                                lx[p, q] = acc
                         y = np.zeros((g.h_out, g.w_out))
                         for p in range(g.h_out):
                             for q in range(g.w_out):
                                 acc = 0.0
-                                for a in range(g.h):
-                                    for bb in range(g.w):
-                                        acc += L[p, a] * patch[a, bb] * R[bb, q]
+                                for a in range(g.w):
+                                    acc += lx[p, a] * R[a, q]
                                 y[p, q] = acc
                         if spec.use_bias:
                             y = y + params.bias[c].array
@@ -328,20 +335,14 @@ class TestForwardBlockdiag:
         assert np.abs(y.array - x.array).max() <= 1e-12
 
     def test_worked_two_block_example_exact(self):
-        # 2x2 block layout; the patch-by-patch oracle uses the core matmul,
-        # whose ascending-k accumulation the block path reproduces bit-exactly
+        # 2x2 block layout; the patch-by-patch oracle accumulates in ascending
+        # k, which the block path reproduces bit-exactly
         spec = NeoCellSpec((GroupSpec(0, 1, 2, 2, 2, 2),))
         rng = Rng(10)
         params = random_params(spec, rng)
         x = Tensor4(rng.normal((1, 1, 4, 4), 1.0))
-        got = forward_blockdiag(x, spec, params).array.reshape(4, 4)
-        L, R = params.left[0], params.right[0]
-        want = np.zeros((4, 4))
-        for i in range(2):
-            for j in range(2):
-                patch = Matrix(x.array[0, 0, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2])
-                want[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = matmul(matmul(L, patch), R).array
-        assert np.array_equal(got, want)
+        got = forward_blockdiag(x, spec, params).array
+        assert np.array_equal(got, scalar_loop_forward(x, spec, params))
 
     def test_hundred_random_configs_agree(self):
         results = run_trials(100, seed=2024)
@@ -349,6 +350,11 @@ class TestForwardBlockdiag:
         assert worst <= 1e-10
         kinds = {r.kind for r in results}
         assert {"mixed-square", "down-2to1", "up-2to3"} <= kinds
+
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_trial_count_below_one_rejected(self, trials):
+        with pytest.raises(ConfigError, match=f"trials must be >= 1, got {trials}"):
+            run_trials(trials)
 
 
 class TestInvariants:
@@ -358,8 +364,9 @@ class TestInvariants:
         params = random_params(spec_s, Rng(11))
         x = Tensor4(Rng(12).normal((2, 3, 8, 8), 1.0))
         got = forward_patchwise(x, spec_s, params)
-        want = roll2d(forward_patchwise(roll2d(x, -3, -3), spec_0, params), 3, 3)
-        assert np.array_equal(got.array, want.array)
+        unshifted = forward_patchwise(Tensor4(np.roll(x.array, (-3, -3), axis=(2, 3))), spec_0, params)
+        want = np.roll(unshifted.array, (3, 3), axis=(2, 3))
+        assert np.array_equal(got.array, want)
 
     def test_linearity(self):
         spec = NeoCellSpec((GroupSpec(0, 2, 4, 4, 4, 4, shift=2),))

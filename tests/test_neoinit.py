@@ -3,8 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neonext.neoinit import InitSpec, format_grid, neoinit, neoinit_pattern
-from neonext.rng import Rng, gaussian_fill
+from neonext.errors import ParameterError
+from neonext.neocell import GroupSpec, NeoCellSpec, init_part, merge_parts
+from neonext.neoinit import format_grid, neoinit_pattern
+from neonext.rng import Rng
+from neonext.tensor import Matrix
+
+
+def one_channel_part(rows, cols):
+    """The part ``init-dump`` draws from: one channel, left matrix rows x cols."""
+    (part,) = merge_parts(NeoCellSpec((GroupSpec(0, 1, cols, 1, rows, 1),)))
+    return part
 
 
 class TestPatterns:
@@ -48,22 +57,29 @@ class TestPatterns:
 
 class TestNoise:
     def test_noise_decomposes_bit_exactly(self):
-        spec = InitSpec(3, 5, noise=True, seed=77)
-        noisy = neoinit(spec)
-        base = neoinit_pattern(3, 5)
-        noise = gaussian_fill(Rng(77), 3, 5, 1.0 / np.sqrt(15)).array
-        assert np.array_equal(noisy.array, base + noise)
+        # two channels: one draw per matrix, every left before every right
+        (part,) = merge_parts(NeoCellSpec((GroupSpec(0, 2, 5, 4, 3, 2),)))
+        left, right = init_part(part, Rng(77))
+        stream = Rng(77)
+        for c in range(2):
+            noise = stream.normal((3, 5), 1.0 / np.sqrt(15))
+            assert np.array_equal(left[c], neoinit_pattern(3, 5) + noise)
+        for c in range(2):
+            noise = stream.normal((4, 2), 1.0 / np.sqrt(8))
+            assert np.array_equal(right[c], neoinit_pattern(4, 2) + noise)
 
     def test_determinism(self):
-        spec = InitSpec(4, 4, noise=True, seed=9)
-        assert np.array_equal(neoinit(spec).array, neoinit(spec).array)
+        part = one_channel_part(4, 4)
+        a, b = init_part(part, Rng(9)), init_part(part, Rng(9))
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_expected_value_is_pattern(self):
         rows, cols = 3, 5
+        part = one_channel_part(rows, cols)
         acc = np.zeros((rows, cols))
         n = 10_000
         for seed in range(n):
-            acc += neoinit(InitSpec(rows, cols, noise=True, seed=seed)).array
+            acc += init_part(part, Rng(seed))[0][0]
         mean = acc / n
         sigma = 1.0 / np.sqrt(rows * cols)
         tol = 4.0 * sigma / np.sqrt(n)
@@ -74,9 +90,9 @@ class TestInvariants:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 9))
     def test_square_noise_free_is_exact_identity_operator(self, n):
-        m = neoinit(InitSpec(n, n, noise=False))
+        m = init_part(one_channel_part(n, n), None)[0][0]
         x = Rng(n).normal((n, 4), 1.0)
-        assert np.array_equal(m.array @ x, x)
+        assert np.array_equal(m @ x, x)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 10), st.integers(1, 10))
@@ -95,7 +111,7 @@ class TestInvariants:
 
 
 def test_format_grid_alignment():
-    text = format_grid(neoinit(InitSpec(2, 2, noise=False)))
+    text = format_grid(Matrix(neoinit_pattern(2, 2)))
     lines = text.splitlines()
     assert len(lines) == 2
     assert len(lines[0]) == len(lines[1])
@@ -103,5 +119,7 @@ def test_format_grid_alignment():
 
 
 def test_invalid_dims_rejected():
-    with pytest.raises(Exception):
-        InitSpec(0, 3)
+    with pytest.raises(ParameterError):
+        neoinit_pattern(0, 3)
+    with pytest.raises(ParameterError):
+        one_channel_part(0, 3)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from neonext.errors import ParameterError
-from neonext.rng import Rng, gaussian_fill
+from neonext.rng import Rng
 
 
 class TestStream:
@@ -54,25 +54,28 @@ class TestStream:
 
 
 class TestGaussianFill:
+    """``Rng.normal``: the N(0, sigma^2) fill every weight init draws."""
+
     def test_sigma_zero_gives_zero_matrix(self):
-        m = gaussian_fill(Rng(1), 3, 4, 0.0)
-        assert not m.array.any()
+        m = Rng(1).normal((3, 4), 0.0)
+        assert m.shape == (3, 4)
+        assert not m.any()
 
     def test_seed_42_twice_identical(self):
-        a = gaussian_fill(Rng(42), 5, 6, 1.0)
-        b = gaussian_fill(Rng(42), 5, 6, 1.0)
-        assert np.array_equal(a.array, b.array)
+        a = Rng(42).normal((5, 6), 1.0)
+        b = Rng(42).normal((5, 6), 1.0)
+        assert np.array_equal(a, b)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ParameterError):
-            gaussian_fill(Rng(0), 2, 2, -1.0)
+            Rng(0).normal((2, 2), -1.0)
 
     def test_million_sample_statistics(self):
-        m = gaussian_fill(Rng(1234), 1000, 1000, 1.0).array
+        m = Rng(1234).normal((1000, 1000), 1.0)
         assert abs(m.mean()) <= 4.0 / 1000.0      # 4*sigma/sqrt(n)
         assert 0.995 <= m.std() <= 1.005
 
     def test_scaling(self):
-        base = gaussian_fill(Rng(8), 4, 4, 1.0).array
-        scaled = gaussian_fill(Rng(8), 4, 4, 2.5).array
+        base = Rng(8).normal((4, 4), 1.0)
+        scaled = Rng(8).normal((4, 4), 2.5)
         assert np.allclose(scaled, 2.5 * base, rtol=0, atol=0)

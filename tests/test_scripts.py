@@ -1,0 +1,37 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from neonext.bench import BENCH_CSV_HEADER
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_bench_sweep_tiny_case(tmp_path):
+    out = tmp_path / "sweep.csv"
+    proc = run_script("bench_sweep.py", "--c", "2", "--size", "8", "--ks", "4",
+                      "--iters", "1", "--warmup", "0", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert "k=4: multiply ratio 1/2" in proc.stdout
+    lines = out.read_text().splitlines()
+    assert lines[0] == BENCH_CSV_HEADER
+    assert [ln.split(",")[0] for ln in lines[1:]] == ["neocell", "blockdiag"]
+
+
+def test_bench_sweep_skips_indivisible_k(tmp_path):
+    out = tmp_path / "sweep.csv"
+    proc = run_script("bench_sweep.py", "--c", "1", "--size", "8", "--ks", "3,4",
+                      "--iters", "1", "--warmup", "0", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert "skip k=3: 8 not divisible" in proc.stderr
+    assert [ln.split(",")[4] for ln in out.read_text().splitlines()[1:]] == ["4", "4"]

@@ -4,15 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neonext.errors import ShapeError
+from neonext.neocell import blockdiag_product
 from neonext.rng import Rng
-from neonext.tensor import (
-    Matrix,
-    Tensor4,
-    matmul,
-    read_tensor,
-    roll2d,
-    write_tensor,
-)
+from neonext.tensor import Tensor4, read_tensor, write_tensor
 
 
 def triple_loop_matmul(a, b):
@@ -53,58 +47,41 @@ class TestTensor4:
 
 
 class TestMatmul:
+    """The package's one ascending-k product, run by the block-diagonal
+    reference: (A @ X) @ B, each accumulated from 0.0 in ascending k."""
+
+    @staticmethod
+    def product(a, b):
+        """a @ b as (a @ b) @ I through ``blockdiag_product``."""
+        return blockdiag_product(a[None], b[None, None], np.eye(b.shape[1])[None])[0, 0]
+
     def test_identity(self):
-        m = Matrix(Rng(0).normal((3, 3), 1.0))
-        out = matmul(Matrix(np.eye(3)), m)
-        assert np.array_equal(out.array, m.array)
+        m = Rng(0).normal((3, 3), 1.0)
+        assert np.array_equal(self.product(np.eye(3), m), m)
 
     def test_column_swap(self):
-        a = Matrix([[1.0, 2.0], [3.0, 4.0]])
-        b = Matrix([[0.0, 1.0], [1.0, 0.0]])
-        assert np.array_equal(matmul(a, b).array, [[2.0, 1.0], [4.0, 3.0]])
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        b = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert np.array_equal(self.product(a, b), [[2.0, 1.0], [4.0, 3.0]])
 
     def test_matches_triple_loop_bit_exactly(self):
-        a = Matrix(Rng(1).normal((5, 7), 1.0))
-        b = Matrix(Rng(2).normal((7, 3), 1.0))
-        got = matmul(a, b).array
-        want = triple_loop_matmul(a.array, b.array)
-        assert np.abs(got - want).max() == 0.0
-
-    def test_shape_error_names_both_operands(self):
-        with pytest.raises(ShapeError, match="2x3.*4x2"):
-            matmul(Matrix(np.zeros((2, 3))), Matrix(np.zeros((4, 2))))
+        a = Rng(1).normal((5, 7), 1.0)
+        b = Rng(2).normal((7, 3), 1.0)
+        want = triple_loop_matmul(a, b)
+        assert np.array_equal(self.product(a, b), want)
+        # the right factor's product, with an identity on the left
+        assert np.array_equal(blockdiag_product(np.eye(5)[None], a[None, None], b[None])[0, 0], want)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32), st.integers(2, 5), st.integers(2, 5), st.integers(2, 5), st.integers(2, 5))
     def test_associativity(self, seed, m, k1, k2, n):
         rng = Rng(seed)
-        a = Matrix(rng.normal((m, k1), 1.0))
-        b = Matrix(rng.normal((k1, k2), 1.0))
-        c = Matrix(rng.normal((k2, n), 1.0))
-        left = matmul(matmul(a, b), c).array
-        right = matmul(a, matmul(b, c)).array
+        a = rng.normal((m, k1), 1.0)
+        b = rng.normal((k1, k2), 1.0)
+        c = rng.normal((k2, n), 1.0)
+        left = self.product(self.product(a, b), c)
+        right = self.product(a, self.product(b, c))
         assert np.abs(left - right).max() <= 1e-9
-
-
-class TestRoll2d:
-    def test_zero_shift_unchanged(self):
-        x = Tensor4(Rng(3).normal((1, 2, 3, 4), 1.0))
-        assert np.array_equal(roll2d(x, 0, 0).array, x.array)
-
-    def test_row_rotation(self):
-        x = Tensor4(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
-        got = roll2d(x, 1, 0).array
-        assert np.array_equal(got.reshape(2, 2), [[3.0, 4.0], [1.0, 2.0]])
-
-    def test_inverse_pair_bit_exact(self):
-        x = Tensor4(Rng(4).normal((2, 3, 7, 9), 1.0))
-        assert np.array_equal(roll2d(roll2d(x, 3, 5), -3, -5).array, x.array)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**32), st.integers(-10, 10), st.integers(-10, 10))
-    def test_inverse_property(self, seed, a, b):
-        x = Tensor4(Rng(seed).normal((1, 2, 4, 6), 1.0))
-        assert np.array_equal(roll2d(roll2d(x, a, b), -a, -b).array, x.array)
 
 
 class TestSerialization:
