@@ -10,7 +10,8 @@ import argparse
 import sys
 from fractions import Fraction
 
-from neonext.bench import append_bench_csv, bench, flops_dwconv, flops_neocell
+from neonext.bench import append_bench_csv, bench, check_bench_csv, flops_dwconv, flops_neocell
+from neonext.errors import ConfigError, DataError, ParameterError, ShapeError
 
 
 def main() -> int:
@@ -22,6 +23,15 @@ def main() -> int:
     ap.add_argument("--warmup", type=int, default=2)
     ap.add_argument("--out", default="runs/bench_sweep.csv")
     args = ap.parse_args()
+    try:
+        return sweep(args)
+    except (ConfigError, DataError, ParameterError, ShapeError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def sweep(args) -> int:
+    check_bench_csv(args.out)   # a refused file fails before the first bench
     ks = [int(k) for k in args.ks.split(",")]
     for k in ks:
         if args.size % k:

@@ -143,14 +143,13 @@ def fd_check(
     eps: float = 1e-5,
     threshold: float = 1e-4,
     entries_per_param: int | None = None,
-    rel_floor: float = 1e-5,
 ) -> FdReport:
     """Central-difference verification of analytic gradients.
 
     ``f()`` must be a pure scalar function of the current parameter arrays.
     For each selected entry the analytic value is compared against
     (f(p + eps*e) - f(p - eps*e)) / (2*eps) with relative error
-    |a - fd| / max(|a|, |fd|, rel_floor).
+    |a - fd| / max(|a|, |fd|, 1e-5).
 
     When ``entries_per_param`` is set, the probed subset per parameter is
     the entries with the largest analytic magnitude: central differences of
@@ -180,7 +179,7 @@ def fd_check(
                 raise NumericError(f"non-finite loss while probing {p.name}[{int(i)}]")
             fd = (f_plus - f_minus) / (2.0 * eps)
             a = gflat[i]
-            rel = abs(a - fd) / max(abs(a), abs(fd), rel_floor)
+            rel = abs(a - fd) / max(abs(a), abs(fd), 1e-5)
             worst = max(worst, rel)
         report.rows.append(FdRow(p.name, len(idx), worst, worst <= threshold))
     return report

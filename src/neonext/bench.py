@@ -239,11 +239,11 @@ def bench(
     )
 
 
-def append_bench_csv(path, result: BenchResult) -> None:
-    """Append one CSV row, writing the header if the file is new or empty.
+def check_bench_csv(path) -> str:
+    """The header line of the bench CSV at ``path``, "" if it is new or empty.
 
     A file whose header is not ``BENCH_CSV_HEADER`` (one written with other
-    columns) is refused before anything is written to it.
+    columns) is refused; callers check before timing anything.
     """
     p = Path(path)
     header = ""
@@ -252,7 +252,13 @@ def append_bench_csv(path, result: BenchResult) -> None:
             header = f.readline().rstrip("\n")
     if header and header != BENCH_CSV_HEADER:
         raise ConfigError(f"{p}: header {header!r} differs from the bench CSV header {BENCH_CSV_HEADER!r}")
-    with open(p, "a") as f:
+    return header
+
+
+def append_bench_csv(path, result: BenchResult) -> None:
+    """Append one CSV row to a file ``check_bench_csv`` accepts, writing the header if it is new or empty."""
+    header = check_bench_csv(path)
+    with open(path, "a") as f:
         if not header:
             f.write(BENCH_CSV_HEADER + "\n")
         c, h, w, k = result.shape

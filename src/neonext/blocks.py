@@ -72,21 +72,19 @@ def _cols_to_nchw(cols: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
     return cols.reshape(c, n, h, w).transpose(1, 0, 2, 3)
 
 
-def _pw_fwd(a: np.ndarray, W: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+def _pw_fwd(a: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     n, c, h, w = a.shape
     out = W @ _channel_cols(a)
-    if b is not None:
-        out += b[:, None]
+    out += b[:, None]
     return _cols_to_nchw(out, n, h, w)
 
 
-def _pw_bwd(a: np.ndarray, W: np.ndarray, g: np.ndarray, with_bias: bool):
+def _pw_bwd(a: np.ndarray, W: np.ndarray, g: np.ndarray):
     n, c, h, w = a.shape
     g_cols = _channel_cols(g)
     gx = _cols_to_nchw(W.T @ g_cols, n, h, w)
     gw = g_cols @ _channel_cols(a).T
-    gb = g_cols.sum(axis=1) if with_bias else None
-    return gx, gw, gb
+    return gx, gw, g_cols.sum(axis=1)
 
 
 # ---------------------------------------------------------------- batchnorm

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import BENCH_OPS, append_bench_csv, bench as run_bench
+from .bench import BENCH_OPS, append_bench_csv, bench as run_bench, check_bench_csv
 from .equiv import run_trials
 from .autodiff import Param, Tape, Val, backward, fd_check
 from .errors import ConfigError, DataError, ParameterError, ShapeError
@@ -90,6 +90,8 @@ def _add_equiv(sub):
 
 
 def _cmd_bench(args) -> int:
+    if args.out:
+        check_bench_csv(args.out)   # a refused file fails before the timed runs
     result = run_bench(
         args.op, args.c, args.h, args.w, args.k,
         iters=args.iters, warmup=args.warmup, seed=args.seed, dtype=args.dtype,
@@ -182,7 +184,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = parse_config(args.config)
+    cfg = parse_config(Path(args.config))
     any_diverged = False
     base_out = Path(cfg.out_dir)
     for seed in cfg.seeds:
@@ -198,8 +200,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    cfg = parse_config(args.config)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()] if args.seeds else None
+    cfg = parse_config(Path(args.config))
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()] if args.seeds else None
+    except ValueError:
+        raise ConfigError(f"--seeds must be a comma list of integers, got {args.seeds!r}") from None
     report = run_ablation(cfg, seeds)
     print(report.summary_text(), end="")
     print(f"report: {report.report_path}")

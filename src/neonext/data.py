@@ -60,9 +60,7 @@ class Dataset:
 class BatchPlan:
     seed: int
     batch_size: int
-    shuffle: bool = True
     epoch: int = 0
-    drop_last: bool = True
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -78,16 +76,14 @@ class Batch:
 
 def batch_order(plan: BatchPlan, n: int) -> np.ndarray:
     """Sample order for one epoch; a pure function of the plan."""
-    if plan.shuffle:
-        return Rng(plan.seed).derive(plan.epoch).permutation(n)
-    return np.arange(n)
+    return Rng(plan.seed).derive(plan.epoch).permutation(n)
 
 
 def batches(ds: Dataset, plan: BatchPlan):
-    """Yield batches in the plan's deterministic order."""
+    """Yield the full batches in the plan's deterministic order; the remainder is dropped."""
     order = batch_order(plan, ds.size)
     step = plan.batch_size
-    stop = ds.size - (ds.size % step) if plan.drop_last else ds.size
+    stop = ds.size - (ds.size % step)
     imgs = ds.images.array
     for base in range(0, stop, step):
         idx = order[base : base + step]

@@ -3,7 +3,7 @@ and the classifier head.
 
 Architecture produced by ``build_model``:
 
-- stem: space-to-depth (patch ``stem_patch``) -> pointwise to the first
+- stem: space-to-depth (patch ``STEM_PATCH``) -> pointwise to the first
   stage width -> batchnorm;
 - four stages of blocks, each block being
   NeoCell -> batchnorm -> pointwise expand -> GELU -> pointwise project
@@ -66,6 +66,9 @@ from .tensor import Tensor4, read_tensor, write_tensor
 
 SIZE_FALLBACKS = (7, 4, 2, 1)
 IN_CHANNELS = 3   # RGB
+STEM_PATCH = 4
+EXPANSION = 4     # a block's pointwise expand widens C to EXPANSION * C
+STAGE_POLICIES = ("mixed-shift", "mixed-shift", "mixed-shift", "single-7")
 
 
 @dataclass(frozen=True)
@@ -73,11 +76,8 @@ class ModelSpec:
     name: str
     depths: tuple[int, int, int, int]
     widths: tuple[int, int, int, int]
-    stem_patch: int = 4
     classes: int = 1000
-    expansion: int = 4
     drop_path_rate: float = 0.0
-    group_policy: tuple[str, ...] = ("mixed-shift", "mixed-shift", "mixed-shift", "single-7")
 
     def __post_init__(self):
         if len(self.depths) != 4 or len(self.widths) != 4:
@@ -88,24 +88,17 @@ class ModelSpec:
             raise ConfigError(f"stage widths must be positive, got {self.widths}")
         if any(b < a for a, b in zip(self.widths, self.widths[1:])):
             raise ConfigError(f"stage widths must be non-decreasing, got {self.widths}")
-        if self.expansion < 1:
-            raise ConfigError(f"expansion ratio must be >= 1, got {self.expansion}")
         if not (0.0 <= self.drop_path_rate < 1.0):
             raise ConfigError(f"drop-path rate must be in [0, 1), got {self.drop_path_rate}")
-        if len(self.group_policy) != 4:
-            raise ConfigError("group_policy needs one entry per stage")
 
 
 @dataclass(frozen=True)
 class BlockSpec:
     channels: int
     neocell: NeoCellSpec
-    expansion: int
     drop_path: float
 
     def __post_init__(self):
-        if self.expansion < 1:
-            raise ParameterError(f"expansion ratio must be >= 1, got {self.expansion}")
         if not (0.0 <= self.drop_path < 1.0):
             raise ParameterError(f"drop-path rate must be in [0, 1), got {self.drop_path}")
 
@@ -152,8 +145,6 @@ def make_stage_groups(channels: int, map_size: int, policy: str):
         parts = [(channels // 2, 4, True), (channels - channels // 2, 7, True)]
     elif policy == "single-7":
         parts = [(channels, 7, False)]
-    elif policy == "single-4":
-        parts = [(channels, 4, False)]
     else:
         raise ConfigError(f"unknown stage group policy {policy!r}")
     groups: list[GroupSpec] = []
@@ -269,10 +260,9 @@ class BatchNormLayer:
 
 
 class PointwiseLayer:
-    def __init__(self, name: str, c_in: int, c_out: int, rng: Rng, zero_init: bool = False):
+    def __init__(self, name: str, c_in: int, c_out: int, rng: Rng):
         self.name = name
-        std = np.sqrt(2.0 / c_in)
-        w = np.zeros((c_out, c_in)) if zero_init else rng.normal((c_out, c_in), std)
+        w = rng.normal((c_out, c_in), np.sqrt(2.0 / c_in))
         self.weight = Param(f"{name}.weight", w, "pointwise")
         self.bias = Param(f"{name}.bias", np.zeros(c_out), "bias")
 
@@ -291,7 +281,7 @@ class PointwiseLayer:
             W = self.weight.array
 
             def back(g):
-                return _pw_bwd(x, W, g, True)
+                return _pw_bwd(x, W, g)
 
             tape.record(ov, (v, self.weight, self.bias), back)
         return ov
@@ -345,9 +335,9 @@ class Block:
         self.spec = spec
         self.neocell = NeoCellLayer(f"{name}.neocell", spec.neocell, rng, init)
         self.norm = BatchNormLayer(f"{name}.norm", C)
-        self.expand = PointwiseLayer(f"{name}.expand", C, spec.expansion * C, rng)
+        self.expand = PointwiseLayer(f"{name}.expand", C, EXPANSION * C, rng)
         self.gelu = GeluLayer()
-        self.project = PointwiseLayer(f"{name}.project", spec.expansion * C, C, rng)
+        self.project = PointwiseLayer(f"{name}.project", EXPANSION * C, C, rng)
 
     def params(self):
         return (
@@ -456,9 +446,7 @@ class Model:
                 out.append(layer.norm)
         return out
 
-    def forward(self, x: Tensor4, ctx: ForwardCtx | None = None, tape: Tape | None = None) -> Val:
-        if ctx is None:
-            ctx = ForwardCtx()
+    def forward(self, x: Tensor4, ctx: ForwardCtx, tape: Tape | None = None) -> Val:
         if x.dims[1] != IN_CHANNELS:
             raise ShapeError(f"model expects {IN_CHANNELS} input channels, got {x.dims}")
         if x.dims[2] != self.input_size or x.dims[3] != self.input_size:
@@ -472,11 +460,11 @@ class Model:
             v = layer.forward(v, tape, ctx)
         return v
 
-    def logits(self, x: Tensor4, mode: str = "eval", rng: Rng | None = None) -> np.ndarray:
-        return self.forward(x, ForwardCtx(mode=mode, rng=rng)).array
+    def logits(self, x: Tensor4) -> np.ndarray:
+        return self.forward(x, ForwardCtx()).array
 
-    def shape_chain(self, batch: int = 1):
-        dims = (batch, IN_CHANNELS, self.input_size, self.input_size)
+    def shape_chain(self):
+        dims = (1, IN_CHANNELS, self.input_size, self.input_size)
         chain = [("input", dims)]
         for layer in self.layers:
             dims = layer.out_shape(dims)
@@ -536,19 +524,19 @@ def build_model(spec: ModelSpec, input_size: int, rng: Rng, init: str = "neoinit
     Raises at build time, naming the stage, when a spatial size is not
     divisible as required.
     """
-    if input_size % spec.stem_patch:
-        raise ShapeError(f"input {input_size} not divisible by stem patch {spec.stem_patch}")
+    if input_size % STEM_PATCH:
+        raise ShapeError(f"input {input_size} not divisible by stem patch {STEM_PATCH}")
     manifest = [f"model {spec.name} input {input_size}x{input_size} classes {spec.classes}"]
     layers: list = []
-    layers.append(SpaceToDepthLayer(spec.stem_patch))
-    stem_ch = IN_CHANNELS * spec.stem_patch * spec.stem_patch
+    layers.append(SpaceToDepthLayer(STEM_PATCH))
+    stem_ch = IN_CHANNELS * STEM_PATCH * STEM_PATCH
     layers.append(PointwiseLayer("stem.pointwise", stem_ch, spec.widths[0], rng))
     layers.append(BatchNormLayer("stem.norm", spec.widths[0]))
-    map_size = input_size // spec.stem_patch
-    manifest.append(f"stem: space_to_depth p={spec.stem_patch} -> {stem_ch} ch -> pointwise {spec.widths[0]} -> norm; map {map_size}")
+    map_size = input_size // STEM_PATCH
+    manifest.append(f"stem: space_to_depth p={STEM_PATCH} -> {stem_ch} ch -> pointwise {spec.widths[0]} -> norm; map {map_size}")
     for si in range(4):
         C = spec.widths[si]
-        groups, notes = make_stage_groups(C, map_size, spec.group_policy[si])
+        groups, notes = make_stage_groups(C, map_size, STAGE_POLICIES[si])
         for note in notes:
             manifest.append(f"stage{si}: {note}")
         cell_spec = NeoCellSpec(groups, use_bias=False)
@@ -558,7 +546,7 @@ def build_model(spec: ModelSpec, input_size: int, rng: Rng, init: str = "neoinit
         )
         manifest.append(f"stage{si}: map {map_size}, {spec.depths[si]} blocks, groups: {gdesc}")
         for bi in range(spec.depths[si]):
-            bspec = BlockSpec(C, cell_spec, spec.expansion, spec.drop_path_rate)
+            bspec = BlockSpec(C, cell_spec, spec.drop_path_rate)
             layers.append(Block(f"stage{si}.block{bi}", bspec, rng, init))
         if si < 3:
             if map_size % 2:
@@ -591,14 +579,14 @@ def analytic_param_count(spec: ModelSpec, input_size: int) -> int:
     + (e*C^2 + C) (project).  Downsample C->C': 4C + 2C + CC' + C' + 2C'.
     Stem: 48*C0 + C0 + 2*C0.  Head: C3*classes + classes.
     """
-    stem_ch = IN_CHANNELS * spec.stem_patch * spec.stem_patch
+    stem_ch = IN_CHANNELS * STEM_PATCH * STEM_PATCH
     total = stem_ch * spec.widths[0] + spec.widths[0] + 2 * spec.widths[0]
-    map_size = input_size // spec.stem_patch
+    map_size = input_size // STEM_PATCH
     for si in range(4):
         C = spec.widths[si]
-        groups, _ = make_stage_groups(C, map_size, spec.group_policy[si])
+        groups, _ = make_stage_groups(C, map_size, STAGE_POLICIES[si])
         cell = sum(2 * g.count * g.h * g.h for g in groups)
-        e = spec.expansion
+        e = EXPANSION
         block = cell + 2 * C + (e * C * C + e * C) + (e * C * C + C)
         total += spec.depths[si] * block
         if si < 3:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +118,9 @@ class RunConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            # each seed's run writes its own directory: a repeat would overwrite it
+            raise ConfigError(f"seeds must not repeat, got {self.seeds}")
         if self.init not in ("neoinit", "random-normal"):
             raise ConfigError(f"init must be neoinit or random-normal, got {self.init!r}")
         if self.data not in ("synthetic", "cifar10"):
@@ -233,9 +236,9 @@ class RunReport:
     init: str
     status: str                       # completed | diverged
     rows: list[EpochRow]
-    divergence_step: int | None = None
-    csv_path: str = ""
-    checkpoint_path: str = ""
+    divergence_step: int | None
+    csv_path: str
+    checkpoint_path: str
 
     @property
     def final_val_acc(self) -> float:
@@ -383,7 +386,7 @@ class ArmSummary:
 class AblationReport:
     arms: dict[str, ArmSummary]
     accuracy_gap: float                # neoinit mean acc - random mean acc
-    report_path: str = ""
+    report_path: str
 
     @property
     def direction_holds(self) -> bool:
@@ -412,7 +415,8 @@ class AblationReport:
 
 def run_ablation(base_cfg: RunConfig, seeds: list[int] | None = None) -> AblationReport:
     """Both init arms over all seeds, under identical settings."""
-    seeds = list(base_cfg.seeds) if seeds is None else list(seeds)
+    base_cfg = base_cfg if seeds is None else replace(base_cfg, seeds=tuple(seeds))   # RunConfig checks seeds
+    seeds = list(base_cfg.seeds)
     if len(seeds) < 2:
         raise ConfigError(f"ablation needs >= 2 seeds, got {seeds}")
     out_root = Path(base_cfg.out_dir)
@@ -439,15 +443,14 @@ def run_ablation(base_cfg: RunConfig, seeds: list[int] | None = None) -> Ablatio
             runs,
         )
     gap = arms["neoinit"].mean_acc - arms["random-normal"].mean_acc
-    report = AblationReport(arms, gap)
     out_root.mkdir(parents=True, exist_ok=True)
     path = out_root / "ablation_report.txt"
+    report = AblationReport(arms, gap, str(path))
     rows = ["init,seed,status,final_val_loss,final_val_acc"]
     for arm in arms.values():
         for r in arm.runs:
             rows.append(f"{r.init},{r.seed},{r.status},{r.final_val_loss!r},{r.final_val_acc!r}")
     path.write_text(report.summary_text() + "\n" + "\n".join(rows) + "\n")
-    report.report_path = str(path)
     return report
 
 
@@ -455,109 +458,74 @@ def run_ablation(base_cfg: RunConfig, seeds: list[int] | None = None) -> Ablatio
 
 CONFIG_HEADER = "neonext-run-config v1"
 
-_CONFIG_KEYS = {
-    "model", "data", "data_dir", "classes", "synth_train", "synth_val",
-    "optimizer", "lr", "momentum", "beta1", "beta2", "weight_decay",
-    "grad_clip", "epochs", "warmup_epochs", "floor_lr", "batch_size",
-    "seeds", "init", "augment", "label_smoothing", "mixup_alpha",
-    "drop_path", "out_dir",
-}
+
+def _config_pairs(cfg: RunConfig) -> list[tuple[str, object]]:
+    """A config file's ``(key, value)`` pairs in file order: RunConfig's
+    fields, with ``optimizer`` expanded in place into OptimSpec's fields
+    (``kind`` as ``optimizer``, ``betas`` as ``beta1`` and ``beta2``)."""
+    pairs: list[tuple[str, object]] = []
+    for f in fields(RunConfig):
+        if f.name != "optimizer":
+            pairs.append((f.name, getattr(cfg, f.name)))
+            continue
+        o = cfg.optimizer
+        pairs += [("optimizer", o.kind), ("lr", o.lr), ("momentum", o.momentum), ("beta1", o.betas[0]),
+                  ("beta2", o.betas[1]), ("weight_decay", o.weight_decay), ("grad_clip", o.grad_clip)]
+    return pairs
 
 
-def parse_config(text_or_path) -> RunConfig:
-    p = Path(str(text_or_path))
-    if p.is_file():
-        text = p.read_text()
-    else:
-        text = str(text_or_path)
-    lines = [ln.strip() for ln in text.splitlines()]
+def _convert(key: str, raw: str, default):
+    """Config value ``raw`` as the type of its default (``None`` only for grad_clip)."""
+    if isinstance(default, str):
+        return raw
+    if default is None and raw.lower() in ("", "none"):
+        return None
+    try:
+        if isinstance(default, tuple):
+            return tuple(int(s) for s in raw.split(",") if s.strip())
+        return int(raw) if isinstance(default, int) else float(raw)
+    except ValueError:
+        raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from None
+
+
+def parse_config(source: str | Path) -> RunConfig:
+    """Parse a run config from its text, or from the file a ``Path`` names.
+
+    Keys that the text leaves out keep their ``RunConfig()`` values.
+    """
+    if isinstance(source, Path):
+        if not source.is_file():
+            raise ConfigError(f"config file {str(source)!r} not found")
+        source = source.read_text()
+    lines = [ln.strip() for ln in source.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or lines[0] != CONFIG_HEADER:
         raise ConfigError(f"config must start with the header line {CONFIG_HEADER!r}")
-    kv = {}
+    defaults = dict(_config_pairs(RunConfig()))
+    v, given = dict(defaults), set()
     for ln in lines[1:]:
         if "=" not in ln:
             raise ConfigError(f"malformed config line: {ln!r}")
         key, _, value = ln.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        key = key.strip()
+        if key not in defaults:
             raise ConfigError(f"unknown config key {key!r}")
-        if key in kv:
+        if key in given:
             raise ConfigError(f"duplicate config key {key!r}")
-        kv[key] = value
-
-    def get(key, default):
-        return kv.get(key, default)
-
-    def num(key, default, convert=float):
-        raw = get(key, default)
-        try:
-            return convert(raw)
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from None
-
-    clip = None if get("grad_clip", "none").lower() in ("", "none") else num("grad_clip", None)
-    opt = OptimSpec(
-        kind=get("optimizer", "sgd-momentum"),
-        lr=num("lr", "0.1"),
-        momentum=num("momentum", "0.9"),
-        betas=(num("beta1", "0.9"), num("beta2", "0.999")),
-        weight_decay=num("weight_decay", "0.0"),
-        grad_clip=clip,
-    )
-    seeds = num("seeds", "1", lambda raw: tuple(int(s) for s in raw.split(",") if s.strip()))
-    return RunConfig(
-        model=get("model", "neonext-micro"),
-        data=get("data", "synthetic"),
-        data_dir=get("data_dir", ""),
-        classes=num("classes", "10", int),
-        synth_train=num("synth_train", "1920", int),
-        synth_val=num("synth_val", "512", int),
-        optimizer=opt,
-        epochs=num("epochs", "3", int),
-        warmup_epochs=num("warmup_epochs", "1", int),
-        floor_lr=num("floor_lr", "0.0"),
-        batch_size=num("batch_size", "64", int),
-        seeds=seeds,
-        init=get("init", "neoinit"),
-        augment=get("augment", "basic"),
-        label_smoothing=num("label_smoothing", "0.1"),
-        mixup_alpha=num("mixup_alpha", "0.8"),
-        drop_path=num("drop_path", "0.05"),
-        out_dir=get("out_dir", "runs/out"),
-    )
+        given.add(key)
+        v[key] = _convert(key, value.strip(), defaults[key])
+    # OptimSpec's fields keep their names as keys, except kind and betas
+    named = {f.name: v.pop(f.name) for f in fields(OptimSpec) if f.name in v}
+    opt = OptimSpec(kind=v.pop("optimizer"), betas=(v.pop("beta1"), v.pop("beta2")), **named)
+    return RunConfig(optimizer=opt, **v)
 
 
 def write_config(cfg: RunConfig, path) -> None:
-    opt = cfg.optimizer
-    clip = "none" if opt.grad_clip is None else repr(opt.grad_clip)
-    text = "\n".join(
-        [
-            CONFIG_HEADER,
-            f"model = {cfg.model}",
-            f"data = {cfg.data}",
-            f"data_dir = {cfg.data_dir}",
-            f"classes = {cfg.classes}",
-            f"synth_train = {cfg.synth_train}",
-            f"synth_val = {cfg.synth_val}",
-            f"optimizer = {opt.kind}",
-            f"lr = {opt.lr!r}",
-            f"momentum = {opt.momentum!r}",
-            f"beta1 = {opt.betas[0]!r}",
-            f"beta2 = {opt.betas[1]!r}",
-            f"weight_decay = {opt.weight_decay!r}",
-            f"grad_clip = {clip}",
-            f"epochs = {cfg.epochs}",
-            f"warmup_epochs = {cfg.warmup_epochs}",
-            f"floor_lr = {cfg.floor_lr!r}",
-            f"batch_size = {cfg.batch_size}",
-            f"seeds = {','.join(map(str, cfg.seeds))}",
-            f"init = {cfg.init}",
-            f"augment = {cfg.augment}",
-            f"label_smoothing = {cfg.label_smoothing!r}",
-            f"mixup_alpha = {cfg.mixup_alpha!r}",
-            f"drop_path = {cfg.drop_path!r}",
-            f"out_dir = {cfg.out_dir}",
-        ]
-    )
-    Path(path).write_text(text + "\n")
+    lines = [CONFIG_HEADER]
+    for key, value in _config_pairs(cfg):
+        if value is None:
+            value = "none"
+        elif isinstance(value, tuple):
+            value = ",".join(map(str, value))
+        lines.append(f"{key} = {value}")
+    Path(path).write_text("\n".join(lines) + "\n")

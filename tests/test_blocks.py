@@ -109,7 +109,7 @@ class TestPointwise:
         assert np.array_equal(cols, a.transpose(1, 0, 2, 3).reshape(3, 40))
         W, g = rng.normal((6, 3), 1.0), rng.normal((6, 2, 4, 5), 1.0).transpose(1, 0, 2, 3)
         y = _pw_fwd(a, W, np.zeros(6))
-        gx, _, _ = _pw_bwd(a, W, g, True)
+        gx, _, _ = _pw_bwd(a, W, g)
         for out in (y, gx):
             assert out.transpose(1, 0, 2, 3).flags.c_contiguous
         assert np.allclose(y, np.einsum("oc,nchw->nohw", W, a), rtol=0, atol=1e-14)

@@ -123,6 +123,22 @@ class TestBenchCli:
         assert "error: warmup must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_mismatched_csv_header_exits_1_before_timing(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "old.csv"
+        out.write_text(BENCH_CSV_HEADER.replace("dtype,", "dtype,threads,") + "\n")
+        before = out.read_bytes()
+
+        def no_bench(*args, **kwargs):
+            raise AssertionError("bench ran")
+
+        monkeypatch.setattr("neonext.cli.run_bench", no_bench)
+        code = main(["bench", "--op", "neocell", "--c", "2", "--h", "8", "--w", "8", "--k", "4", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "old.csv" in captured.err
+        assert captured.out == ""
+        assert out.read_bytes() == before
+
     def test_indivisible_size_exits_1(self, capsys):
         code = main(["bench", "--op", "neocell", "--c", "2", "--h", "30", "--k", "4", "--iters", "1"])
         assert code == 1
@@ -191,6 +207,12 @@ class TestTrainCli:
     def test_missing_config_exits_1(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.cfg")]) == 1
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_missing_config_is_named(self, command, tmp_path, capsys):
+        assert main([command, "--config", str(tmp_path / "nosuch.cfg")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config file ") and "nosuch.cfg" in err
+
 
 class TestAblateCli:
     def test_report_written(self, tmp_path, capsys):
@@ -201,3 +223,13 @@ class TestAblateCli:
         out = capsys.readouterr().out
         assert "accuracy gap" in out
         assert (tmp_path / "out" / "ablation_report.txt").is_file()
+
+    @pytest.mark.parametrize(
+        "seeds, message", [("a", "error: --seeds must be a comma list of integers, got 'a'"), ("1,1", "error: seeds must not repeat")]
+    )
+    def test_bad_seeds_exit_1_before_any_run(self, seeds, message, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        write_tiny_config(cfg, tmp_path / "out")
+        assert main(["ablate", "--config", str(cfg), "--seeds", seeds]) == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "out").exists()

@@ -144,14 +144,9 @@ class TestBatching:
             batch_order(BatchPlan(seed=3, batch_size=8, epoch=1), 64),
         )
 
-    def test_no_shuffle_is_sequential(self):
-        order = batch_order(BatchPlan(seed=3, batch_size=8, shuffle=False), 16)
-        assert np.array_equal(order, np.arange(16))
-
     def test_drop_last(self):
         ds = synth_task(Rng(10), 70, 2)
         assert len(list(batches(ds, BatchPlan(seed=0, batch_size=32)))) == 2
-        assert len(list(batches(ds, BatchPlan(seed=0, batch_size=32, drop_last=False)))) == 3
 
 
 class TestAugment:

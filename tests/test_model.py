@@ -271,7 +271,7 @@ class TestActivationLayout:
 class TestBlockBehavior:
     def _block(self, drop_path=0.0):
         cell = NeoCellSpec((GroupSpec(0, 8, 4, 4, 4, 4),), use_bias=False)
-        spec = BlockSpec(8, cell, 4, drop_path)
+        spec = BlockSpec(8, cell, drop_path)
         return Block("blk", spec, Rng(4), "neoinit")
 
     def test_zero_weights_make_identity_through_skip(self):

@@ -28,6 +28,26 @@ def test_bench_sweep_tiny_case(tmp_path):
     assert [ln.split(",")[0] for ln in lines[1:]] == ["neocell", "blockdiag"]
 
 
+def test_bench_sweep_bad_iters_is_an_error_line(tmp_path):
+    out = tmp_path / "sweep.csv"
+    proc = run_script("bench_sweep.py", "--c", "2", "--size", "8", "--ks", "4", "--iters", "0", "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: iters must be >= 1, got 0\n"
+    assert not out.exists()
+
+
+def test_bench_sweep_refuses_other_csv_header_before_any_bench(tmp_path):
+    out = tmp_path / "old.csv"
+    out.write_text(BENCH_CSV_HEADER.replace("dtype,", "dtype,threads,") + "\n")
+    before = out.read_bytes()
+    proc = run_script("bench_sweep.py", "--c", "2", "--size", "8", "--ks", "4",
+                      "--iters", "1", "--warmup", "0", "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "old.csv" in proc.stderr
+    assert proc.stdout == ""   # no k= timing line: no bench ran
+    assert out.read_bytes() == before
+
+
 def test_bench_sweep_skips_indivisible_k(tmp_path):
     out = tmp_path / "sweep.csv"
     proc = run_script("bench_sweep.py", "--c", "1", "--size", "8", "--ks", "3,4",

@@ -231,6 +231,13 @@ class TestAblation:
         with pytest.raises(ConfigError, match="2 seeds"):
             run_ablation(tiny_cfg(tmp_path), seeds=[1])
 
+    def test_repeated_seeds_rejected_before_any_run(self, tmp_path):
+        # both runs would write one directory, and the report would count them as two
+        cfg = tiny_cfg(tmp_path)
+        with pytest.raises(ConfigError, match="seeds must not repeat"):
+            run_ablation(cfg, seeds=[1, 1])
+        assert not Path(cfg.out_dir).exists()
+
 
 _unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 _nonneg = st.floats(min_value=0.0, allow_infinity=False)
@@ -259,7 +266,7 @@ _configs = st.builds(
     warmup_epochs=st.integers(0, 1000),
     floor_lr=_nonneg,
     batch_size=st.integers(1, 4096),
-    seeds=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=6).map(tuple),
+    seeds=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=6, unique=True).map(tuple),
     init=st.sampled_from(["neoinit", "random-normal"]),
     augment=st.sampled_from(AUGMENT_POLICIES),
     label_smoothing=_unit,
@@ -315,6 +322,43 @@ class TestConfigFile:
         back = parse_config(path)
         assert back == cfg
 
+    def test_default_config_file_text(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        write_config(RunConfig(), path)
+        assert path.read_text().split("\n") == [
+            CONFIG_HEADER,
+            "model = neonext-micro",
+            "data = synthetic",
+            "data_dir = ",
+            "classes = 10",
+            "synth_train = 1920",
+            "synth_val = 512",
+            "optimizer = sgd-momentum",
+            "lr = 0.1",
+            "momentum = 0.9",
+            "beta1 = 0.9",
+            "beta2 = 0.999",
+            "weight_decay = 0.0",
+            "grad_clip = none",
+            "epochs = 3",
+            "warmup_epochs = 1",
+            "floor_lr = 0.0",
+            "batch_size = 64",
+            "seeds = 1",
+            "init = neoinit",
+            "augment = basic",
+            "label_smoothing = 0.1",
+            "mixup_alpha = 0.8",
+            "drop_path = 0.05",
+            "out_dir = runs/out",
+            "",
+        ]
+
+    def test_header_only_file_is_the_default_config(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(CONFIG_HEADER + "\n")
+        assert parse_config(path) == RunConfig()
+
     def test_header_required(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("model = neonext-micro\n")
@@ -345,6 +389,16 @@ class TestConfigFile:
     def test_label_smoothing_outside_unit_interval_rejected(self, value):
         with pytest.raises(ConfigError, match="label_smoothing"):
             parse_config(f"{CONFIG_HEADER}\nlabel_smoothing = {value}\n")
+
+    def test_repeated_seeds_rejected(self):
+        with pytest.raises(ConfigError, match="seeds must not repeat"):
+            parse_config(f"{CONFIG_HEADER}\nseeds = 1,2,1\n")
+        with pytest.raises(ConfigError, match="seeds"):
+            RunConfig(seeds=(4, 4))
+
+    def test_missing_file_named(self, tmp_path):
+        with pytest.raises(ConfigError, match="nosuch.cfg"):
+            parse_config(tmp_path / "nosuch.cfg")
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config(f"{CONFIG_HEADER}\n\n# a comment\nepochs = 7\n")
