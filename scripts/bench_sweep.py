@@ -8,9 +8,8 @@ only the ratios are machine-independent.
 
 import argparse
 import sys
-from fractions import Fraction
 
-from neonext.bench import append_bench_csv, bench, check_bench_csv, flops_dwconv, flops_neocell
+from neonext.bench import append_bench_csv, bench, check_bench_csv, neocell_to_dwconv_ratio
 from neonext.errors import ConfigError, DataError, ParameterError, ShapeError
 
 
@@ -25,14 +24,19 @@ def main() -> int:
     args = ap.parse_args()
     try:
         return sweep(args)
-    except (ConfigError, DataError, ParameterError, ShapeError, FileNotFoundError) as exc:
+    except (ConfigError, DataError, ParameterError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def sweep(args) -> int:
+    try:
+        ks = [int(k) for k in args.ks.split(",")]
+    except ValueError:
+        ks = []
+    if not ks or min(ks) < 1:
+        raise ConfigError(f"--ks must be a comma list of positive integers, got {args.ks!r}")
     check_bench_csv(args.out)   # a refused file fails before the first bench
-    ks = [int(k) for k in args.ks.split(",")]
     for k in ks:
         if args.size % k:
             print(f"skip k={k}: {args.size} not divisible", file=sys.stderr)
@@ -44,11 +48,7 @@ def sweep(args) -> int:
             rows.append(bench("dwconv", args.c, args.size, args.size, k, iters=args.iters, warmup=args.warmup))
         for r in rows:
             append_bench_csv(args.out, r)
-        ratio = Fraction(
-            flops_neocell(args.c, args.size, args.size, k).multiplies,
-            flops_dwconv(args.c, args.size, args.size, k).multiplies,
-        )
-        line = f"k={k}: multiply ratio {ratio} ; patchwise median {neo.t_median * 1e3:.2f} ms ; blockdiag median {blk.t_median * 1e3:.2f} ms"
+        line = f"k={k}: multiply ratio {neocell_to_dwconv_ratio(k)} ; patchwise median {neo.t_median * 1e3:.2f} ms ; blockdiag median {blk.t_median * 1e3:.2f} ms"
         if k % 2:
             line += f" ; dwconv median {rows[-1].t_median * 1e3:.2f} ms"
         print(line)

@@ -11,7 +11,6 @@ from .neocell import (
     NeoCellSpec,
     forward_blockdiag,
     forward_patchwise,
-    materialize_block_diagonal,
     neocell_backward,
     output_shape,
 )
@@ -25,7 +24,7 @@ __all__ = [
     "Rng",
     "neoinit_pattern",
     "GroupSpec", "NeoCellSpec", "NeoCellParams",
-    "forward_patchwise", "forward_blockdiag", "materialize_block_diagonal", "output_shape",
+    "forward_patchwise", "forward_blockdiag", "output_shape",
     "Grads", "Param", "Tape", "backward", "fd_check", "neocell_backward",
     "ModelSpec", "build_model", "named_spec",
     "OptimSpec", "ScheduleSpec", "RunConfig", "lr_at", "train_run", "run_ablation",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, UsageError
+from .errors import NumericError, ParameterError, ShapeError, UsageError
 
 _ids = itertools.count(1)
 
@@ -156,8 +156,10 @@ def fd_check(
     a deep loss carry an absolute noise floor, so only entries above it are
     resolvable.  ``entries_per_param=None`` probes everything.
     """
-    if eps <= 0:
-        raise ValueError(f"fd_check: eps must be positive, got {eps}")
+    if not eps > 0:
+        raise ParameterError(f"fd_check: eps must be > 0, got {eps}")
+    if entries_per_param is not None and entries_per_param < 1:
+        raise ParameterError(f"fd_check: entries_per_param must be >= 1 or None, got {entries_per_param}")
     report = FdReport(threshold=threshold)
     for p in params:
         flat = p.array.reshape(-1)

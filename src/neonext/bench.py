@@ -30,19 +30,17 @@ from .neocell import (
     blockdiag_product,
     cell_forward,
     forward_patchwise,
+    init_part,
     merge_parts,
     neoinit_params,
 )
 from .rng import Rng
 from .tensor import Tensor4
 
-FLOAT64_BYTES = 8
-
 
 @dataclass(frozen=True)
 class OpCost:
     multiplies: int
-    traffic_bytes: int    # input read + output write + weights read, once each
 
     def __post_init__(self):
         if self.multiplies < 0:
@@ -71,9 +69,7 @@ def flops_dwconv(c: int, h: int, w: int, k: int) -> OpCost:
     """Multiply count of a depthwise k x k convolution with 'same' output."""
     if min(c, h, w, k) < 1:
         raise ParameterError(f"dims must be positive, got c={c} h={h} w={w} k={k}")
-    mults = c * h * w * k * k
-    traffic = FLOAT64_BYTES * (2 * c * h * w + c * k * k)
-    return OpCost(mults, traffic)
+    return OpCost(c * h * w * k * k)
 
 
 def flops_neocell(c: int, h: int, w: int, k: int) -> OpCost:
@@ -84,9 +80,7 @@ def flops_neocell(c: int, h: int, w: int, k: int) -> OpCost:
         raise ShapeError(f"height {h} not divisible by k={k}")
     if w % k:
         raise ShapeError(f"width {w} not divisible by k={k}")
-    mults = 2 * c * h * w * k
-    traffic = FLOAT64_BYTES * (2 * c * h * w + 2 * c * k * k)
-    return OpCost(mults, traffic)
+    return OpCost(2 * c * h * w * k)
 
 
 def neocell_to_dwconv_ratio(k: int) -> Fraction:
@@ -176,15 +170,14 @@ def _bench_callable(op: str, c: int, h: int, w: int, k: int, seed: int, dtype: s
     rng = Rng(seed)
     dt = np.dtype(dtype)
     if op in ("neocell", "blockdiag"):
+        mults = flops_neocell(c, h, w, k).multiplies   # checks the square spec's dims
         spec = _square_spec(c, k)
-        params = neoinit_params(spec, rng)
+        (part,) = merge_parts(spec)
+        L, R = (a.astype(dt) for a in init_part(part, rng))
         x = rng.normal((1, c, h, w), 1.0).astype(dt)
         if op == "neocell":
-            parts = merge_parts(spec)
-            L, R = (a.astype(dt) for a in params.stacked(parts[0])[:2])
-            fn = lambda: cell_forward(x, parts, [(L, R, None)])
-            return fn, flops_neocell(c, h, w, k).multiplies
-        A, B = (a.astype(dt) for a in blockdiag_factors(spec.groups[0], params, h, w))
+            return (lambda: cell_forward(x, [part], [(L, R, None)])), mults
+        A, B = blockdiag_factors(spec.groups[0], L, R, h, w)
         counter = MultCounter()
         blockdiag_product(A, x, B, counter)
         return (lambda: blockdiag_product(A, x, B)), counter.multiplies
@@ -243,9 +236,11 @@ def check_bench_csv(path) -> str:
     """The header line of the bench CSV at ``path``, "" if it is new or empty.
 
     A file whose header is not ``BENCH_CSV_HEADER`` (one written with other
-    columns) is refused; callers check before timing anything.
+    columns) is refused, and a missing parent directory is created; callers
+    check before timing anything.
     """
     p = Path(path)
+    p.parent.mkdir(parents=True, exist_ok=True)
     header = ""
     if p.exists():
         with open(p) as f:

@@ -257,7 +257,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, DataError, ParameterError, ShapeError, FileNotFoundError) as exc:
+    except (ConfigError, DataError, ParameterError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

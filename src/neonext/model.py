@@ -540,7 +540,7 @@ def build_model(spec: ModelSpec, input_size: int, rng: Rng, init: str = "neoinit
         for note in notes:
             manifest.append(f"stage{si}: {note}")
         cell_spec = NeoCellSpec(groups, use_bias=False)
-        cell_spec.validate_input((map_size, map_size))
+        cell_spec.validate_input((1, C, map_size, map_size))
         gdesc = ", ".join(
             f"[{g.start}:{g.stop}) {g.h}x{g.w} shift {g.shift}" for g in groups
         )

@@ -39,7 +39,8 @@ and rolls the weight gradients back.  Patch weights are initialized in one
 place, ``init_part``.
 
 ``forward_blockdiag`` is the independent reference: one product per channel
-plane with materialized block-diagonal factors A (left) and B (right).
+plane with block-diagonal factors A (left) and B (right), which
+``blockdiag_factors`` places from a group's stacked weights.
 Shifts rotate A and B cyclically along both axes, so the grid corners wrap
 instead of zeroing; the kernel's offset views and wrap bands compute exactly
 this operator.
@@ -128,8 +129,11 @@ class NeoCellSpec:
         return max(g.stop for g in self.groups)
 
     def validate_input(self, dims) -> None:
-        """Check divisibility and output-size agreement for a given input."""
-        h_in, w_in = _spatial(dims)
+        """Check an (n, c, H, W) input's channel count, divisibility and
+        output-size agreement."""
+        if len(dims) != 4:
+            raise ShapeError(f"expected (n, c, H, W), got {dims}")
+        _, c, h_in, w_in = dims
         out_hw = None
         for idx, g in enumerate(self.groups):
             if h_in % g.h != 0:
@@ -143,29 +147,16 @@ class NeoCellSpec:
                 raise ShapeError(
                     f"group {idx}: output size {hw} disagrees with {out_hw} from earlier groups"
                 )
-        if len(dims) == 4 and dims[1] != self.channel_count:
-            raise ShapeError(
-                f"input has {dims[1]} channels but spec covers {self.channel_count}"
-            )
-
-
-def _spatial(dims):
-    if len(dims) == 2:
-        return dims
-    if len(dims) == 4:
-        return dims[2], dims[3]
-    raise ShapeError(f"expected (H, W) or (n, c, H, W), got {dims}")
+        if c != self.channel_count:
+            raise ShapeError(f"input has {c} channels but spec covers {self.channel_count}")
 
 
 def output_shape(spec: NeoCellSpec, in_dims):
-    """Output dims for an input of the given dims (pure shape arithmetic)."""
+    """Output (n, c, H', W') for an (n, c, H, W) input (pure shape arithmetic)."""
     spec.validate_input(in_dims)
+    n, c, H, W = in_dims
     g = spec.groups[0]
-    h_in, w_in = _spatial(in_dims)
-    out_h, out_w = h_in // g.h * g.h_out, w_in // g.w * g.w_out
-    if len(in_dims) == 2:
-        return (out_h, out_w)
-    return (in_dims[0], in_dims[1], out_h, out_w)
+    return (n, c, H // g.h * g.h_out, W // g.w * g.w_out)
 
 
 class NeoCellParams:
@@ -279,10 +270,11 @@ def init_part(part: Part, rng: Rng | None, init: str = "neoinit"):
     return left, right
 
 
-def neoinit_params(spec: NeoCellSpec, rng: Rng, noise: bool = True) -> NeoCellParams:
-    """``init_part`` NeoInit weights for every channel; bias zero."""
+def neoinit_params(spec: NeoCellSpec, rng: Rng | None) -> NeoCellParams:
+    """``init_part`` NeoInit weights for every channel (``rng=None``: the
+    noise-free patterns); bias zero."""
     parts = merge_parts(spec)
-    stacks = [init_part(part, rng if noise else None) for part in parts]
+    stacks = [init_part(part, rng) for part in parts]
     bias = None
     if spec.use_bias:
         bias = [Matrix(np.zeros((p.h_out, p.w_out))) for p in parts for _ in range(p.count)]
@@ -615,47 +607,30 @@ def neocell_backward(x: Tensor4, spec: NeoCellSpec, params: NeoCellParams, grad_
     return Tensor4(gx), NeoCellParams(gl, gr, gb)
 
 
-def materialize_block_diagonal(group: GroupSpec, left: Matrix, right: Matrix, H: int, W: int):
-    """Block-diagonal factors (A, B) for one channel of a group.
+def _block_diagonal(M: np.ndarray, n: int) -> np.ndarray:
+    """Stacked (c, r, q) matrices as (c, n*r, n*q), each repeated n times
+    along its diagonal."""
+    c, r, q = M.shape
+    out = np.zeros((c, n, r, n, q), dtype=M.dtype)
+    i = np.arange(n)
+    out[:, i, :, i] = M
+    return out.reshape(c, n * r, n * q)
 
-    A is (H/h*h_out x H) with ``left`` repeated along the diagonal; B is
-    (W x W/w*w_out) with ``right`` repeated.  A positive shift rotates both
-    matrices cyclically by (shift, shift), filling the corners with the
-    wrapped parts of the boundary blocks.
+
+def blockdiag_factors(group: GroupSpec, L: np.ndarray, R: np.ndarray, H: int, W: int):
+    """Block-diagonal factors of a group's stacked weights, in their dtype.
+
+    L is (cg, h_out, h) and R is (cg, w, w_out); A is (cg, H/h*h_out, H)
+    with each L repeated along its diagonal, B is (cg, W, W/w*w_out) with
+    each R.  A positive shift rolls both by (shift, shift) on the last two
+    axes, filling the corners with the wrapped parts of the boundary blocks.
+    The caller has checked H, W and the weight shapes against ``group``.
     """
-    if H % group.h != 0:
-        raise ShapeError(f"height {H} not divisible by patch h={group.h}")
-    if W % group.w != 0:
-        raise ShapeError(f"width {W} not divisible by patch w={group.w}")
-    if (left.rows, left.cols) != (group.h_out, group.h):
-        raise ParameterError(
-            f"left is {left.rows}x{left.cols}, expected {group.h_out}x{group.h}"
-        )
-    if (right.rows, right.cols) != (group.w, group.w_out):
-        raise ParameterError(
-            f"right is {right.rows}x{right.cols}, expected {group.w}x{group.w_out}"
-        )
-    nh, nw = H // group.h, W // group.w
-    A = np.zeros((nh * group.h_out, H), dtype=np.float64)
-    for b in range(nh):
-        A[b * group.h_out : (b + 1) * group.h_out, b * group.h : (b + 1) * group.h] = left.array
-    B = np.zeros((W, nw * group.w_out), dtype=np.float64)
-    for b in range(nw):
-        B[b * group.w : (b + 1) * group.w, b * group.w_out : (b + 1) * group.w_out] = right.array
+    A, B = _block_diagonal(L, H // group.h), _block_diagonal(R, W // group.w)
     if group.shift:
-        A = np.roll(A, (group.shift, group.shift), axis=(0, 1))
-        B = np.roll(B, (group.shift, group.shift), axis=(0, 1))
-    return Matrix(A), Matrix(B)
-
-
-def blockdiag_factors(group: GroupSpec, params: NeoCellParams, H: int, W: int):
-    """Block-diagonal factors of every channel of ``group``, stacked:
-    A is (cg, H/h*h_out, H) and B is (cg, W, W/w*w_out)."""
-    mats = [
-        materialize_block_diagonal(group, params.left[ch], params.right[ch], H, W)
-        for ch in group.channels
-    ]
-    return np.stack([a.array for a, _ in mats]), np.stack([b.array for _, b in mats])
+        s = group.shift
+        A, B = np.roll(A, (s, s), axis=(-2, -1)), np.roll(B, (s, s), axis=(-2, -1))
+    return A, B
 
 
 def blockdiag_product(
@@ -706,15 +681,14 @@ def forward_blockdiag(
     then (L @ X) @ R in ascending k, bit for bit (the zero blocks contribute
     exact no-op additions in between).
     """
-    spec.validate_input(x.dims)
+    out = np.empty(output_shape(spec, x.dims), dtype=np.float64)
     params.validate(spec)
-    n, c, H, W = x.dims
-    out = np.empty((n, c) + output_shape(spec, (H, W)), dtype=np.float64)
+    H, W = x.dims[2:]
     for g in spec.groups:
-        A, B = blockdiag_factors(g, params, H, W)
+        L, R, bias = params.stacked(g)
+        A, B = blockdiag_factors(g, L, R, H, W)
         y = blockdiag_product(A, x.array[:, g.start : g.stop], B, counter)
         if spec.use_bias:
-            _, _, bias = params.stacked(g)
             tiled = np.tile(bias, (1, H // g.h, W // g.w))
             if g.shift:
                 tiled = np.roll(tiled, (g.shift, g.shift), axis=(1, 2))

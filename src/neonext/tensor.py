@@ -60,12 +60,6 @@ class Tensor4:
     def dims(self) -> tuple[int, int, int, int]:
         return self._array.shape
 
-    @property
-    def strides(self) -> tuple[int, int, int, int]:
-        """Element (not byte) offsets; stride of the last axis is 1."""
-        n, c, h, w = self._array.shape
-        return (c * h * w, h * w, w, 1)
-
     def __repr__(self):
         return f"Tensor4(dims={self.dims})"
 

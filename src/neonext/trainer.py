@@ -75,6 +75,9 @@ class OptimSpec:
             if not (0.0 <= b < 1.0):
                 raise ConfigError(f"beta{i} must be in [0, 1), got {b}")
         _require_finite(self, "weight_decay", lambda v: v >= 0, "finite and >= 0")
+        if self.weight_decay and self.kind != "adamw":
+            # sgd_step has no decay term: the value would change nothing
+            raise ConfigError(f"weight_decay {self.weight_decay} needs optimizer adamw, got {self.kind}")
         if self.grad_clip is not None:
             # clip_gradients scales by clip/norm: a negative clip would reverse every gradient
             _require_finite(self, "grad_clip", lambda v: v > 0, "none or finite and > 0")

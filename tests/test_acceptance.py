@@ -177,14 +177,14 @@ class TestCriterion4InitFidelity:
 
         # noise-free square init makes the layer the exact identity
         spec = NeoCellSpec((GroupSpec(0, 2, 4, 4, 4, 4), GroupSpec(2, 3, 7, 7, 7, 7)))
-        params = neoinit_params(spec, Rng(0), noise=False)
+        params = neoinit_params(spec, None)
         x = Tensor4(Rng(1).normal((2, 3, 28, 28), 1.0))
         y = forward_patchwise(x, spec, params)
         assert np.array_equal(y.array, x.array)
 
         # noise-free 2->1 unit is 2x average pooling
         down = NeoCellSpec((GroupSpec(0, 3, 2, 2, 1, 1),))
-        dparams = neoinit_params(down, Rng(2), noise=False)
+        dparams = neoinit_params(down, None)
         xd = Tensor4(Rng(3).normal((2, 3, 16, 16), 1.0))
         yd = forward_patchwise(xd, down, dparams).array
         pooled = xd.array.reshape(2, 3, 8, 2, 8, 2).mean(axis=(3, 5))

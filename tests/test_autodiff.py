@@ -10,7 +10,7 @@ from neonext.autodiff import (
     fd_check,
 )
 from neonext.equiv import random_params
-from neonext.errors import NumericError, UsageError
+from neonext.errors import NumericError, ParameterError, UsageError
 from neonext.model import ForwardCtx, LinearLayer
 from neonext.neocell import (
     GroupSpec,
@@ -126,7 +126,7 @@ class TestTape:
 class TestNeocellBackward:
     def test_identity_params_pass_gradient_through(self):
         spec = NeoCellSpec((GroupSpec(0, 2, 4, 4, 4, 4),))
-        params = neoinit_params(spec, Rng(0), noise=False)
+        params = neoinit_params(spec, None)
         x = Tensor4(Rng(4).normal((1, 2, 8, 8), 1.0))
         gout = Tensor4(Rng(5).normal((1, 2, 8, 8), 1.0))
         gx, _ = neocell_backward(x, spec, params, gout)
@@ -294,3 +294,10 @@ class TestFdCheck:
         report = fd_check(f, [a, b], Grads({"alpha": a.array.copy(), "beta": b.array.copy()}))
         text = report.table()
         assert "alpha" in text and "beta" in text
+
+    @pytest.mark.parametrize("kwargs", [{"eps": 0.0}, {"eps": -1e-5}, {"eps": float("nan")},
+                                        {"entries_per_param": 0}, {"entries_per_param": -1}])
+    def test_bad_probe_settings_are_parameter_errors(self, kwargs):
+        p = Param("p", np.ones(4))
+        with pytest.raises(ParameterError, match=next(iter(kwargs))):
+            fd_check(lambda: float(p.array.sum()), [p], Grads({"p": np.ones(4)}), **kwargs)

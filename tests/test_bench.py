@@ -141,12 +141,6 @@ class TestBenchHarness:
         r = bench("neocell", 2, 8, 8, 4, iters=1, warmup=0, dtype="float32")
         assert r.dtype == "float32"
 
-    def test_traffic_model_positive_and_documented_shape(self):
-        cost = flops_dwconv(3, 8, 8, 5)
-        assert cost.traffic_bytes == 8 * (2 * 3 * 8 * 8 + 3 * 25)
-        cost2 = flops_neocell(3, 8, 8, 4)
-        assert cost2.traffic_bytes == 8 * (2 * 3 * 8 * 8 + 2 * 3 * 16)
-
     def test_unknown_op(self):
         with pytest.raises(ConfigError):
             bench("winograd", 1, 8, 8, 3)

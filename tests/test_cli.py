@@ -144,6 +144,30 @@ class TestBenchCli:
         assert code == 1
         assert "error: height 30 not divisible" in capsys.readouterr().err
 
+    def test_blockdiag_indivisible_size_exits_1_before_timing(self, capsys):
+        code = main(["bench", "--op", "blockdiag", "--c", "2", "--h", "30", "--k", "4", "--iters", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: height 30 not divisible by k=4\n"
+        assert captured.out == ""
+
+    def test_out_in_missing_directory_is_created(self, tmp_path):
+        out = tmp_path / "new" / "dir" / "bench.csv"
+        code = main(["bench", "--op", "neocell", "--c", "2", "--h", "8", "--w", "8", "--k", "4",
+                     "--iters", "1", "--warmup", "0", "--out", str(out)])
+        assert code == 0
+        assert out.read_text().splitlines()[0] == BENCH_CSV_HEADER
+
+    def test_out_under_a_regular_file_exits_1_before_timing(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "bench.csv"
+        code = main(["bench", "--op", "neocell", "--c", "2", "--h", "8", "--w", "8", "--k", "4",
+                     "--iters", "1", "--warmup", "0", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "afile" in captured.err
+        assert captured.out == ""
+
 
 class TestGradcheckCli:
     @pytest.mark.parametrize("layer", ["neocell", "pointwise", "batchnorm", "gelu"])
@@ -167,6 +191,21 @@ class TestGradcheckCli:
         code = main(["gradcheck", "--layer", "neocell", "--h", "6", "--k", "4"])
         assert code == 1
         assert "error: group 0: height 6 not divisible" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "arg, message",
+        [
+            ("--eps=0", "eps must be > 0, got 0.0"),
+            ("--eps=-1e-5", "eps must be > 0, got -1e-05"),
+            ("--entries=-1", "entries_per_param must be >= 1 or None, got -1"),
+        ],
+    )
+    def test_bad_probe_settings_exit_1(self, arg, message, capsys):
+        code = main(["gradcheck", "--layer", "gelu", "--c", "1", "--h", "2", "--w", "2", arg])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: fd_check: {message}\n"
+        assert captured.out == ""
 
 
 class TestTrainCli:

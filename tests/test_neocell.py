@@ -15,7 +15,6 @@ from neonext.neocell import (
     cell_forward,
     forward_blockdiag,
     forward_patchwise,
-    materialize_block_diagonal,
     merge_parts,
     neocell_backward,
     neoinit_params,
@@ -30,7 +29,7 @@ def scalar_loop_forward(x, spec, params):
     """Independent oracle: every patch's L @ X, then (L @ X) @ R, as scalar
     loops that accumulate from 0.0 in ascending k."""
     n, C, H, W = x.dims
-    oh, ow = output_shape(spec, (H, W))
+    _, _, oh, ow = output_shape(spec, x.dims)
     out = np.zeros((n, C, oh, ow))
     xs = x.array
     for g in spec.groups:
@@ -89,7 +88,7 @@ class TestSpecValidation:
     def test_output_size_agreement(self):
         spec = NeoCellSpec((GroupSpec(0, 1, 4, 4, 4, 4), GroupSpec(1, 2, 2, 2, 1, 1)))
         with pytest.raises(ShapeError, match="disagrees"):
-            spec.validate_input((8, 8))
+            spec.validate_input((1, 2, 8, 8))
 
     def test_param_shape_mismatch(self):
         spec = NeoCellSpec((GroupSpec(0, 1, 4, 4, 4, 4),))
@@ -101,15 +100,15 @@ class TestSpecValidation:
 class TestOutputShape:
     def test_square_7(self):
         spec = NeoCellSpec((GroupSpec(0, 1, 7, 7, 7, 7),))
-        assert output_shape(spec, (56, 56)) == (56, 56)
+        assert output_shape(spec, (1, 1, 56, 56)) == (1, 1, 56, 56)
 
     def test_downsample_2to1(self):
         spec = NeoCellSpec((GroupSpec(0, 1, 2, 2, 1, 1),))
-        assert output_shape(spec, (56, 56)) == (28, 28)
+        assert output_shape(spec, (1, 1, 56, 56)) == (1, 1, 28, 28)
 
     def test_upsample_height_only(self):
         spec = NeoCellSpec((GroupSpec(0, 1, 2, 1, 3, 1),))
-        assert output_shape(spec, (8, 8)) == (12, 8)
+        assert output_shape(spec, (1, 1, 8, 8)) == (1, 1, 12, 8)
 
     def test_full_dims(self):
         spec = NeoCellSpec((GroupSpec(0, 3, 2, 2, 1, 1),))
@@ -118,14 +117,22 @@ class TestOutputShape:
     def test_divisibility_error(self):
         spec = NeoCellSpec((GroupSpec(0, 1, 7, 7, 7, 7),))
         with pytest.raises(ShapeError):
-            output_shape(spec, (30, 28))
+            output_shape(spec, (1, 1, 30, 28))
+
+    @pytest.mark.parametrize("dims", [(56, 56), (1, 56, 56), (1, 1, 1, 56, 56)])
+    def test_dims_other_than_n_c_h_w_rejected(self, dims):
+        spec = NeoCellSpec((GroupSpec(0, 1, 7, 7, 7, 7),))
+        with pytest.raises(ShapeError, match=r"expected \(n, c, H, W\)"):
+            output_shape(spec, dims)
+        with pytest.raises(ShapeError, match=r"expected \(n, c, H, W\)"):
+            spec.validate_input(dims)
 
 
 class TestForwardPatchwise:
     def test_identity_bit_exact(self):
         spec = NeoCellSpec((GroupSpec(0, 2, 4, 4, 4, 4), GroupSpec(2, 3, 2, 2, 2, 2)))
         x = Tensor4(Rng(1).normal((2, 3, 8, 8), 1.0))
-        y = forward_patchwise(x, spec, neoinit_params(spec, Rng(0), noise=False))
+        y = forward_patchwise(x, spec, neoinit_params(spec, None))
         assert np.array_equal(y.array, x.array)
 
     def test_row_permutation_patch(self):
@@ -158,7 +165,7 @@ class TestForwardPatchwise:
 
     def test_non_divisible_input_is_hard_error(self):
         spec = NeoCellSpec((GroupSpec(0, 1, 4, 4, 4, 4),))
-        params = neoinit_params(spec, Rng(0), noise=False)
+        params = neoinit_params(spec, None)
         with pytest.raises(ShapeError, match="group 0.*height"):
             forward_patchwise(Tensor4(np.zeros((1, 1, 6, 8))), spec, params)
 
@@ -250,7 +257,8 @@ class TestShiftedKernel:
         gout = Rng(43).normal(x.shape, 1.0)
         gx, _ = neocell_backward(Tensor4(x), spec, params, Tensor4(gout))
         for g in spec.groups:
-            A, B = blockdiag_factors(g, params, *x.shape[2:])
+            L, R, _ = params.stacked(g)
+            A, B = blockdiag_factors(g, L, R, *x.shape[2:])
             want = A.swapaxes(-1, -2)[None] @ gout[:, g.start : g.stop] @ B.swapaxes(-1, -2)[None]
             assert np.abs(gx.array[:, g.start : g.stop] - want).max() <= 1e-10
 
@@ -288,50 +296,60 @@ class TestShiftedKernel:
 
 class TestMaterialize:
     def test_two_block_diagonal_layout(self):
-        g = GroupSpec(0, 1, 2, 2, 2, 2)
-        L = Matrix(Rng(5).normal((2, 2), 1.0))
-        R = Matrix(Rng(6).normal((2, 2), 1.0))
-        A, B = materialize_block_diagonal(g, L, R, 4, 4)
-        want_a = np.zeros((4, 4))
-        want_a[0:2, 0:2] = L.array
-        want_a[2:4, 2:4] = L.array
-        assert np.array_equal(A.array, want_a)
-        want_b = np.zeros((4, 4))
-        want_b[0:2, 0:2] = R.array
-        want_b[2:4, 2:4] = R.array
-        assert np.array_equal(B.array, want_b)
+        # two channels with different weights: each gets its own blocks
+        g = GroupSpec(0, 2, 2, 2, 2, 2)
+        L = Rng(5).normal((2, 2, 2), 1.0)
+        R = Rng(6).normal((2, 2, 2), 1.0)
+        A, B = blockdiag_factors(g, L, R, 4, 4)
+        for c in range(2):
+            want_a = np.zeros((4, 4))
+            want_a[0:2, 0:2] = L[c]
+            want_a[2:4, 2:4] = L[c]
+            assert np.array_equal(A[c], want_a)
+            want_b = np.zeros((4, 4))
+            want_b[0:2, 0:2] = R[c]
+            want_b[2:4, 2:4] = R[c]
+            assert np.array_equal(B[c], want_b)
 
     def test_identity_blocks_give_identity(self):
         g = GroupSpec(0, 1, 3, 3, 3, 3)
-        A, _ = materialize_block_diagonal(g, Matrix(np.eye(3)), Matrix(np.eye(3)), 9, 9)
-        assert np.array_equal(A.array, np.eye(9))
+        A, _ = blockdiag_factors(g, np.eye(3)[None], np.eye(3)[None], 9, 9)
+        assert np.array_equal(A, np.eye(9)[None])
 
     def test_shift_is_permutation_conjugation(self):
         # oracle: explicit P_s A P_s^T with P_s the cyclic shift matrix
         g0 = GroupSpec(0, 1, 3, 3, 3, 3, shift=0)
         g1 = GroupSpec(0, 1, 3, 3, 3, 3, shift=1)
-        L = Matrix(Rng(7).normal((3, 3), 1.0))
-        R = Matrix(Rng(8).normal((3, 3), 1.0))
-        A0, B0 = materialize_block_diagonal(g0, L, R, 6, 6)
-        A1, B1 = materialize_block_diagonal(g1, L, R, 6, 6)
+        L = Rng(7).normal((1, 3, 3), 1.0)
+        R = Rng(8).normal((1, 3, 3), 1.0)
+        A0, B0 = blockdiag_factors(g0, L, R, 6, 6)
+        A1, B1 = blockdiag_factors(g1, L, R, 6, 6)
         P = np.zeros((6, 6))
         for i in range(6):
             P[i, (i - 1) % 6] = 1.0
-        assert np.array_equal(A1.array, P @ A0.array @ P.T)
-        assert np.array_equal(B1.array, P @ B0.array @ P.T)
+        assert np.array_equal(A1[0], P @ A0[0] @ P.T)
+        assert np.array_equal(B1[0], P @ B0[0] @ P.T)
 
     def test_resampling_dims(self):
         g = GroupSpec(0, 1, 2, 2, 1, 1)
-        A, B = materialize_block_diagonal(g, Matrix([[0.5, 0.5]]), Matrix([[0.5], [0.5]]), 8, 6)
-        assert A.array.shape == (4, 8)
-        assert B.array.shape == (6, 3)
+        A, B = blockdiag_factors(g, np.array([[[0.5, 0.5]]]), np.array([[[0.5], [0.5]]]), 8, 6)
+        assert A.shape == (1, 4, 8)
+        assert B.shape == (1, 6, 3)
+
+    def test_factors_keep_the_weight_dtype(self):
+        g = GroupSpec(0, 2, 2, 2, 2, 2, shift=1)
+        L, R = (Rng(s).normal((2, 2, 2), 1.0).astype(np.float32) for s in (17, 18))
+        A, B = blockdiag_factors(g, L, R, 4, 6)
+        A64, B64 = blockdiag_factors(g, L.astype(np.float64), R.astype(np.float64), 4, 6)
+        assert A.dtype == B.dtype == np.float32
+        assert np.array_equal(A, A64) and np.array_equal(B, B64)
 
 
 class TestForwardBlockdiag:
     def test_identity_params(self):
         spec = NeoCellSpec((GroupSpec(0, 2, 4, 4, 4, 4),))
         x = Tensor4(Rng(9).normal((1, 2, 8, 8), 1.0))
-        y = forward_blockdiag(x, spec, neoinit_params(spec, Rng(0), noise=False))
+        y = forward_blockdiag(x, spec, neoinit_params(spec, None))
         assert np.abs(y.array - x.array).max() <= 1e-12
 
     def test_worked_two_block_example_exact(self):
@@ -384,8 +402,8 @@ class TestInvariants:
         c = 2
         down = NeoCellSpec((GroupSpec(0, c, 2, 2, 1, 1),))
         up = NeoCellSpec((GroupSpec(0, c, 1, 1, 2, 2),))
-        down_p = neoinit_params(down, Rng(0), noise=False)
-        up_p = neoinit_params(up, Rng(0), noise=False)
+        down_p = neoinit_params(down, None)
+        up_p = neoinit_params(up, None)
         x = Tensor4(Rng(16).normal((1, c, 8, 8), 1.0))
         y = forward_patchwise(forward_patchwise(x, down, down_p), up, up_p).array
         pooled = x.array.reshape(1, c, 4, 2, 4, 2).mean(axis=(3, 5))

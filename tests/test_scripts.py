@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from neonext.bench import BENCH_CSV_HEADER
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,3 +57,22 @@ def test_bench_sweep_skips_indivisible_k(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "skip k=3: 8 not divisible" in proc.stderr
     assert [ln.split(",")[4] for ln in out.read_text().splitlines()[1:]] == ["4", "4"]
+
+
+@pytest.mark.parametrize("ks", ["a", "0", "4,-7", "", "4,,7"])
+def test_bench_sweep_bad_ks_is_an_error_line(tmp_path, ks):
+    out = tmp_path / "sweep.csv"
+    proc = run_script("bench_sweep.py", "--c", "1", "--size", "8", "--ks", ks,
+                      "--iters", "1", "--warmup", "0", "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: --ks must be a comma list of positive integers, got {ks!r}\n"
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
+def test_bench_sweep_creates_missing_out_directory(tmp_path):
+    out = tmp_path / "runs" / "sweep.csv"
+    proc = run_script("bench_sweep.py", "--c", "1", "--size", "8", "--ks", "4",
+                      "--iters", "1", "--warmup", "0", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text().splitlines()[0] == BENCH_CSV_HEADER

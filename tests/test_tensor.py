@@ -22,10 +22,9 @@ def triple_loop_matmul(a, b):
 
 
 class TestTensor4:
-    def test_dims_and_strides(self):
+    def test_dims(self):
         t = Tensor4(np.zeros((2, 3, 4, 5)))
         assert t.dims == (2, 3, 4, 5)
-        assert t.strides == (60, 20, 5, 1)
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(ShapeError):

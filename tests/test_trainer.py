@@ -245,6 +245,19 @@ _path = st.text(
     st.characters(categories=("L", "N"), include_characters="/._-=# "), max_size=24
 ).map(str.strip)
 
+
+def _optimizers(kind, weight_decay):
+    return st.builds(
+        OptimSpec,
+        kind=st.just(kind),
+        lr=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        momentum=_unit,
+        betas=st.tuples(_unit, _unit),
+        weight_decay=weight_decay,
+        grad_clip=st.none() | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+
+
 _configs = st.builds(
     RunConfig,
     model=st.sampled_from(sorted(MODEL_SPECS)),
@@ -253,15 +266,8 @@ _configs = st.builds(
     classes=st.integers(2, 1000),
     synth_train=st.integers(1, 10**6),
     synth_val=st.integers(1, 10**6),
-    optimizer=st.builds(
-        OptimSpec,
-        kind=st.sampled_from(["sgd-momentum", "adamw"]),
-        lr=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-        momentum=_unit,
-        betas=st.tuples(_unit, _unit),
-        weight_decay=_nonneg,
-        grad_clip=st.none() | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-    ),
+    # only adamw decays weights, so only adamw takes a non-zero weight_decay
+    optimizer=_optimizers("sgd-momentum", st.just(0.0)) | _optimizers("adamw", _nonneg),
     epochs=st.integers(0, 1000),
     warmup_epochs=st.integers(0, 1000),
     floor_lr=_nonneg,
@@ -422,6 +428,16 @@ class TestConfigFile:
     def test_reported_numeric_holes_rejected(self, line):
         with pytest.raises(ConfigError, match=line.split()[0]):
             parse_config(f"{CONFIG_HEADER}\n{line}\n")
+
+    @pytest.mark.parametrize("value", ["0.05", "1e-300"])
+    def test_weight_decay_needs_adamw(self, value):
+        # sgd_step has no decay term, so the value would silently change nothing
+        with pytest.raises(ConfigError, match="weight_decay"):
+            parse_config(f"{CONFIG_HEADER}\nweight_decay = {value}\n")
+        with pytest.raises(ConfigError, match="weight_decay"):
+            OptimSpec(kind="sgd-momentum", weight_decay=float(value))
+        cfg = parse_config(f"{CONFIG_HEADER}\noptimizer = adamw\nweight_decay = {value}\n")
+        assert cfg.optimizer.weight_decay == float(value)
 
     @settings(max_examples=200, deadline=None)
     @given(bad=_bad_lines)
