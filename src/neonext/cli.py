@@ -9,7 +9,8 @@ Subcommands:
 - ``init-dump``    write the left matrix ``init_part`` draws (binary + text grid)
 - ``equiv-check``  randomized patchwise vs block-diagonal agreement trials
 
-Exit codes: 0 success, 1 error or failed check, 2 training diverged.
+Exit codes: 0 success, 1 error, usage error or failed check, 2 training
+diverged.
 """
 
 from __future__ import annotations
@@ -24,13 +25,20 @@ import numpy as np
 from .bench import BENCH_OPS, append_bench_csv, bench as run_bench, check_bench_csv
 from .equiv import run_trials
 from .autodiff import Param, Tape, Val, backward, fd_check
-from .errors import ConfigError, DataError, ParameterError, ShapeError
+from .errors import ConfigError, DataError, ParameterError, ShapeError, UsageError
 from .model import ForwardCtx, build_model, named_spec, one_hot, softmax_cross_entropy
 from .neocell import GroupSpec, NeoCellSpec, init_part, merge_parts
 from .neoinit import format_grid
 from .rng import Rng
 from .tensor import Matrix, Tensor4, write_matrix
 from .trainer import parse_config, run_ablation, train_run
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors instead of exiting 2, the code for a diverged run."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _add_bench(sub):
@@ -238,7 +246,7 @@ def _cmd_equiv(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="neonext", description=__doc__.split("\n")[0])
+    parser = _Parser(prog="neonext", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     _add_bench(sub)
     _add_gradcheck(sub)
@@ -246,7 +254,11 @@ def main(argv=None) -> int:
     _add_ablate(sub)
     _add_init_dump(sub)
     _add_equiv(sub)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     handlers = {
         "bench": _cmd_bench,
         "gradcheck": _cmd_gradcheck,

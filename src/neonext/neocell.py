@@ -537,16 +537,16 @@ def _lx_view(buf: np.ndarray, x: np.ndarray, part: Part) -> np.ndarray:
     return buf[: math.prod(shape)].reshape(shape).transpose(1, 0, 2, 3)
 
 
-def cell_forward(x: np.ndarray, parts, weights, counter: MultCounter | None = None) -> np.ndarray:
+def cell_forward(x: np.ndarray, parts, weights, out: np.ndarray, counter: MultCounter | None = None) -> np.ndarray:
     """The part loop: ``part_forward`` on each part's channels of x.
 
-    ``weights`` holds one stacked (L, R, bias-or-None) per part.  The output
-    is allocated in x's memory order, so channel-major inputs give
-    channel-major outputs; one L x buffer serves every part.
+    ``weights`` holds one stacked (L, R, bias-or-None) per part.  Every
+    element of the caller's (n, c, H', W') ``out`` is written, and ``out``
+    is returned.  Callers pass ``np.empty_like(x, shape=…)``, so channel-major
+    inputs give channel-major outputs, or, in ``model.NeoCellLayer``, a
+    recycled array of that layout.  One L x buffer, allocated per call,
+    serves every part.
     """
-    p = parts[0]
-    n, c, H, W = x.shape
-    out = np.empty_like(x, shape=(n, c, H // p.h * p.h_out, W // p.w * p.w_out))
     buf = _lx_buffer(x, parts, weights)
     for part, (L, R, bias) in zip(parts, weights):
         s = slice(part.start, part.stop)
@@ -554,13 +554,13 @@ def cell_forward(x: np.ndarray, parts, weights, counter: MultCounter | None = No
     return out
 
 
-def cell_backward(x: np.ndarray, parts, weights, gy: np.ndarray):
+def cell_backward(x: np.ndarray, parts, weights, gy: np.ndarray, gx: np.ndarray):
     """Gradients of ``cell_forward`` for the output gradient ``gy``.
 
-    Returns (grad_x, grads) with grad_x in x's memory order and one
-    (grad_L, grad_R, grad_bias-or-None) per part, shaped like ``weights``.
+    Writes grad_x into the caller's ``gx``, shaped and laid out like x (as
+    ``cell_forward``'s ``out``), and returns (gx, grads) with one (grad_L,
+    grad_R, grad_bias-or-None) per part, shaped like ``weights``.
     """
-    gx = np.empty_like(x)
     buf = _lx_buffer(x, parts, weights)
     grads = []
     for part, (L, R, bias) in zip(parts, weights):
@@ -583,10 +583,10 @@ def forward_patchwise(
     counter: MultCounter | None = None,
 ) -> Tensor4:
     """Reference execution: the part loop on per-channel weights."""
-    spec.validate_input(x.dims)
+    out = np.empty_like(x.array, shape=output_shape(spec, x.dims))
     params.validate(spec)
     parts = merge_parts(spec)
-    return Tensor4(cell_forward(x.array, parts, _part_weights(spec, params, parts), counter))
+    return Tensor4(cell_forward(x.array, parts, _part_weights(spec, params, parts), out, counter))
 
 
 def neocell_backward(x: Tensor4, spec: NeoCellSpec, params: NeoCellParams, grad_out: Tensor4):
@@ -600,7 +600,7 @@ def neocell_backward(x: Tensor4, spec: NeoCellSpec, params: NeoCellParams, grad_
     if grad_out.dims[:2] != x.dims[:2]:
         raise ShapeError(f"grad_out dims {grad_out.dims} do not match input {x.dims}")
     parts = merge_parts(spec)
-    gx, grads = cell_backward(x.array, parts, _part_weights(spec, params, parts), grad_out.array)
+    gx, grads = cell_backward(x.array, parts, _part_weights(spec, params, parts), grad_out.array, np.empty_like(x.array))
     gl = [Matrix(m) for gL, _, _ in grads for m in gL]
     gr = [Matrix(m) for _, gR, _ in grads for m in gR]
     gb = [Matrix(m) for _, _, gB in grads for m in gB] if spec.use_bias else None

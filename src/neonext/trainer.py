@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Grads, Param, Tape, Val, backward
-from .data import AUGMENT_POLICIES, Batch, BatchPlan, Dataset, augment, batches, load_cifar10, split_dataset, synth_task
+from .data import AUGMENT_POLICIES, BatchPlan, Dataset, augment, batches, load_cifar10, split_dataset, synth_task
 from .errors import ConfigError, NumericError
 from .model import (
     ForwardCtx,

@@ -15,7 +15,6 @@ import pytest
 from neonext.autodiff import Param, Tape, Val, backward, fd_check
 from neonext.bench import BENCH_CSV_HEADER, counted_dwconv, counted_neocell, flops_dwconv, flops_neocell
 from neonext.cli import main as cli_main
-from neonext.data import synth_task
 from neonext.equiv import run_trials
 from neonext.model import (
     ForwardCtx,
@@ -27,15 +26,14 @@ from neonext.model import (
 )
 from neonext.neocell import (
     GroupSpec,
-    NeoCellParams,
     NeoCellSpec,
     forward_patchwise,
     neoinit_params,
 )
 from neonext.neoinit import neoinit_pattern
 from neonext.rng import Rng
-from neonext.tensor import Matrix, Tensor4
-from neonext.trainer import OptimSpec, RunConfig, run_ablation
+from neonext.tensor import Tensor4
+from neonext.trainer import RunConfig, run_ablation
 
 REAL_CIFAR_DIR = os.environ.get("CIFAR10_DIR", "")
 

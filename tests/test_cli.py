@@ -272,3 +272,30 @@ class TestAblateCli:
         assert main(["ablate", "--config", str(cfg), "--seeds", seeds]) == 1
         assert capsys.readouterr().err.startswith(message)
         assert not (tmp_path / "out").exists()
+
+
+class TestUsageErrors:
+    """argparse's own errors exit 1 like every other error: 2 means diverged."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "error: neonext: the following arguments are required: command"),
+            (["frobnicate"], "error: neonext: argument command: invalid choice: 'frobnicate'"),
+            (["bench", "--op", "foo"], "error: neonext bench: argument --op: invalid choice: 'foo'"),
+            # argparse reads -1e-5 as an option; --eps=-1e-5 reaches fd_check's own eps check
+            (["gradcheck", "--eps", "-1e-5"], "error: neonext gradcheck: argument --eps: expected one argument"),
+            (["train"], "error: neonext train: the following arguments are required: --config"),
+            (["ablate", "--config"], "error: neonext ablate: argument --config: expected one argument"),
+            (["init-dump", "--rows", "3"], "error: neonext init-dump: the following arguments are required: --cols"),
+            (["equiv-check", "--trials", "x"], "error: neonext equiv-check: argument --trials: invalid int value: 'x'"),
+        ],
+        ids=["no-command", "unknown-command", "bench", "gradcheck", "train", "ablate", "init-dump", "equiv-check"],
+    )
+    def test_usage_error_exits_1(self, argv, message, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(message)
+
+    def test_negative_eps_with_equals_is_a_typed_error(self, capsys):
+        assert main(["gradcheck", "--eps=-1e-5"]) == 1
+        assert capsys.readouterr().err.startswith("error: fd_check: eps must be > 0")

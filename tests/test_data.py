@@ -10,7 +10,6 @@ from neonext.data import (
     BatchPlan,
     CIFAR_TRAIN_FILES,
     CIFAR_TEST_FILE,
-    Dataset,
     apply_mixup,
     augment,
     batch_order,
@@ -24,7 +23,6 @@ from neonext.data import (
 )
 from neonext.errors import ConfigError, DataError
 from neonext.rng import Rng
-from neonext.tensor import Tensor4
 
 REAL_CIFAR_DIR = os.environ.get("CIFAR10_DIR", "")
 

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from neonext.model import (
     BlockSpec,
     ForwardCtx,
     ModelSpec,
+    RECYCLE_MIN_BYTES,
     NeoCellLayer,
     analytic_param_count,
     build_model,
@@ -25,13 +28,14 @@ from neonext.model import (
 from neonext.autodiff import Val
 from neonext.neocell import (
     GroupSpec,
+    NeoCellParams,
     NeoCellSpec,
     forward_blockdiag,
     forward_patchwise,
     neocell_backward,
 )
 from neonext.rng import Rng
-from neonext.tensor import Tensor4
+from neonext.tensor import Matrix, Tensor4
 
 
 class TestStageGroups:
@@ -181,8 +185,80 @@ class TestNeoCellLayerKernel:
                     assert np.array_equal(grads[p.name], want)
 
 
+def layer_params(layer):
+    """A layer's stacked part weights as per-channel ``NeoCellParams``."""
+    left = [Matrix(m) for pl, _, _ in layer.part_params for m in pl.array]
+    right = [Matrix(m) for _, pr, _ in layer.part_params for m in pr.array]
+    return NeoCellParams(left, right)
+
+
 class TestNeoCellLayerAliasing:
-    """The kernel reads its inputs in place and writes only fresh arrays."""
+    """The layer reads its inputs in place and never writes an array that
+    anything but the layer still references."""
+
+    RECYCLE_SPEC = NeoCellSpec((GroupSpec(0, 4, 4, 4, 4, 4), GroupSpec(4, 8, 4, 4, 4, 4, shift=3)))
+    BIG = (2, 8, 256, 256)    # 8 MiB of float64
+    SMALL = (2, 8, 8, 8)
+
+    def recycle_case(self, dims):
+        assert (np.prod(dims) * 8 >= RECYCLE_MIN_BYTES) == (dims == self.BIG)
+        rng = Rng(40)
+        layer = NeoCellLayer("cell", self.RECYCLE_SPEC, rng)
+        return layer, [rng.normal(dims, 1.0) for _ in range(4)]
+
+    @staticmethod
+    def step(layer, x, gout):
+        """One forward and backward: the (output, grad_x) arrays."""
+        xp = Param("x", x)
+        tape = Tape()
+        out = layer.forward(xp, tape, ForwardCtx())
+        tape.record(Val(0.0), (out,), lambda g: (gout,))
+        return out.array, backward(tape)["x"]
+
+    def test_held_results_survive_the_next_call(self):
+        layer, (x1, g1, x2, g2) = self.recycle_case(self.BIG)
+        out1, gx1 = self.step(layer, x1, g1)
+        want = out1.copy(), gx1.copy()
+        out2, gx2 = self.step(layer, x2, g2)
+        assert np.array_equal(out1, want[0]) and np.array_equal(gx1, want[1])
+        assert not np.shares_memory(out1, out2) and not np.shares_memory(gx1, gx2)
+
+    def test_dropped_results_are_reused(self):
+        layer, (x1, g1, x2, g2) = self.recycle_case(self.BIG)
+        refs = [weakref.ref(a) for a in self.step(layer, x1, g1)]
+        out2, gx2 = self.step(layer, x2, g2)
+        assert refs[0]() is out2 and refs[1]() is gx2
+        assert np.shares_memory(refs[0](), out2) and np.shares_memory(refs[1](), gx2)
+
+    def test_held_view_blocks_reuse(self):
+        layer, (x1, g1, x2, g2) = self.recycle_case(self.BIG)
+        out1, gx1 = self.step(layer, x1, g1)
+        views = out1[0], gx1[:, 1:]
+        want = [v.copy() for v in views]
+        del out1, gx1
+        out2, gx2 = self.step(layer, x2, g2)
+        assert all(np.array_equal(v, w) for v, w in zip(views, want))
+        assert not np.shares_memory(views[0], out2) and not np.shares_memory(views[1], gx2)
+
+    def test_small_arrays_are_never_kept(self):
+        layer, (x1, g1, _, _) = self.recycle_case(self.SMALL)
+        refs = [weakref.ref(a) for a in self.step(layer, x1, g1)]
+        assert [r() for r in refs] == [None, None]
+
+    @pytest.mark.parametrize("first, second", [("c", "c"), ("cm", "cm"), ("c", "cm")])
+    def test_recycled_results_match_reference_path(self, first, second):
+        layout = {"c": np.asarray, "cm": to_channel_major}
+        layer, (x1, g1, x2, g2) = self.recycle_case(self.BIG)
+        # the first call leaves stale values in the arrays the second reuses
+        refs = [weakref.ref(a) for a in self.step(layer, layout[first](x1), layout[first](g1))]
+        out, gx = self.step(layer, layout[second](x2), layout[second](g2))
+        reused = first == second    # a new memory order gets fresh arrays
+        assert (refs[0]() is out, refs[1]() is gx) == (reused, reused)
+        assert channel_major(out) == channel_major(gx) == (second == "cm")
+        params = layer_params(layer)
+        assert np.array_equal(out, forward_patchwise(Tensor4(x2), self.RECYCLE_SPEC, params).array)
+        gx_ref, _ = neocell_backward(Tensor4(x2), self.RECYCLE_SPEC, params, Tensor4(g2))
+        assert np.array_equal(gx, gx_ref.array)
 
     @pytest.mark.parametrize(
         "groups",

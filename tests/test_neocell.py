@@ -20,7 +20,6 @@ from neonext.neocell import (
     neoinit_params,
     output_shape,
 )
-from neonext.neoinit import neoinit_pattern
 from neonext.rng import Rng
 from neonext.tensor import Matrix, Tensor4
 
@@ -281,8 +280,9 @@ class TestShiftedKernel:
             xa = xp.array.transpose(1, 0, 2, 3) if channel_major else xp.array
             arrays = [tuple(None if p is None else p.array for p in triple) for triple in weights]
             if backward_of is None:
-                return float((cell_forward(xa, parts, arrays) * gout).sum())
-            return cell_backward(xa, parts, arrays, backward_of)
+                out = np.empty_like(xa, shape=output_shape(spec, xa.shape))
+                return float((cell_forward(xa, parts, arrays, out) * gout).sum())
+            return cell_backward(xa, parts, arrays, backward_of, np.empty_like(xa))
 
         gx, grads = run(gout)
         analytic = Grads({"x": gx.transpose(1, 0, 2, 3) if channel_major else gx})
