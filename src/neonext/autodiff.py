@@ -158,6 +158,8 @@ def fd_check(
     """
     if not eps > 0:
         raise ParameterError(f"fd_check: eps must be > 0, got {eps}")
+    if not (np.isfinite(threshold) and threshold >= 0):
+        raise ParameterError(f"fd_check: threshold must be finite and >= 0, got {threshold}")
     if entries_per_param is not None and entries_per_param < 1:
         raise ParameterError(f"fd_check: entries_per_param must be >= 1 or None, got {entries_per_param}")
     report = FdReport(threshold=threshold)

@@ -171,6 +171,9 @@ def _gradcheck_case(args):
 
 
 def _cmd_gradcheck(args) -> int:
+    for flag in ("c", "h", "w"):
+        if getattr(args, flag) < 1:
+            raise ConfigError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     loss_fn, params = _gradcheck_case(args)
     tape = Tape()
     loss_fn(tape)
@@ -233,6 +236,8 @@ def _cmd_init_dump(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    if not (np.isfinite(args.tol) and args.tol >= 0):
+        raise ConfigError(f"--tol must be finite and >= 0, got {args.tol}")
     results = run_trials(args.trials, args.seed)
     worst = max(r.max_abs_dev for r in results)
     if args.out:

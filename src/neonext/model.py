@@ -24,13 +24,23 @@ manifest.
 ``neocell.Part`` and runs ``neocell``'s one part loop, ``cell_forward`` and,
 on the tape, ``cell_backward``; ``neocell`` owns the patch layout.
 
-Activation layout: space-to-depth turns the C-ordered input into a
-channel-major array (memory of a C-contiguous (c, n, h, w) array, see
-``blocks``), and every later layer keeps that order up to the global pool,
-so pointwise layers and batchnorm work on free (c, n*h*w) views.  Layers
-allocate their outputs and input gradients in their input's memory order;
-``NeoCellLayer`` instead hands out its previous call's arrays again when
-they are large and nothing else references them (``_recycled``).
+Activation layout: layers take (n, c, h, w) arrays in any memory order,
+but they are built for channel-major ones, whose memory is that of a
+C-contiguous (c, n, h, w) array.  Space-to-depth makes the one layout copy,
+at the model's entry, and every later layer keeps that order up to the
+global pool.  Each channel's n*h*w values are then one contiguous row:
+``_channel_cols`` views them as a (c, n*h*w) matrix without a copy, so a
+pointwise layer is one bare GEMM, whose result ``_cols_to_nchw`` views as
+channel-major again, and batchnorm's reductions over (n, h, w) each sweep
+one row.  The other layers allocate their outputs and input gradients in
+their input's memory order; ``NeoCellLayer`` instead hands out its previous
+call's arrays again when they are large and nothing else references them
+(``_recycled``).
+
+Batchnorm normalizes with batch statistics in train mode and with its
+``running_mean``/``running_var`` in eval mode.  A train-mode forward with
+``update_stats`` folds the batch's mean and biased (population) variance
+into them with momentum ``BN_MOMENTUM``.
 
 Initialization: patch matrices via ``neocell.init_part`` (the
 identity/skewed-identity scheme with Gaussian noise, "neoinit", or, for the
@@ -47,21 +57,9 @@ from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
+from scipy.special import ndtr
 
 from .autodiff import Param, Tape, Val
-from .blocks import (
-    BatchNormStats,
-    _bn_eval_bwd,
-    _bn_eval_fwd,
-    _bn_train_bwd,
-    _bn_train_fwd,
-    _gelu_bwd,
-    _gelu_cdf,
-    _pw_bwd,
-    _pw_fwd,
-    _s2d_bwd,
-    _s2d_fwd,
-)
 from .errors import ConfigError, ParameterError, ShapeError
 from .neocell import GroupSpec, NeoCellSpec, cell_backward, cell_forward, init_part, merge_parts, output_shape
 from .rng import Rng
@@ -78,6 +76,9 @@ STAGE_POLICIES = ("mixed-shift", "mixed-shift", "mixed-shift", "single-7")
 # micro model's (at most 3 MiB) added ~2,000 faults per eval-micro op and
 # slowed it 5-10%.
 RECYCLE_MIN_BYTES = 8 << 20
+BN_EPS = 1e-8
+BN_MOMENTUM = 0.1
+_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -183,6 +184,19 @@ def _record(tape: Tape | None, out: Val, ins, back):
         tape.record(out, ins, back)
 
 
+def _channel_cols(a: np.ndarray) -> np.ndarray:
+    """(n, c, h, w) -> (c, n*h*w) per-channel rows: a view of a channel-major
+    ``a``, a copy otherwise."""
+    n, c, h, w = a.shape
+    return a.transpose(1, 0, 2, 3).reshape(c, n * h * w)
+
+
+def _cols_to_nchw(cols: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
+    """(c, n*h*w) rows -> channel-major (n, c, h, w) view of the same memory."""
+    c = cols.shape[0]
+    return cols.reshape(c, n, h, w).transpose(1, 0, 2, 3)
+
+
 @dataclass
 class ForwardCtx:
     mode: str = "eval"
@@ -235,23 +249,24 @@ class NeoCellLayer:
         out = self._recycled("out", x, self.out_shape(x.shape))
         weights = [(pl.array, pr.array, None if pb is None else pb.array) for pl, pr, pb in self.part_params]
         ov = Val(cell_forward(x, self.parts, weights, out))
-        if tape is not None:
 
-            def back(gout):
-                gx, grads = cell_backward(x, self.parts, weights, gout, self._recycled("gx", x, x.shape))
-                return [gx] + [g for triple in grads for g in triple if g is not None]
+        def back(gout):
+            gx, grads = cell_backward(x, self.parts, weights, gout, self._recycled("gx", x, x.shape))
+            return [gx] + [g for triple in grads for g in triple if g is not None]
 
-            tape.record(ov, (v, *self.params()), back)
+        _record(tape, ov, (v, *self.params()), back)
         return ov
 
 
 class BatchNormLayer:
+    """Batch normalization over (n, h, w) with per-channel gamma and beta."""
+
     def __init__(self, name: str, channels: int):
         self.name = name
-        self.channels = channels
         self.gamma = Param(f"{name}.gamma", np.ones(channels), "bn_gamma")
         self.beta = Param(f"{name}.beta", np.zeros(channels), "bn_beta")
-        self.stats = BatchNormStats.fresh(channels)
+        self.running_mean = np.zeros(channels)
+        self.running_var = np.ones(channels)
 
     def params(self):
         return [self.gamma, self.beta]
@@ -260,30 +275,46 @@ class BatchNormLayer:
         return dims
 
     def forward(self, v: Val, tape: Tape | None, ctx: ForwardCtx) -> Val:
-        x = v.array
+        x, gamma = v.array, self.gamma.array
         if ctx.mode == "train":
-            out, bctx = _bn_train_fwd(x, self.gamma.array, self.beta.array)
+            mu = x.mean(axis=(0, 2, 3))
+            xhat = x - mu[None, :, None, None]
+            # x.var(axis=(0, 2, 3)), rounded the same way, without its own subtraction
+            var = np.square(xhat).mean(axis=(0, 2, 3))
+            invstd = 1.0 / np.sqrt(var + BN_EPS)
+            xhat *= invstd[None, :, None, None]
+            out = gamma[None, :, None, None] * xhat
+            out += self.beta.array[None, :, None, None]
             if ctx.update_stats:
-                _, _, mu, var = bctx
-                self.stats.update(mu, var)
-            ov = Val(out)
-            if tape is not None:
-                gamma = self.gamma.array
-
-                def back(g):
-                    return _bn_train_bwd(bctx, gamma, g)
-
-                tape.record(ov, (v, self.gamma, self.beta), back)
-            return ov
-        out, scale = _bn_eval_fwd(x, self.gamma.array, self.beta.array, self.stats)
-        ov = Val(out)
-        if tape is not None:
-            stats = self.stats
+                self.running_mean = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mu
+                self.running_var = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
 
             def back(g):
-                return _bn_eval_bwd(x, scale, stats, g)
+                # gx = gamma*invstd * (g - mean(g) - xhat*mean(g*xhat)), per channel
+                m = g.shape[0] * g.shape[2] * g.shape[3]
+                gbeta = g.sum(axis=(0, 2, 3))
+                ggamma = (g * xhat).sum(axis=(0, 2, 3))
+                gx = xhat * (-ggamma / m)[None, :, None, None]
+                gx += g
+                gx -= (gbeta / m)[None, :, None, None]
+                gx *= (gamma * invstd)[None, :, None, None]
+                return gx, ggamma, gbeta
 
-            tape.record(ov, (v, self.gamma, self.beta), back)
+        else:
+            mean = self.running_mean
+            invstd = 1.0 / np.sqrt(self.running_var + BN_EPS)
+            scale = gamma * invstd
+            out = x * scale[None, :, None, None]
+            out += (self.beta.array - mean * scale)[None, :, None, None]
+
+            def back(g):
+                # the running stats are constants here
+                xhat = x - mean[None, :, None, None]
+                xhat *= invstd[None, :, None, None]
+                return g * scale[None, :, None, None], (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
+
+        ov = Val(out)
+        _record(tape, ov, (v, self.gamma, self.beta), back)
         return ov
 
 
@@ -302,20 +333,24 @@ class PointwiseLayer:
         return (n, self.weight.array.shape[0], h, w)
 
     def forward(self, v: Val, tape: Tape | None, ctx: ForwardCtx) -> Val:
-        x = v.array
-        out = _pw_fwd(x, self.weight.array, self.bias.array)
-        ov = Val(out)
-        if tape is not None:
-            W = self.weight.array
+        x, W = v.array, self.weight.array
+        n, c, h, w = x.shape
+        out = W @ _channel_cols(x)
+        out += self.bias.array[:, None]
+        ov = Val(_cols_to_nchw(out, n, h, w))
 
-            def back(g):
-                return _pw_bwd(x, W, g)
+        def back(g):
+            g_cols = _channel_cols(g)
+            gx = _cols_to_nchw(W.T @ g_cols, n, h, w)
+            return gx, g_cols @ _channel_cols(x).T, g_cols.sum(axis=1)
 
-            tape.record(ov, (v, self.weight, self.bias), back)
+        _record(tape, ov, (v, self.weight, self.bias), back)
         return ov
 
 
 class GeluLayer:
+    """Exact GELU, x * Phi(x) with Phi the standard normal CDF."""
+
     name = "gelu"
 
     def params(self):
@@ -326,9 +361,21 @@ class GeluLayer:
 
     def forward(self, v: Val, tape: Tape | None, ctx: ForwardCtx) -> Val:
         x = v.array
-        cdf = _gelu_cdf(x)
+        cdf = ndtr(x)
         ov = Val(x * cdf)
-        _record(tape, ov, (v,), lambda g: (_gelu_bwd(x, g, cdf),))
+
+        def back(g):
+            # g * (Phi(x) + x * phi(x)), built in one buffer
+            d = np.square(x)
+            d *= -0.5
+            np.exp(d, out=d)
+            d *= x
+            d *= _INV_SQRT2PI
+            d += cdf
+            d *= g
+            return (d,)
+
+        _record(tape, ov, (v,), back)
         return ov
 
 
@@ -348,9 +395,16 @@ class SpaceToDepthLayer:
 
     def forward(self, v: Val, tape: Tape | None, ctx: ForwardCtx) -> Val:
         p = self.p
-        self.out_shape(v.array.shape)   # ShapeError on an indivisible input
-        ov = Val(_s2d_fwd(v.array, p))
-        _record(tape, ov, (v,), lambda g: (_s2d_bwd(g, p),))
+        n, c, H, W = v.array.shape
+        _, cpp, h, w = self.out_shape((n, c, H, W))   # ShapeError on an indivisible input
+        # the model's one layout copy, into channel-major order
+        a = v.array.reshape(n, c, h, p, w, p).transpose(1, 3, 5, 0, 2, 4).reshape(cpp, n, h, w)
+        ov = Val(a.transpose(1, 0, 2, 3))
+
+        def back(g):
+            return (g.reshape(n, c, p, p, h, w).transpose(0, 1, 4, 2, 5, 3).reshape(n, c, H, W),)
+
+        _record(tape, ov, (v,), back)
         return ov
 
 
@@ -435,15 +489,9 @@ class LinearLayer:
         return (dims[0], self.weight.array.shape[0])
 
     def forward(self, v: Val, tape: Tape | None, ctx: ForwardCtx) -> Val:
-        x = v.array
-        ov = Val(x @ self.weight.array.T + self.bias.array[None])
-        if tape is not None:
-            W = self.weight.array
-
-            def back(g):
-                return g @ W, g.T @ x, g.sum(axis=0)
-
-            tape.record(ov, (v, self.weight, self.bias), back)
+        x, W = v.array, self.weight.array
+        ov = Val(x @ W.T + self.bias.array[None])
+        _record(tape, ov, (v, self.weight, self.bias), lambda g: (g @ W, g.T @ x, g.sum(axis=0)))
         return ov
 
 
@@ -521,13 +569,7 @@ def softmax_cross_entropy(tape: Tape | None, logits: Val, targets: np.ndarray) -
     logp = zs - lse
     n = z.shape[0]
     loss = Val(-(targets * logp).sum() / n)
-    if tape is not None:
-        p = np.exp(logp)
-
-        def back(g):
-            return (np.asarray(g) * (p - targets) / n,)
-
-        tape.record(loss, (logits,), back)
+    _record(tape, loss, (logits,), lambda g: (np.asarray(g) * (np.exp(logp) - targets) / n,))
     return loss
 
 
@@ -643,7 +685,7 @@ def save_checkpoint(model: Model, directory: str | Path) -> None:
         write_tensor(d / fname, _pack4(p.array))
         index.append(f"{p.name}\t{fname}\t{','.join(map(str, p.array.shape))}")
     for j, bn in enumerate(model.bn_layers()):
-        for stat, arr in (("mean", bn.stats.mean), ("var", bn.stats.var)):
+        for stat, arr in (("mean", bn.running_mean), ("var", bn.running_var)):
             fname = f"params/stats{j:04d}_{stat}.t4"
             write_tensor(d / fname, _pack4(arr))
             index.append(f"{bn.name}.running_{stat}\t{fname}\t{arr.size}")
@@ -666,8 +708,8 @@ def load_checkpoint(model: Model, directory: str | Path) -> None:
             raise ConfigError(f"checkpoint manifest line {i} reads {got!r}, the model's reads {want!r}")
     targets = {p.name: p.array for p in model.params()}
     for bn in model.bn_layers():
-        targets[f"{bn.name}.running_mean"] = bn.stats.mean
-        targets[f"{bn.name}.running_var"] = bn.stats.var
+        targets[f"{bn.name}.running_mean"] = bn.running_mean
+        targets[f"{bn.name}.running_var"] = bn.running_var
     entries = {}
     for line in (d / "index.txt").read_text().splitlines():
         fields = line.split("\t")

@@ -20,7 +20,7 @@ The kernel never gathers patches: it runs two band GEMMs on views of
 (n, c, H/h*h_out*W/w, w) rows of each flattened plane, whose product is
 already the output layout.  The views only need each (H, W) plane
 contiguous, so the kernel runs on C-ordered arrays and on the channel-major
-ones a model passes (see ``blocks``); where every channel holds one
+ones a model passes (see ``model``); where every channel holds one
 contiguous (n, H, W) block, as in channel-major arrays, the products along
 W take the n images of a channel as one GEMM.  L goes first, which is the
 order ``MultCounter`` counts: h_out*h*w + h_out*w*w_out multiplies per patch.

@@ -296,7 +296,9 @@ class TestFdCheck:
         assert "alpha" in text and "beta" in text
 
     @pytest.mark.parametrize("kwargs", [{"eps": 0.0}, {"eps": -1e-5}, {"eps": float("nan")},
-                                        {"entries_per_param": 0}, {"entries_per_param": -1}])
+                                        {"entries_per_param": 0}, {"entries_per_param": -1},
+                                        {"threshold": -1e-4}, {"threshold": float("nan")},
+                                        {"threshold": float("inf")}])
     def test_bad_probe_settings_are_parameter_errors(self, kwargs):
         p = Param("p", np.ones(4))
         with pytest.raises(ParameterError, match=next(iter(kwargs))):

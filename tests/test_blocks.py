@@ -1,10 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from neonext.blocks import BatchNormStats, _channel_cols, _gelu_cdf, _pw_bwd, _pw_fwd
-from neonext.autodiff import Param, Tape, Val, backward
+from neonext.autodiff import Param, Tape, Val, backward, fd_check
 from neonext.errors import ShapeError
 from neonext.model import (
     BatchNormLayer,
@@ -103,16 +103,41 @@ class TestPointwise:
 
     def test_channel_major_input_runs_without_layout_copies(self):
         rng = Rng(11)
-        a = rng.normal((3, 2, 4, 5), 1.0).transpose(1, 0, 2, 3)   # (n, c, h, w) = (2, 3, 4, 5), channel-major
-        cols = _channel_cols(a)
-        assert np.shares_memory(cols, a)
-        assert np.array_equal(cols, a.transpose(1, 0, 2, 3).reshape(3, 40))
-        W, g = rng.normal((6, 3), 1.0), rng.normal((6, 2, 4, 5), 1.0).transpose(1, 0, 2, 3)
-        y = _pw_fwd(a, W, np.zeros(6))
-        gx, _, _ = _pw_bwd(a, W, g)
+        layer = pointwise(rng.normal((12, 12), 1.0))
+        W = layer.weight.array
+
+        def run_on_tape(order):
+            """Output, input gradient and the traced peak bytes of forward and
+            backward, for an input and an output gradient in ``order``."""
+            x = rng.normal((12, 2, 40, 50), 1.0).transpose(1, 0, 2, 3)   # (n, c, h, w), channel-major
+            g = rng.normal((12, 2, 40, 50), 1.0).transpose(1, 0, 2, 3)
+            if order == "C":
+                x, g = np.ascontiguousarray(x), np.ascontiguousarray(g)
+            tape = Tape()
+            tracemalloc.start()
+            try:
+                y = layer.forward(Val(x), tape, ForwardCtx())
+                fwd_peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                gx, _, _ = tape.nodes[-1].backward_fn(g)
+                bwd_peak = tracemalloc.get_traced_memory()[1] - held
+            finally:
+                tracemalloc.stop()
+            return x, g, y.array, gx, fwd_peak, bwd_peak
+
+        x, g, y, gx, fwd_peak, bwd_peak = run_on_tape("channel-major")
         for out in (y, gx):
             assert out.transpose(1, 0, 2, 3).flags.c_contiguous
-        assert np.allclose(y, np.einsum("oc,nchw->nohw", W, a), rtol=0, atol=1e-14)
+        assert np.allclose(y, np.einsum("oc,nchw->nohw", W, x), rtol=0, atol=1e-14)
+        assert np.allclose(gx, np.einsum("oc,nohw->nchw", W, g), rtol=0, atol=1e-14)
+        # each pass allocates its result and nothing of the input's size more
+        assert fwd_peak < y.nbytes + x.nbytes // 2
+        assert bwd_peak < gx.nbytes + g.nbytes // 2
+        # the bounds see a layout copy: C-ordered arrays need one per pass
+        x, g, y, gx, fwd_peak, bwd_peak = run_on_tape("C")
+        assert fwd_peak >= y.nbytes + x.nbytes
+        assert bwd_peak >= gx.nbytes + g.nbytes
 
     def test_channel_mismatch(self):
         # the layer runs no channel check of its own: build_model wires
@@ -142,23 +167,46 @@ class TestBatchNorm:
         layer = batchnorm(2)
         run(layer, x, mode="train", update_stats=True)
         mu = x.mean(axis=(0, 2, 3))
-        assert np.allclose(layer.stats.mean, 0.9 * 0.0 + 0.1 * mu, rtol=0, atol=1e-12)
+        assert np.allclose(layer.running_mean, 0.9 * 0.0 + 0.1 * mu, rtol=0, atol=1e-12)
 
-    def test_layer_and_function_share_the_stats_update(self):
+    def test_stats_update_is_momentum_0_1_with_biased_variance(self):
         x = Rng(8).normal((8, 2, 4, 4), 2.0) + 1.0
         layer = batchnorm(2)
         run(layer, x, mode="train", update_stats=True)
-        want = BatchNormStats.fresh(2)
-        want.update(x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3)))
-        assert np.array_equal(layer.stats.mean, want.mean)
-        assert np.array_equal(layer.stats.var, want.var)
+        assert np.array_equal(layer.running_mean, 0.9 * np.zeros(2) + 0.1 * x.mean(axis=(0, 2, 3)))
+        assert np.array_equal(layer.running_var, 0.9 * np.ones(2) + 0.1 * x.var(axis=(0, 2, 3)))
 
     def test_eval_does_not_touch_stats(self):
         x = Rng(8).normal((2, 2, 4, 4), 1.0)
         layer = batchnorm(2)
         run(layer, x, mode="eval", update_stats=True)
-        assert np.array_equal(layer.stats.mean, np.zeros(2))
-        assert np.array_equal(layer.stats.var, np.ones(2))
+        assert np.array_equal(layer.running_mean, np.zeros(2))
+        assert np.array_equal(layer.running_var, np.ones(2))
+
+    def test_eval_mode_gradients_match_central_differences(self):
+        rng = Rng(12)
+        layer = batchnorm(3, gamma=1.0 + rng.normal(3, 0.3), beta=rng.normal(3, 0.5))
+        layer.running_mean = rng.normal(3, 1.0)
+        layer.running_var = 0.5 + rng.uniform(3)
+        x = Param("x", rng.normal((2, 3, 4, 4), 1.0))
+        probe = 0.5 + rng.uniform(96).reshape(2, 3, 4, 4)
+        params = [x, layer.gamma, layer.beta]
+
+        def loss(tape=None):
+            """0.5 * sum((probe * bn(x))**2), with the running stats fixed."""
+            out = layer.forward(x, tape, ForwardCtx("eval"))
+            y = out.array
+            value = Val(0.5 * ((probe * y) ** 2).sum())
+            if tape is not None:
+                tape.record(value, (out,), lambda g: (g * probe * probe * y,))
+            return value
+
+        tape = Tape()
+        loss(tape)
+        grads = backward(tape)
+        assert set(grads) == {"x", "bn.gamma", "bn.beta"}
+        report = fd_check(lambda: float(loss().array), params, grads, threshold=1e-4)
+        assert report.passed, report.table()
 
     def test_affine_params(self):
         x = Rng(9).normal((4, 2, 3, 3), 1.0)
@@ -181,8 +229,9 @@ class TestGelu:
 
     def test_cdf_matches_erf_form_on_a_grid(self):
         x = np.linspace(-10.0, 10.0, 2001)
-        want = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x])
-        assert np.abs(_gelu_cdf(x) - want).max() <= 1e-15
+        want = np.array([v * 0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x])
+        got = run(GeluLayer(), x.reshape(1, 1, 1, -1)).reshape(-1)
+        assert (np.abs(got - want) <= 1e-15 * np.maximum(np.abs(x), 1.0)).all()
 
     def test_odd_part(self):
         # x*Phi(x) + (-x)*Phi(-x) = x*(Phi(x) - Phi(-x)) checked numerically

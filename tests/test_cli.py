@@ -92,6 +92,16 @@ class TestEquivCheck:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-10"])
+    def test_bad_tol_exits_1_before_any_trial(self, tol, tmp_path, capsys):
+        out = tmp_path / "equiv.csv"
+        assert main(["equiv-check", "--trials", "2", f"--tol={tol}", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --tol must be finite and >= 0, got {float(tol)}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestBenchCli:
     def test_runs_and_appends(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
@@ -198,6 +208,9 @@ class TestGradcheckCli:
             ("--eps=0", "eps must be > 0, got 0.0"),
             ("--eps=-1e-5", "eps must be > 0, got -1e-05"),
             ("--entries=-1", "entries_per_param must be >= 1 or None, got -1"),
+            ("--threshold=nan", "threshold must be finite and >= 0, got nan"),
+            ("--threshold=inf", "threshold must be finite and >= 0, got inf"),
+            ("--threshold=-1e-4", "threshold must be finite and >= 0, got -0.0001"),
         ],
     )
     def test_bad_probe_settings_exit_1(self, arg, message, capsys):
@@ -205,6 +218,22 @@ class TestGradcheckCli:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: fd_check: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "layer, flag, value",
+        [
+            ("pointwise", "c", "0"),
+            ("neocell", "h", "0"),
+            ("batchnorm", "c", "0"),
+            ("gelu", "h", "0"),
+            ("gelu", "w", "-1"),
+        ],
+    )
+    def test_empty_sizes_exit_1_before_any_work(self, layer, flag, value, capsys):
+        assert main(["gradcheck", "--layer", layer, f"--{flag}={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --{flag} must be >= 1, got {value}\n"
         assert captured.out == ""
 
 

@@ -427,8 +427,8 @@ class TestCheckpoint:
             assert a.name == b.name
             assert np.array_equal(a.array, b.array)
         for bn_a, bn_b in zip(model.bn_layers(), other.bn_layers()):
-            assert np.array_equal(bn_a.stats.mean, bn_b.stats.mean)
-            assert np.array_equal(bn_a.stats.var, bn_b.stats.var)
+            assert np.array_equal(bn_a.running_mean, bn_b.running_mean)
+            assert np.array_equal(bn_a.running_var, bn_b.running_var)
         assert np.array_equal(model.logits(x), other.logits(x))
 
     def test_missing_param_detected(self, tmp_path):

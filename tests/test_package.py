@@ -45,3 +45,29 @@ def test_no_unused_imports():
         if (names := unused_imports(path.read_text()))
     }
     assert not found, found
+
+
+def private_imports(source: str) -> list[str]:
+    """``from m import _name`` imports: another module's private names."""
+    return [
+        f"line {node.lineno}: {'.' * node.level}{node.module or ''} {a.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+        if a.name.startswith("_") and not a.name.startswith("__")
+    ]
+
+
+def test_private_imports_detected():
+    source = "from .blocks import ok, _pw_fwd\nfrom . import _kernels\nfrom a import __version__\n"
+    assert private_imports(source) == ["line 1: .blocks _pw_fwd", "line 2: . _kernels"]
+
+
+def test_no_private_imports():
+    found = {
+        str(path.relative_to(ROOT)): names
+        for folder in ("src", "scripts")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        if (names := private_imports(path.read_text()))
+    }
+    assert not found, found
