@@ -6,25 +6,24 @@ multiply ratio alongside the measured timings.  Timings are informational;
 only the ratios are machine-independent.
 """
 
-import argparse
 import sys
 
 from neonext.bench import append_bench_csv, bench, check_bench_csv, neocell_to_dwconv_ratio
-from neonext.errors import ConfigError, DataError, ParameterError, ShapeError
+from neonext.cli import UsageParser
+from neonext.errors import ConfigError, DataError, ParameterError, ShapeError, UsageError
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = UsageParser(description=__doc__)
     ap.add_argument("--c", type=int, default=96)
     ap.add_argument("--size", type=int, default=56, help="square spatial size; must divide by every k")
     ap.add_argument("--ks", default="4,7")
     ap.add_argument("--iters", type=int, default=10)
     ap.add_argument("--warmup", type=int, default=2)
     ap.add_argument("--out", default="runs/bench_sweep.csv")
-    args = ap.parse_args()
     try:
-        return sweep(args)
-    except (ConfigError, DataError, ParameterError, ShapeError, OSError) as exc:
+        return sweep(ap.parse_args())
+    except (ConfigError, DataError, ParameterError, ShapeError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

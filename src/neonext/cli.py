@@ -34,7 +34,7 @@ from .tensor import Matrix, Tensor4, write_matrix
 from .trainer import parse_config, run_ablation, train_run
 
 
-class _Parser(argparse.ArgumentParser):
+class UsageParser(argparse.ArgumentParser):
     """Raises usage errors instead of exiting 2, the code for a diverged run."""
 
     def error(self, message):
@@ -251,7 +251,7 @@ def _cmd_equiv(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _Parser(prog="neonext", description=__doc__.split("\n")[0])
+    parser = UsageParser(prog="neonext", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     _add_bench(sub)
     _add_gradcheck(sub)

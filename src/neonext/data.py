@@ -189,6 +189,8 @@ def crop_with_pad(images: np.ndarray, offsets: np.ndarray, pad: int = 4) -> np.n
 
 def draw_mixup_lambda(rng: Rng, alpha: float) -> float:
     """Beta(alpha, alpha) draw via Johnk's rejection method."""
+    if not alpha > 0:
+        raise ParameterError(f"mixup alpha must be > 0, got {alpha}")
     inv = 1.0 / alpha
     for _ in range(200):
         u, v = rng.uniform(2)

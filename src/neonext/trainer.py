@@ -1,14 +1,15 @@
-"""Optimizers, LR schedule, the training loop, and the init-method ablation.
+"""SGD-momentum, the LR schedule, the training loop, and the init-method ablation.
 
-The desk-scale ablation protocol is pinned here: micro model, SGD with
-classical momentum 0.9, one warmup epoch ramping linearly to the peak rate
-followed by cosine annealing, batch size 64, basic augmentation, label
-smoothing 0.1, no weight decay, no gradient clipping.  Both init arms
-("neoinit" vs "random-normal") run under identical settings; a run whose
-loss turns non-finite is recorded as diverged rather than crashing.
+The desk-scale ablation protocol is pinned here, and it is the only one:
+micro model, SGD with classical momentum 0.9 (no weight decay or clipping),
+one warmup epoch ramping linearly to the peak rate followed by cosine
+annealing to 0, batch size 64, basic augmentation, label smoothing 0.1.
+Both init arms ("neoinit" vs "random-normal") run under identical settings;
+a run whose loss turns non-finite is recorded as diverged rather than crashing.
 
 Run config files are flat key = value text with the versioned header line
-``neonext-run-config v1``; see ``parse_config``.  Per-epoch CSV schema:
+``neonext-run-config v1``, one key per ``RunConfig`` field; see
+``parse_config``.  Per-epoch CSV schema:
 epoch,train_loss,val_loss,val_acc,lr,wall_time_s — everything except the
 trailing wall_time_s is a pure function of the config.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +43,6 @@ REFERENCE_ACC_NEOINIT = 88.45
 REFERENCE_ACC_RANDOM = 84.65
 REFERENCE_GAP_PP = 3.8
 
-_NO_DECAY_KINDS = {"bn_gamma", "bn_beta", "bias", "neocell_bias"}
-
 
 def _require_finite(spec, key: str, ok, rule: str) -> None:
     """ConfigError naming ``key`` unless its value is finite and ``ok``."""
@@ -58,29 +57,14 @@ _INT_FLOORS = {"classes": 2, "synth_train": 1, "synth_val": 1, "epochs": 0, "war
 
 @dataclass(frozen=True)
 class OptimSpec:
-    kind: str = "sgd-momentum"
+    """SGD-momentum's settings: ``sgd_step`` reads nothing else."""
     lr: float = 0.1
     momentum: float = 0.9
-    betas: tuple[float, float] = (0.9, 0.999)
-    weight_decay: float = 0.0
-    grad_clip: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("sgd-momentum", "adamw"):
-            raise ConfigError(f"optimizer kind must be sgd-momentum or adamw, got {self.kind!r}")
         _require_finite(self, "lr", lambda v: v > 0, "finite and > 0")
         if not (0.0 <= self.momentum < 1.0):
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        for i, b in enumerate(self.betas, 1):
-            if not (0.0 <= b < 1.0):
-                raise ConfigError(f"beta{i} must be in [0, 1), got {b}")
-        _require_finite(self, "weight_decay", lambda v: v >= 0, "finite and >= 0")
-        if self.weight_decay and self.kind != "adamw":
-            # sgd_step has no decay term: the value would change nothing
-            raise ConfigError(f"weight_decay {self.weight_decay} needs optimizer adamw, got {self.kind}")
-        if self.grad_clip is not None:
-            # clip_gradients scales by clip/norm: a negative clip would reverse every gradient
-            _require_finite(self, "grad_clip", lambda v: v > 0, "none or finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -88,7 +72,6 @@ class ScheduleSpec:
     warmup_epochs: int
     total_epochs: int
     peak_lr: float
-    floor_lr: float = 0.0
 
     def __post_init__(self):
         if self.warmup_epochs > self.total_epochs:
@@ -97,18 +80,29 @@ class ScheduleSpec:
             )
 
 
+class _TakesOptimizer(type):
+    """``RunConfig(optimizer=spec)`` means ``lr=spec.lr, momentum=spec.momentum`` (perfbench's tests use it)."""
+
+    def __call__(cls, *args, optimizer: OptimSpec | None = None, **kw):
+        if optimizer is not None:
+            if kw.keys() & {"lr", "momentum"}:
+                raise ConfigError("give optimizer, or lr and momentum, not both")
+            kw.update(lr=optimizer.lr, momentum=optimizer.momentum)
+        return super().__call__(*args, **kw)
+
+
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(metaclass=_TakesOptimizer):
     model: str = "neonext-micro"
     data: str = "synthetic"
     data_dir: str = ""
     classes: int = 10
     synth_train: int = 1920
     synth_val: int = 512
-    optimizer: OptimSpec = field(default_factory=OptimSpec)
+    lr: float = OptimSpec.lr
+    momentum: float = OptimSpec.momentum
     epochs: int = 3
     warmup_epochs: int = 1
-    floor_lr: float = 0.0
     batch_size: int = 64
     seeds: tuple[int, ...] = (1,)
     init: str = "neoinit"
@@ -137,25 +131,26 @@ class RunConfig:
         for key, least in _INT_FLOORS.items():
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
-        for key in ("floor_lr", "mixup_alpha"):
-            _require_finite(self, key, lambda v: v >= 0, "finite and >= 0")
+        # Beta(alpha, alpha) is undefined at alpha = 0
+        _require_finite(self, "mixup_alpha", lambda v: v > 0, "finite and > 0")
+        OptimSpec(self.lr, self.momentum)    # checks lr and momentum
+
+    @property
+    def optimizer(self) -> OptimSpec:
+        return OptimSpec(self.lr, self.momentum)
 
     def schedule(self) -> ScheduleSpec:
         # warmup clamps to the run length so short runs stay valid
-        return ScheduleSpec(min(self.warmup_epochs, self.epochs), self.epochs, self.optimizer.lr, self.floor_lr)
+        return ScheduleSpec(min(self.warmup_epochs, self.epochs), self.epochs, self.lr)
 
 
-# --------------------------------------------------------------- optimizers
+# ----------------------------------------------------------------- SGD
 
-def _check_finite(params: list[Param], grads: Grads) -> None:
+def sgd_step(params: list[Param], grads: Grads, state: dict, spec: OptimSpec, lr: float | None = None) -> None:
+    """Classical momentum: v <- mu*v + g; p <- p - lr*v, in place once every gradient is finite."""
     for p in params:
         if not np.all(np.isfinite(grads[p.name])):
             raise NumericError(f"non-finite gradient for parameter {p.name}")
-
-
-def sgd_step(params: list[Param], grads: Grads, state: dict, spec: OptimSpec, lr: float | None = None) -> None:
-    """Classical momentum: v <- mu*v + g; p <- p - lr*v (updates in place)."""
-    _check_finite(params, grads)
     lr = spec.lr if lr is None else lr
     for p in params:
         v = state.setdefault(p.name, np.zeros_like(p.array))
@@ -164,61 +159,20 @@ def sgd_step(params: list[Param], grads: Grads, state: dict, spec: OptimSpec, lr
         p.array -= lr * v
 
 
-def adamw_step(params: list[Param], grads: Grads, state: dict, spec: OptimSpec, lr: float | None = None) -> None:
-    """Decoupled weight decay with bias correction.
-
-    Decay is skipped for normalization parameters and biases.
-    """
-    _check_finite(params, grads)
-    lr = spec.lr if lr is None else lr
-    b1, b2 = spec.betas
-    eps = 1e-8
-    t = state.get("t", 0) + 1
-    state["t"] = t
-    c1 = 1.0 - b1**t
-    c2 = 1.0 - b2**t
-    for p in params:
-        g = grads[p.name]
-        m = state.setdefault(p.name + ".m", np.zeros_like(p.array))
-        v = state.setdefault(p.name + ".v", np.zeros_like(p.array))
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        update = (m / c1) / (np.sqrt(v / c2) + eps)
-        if spec.weight_decay and p.kind not in _NO_DECAY_KINDS:
-            update = update + spec.weight_decay * p.array
-        p.array -= lr * update
-
-
-def clip_gradients(params: list[Param], grads: Grads, max_norm: float) -> float:
-    """Scale all gradients so the global L2 norm is at most ``max_norm``."""
-    total = 0.0
-    for p in params:
-        g = grads[p.name]
-        total += float(np.dot(g.reshape(-1), g.reshape(-1)))
-    norm = math.sqrt(total)
-    if norm > max_norm and norm > 0:
-        scale = max_norm / norm
-        for p in params:
-            grads[p.name] = grads[p.name] * scale
-    return norm
-
-
 def lr_at(schedule: ScheduleSpec, step: int, steps_per_epoch: int) -> float:
-    """Linear 0 -> peak over the warmup steps, then cosine to the floor.
+    """Linear 0 -> peak over the warmup steps, then cosine to 0.
 
-    Degenerate zero-length schedules return the floor.
+    Degenerate zero-length schedules return 0.
     """
     warmup = schedule.warmup_epochs * steps_per_epoch
     total = schedule.total_epochs * steps_per_epoch
     if total == 0:
-        return schedule.floor_lr
+        return 0.0
     if warmup > 0 and step < warmup:
         return schedule.peak_lr * step / warmup
     span = max(total - warmup, 1)
     t = min(max((step - warmup) / span, 0.0), 1.0)
-    return schedule.floor_lr + (schedule.peak_lr - schedule.floor_lr) * 0.5 * (1.0 + math.cos(math.pi * t))
+    return schedule.peak_lr * 0.5 * (1.0 + math.cos(math.pi * t))
 
 
 # ----------------------------------------------------------------- running
@@ -342,13 +296,8 @@ def train_run(cfg: RunConfig, seed: int | None = None) -> RunReport:
                 losses.append(loss_val)
                 grads = backward(tape)
             lr = lr_at(schedule, step, steps_per_epoch)
-            if cfg.optimizer.grad_clip is not None:
-                clip_gradients(params, grads, cfg.optimizer.grad_clip)
             try:
-                if cfg.optimizer.kind == "sgd-momentum":
-                    sgd_step(params, grads, opt_state, cfg.optimizer, lr)
-                else:
-                    adamw_step(params, grads, opt_state, cfg.optimizer, lr)
+                sgd_step(params, grads, opt_state, cfg.optimizer, lr)
             except NumericError:
                 status = "diverged"
                 divergence_step = step
@@ -462,27 +411,10 @@ def run_ablation(base_cfg: RunConfig, seeds: list[int] | None = None) -> Ablatio
 CONFIG_HEADER = "neonext-run-config v1"
 
 
-def _config_pairs(cfg: RunConfig) -> list[tuple[str, object]]:
-    """A config file's ``(key, value)`` pairs in file order: RunConfig's
-    fields, with ``optimizer`` expanded in place into OptimSpec's fields
-    (``kind`` as ``optimizer``, ``betas`` as ``beta1`` and ``beta2``)."""
-    pairs: list[tuple[str, object]] = []
-    for f in fields(RunConfig):
-        if f.name != "optimizer":
-            pairs.append((f.name, getattr(cfg, f.name)))
-            continue
-        o = cfg.optimizer
-        pairs += [("optimizer", o.kind), ("lr", o.lr), ("momentum", o.momentum), ("beta1", o.betas[0]),
-                  ("beta2", o.betas[1]), ("weight_decay", o.weight_decay), ("grad_clip", o.grad_clip)]
-    return pairs
-
-
 def _convert(key: str, raw: str, default):
-    """Config value ``raw`` as the type of its default (``None`` only for grad_clip)."""
+    """Config value ``raw`` as the type of its default."""
     if isinstance(default, str):
         return raw
-    if default is None and raw.lower() in ("", "none"):
-        return None
     try:
         if isinstance(default, tuple):
             return tuple(int(s) for s in raw.split(",") if s.strip())
@@ -504,7 +436,7 @@ def parse_config(source: str | Path) -> RunConfig:
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or lines[0] != CONFIG_HEADER:
         raise ConfigError(f"config must start with the header line {CONFIG_HEADER!r}")
-    defaults = dict(_config_pairs(RunConfig()))
+    defaults = asdict(RunConfig())
     v, given = dict(defaults), set()
     for ln in lines[1:]:
         if "=" not in ln:
@@ -517,18 +449,13 @@ def parse_config(source: str | Path) -> RunConfig:
             raise ConfigError(f"duplicate config key {key!r}")
         given.add(key)
         v[key] = _convert(key, value.strip(), defaults[key])
-    # OptimSpec's fields keep their names as keys, except kind and betas
-    named = {f.name: v.pop(f.name) for f in fields(OptimSpec) if f.name in v}
-    opt = OptimSpec(kind=v.pop("optimizer"), betas=(v.pop("beta1"), v.pop("beta2")), **named)
-    return RunConfig(optimizer=opt, **v)
+    return RunConfig(**v)
 
 
 def write_config(cfg: RunConfig, path) -> None:
     lines = [CONFIG_HEADER]
-    for key, value in _config_pairs(cfg):
-        if value is None:
-            value = "none"
-        elif isinstance(value, tuple):
+    for key, value in asdict(cfg).items():
+        if isinstance(value, tuple):
             value = ",".join(map(str, value))
         lines.append(f"{key} = {value}")
     Path(path).write_text("\n".join(lines) + "\n")

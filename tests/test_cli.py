@@ -272,6 +272,13 @@ class TestTrainCli:
         assert main(["train", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("error: config key 'epochs'")
 
+    def test_removed_optimizer_key_exits_1_before_any_run(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        write_tiny_config(cfg, tmp_path / "out", optimizer="adamw")
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: unknown config key 'optimizer'\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exits_1(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.cfg")]) == 1
 

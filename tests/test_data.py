@@ -21,7 +21,7 @@ from neonext.data import (
     split_dataset,
     synth_task,
 )
-from neonext.errors import ConfigError, DataError
+from neonext.errors import ConfigError, DataError, ParameterError
 from neonext.rng import Rng
 
 REAL_CIFAR_DIR = os.environ.get("CIFAR10_DIR", "")
@@ -202,6 +202,12 @@ class TestAugment:
         draws = [draw_mixup_lambda(rng, 0.8) for _ in range(200)]
         assert all(0.0 <= l <= 1.0 for l in draws)
         assert np.std(draws) > 0.1   # actually spread out
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, float("nan")])
+    def test_mixup_lambda_needs_positive_alpha(self, alpha):
+        # Beta(0, 0) is undefined; alpha = 0 used to end in a ZeroDivisionError
+        with pytest.raises(ParameterError, match="alpha must be > 0"):
+            draw_mixup_lambda(Rng(3), alpha)
 
     def test_policies_frozen(self):
         assert AUGMENT_POLICIES == ("none", "basic", "basic+mixup")

@@ -70,6 +70,20 @@ def test_bench_sweep_bad_ks_is_an_error_line(tmp_path, ks):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--c", "abc"], "argument --c: invalid int value: 'abc'"),
+    (["--bogus"], "unrecognized arguments: --bogus"),
+])
+def test_bench_sweep_usage_error_exits_1(tmp_path, args, message):
+    # exit 2 is the CLI's diverged-run code, so a usage error must not use it
+    out = tmp_path / "sweep.csv"
+    proc = run_script("bench_sweep.py", *args, "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: bench_sweep.py: {message}\n"
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
 def test_bench_sweep_creates_missing_out_directory(tmp_path):
     out = tmp_path / "runs" / "sweep.csv"
     proc = run_script("bench_sweep.py", "--c", "1", "--size", "8", "--ks", "4",

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,6 @@ from neonext.trainer import (
     OptimSpec,
     RunConfig,
     ScheduleSpec,
-    adamw_step,
-    clip_gradients,
     lr_at,
     parse_config,
     run_ablation,
@@ -66,56 +65,6 @@ class TestSgd:
             sgd_step([p], Grads({"p0": np.array([np.inf])}), {}, OptimSpec())
 
 
-class TestAdamw:
-    def test_zero_grads_zero_decay_keep_params(self):
-        (p,) = make_params([[2.5]])
-        spec = OptimSpec(kind="adamw", lr=0.1, weight_decay=0.0)
-        state = {}
-        for _ in range(5):
-            adamw_step([p], Grads({"p0": np.array([0.0])}), state, spec)
-        assert p.array.item() == 2.5
-
-    def test_first_step_magnitude_is_lr(self):
-        (p,) = make_params([[0.0]])
-        spec = OptimSpec(kind="adamw", lr=0.01)
-        adamw_step([p], Grads({"p0": np.array([1.0])}), {}, spec)
-        assert np.isclose(abs(p.array.item()), 0.01, rtol=1e-6, atol=0)
-
-    def test_decay_only_is_geometric(self):
-        (p,) = make_params([[4.0]])
-        spec = OptimSpec(kind="adamw", lr=0.1, weight_decay=0.5)
-        state = {}
-        want = 4.0
-        for _ in range(7):
-            adamw_step([p], Grads({"p0": np.array([0.0])}), state, spec)
-            want *= 1.0 - 0.1 * 0.5
-            assert np.isclose(p.array.item(), want, rtol=1e-12, atol=0)
-
-    def test_decay_skipped_for_norm_and_bias_kinds(self):
-        gamma = Param("g", np.array([1.0]), kind="bn_gamma")
-        bias = Param("b", np.array([1.0]), kind="bias")
-        spec = OptimSpec(kind="adamw", lr=0.1, weight_decay=0.5)
-        adamw_step([gamma, bias], Grads({"g": np.zeros(1), "b": np.zeros(1)}), {}, spec)
-        assert gamma.array.item() == 1.0
-        assert bias.array.item() == 1.0
-
-
-class TestClip:
-    def test_norm_bounded_exactly(self):
-        params = make_params([np.full(4, 3.0), np.full(9, 4.0)])
-        grads = Grads({p.name: p.array.copy() for p in params})
-        norm = clip_gradients(params, grads, 5.0)
-        assert norm > 5.0
-        clipped = math.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in grads.values()))
-        assert clipped <= 5.0 + 1e-12
-
-    def test_below_threshold_untouched(self):
-        params = make_params([[0.3]])
-        grads = Grads({"p0": np.array([0.3])})
-        clip_gradients(params, grads, 5.0)
-        assert grads["p0"].item() == 0.3
-
-
 class TestSchedule:
     def test_step_zero_is_zero_with_warmup(self):
         s = ScheduleSpec(1, 10, peak_lr=0.1)
@@ -126,16 +75,17 @@ class TestSchedule:
         assert lr_at(s, 200, 100) == 0.1
 
     def test_cosine_midpoint(self):
-        s = ScheduleSpec(0, 10, peak_lr=0.1, floor_lr=0.02)
-        assert abs(lr_at(s, 500, 100) - 0.06) <= 1e-12
+        s = ScheduleSpec(0, 10, peak_lr=0.1)
+        assert abs(lr_at(s, 500, 100) - 0.05) <= 1e-12
 
     def test_final_step_is_floor(self):
-        s = ScheduleSpec(1, 10, peak_lr=0.1, floor_lr=0.003)
-        assert abs(lr_at(s, 1000, 100) - 0.003) <= 1e-15
+        # the cosine anneals to a floor of 0
+        s = ScheduleSpec(1, 10, peak_lr=0.1)
+        assert lr_at(s, 1000, 100) == 0.0
 
     def test_zero_total_returns_floor(self):
-        s = ScheduleSpec(0, 0, peak_lr=0.1, floor_lr=0.001)
-        assert lr_at(s, 0, 100) == 0.001
+        s = ScheduleSpec(0, 0, peak_lr=0.1)
+        assert lr_at(s, 0, 100) == 0.0
 
     def test_continuous_at_warmup_junction(self):
         s = ScheduleSpec(1, 10, peak_lr=0.1)
@@ -197,7 +147,7 @@ class TestTrainRun:
         assert not Path(cfg.out_dir).exists()
 
     def test_divergence_reported_not_raised(self, tmp_path):
-        cfg = tiny_cfg(tmp_path, epochs=2, optimizer=OptimSpec(lr=1e9), init="random-normal")
+        cfg = tiny_cfg(tmp_path, epochs=2, lr=1e9, init="random-normal")
         report = train_run(cfg)
         assert report.status == "diverged"
         assert report.divergence_step is not None
@@ -239,22 +189,10 @@ class TestAblation:
 
 
 _unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
-_nonneg = st.floats(min_value=0.0, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _path = st.text(
     st.characters(categories=("L", "N"), include_characters="/._-=# "), max_size=24
 ).map(str.strip)
-
-
-def _optimizers(kind, weight_decay):
-    return st.builds(
-        OptimSpec,
-        kind=st.just(kind),
-        lr=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-        momentum=_unit,
-        betas=st.tuples(_unit, _unit),
-        weight_decay=weight_decay,
-        grad_clip=st.none() | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-    )
 
 
 _configs = st.builds(
@@ -265,17 +203,16 @@ _configs = st.builds(
     classes=st.integers(2, 1000),
     synth_train=st.integers(1, 10**6),
     synth_val=st.integers(1, 10**6),
-    # only adamw decays weights, so only adamw takes a non-zero weight_decay
-    optimizer=_optimizers("sgd-momentum", st.just(0.0)) | _optimizers("adamw", _nonneg),
+    lr=_positive,
+    momentum=_unit,
     epochs=st.integers(0, 1000),
     warmup_epochs=st.integers(0, 1000),
-    floor_lr=_nonneg,
     batch_size=st.integers(1, 4096),
     seeds=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=6, unique=True).map(tuple),
     init=st.sampled_from(["neoinit", "random-normal"]),
     augment=st.sampled_from(AUGMENT_POLICIES),
     label_smoothing=_unit,
-    mixup_alpha=_nonneg,
+    mixup_alpha=_positive,
     drop_path=_unit,
     out_dir=_path,
 )
@@ -287,13 +224,8 @@ _outside_unit = _negative | st.floats(min_value=1.0, allow_infinity=False).map(r
 _BAD_NUMBERS = {
     "lr": st.floats(max_value=0.0, allow_infinity=False).map(repr) | _nonfinite,
     "momentum": _outside_unit | _nonfinite,
-    "beta1": _outside_unit | _nonfinite,
-    "beta2": _outside_unit | _nonfinite,
-    "weight_decay": _negative | _nonfinite,
-    "grad_clip": st.floats(max_value=0.0, allow_infinity=False).map(repr) | _nonfinite,
-    "floor_lr": _negative | _nonfinite,
     "label_smoothing": _outside_unit | _nonfinite,
-    "mixup_alpha": _negative | _nonfinite,
+    "mixup_alpha": _negative | _nonfinite | st.just("0"),
     "drop_path": _outside_unit | _nonfinite,
     "classes": st.integers(max_value=1).map(str),
     "synth_train": st.integers(max_value=0).map(str),
@@ -317,7 +249,8 @@ class TestConfigFile:
 
     def test_roundtrip(self, tmp_path):
         cfg = RunConfig(
-            optimizer=OptimSpec(kind="adamw", lr=0.004, weight_decay=0.05, grad_clip=1.0),
+            lr=0.004,
+            momentum=0.5,
             seeds=(3, 4, 5),
             augment="basic+mixup",
             out_dir="runs/x",
@@ -338,16 +271,10 @@ class TestConfigFile:
             "classes = 10",
             "synth_train = 1920",
             "synth_val = 512",
-            "optimizer = sgd-momentum",
             "lr = 0.1",
             "momentum = 0.9",
-            "beta1 = 0.9",
-            "beta2 = 0.999",
-            "weight_decay = 0.0",
-            "grad_clip = none",
             "epochs = 3",
             "warmup_epochs = 1",
-            "floor_lr = 0.0",
             "batch_size = 64",
             "seeds = 1",
             "init = neoinit",
@@ -358,6 +285,32 @@ class TestConfigFile:
             "out_dir = runs/out",
             "",
         ]
+
+    def test_keys_are_the_run_config_fields(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        write_config(RunConfig(), path)
+        keys = [ln.split(" = ")[0] for ln in path.read_text().splitlines()[1:]]
+        assert keys == [f.name for f in fields(RunConfig)]
+        assert len(keys) == 18
+        assert [f.name for f in fields(OptimSpec)] == ["lr", "momentum"]
+
+    def test_optimizer_is_lr_and_momentum(self):
+        cfg = RunConfig(optimizer=OptimSpec(lr=0.5, momentum=0.25))
+        assert cfg == RunConfig(lr=0.5, momentum=0.25)
+        assert cfg.optimizer == OptimSpec(0.5, 0.25)
+        assert replace(cfg, lr=0.1).optimizer == OptimSpec(0.1, 0.25)
+        with pytest.raises(ConfigError, match="not both"):
+            RunConfig(optimizer=OptimSpec(lr=0.5), lr=0.5)
+        with pytest.raises(AttributeError):
+            cfg.optimizer = OptimSpec()
+
+    def test_readme_example_parses(self):
+        # the docs may show only keys the parser takes
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Run configuration files", 1)[1]
+        block = section.split("```", 2)[1]
+        cfg = parse_config(block)
+        assert cfg.seeds == (1, 2, 3, 4, 5) and cfg.out_dir == "runs/demo"
 
     def test_header_only_file_is_the_default_config(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -373,6 +326,12 @@ class TestConfigFile:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config(f"{CONFIG_HEADER}\nlearning_rate = 0.1\n")
+
+    @pytest.mark.parametrize("key", ["optimizer", "beta1", "beta2", "weight_decay", "grad_clip", "floor_lr"])
+    def test_removed_optimizer_key_rejected(self, key):
+        # AdamW, gradient clipping and the LR floor are gone: a file that sets them is refused
+        with pytest.raises(ConfigError, match=f"^unknown config key '{key}'$"):
+            parse_config(f"{CONFIG_HEADER}\n{key} = 0.5\n")
 
     def test_bad_init_rejected(self):
         with pytest.raises(ConfigError, match="init"):
@@ -409,34 +368,15 @@ class TestConfigFile:
         cfg = parse_config(f"{CONFIG_HEADER}\n\n# a comment\nepochs = 7\n")
         assert cfg.epochs == 7
 
-    def test_grad_clip_none(self):
-        cfg = parse_config(f"{CONFIG_HEADER}\ngrad_clip = none\n")
-        assert cfg.optimizer.grad_clip is None
-
-    @pytest.mark.parametrize("value", ["-1.0", "0", "nan", "inf", "-inf"])
-    def test_grad_clip_must_be_none_or_finite_positive(self, value):
-        # a negative clip used to scale every gradient by -1/norm
-        with pytest.raises(ConfigError, match="grad_clip"):
-            parse_config(f"{CONFIG_HEADER}\ngrad_clip = {value}\n")
-        assert parse_config(f"{CONFIG_HEADER}\ngrad_clip = 0.5\n").optimizer.grad_clip == 0.5
-
     @pytest.mark.parametrize(
         "line",
-        ["lr = nan", "lr = inf", "weight_decay = nan", "floor_lr = nan", "mixup_alpha = -1", "epochs = -2"],
+        # weight_decay and floor_lr are keys no longer, so their lines are refused as unknown
+        ["lr = nan", "lr = inf", "weight_decay = nan", "floor_lr = nan", "mixup_alpha = -1", "mixup_alpha = 0",
+         "epochs = -2"],
     )
     def test_reported_numeric_holes_rejected(self, line):
         with pytest.raises(ConfigError, match=line.split()[0]):
             parse_config(f"{CONFIG_HEADER}\n{line}\n")
-
-    @pytest.mark.parametrize("value", ["0.05", "1e-300"])
-    def test_weight_decay_needs_adamw(self, value):
-        # sgd_step has no decay term, so the value would silently change nothing
-        with pytest.raises(ConfigError, match="weight_decay"):
-            parse_config(f"{CONFIG_HEADER}\nweight_decay = {value}\n")
-        with pytest.raises(ConfigError, match="weight_decay"):
-            OptimSpec(kind="sgd-momentum", weight_decay=float(value))
-        cfg = parse_config(f"{CONFIG_HEADER}\noptimizer = adamw\nweight_decay = {value}\n")
-        assert cfg.optimizer.weight_decay == float(value)
 
     @settings(max_examples=200, deadline=None)
     @given(bad=_bad_lines)
