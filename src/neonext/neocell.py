@@ -640,31 +640,20 @@ def blockdiag_product(
     n, c, H, W = X.shape
     if counter is not None:
         counter.add(c * n * (A.shape[1] * H * W + A.shape[1] * W * B.shape[2]))
-    return _stacked_right_product(_stacked_left_product(A, X), B)
+    return _stacked_product(_stacked_product(A[None], X), B[None])
 
 
-def _stacked_left_product(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """(c, r, m) @ (n, c, m, W) -> (n, c, r, W), accumulated in ascending k.
+def _stacked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(..., r, m) @ (..., m, q) -> (..., r, q), broadcast, accumulated in ascending k.
 
     Per output element this performs the rounded multiply/add sequence of
-    the scalar loop ``for k: acc += A[i, k] * X[k, j]`` starting from 0.0,
+    the scalar loop ``for k: acc += a[i, k] * b[k, j]`` starting from 0.0,
     so it is bit-identical to that loop.
     """
-    n, c, m, W = X.shape
-    r = A.shape[1]
-    out = np.zeros((n, c, r, W), dtype=np.result_type(A, X))
-    for k in range(m):
-        out += A[None, :, :, k, None] * X[:, :, None, k, :]
-    return out
-
-
-def _stacked_right_product(X: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(n, c, r, m) @ (c, m, q) -> (n, c, r, q), accumulated in ascending k."""
-    n, c, r, m = X.shape
-    q = B.shape[2]
-    out = np.zeros((n, c, r, q), dtype=np.result_type(X, B))
-    for k in range(m):
-        out += X[:, :, :, k, None] * B[None, :, None, k, :]
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+    out = np.zeros(shape, dtype=np.result_type(a, b))
+    for k in range(a.shape[-1]):
+        out += a[..., :, k, None] * b[..., None, k, :]
     return out
 
 

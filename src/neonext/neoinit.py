@@ -2,12 +2,11 @@
 
 Noise-free pattern for an h x w matrix:
 
-- square: the identity;
-- h < w: row i carries the value 1/(end-start) on columns [start, end),
+- h <= w: row i carries the value 1/(end-start) on columns [start, end),
   where start = i*step, end = min((i+1)*step, w) and step = round(w/h);
-  rows act like local averaging over their column band;
-- h > w: the transposed construction, column i carries 1/(end-start) on
-  rows [start, end) with step = round(h/w) and end capped at h.
+  rows act like local averaging over their column band, and the square
+  case (step 1) is the identity;
+- h > w: the transpose of the w x h pattern.
 
 Bounds are half-open so bands never overlap; rounding is half-away-from-zero
 (round(2.5) = 3) so the pattern is platform-independent.  Bands that the
@@ -37,23 +36,15 @@ def neoinit_pattern(rows: int, cols: int) -> np.ndarray:
     """The noise-free initialization pattern as a plain array."""
     if rows < 1 or cols < 1:
         raise ParameterError(f"pattern dims must be positive, got {rows}x{cols}")
+    if rows > cols:
+        return np.ascontiguousarray(neoinit_pattern(cols, rows).T)
     out = np.zeros((rows, cols), dtype=np.float64)
-    if rows == cols:
-        np.fill_diagonal(out, 1.0)
-    elif rows < cols:
-        step = _round_half_away(cols / rows)
-        for i in range(rows):
-            start = i * step
-            end = min((i + 1) * step, cols)
-            if end > start:
-                out[i, start:end] = 1.0 / (end - start)
-    else:
-        step = _round_half_away(rows / cols)
-        for i in range(cols):
-            start = i * step
-            end = min((i + 1) * step, rows)
-            if end > start:
-                out[start:end, i] = 1.0 / (end - start)
+    step = _round_half_away(cols / rows)
+    for i in range(rows):
+        start = i * step
+        end = min((i + 1) * step, cols)
+        if end > start:
+            out[i, start:end] = 1.0 / (end - start)
     return out
 
 

@@ -4,14 +4,16 @@ The desk-scale ablation protocol is pinned here, and it is the only one:
 micro model, SGD with classical momentum 0.9 (no weight decay or clipping),
 one warmup epoch ramping linearly to the peak rate followed by cosine
 annealing to 0, batch size 64, basic augmentation, label smoothing 0.1.
-Both init arms ("neoinit" vs "random-normal") run under identical settings;
-a run whose loss turns non-finite is recorded as diverged rather than crashing.
+These values are constants (``RunConfig``'s class constants and
+``OptimSpec``'s momentum), not config keys.  Both init arms ("neoinit" vs
+"random-normal") run under identical settings; a run whose loss turns
+non-finite is recorded as diverged rather than crashing.
 
 Run config files are flat key = value text with the versioned header line
-``neonext-run-config v1``, one key per ``RunConfig`` field; see
-``parse_config``.  Per-epoch CSV schema:
-epoch,train_loss,val_loss,val_acc,lr,wall_time_s — everything except the
-trailing wall_time_s is a pure function of the config.
+``neonext-run-config v1``, one key per ``RunConfig`` field: what varies
+between runs (data, lr, epochs, seeds, init, output); see ``parse_config``.
+Per-epoch CSV schema: epoch,train_loss,val_loss,val_acc,lr,wall_time_s —
+everything except the trailing wall_time_s is a pure function of the config.
 """
 
 from __future__ import annotations
@@ -20,13 +22,15 @@ import math
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from .autodiff import Grads, Param, Tape, Val, backward
-from .data import AUGMENT_POLICIES, BatchPlan, Dataset, augment, batches, load_cifar10, split_dataset, synth_task
+from .data import BatchPlan, Dataset, augment, batches, load_cifar10, split_dataset, synth_task
 from .errors import ConfigError, NumericError
 from .model import (
+    MODEL_SPECS,
     ForwardCtx,
     Model,
     build_model,
@@ -44,17 +48,6 @@ REFERENCE_ACC_RANDOM = 84.65
 REFERENCE_GAP_PP = 3.8
 
 
-def _require_finite(spec, key: str, ok, rule: str) -> None:
-    """ConfigError naming ``key`` unless its value is finite and ``ok``."""
-    value = getattr(spec, key)
-    if not (math.isfinite(value) and ok(value)):
-        raise ConfigError(f"{key} must be {rule}, got {value}")
-
-
-# least value of each integer RunConfig key
-_INT_FLOORS = {"classes": 2, "synth_train": 1, "synth_val": 1, "epochs": 0, "warmup_epochs": 0, "batch_size": 1}
-
-
 @dataclass(frozen=True)
 class OptimSpec:
     """SGD-momentum's settings: ``sgd_step`` reads nothing else."""
@@ -62,7 +55,8 @@ class OptimSpec:
     momentum: float = 0.9
 
     def __post_init__(self):
-        _require_finite(self, "lr", lambda v: v > 0, "finite and > 0")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if not (0.0 <= self.momentum < 1.0):
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
 
@@ -81,35 +75,38 @@ class ScheduleSpec:
 
 
 class _TakesOptimizer(type):
-    """``RunConfig(optimizer=spec)`` means ``lr=spec.lr, momentum=spec.momentum`` (perfbench's tests use it)."""
+    """``RunConfig(optimizer=spec)`` means ``lr=spec.lr`` (perfbench's tests use it)."""
 
     def __call__(cls, *args, optimizer: OptimSpec | None = None, **kw):
         if optimizer is not None:
-            if kw.keys() & {"lr", "momentum"}:
-                raise ConfigError("give optimizer, or lr and momentum, not both")
-            kw.update(lr=optimizer.lr, momentum=optimizer.momentum)
+            if "lr" in kw:
+                raise ConfigError("give optimizer or lr, not both")
+            if optimizer.momentum != OptimSpec.momentum:
+                raise ConfigError(f"momentum is fixed at {OptimSpec.momentum}, got {optimizer.momentum}")
+            kw["lr"] = optimizer.lr
         return super().__call__(*args, **kw)
 
 
 @dataclass(frozen=True)
 class RunConfig(metaclass=_TakesOptimizer):
-    model: str = "neonext-micro"
+    """A run's settings: the fields vary between runs, the class constants are the pinned protocol."""
+    model: ClassVar[str] = "neonext-micro"
+    classes: ClassVar[int] = 10
+    warmup_epochs: ClassVar[int] = 1
+    batch_size: ClassVar[int] = 64
+    augment: ClassVar[str] = "basic"
+    label_smoothing: ClassVar[float] = 0.1
+    mixup_alpha: ClassVar[float] = 0.8    # unused under basic augmentation; perfbench passes it on
+    drop_path: ClassVar[float] = MODEL_SPECS[model].drop_path_rate
+
     data: str = "synthetic"
     data_dir: str = ""
-    classes: int = 10
     synth_train: int = 1920
     synth_val: int = 512
     lr: float = OptimSpec.lr
-    momentum: float = OptimSpec.momentum
     epochs: int = 3
-    warmup_epochs: int = 1
-    batch_size: int = 64
     seeds: tuple[int, ...] = (1,)
     init: str = "neoinit"
-    augment: str = "basic"
-    label_smoothing: float = 0.1
-    mixup_alpha: float = 0.8
-    drop_path: float = 0.05
     out_dir: str = "runs/out"
 
     def __post_init__(self):
@@ -122,22 +119,15 @@ class RunConfig(metaclass=_TakesOptimizer):
             raise ConfigError(f"init must be neoinit or random-normal, got {self.init!r}")
         if self.data not in ("synthetic", "cifar10"):
             raise ConfigError(f"data must be synthetic or cifar10, got {self.data!r}")
-        if self.augment not in AUGMENT_POLICIES:
-            raise ConfigError(f"augment must be one of {AUGMENT_POLICIES}, got {self.augment!r}")
-        if not (0.0 <= self.label_smoothing < 1.0):
-            raise ConfigError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
-        if not (0.0 <= self.drop_path < 1.0):
-            raise ConfigError(f"drop_path must be in [0, 1), got {self.drop_path}")
-        for key, least in _INT_FLOORS.items():
+        # a synthetic train split holds at least one whole batch
+        for key, least in (("synth_train", self.batch_size), ("synth_val", 1), ("epochs", 0)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
-        # Beta(alpha, alpha) is undefined at alpha = 0
-        _require_finite(self, "mixup_alpha", lambda v: v > 0, "finite and > 0")
-        OptimSpec(self.lr, self.momentum)    # checks lr and momentum
+        OptimSpec(self.lr)    # checks lr
 
     @property
     def optimizer(self) -> OptimSpec:
-        return OptimSpec(self.lr, self.momentum)
+        return OptimSpec(self.lr)
 
     def schedule(self) -> ScheduleSpec:
         # warmup clamps to the run length so short runs stay valid
@@ -250,58 +240,45 @@ def train_run(cfg: RunConfig, seed: int | None = None) -> RunReport:
     seed = cfg.seeds[0] if seed is None else seed
     t0 = time.perf_counter()
     train_ds, val_ds = _load_data(cfg)
-    if not 1 <= cfg.batch_size <= train_ds.size:
-        raise ConfigError(
-            f"batch_size {cfg.batch_size} must be in [1, {train_ds.size}], the train split size"
-        )
     root = Rng(seed)
     init_rng = root.derive(1)
     aug_rng = root.derive(2)
     dp_rng = root.derive(3)
-    spec = named_spec(cfg.model, classes=train_ds.num_classes, drop_path_rate=cfg.drop_path)
+    spec = named_spec(cfg.model, classes=train_ds.num_classes)
     model = build_model(spec, train_ds.images.dims[2], init_rng, init=cfg.init)
     params = model.params()
     schedule = cfg.schedule()
     steps_per_epoch = train_ds.size // cfg.batch_size
     opt_state: dict = {}
     step = 0
-    status = "completed"
     divergence_step = None
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     val_loss, val_acc = evaluate(model, val_ds)
-    rows = [EpochRow(0, float("nan"), val_loss, val_acc, lr_at(schedule, 0, max(steps_per_epoch, 1)), time.perf_counter() - t0)]
+    rows = [EpochRow(0, float("nan"), val_loss, val_acc, lr_at(schedule, 0, steps_per_epoch), time.perf_counter() - t0)]
 
     for epoch in range(1, cfg.epochs + 1):
         plan = BatchPlan(seed=root.derive(100).seed, batch_size=cfg.batch_size, epoch=epoch)
         losses = []
-        stop = False
         for batch in batches(train_ds, plan):
             batch = augment(batch, aug_rng, cfg.augment, classes=train_ds.num_classes, mixup_alpha=cfg.mixup_alpha)
             targets = batch.targets if batch.targets is not None else one_hot(batch.labels, train_ds.num_classes)
             targets = smooth_targets(targets, cfg.label_smoothing)
             tape = Tape()
-            # non-finite values are a reported outcome here, not an error
-            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-                logits = model.forward(batch.images, ForwardCtx("train", dp_rng, update_stats=True), tape)
-                loss = softmax_cross_entropy(tape, logits, targets)
-                loss_val = float(loss.array)
-                if not math.isfinite(loss_val):
-                    status = "diverged"
-                    divergence_step = step
-                    stop = True
-                    break
-                losses.append(loss_val)
-                grads = backward(tape)
-            lr = lr_at(schedule, step, steps_per_epoch)
+            # a non-finite loss or gradient ends the run as diverged, not as an error
             try:
-                sgd_step(params, grads, opt_state, cfg.optimizer, lr)
+                with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                    logits = model.forward(batch.images, ForwardCtx("train", dp_rng, update_stats=True), tape)
+                    loss_val = float(softmax_cross_entropy(tape, logits, targets).array)
+                    if not math.isfinite(loss_val):
+                        raise NumericError(f"non-finite loss {loss_val}")
+                    losses.append(loss_val)
+                    grads = backward(tape)
+                sgd_step(params, grads, opt_state, cfg.optimizer, lr_at(schedule, step, steps_per_epoch))
             except NumericError:
-                status = "diverged"
                 divergence_step = step
-                stop = True
                 break
             step += 1
         val_loss, val_acc = evaluate(model, val_ds)
@@ -309,13 +286,14 @@ def train_run(cfg: RunConfig, seed: int | None = None) -> RunReport:
         rows.append(
             EpochRow(epoch, train_loss, val_loss, val_acc, lr_at(schedule, step, steps_per_epoch), time.perf_counter() - t0)
         )
-        if stop:
+        if divergence_step is not None:
             break
 
     csv_path = out_dir / "run.csv"
     _write_csv(csv_path, rows)
     ckpt = out_dir / "checkpoint"
     save_checkpoint(model, ckpt)
+    status = "completed" if divergence_step is None else "diverged"
     (out_dir / "status.txt").write_text(
         f"status {status}\nseed {seed}\ninit {cfg.init}\n"
         + (f"divergence_step {divergence_step}\n" if divergence_step is not None else "")

@@ -257,7 +257,7 @@ class TestCriterion6Architecture:
         assert chain[2][1] == (1, 96, 56, 56)
         report(
             "criterion 6, architecture fidelity",
-            f"largest preset builds with {count} parameters ({100 * rel:.2f}% from 27.7M); "
+            f"neonext-t builds with {count} parameters ({100 * rel:.2f}% from 27.7M); "
             "stem chain 3x224^2 -> 48x56^2 -> 96x56^2",
         )
 
@@ -292,7 +292,7 @@ class TestCriterion7Determinism:
         for tag in ("ra", "rb"):
             cfg = RunConfig(
                 out_dir=str(tmp_path / tag), epochs=1, seeds=(3,),
-                synth_train=192, synth_val=64, batch_size=32,
+                synth_train=192, synth_val=64,
             )
             write_config(cfg, tmp_path / f"{tag}.cfg")
             assert cli_main(["train", "--config", str(tmp_path / f"{tag}.cfg")]) == 0

@@ -13,17 +13,12 @@ from neonext.trainer import CONFIG_HEADER
 
 def write_tiny_config(path, out_dir, **overrides):
     kv = {
-        "model": "neonext-micro",
         "data": "synthetic",
         "synth_train": "192",
         "synth_val": "64",
         "epochs": "1",
-        "warmup_epochs": "1",
-        "batch_size": "32",
         "seeds": "1",
         "init": "neoinit",
-        "augment": "basic",
-        "drop_path": "0.05",
         "out_dir": str(out_dir),
     }
     kv.update(overrides)
@@ -257,7 +252,7 @@ class TestTrainCli:
 
     def test_diverged_run_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        write_tiny_config(cfg, tmp_path / "out", lr="1e9", init="random-normal", warmup_epochs="0")
+        write_tiny_config(cfg, tmp_path / "out", lr="1e9", init="random-normal", epochs="2")
         assert main(["train", "--config", str(cfg)]) == 2
 
     def test_config_error_exits_1(self, tmp_path, capsys):
@@ -277,6 +272,14 @@ class TestTrainCli:
         write_tiny_config(cfg, tmp_path / "out", optimizer="adamw")
         assert main(["train", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == "error: unknown config key 'optimizer'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_fixed_protocol_key_exits_1_before_any_run(self, tmp_path, capsys):
+        # the batch size is a constant of the protocol, not a config key
+        cfg = tmp_path / "run.cfg"
+        write_tiny_config(cfg, tmp_path / "out", batch_size="32")
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: unknown config key 'batch_size'\n"
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_exits_1(self, tmp_path):

@@ -54,6 +54,13 @@ class TestPatterns:
         assert not got[3].any()
         assert got[:3].sum() == 3.0
 
+    def test_tall_is_the_transposed_wide_pattern(self):
+        for rows in range(1, 13):
+            for cols in range(1, 13):
+                got = neoinit_pattern(rows, cols)
+                assert got.flags.c_contiguous
+                assert got.tobytes() == neoinit_pattern(cols, rows).T.tobytes(order="C"), (rows, cols)
+
 
 class TestNoise:
     def test_noise_decomposes_bit_exactly(self):

@@ -8,7 +8,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from neonext.autodiff import Grads, Param
-from neonext.data import AUGMENT_POLICIES
 from neonext.model import MODEL_SPECS
 from neonext.errors import ConfigError, NumericError
 from neonext.trainer import (
@@ -106,7 +105,6 @@ def tiny_cfg(tmp_path, **kw):
         seeds=(1,),
         synth_train=192,
         synth_val=64,
-        batch_size=32,
     )
     base.update(kw)
     return RunConfig(**base)
@@ -129,8 +127,8 @@ class TestTrainRun:
         assert report.final_val_acc >= 0.90
 
     def test_bit_reproducible_csv(self, tmp_path):
-        cfg_a = tiny_cfg(tmp_path / "a", epochs=2, drop_path=0.1, augment="basic+mixup")
-        cfg_b = tiny_cfg(tmp_path / "b", epochs=2, drop_path=0.1, augment="basic+mixup")
+        cfg_a = tiny_cfg(tmp_path / "a", epochs=2)
+        cfg_b = tiny_cfg(tmp_path / "b", epochs=2)
         ra = train_run(cfg_a)
         rb = train_run(cfg_b)
         strip = lambda p: ["," .join(ln.split(",")[:-1]) for ln in Path(p).read_text().splitlines()]
@@ -141,10 +139,10 @@ class TestTrainRun:
             assert f.read_bytes() == other.read_bytes()
 
     def test_batch_larger_than_train_split_rejected_before_any_work(self, tmp_path):
-        cfg = tiny_cfg(tmp_path, batch_size=193)    # the train split holds 192
-        with pytest.raises(ConfigError, match="batch_size 193"):
-            train_run(cfg)
-        assert not Path(cfg.out_dir).exists()
+        # the batch is fixed at 64, so a smaller train split is refused with the config
+        with pytest.raises(ConfigError, match="^synth_train must be >= 64, got 63$"):
+            tiny_cfg(tmp_path, synth_train=63)
+        assert not (tmp_path / "run").exists()
 
     def test_divergence_reported_not_raised(self, tmp_path):
         cfg = tiny_cfg(tmp_path, epochs=2, lr=1e9, init="random-normal")
@@ -188,7 +186,6 @@ class TestAblation:
         assert not Path(cfg.out_dir).exists()
 
 
-_unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _path = st.text(
     st.characters(categories=("L", "N"), include_characters="/._-=# "), max_size=24
@@ -197,42 +194,23 @@ _path = st.text(
 
 _configs = st.builds(
     RunConfig,
-    model=st.sampled_from(sorted(MODEL_SPECS)),
     data=st.sampled_from(["synthetic", "cifar10"]),
     data_dir=_path,
-    classes=st.integers(2, 1000),
-    synth_train=st.integers(1, 10**6),
+    synth_train=st.integers(64, 10**6),
     synth_val=st.integers(1, 10**6),
     lr=_positive,
-    momentum=_unit,
     epochs=st.integers(0, 1000),
-    warmup_epochs=st.integers(0, 1000),
-    batch_size=st.integers(1, 4096),
     seeds=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=6, unique=True).map(tuple),
     init=st.sampled_from(["neoinit", "random-normal"]),
-    augment=st.sampled_from(AUGMENT_POLICIES),
-    label_smoothing=_unit,
-    mixup_alpha=_positive,
-    drop_path=_unit,
     out_dir=_path,
 )
 
-_nonfinite = st.sampled_from(["nan", "inf", "-inf"])
-_negative = st.floats(min_value=1e-300, allow_infinity=False).map(lambda v: repr(-v))
-_outside_unit = _negative | st.floats(min_value=1.0, allow_infinity=False).map(repr)
 # every numeric config key, with values outside its range
 _BAD_NUMBERS = {
-    "lr": st.floats(max_value=0.0, allow_infinity=False).map(repr) | _nonfinite,
-    "momentum": _outside_unit | _nonfinite,
-    "label_smoothing": _outside_unit | _nonfinite,
-    "mixup_alpha": _negative | _nonfinite | st.just("0"),
-    "drop_path": _outside_unit | _nonfinite,
-    "classes": st.integers(max_value=1).map(str),
-    "synth_train": st.integers(max_value=0).map(str),
+    "lr": st.floats(max_value=0.0, allow_infinity=False).map(repr) | st.sampled_from(["nan", "inf", "-inf"]),
+    "synth_train": st.integers(max_value=63).map(str),
     "synth_val": st.integers(max_value=0).map(str),
     "epochs": st.integers(max_value=-1).map(str),
-    "warmup_epochs": st.integers(max_value=-1).map(str),
-    "batch_size": st.integers(max_value=0).map(str),
 }
 _bad_lines = st.sampled_from(sorted(_BAD_NUMBERS)).flatmap(
     lambda key: st.tuples(st.just(key), _BAD_NUMBERS[key])
@@ -250,9 +228,7 @@ class TestConfigFile:
     def test_roundtrip(self, tmp_path):
         cfg = RunConfig(
             lr=0.004,
-            momentum=0.5,
             seeds=(3, 4, 5),
-            augment="basic+mixup",
             out_dir="runs/x",
         )
         path = tmp_path / "run.cfg"
@@ -265,23 +241,14 @@ class TestConfigFile:
         write_config(RunConfig(), path)
         assert path.read_text().split("\n") == [
             CONFIG_HEADER,
-            "model = neonext-micro",
             "data = synthetic",
             "data_dir = ",
-            "classes = 10",
             "synth_train = 1920",
             "synth_val = 512",
             "lr = 0.1",
-            "momentum = 0.9",
             "epochs = 3",
-            "warmup_epochs = 1",
-            "batch_size = 64",
             "seeds = 1",
             "init = neoinit",
-            "augment = basic",
-            "label_smoothing = 0.1",
-            "mixup_alpha = 0.8",
-            "drop_path = 0.05",
             "out_dir = runs/out",
             "",
         ]
@@ -291,26 +258,41 @@ class TestConfigFile:
         write_config(RunConfig(), path)
         keys = [ln.split(" = ")[0] for ln in path.read_text().splitlines()[1:]]
         assert keys == [f.name for f in fields(RunConfig)]
-        assert len(keys) == 18
+        assert keys == ["data", "data_dir", "synth_train", "synth_val", "lr", "epochs", "seeds", "init", "out_dir"]
         assert [f.name for f in fields(OptimSpec)] == ["lr", "momentum"]
 
+    def test_pinned_protocol_is_constant(self):
+        # the values perfbench reads off a config, now class constants
+        cfg = RunConfig()
+        assert (cfg.model, cfg.classes, cfg.batch_size) == ("neonext-micro", 10, 64)
+        assert (cfg.augment, cfg.mixup_alpha, cfg.label_smoothing) == ("basic", 0.8, 0.1)
+        assert cfg.drop_path == MODEL_SPECS["neonext-micro"].drop_path_rate
+        assert cfg.optimizer == OptimSpec(0.1, 0.9)
+        assert cfg.schedule() == ScheduleSpec(1, 3, 0.1)
+        with pytest.raises(TypeError):
+            RunConfig(batch_size=32)
+
     def test_optimizer_is_lr_and_momentum(self):
-        cfg = RunConfig(optimizer=OptimSpec(lr=0.5, momentum=0.25))
-        assert cfg == RunConfig(lr=0.5, momentum=0.25)
-        assert cfg.optimizer == OptimSpec(0.5, 0.25)
-        assert replace(cfg, lr=0.1).optimizer == OptimSpec(0.1, 0.25)
+        cfg = RunConfig(optimizer=OptimSpec(lr=0.5))
+        assert cfg == RunConfig(lr=0.5)
+        assert cfg.optimizer == OptimSpec(0.5, 0.9)
+        assert replace(cfg, lr=0.1).optimizer == OptimSpec(0.1)
         with pytest.raises(ConfigError, match="not both"):
             RunConfig(optimizer=OptimSpec(lr=0.5), lr=0.5)
+        with pytest.raises(ConfigError, match="momentum is fixed at 0.9, got 0.25"):
+            RunConfig(optimizer=OptimSpec(lr=0.5, momentum=0.25))
         with pytest.raises(AttributeError):
             cfg.optimizer = OptimSpec()
 
     def test_readme_example_parses(self):
-        # the docs may show only keys the parser takes
+        # the docs show every key the parser takes, in field order
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme.split("## Run configuration files", 1)[1]
         block = section.split("```", 2)[1]
         cfg = parse_config(block)
         assert cfg.seeds == (1, 2, 3, 4, 5) and cfg.out_dir == "runs/demo"
+        lines = [ln for ln in block.splitlines()[2:] if ln and not ln.startswith("#")]
+        assert [ln.partition("=")[0].strip() for ln in lines] == [f.name for f in fields(RunConfig)]
 
     def test_header_only_file_is_the_default_config(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -327,11 +309,22 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config(f"{CONFIG_HEADER}\nlearning_rate = 0.1\n")
 
-    @pytest.mark.parametrize("key", ["optimizer", "beta1", "beta2", "weight_decay", "grad_clip", "floor_lr"])
+    @pytest.mark.parametrize(
+        "key",
+        ["optimizer", "beta1", "beta2", "weight_decay", "grad_clip", "floor_lr",
+         "model", "classes", "momentum", "warmup_epochs", "batch_size", "augment", "label_smoothing",
+         "mixup_alpha", "drop_path"],
+    )
     def test_removed_optimizer_key_rejected(self, key):
-        # AdamW, gradient clipping and the LR floor are gone: a file that sets them is refused
+        # AdamW, gradient clipping and the LR floor are gone, and the pinned protocol's
+        # settings are constants: a file that sets any of them is refused
         with pytest.raises(ConfigError, match=f"^unknown config key '{key}'$"):
             parse_config(f"{CONFIG_HEADER}\n{key} = 0.5\n")
+
+    def test_train_split_smaller_than_a_batch_rejected(self):
+        with pytest.raises(ConfigError, match="^synth_train must be >= 64, got 63$"):
+            parse_config(f"{CONFIG_HEADER}\nsynth_train = 63\n")
+        assert parse_config(f"{CONFIG_HEADER}\nsynth_train = 64\n").synth_train == 64
 
     def test_bad_init_rejected(self):
         with pytest.raises(ConfigError, match="init"):
@@ -344,15 +337,6 @@ class TestConfigFile:
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate config key 'epochs'"):
             parse_config(f"{CONFIG_HEADER}\nepochs = 2\nepochs = 5\n")
-
-    def test_unknown_augment_rejected(self):
-        with pytest.raises(ConfigError, match="augment"):
-            parse_config(f"{CONFIG_HEADER}\naugment = fancy\n")
-
-    @pytest.mark.parametrize("value", ["3", "1.0", "-0.1"])
-    def test_label_smoothing_outside_unit_interval_rejected(self, value):
-        with pytest.raises(ConfigError, match="label_smoothing"):
-            parse_config(f"{CONFIG_HEADER}\nlabel_smoothing = {value}\n")
 
     def test_repeated_seeds_rejected(self):
         with pytest.raises(ConfigError, match="seeds must not repeat"):
@@ -370,7 +354,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(
         "line",
-        # weight_decay and floor_lr are keys no longer, so their lines are refused as unknown
+        # weight_decay, floor_lr and mixup_alpha are keys no longer, so their lines are refused as unknown
         ["lr = nan", "lr = inf", "weight_decay = nan", "floor_lr = nan", "mixup_alpha = -1", "mixup_alpha = 0",
          "epochs = -2"],
     )
