@@ -29,6 +29,7 @@ from .neocell import (
     blockdiag_factors,
     blockdiag_product,
     cell_forward,
+    empty_channel_major,
     forward_patchwise,
     init_part,
     merge_parts,
@@ -176,7 +177,13 @@ def _bench_callable(op: str, c: int, h: int, w: int, k: int, seed: int, dtype: s
         L, R = (a.astype(dt) for a in init_part(part, rng))
         x = rng.normal((1, c, h, w), 1.0).astype(dt)
         if op == "neocell":
-            return (lambda: cell_forward(x, [part], [(L, R, None)], np.empty_like(x))), mults
+
+            def fn():
+                out = np.empty_like(x)
+                cell_forward(x, [part], [(L, R, None)], out, empty_channel_major(x, x.shape))
+                return out
+
+            return fn, mults
         A, B = blockdiag_factors(spec.groups[0], L, R, h, w)
         counter = MultCounter()
         blockdiag_product(A, x, B, counter)

@@ -22,7 +22,8 @@ manifest.
 
 ``NeoCellLayer`` holds its patch weights as one stacked ``Param`` triple per
 ``neocell.Part`` and runs ``neocell``'s one part loop, ``cell_forward`` and,
-on the tape, ``cell_backward``; ``neocell`` owns the patch layout.
+on the tape, ``cell_backward`` on the L x workspace and wrap strips that
+the forward left; ``neocell`` owns the patch layout.
 
 Activation layout: layers take (n, c, h, w) arrays in any memory order,
 but they are built for channel-major ones, whose memory is that of a
@@ -34,8 +35,9 @@ pointwise layer is one bare GEMM, whose result ``_cols_to_nchw`` views as
 channel-major again, and batchnorm's reductions over (n, h, w) each sweep
 one row.  The other layers allocate their outputs and input gradients in
 their input's memory order; ``NeoCellLayer`` instead hands out its previous
-call's arrays again when they are large and nothing else references them
-(``_recycled``).
+call's output, input gradient and channel-major L x workspace again when
+they are large and nothing else references them (``_recycled``).  A tape
+holds the workspace from the forward until its backward consumes it.
 
 Batchnorm normalizes with batch statistics in train mode and with its
 ``running_mean``/``running_var`` in eval mode.  A train-mode forward with
@@ -61,7 +63,17 @@ from scipy.special import ndtr
 
 from .autodiff import Param, Tape, Val
 from .errors import ConfigError, ParameterError, ShapeError
-from .neocell import GroupSpec, NeoCellSpec, cell_backward, cell_forward, init_part, merge_parts, output_shape
+from .neocell import (
+    GroupSpec,
+    NeoCellSpec,
+    cell_backward,
+    cell_forward,
+    empty_channel_major,
+    init_part,
+    lx_shape,
+    merge_parts,
+    output_shape,
+)
 from .rng import Rng
 from .tensor import Tensor4, read_tensor, write_tensor
 
@@ -226,10 +238,11 @@ class NeoCellLayer:
     def out_shape(self, dims):
         return output_shape(self.spec, dims)
 
-    def _recycled(self, slot: str, x: np.ndarray, shape) -> np.ndarray:
-        """An uninitialized ``shape`` array in x's dtype and memory order:
-        this slot's last one when its key matches and nothing else
-        references it, else a fresh one, kept if it has RECYCLE_MIN_BYTES.
+    def _recycled(self, slot: str, x: np.ndarray, shape, empty=np.empty_like) -> np.ndarray:
+        """An uninitialized ``shape`` array in x's dtype, from ``empty(x,
+        shape=shape)`` (by default in x's memory order): this slot's last
+        one when its key matches and nothing else references it, else a
+        fresh one, kept if it has RECYCLE_MIN_BYTES.
 
         "Nothing else" is read from CPython's reference count (the kept
         tuple and ``getrefcount``'s argument make 2).  A numpy view holds
@@ -239,7 +252,7 @@ class NeoCellLayer:
         key = (shape, x.dtype, x.strides)
         kept = self._kept.pop(slot, None)
         if kept is None or kept[0] != key or sys.getrefcount(kept[1]) != 2:
-            kept = (key, np.empty_like(x, shape=shape))
+            kept = (key, empty(x, shape=shape))
         if kept[1].nbytes >= RECYCLE_MIN_BYTES:
             self._kept[slot] = kept
         return kept[1]
@@ -247,11 +260,14 @@ class NeoCellLayer:
     def forward(self, v: Val, tape: Tape | None, ctx: ForwardCtx) -> Val:
         x = v.array
         out = self._recycled("out", x, self.out_shape(x.shape))
+        lx = self._recycled("lx", x, lx_shape(x.shape, out.shape), empty_channel_major)
         weights = [(pl.array, pr.array, None if pb is None else pb.array) for pl, pr, pb in self.part_params]
-        ov = Val(cell_forward(x, self.parts, weights, out))
+        strips = cell_forward(x, self.parts, weights, out, lx)
+        ov = Val(out)
 
         def back(gout):
-            gx, grads = cell_backward(x, self.parts, weights, gout, self._recycled("gx", x, x.shape))
+            # consumes lx: a tape runs its backward once
+            gx, grads = cell_backward(x, self.parts, weights, gout, self._recycled("gx", x, x.shape), lx, strips)
             return [gx] + [g for triple in grads for g in triple if g is not None]
 
         _record(tape, ov, (v, *self.params()), back)

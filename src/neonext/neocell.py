@@ -25,11 +25,23 @@ contiguous (n, H, W) block, as in channel-major arrays, the products along
 W take the n images of a channel as one GEMM.  L goes first, which is the
 order ``MultCounter`` counts: h_out*h*w + h_out*w*w_out multiplies per patch.
 
+The forward keeps what the backward needs.  Every part's L x goes into one
+channel-major (n, c, H/h*h_out, W) workspace of the caller's
+(``empty_channel_major``), so ``_fold`` always applies to it whatever x's
+layout; ``cell_forward`` leaves it there and returns the W-wrap strips of
+each shifted subgroup, and ``cell_backward`` takes both and consumes the
+workspace in place, overwriting L x with G R^T.  A workspace therefore
+serves one backward, as a tape does (``autodiff.backward`` refuses a
+consumed tape); ``neocell_backward`` fills a fresh one with a forward pass.
+
 Shifts never move activations.  A subgroup shifted by s reads the same
 views from row s and from flat element s: every band along H except the one
 that wraps round, and every chunk along W except those that run across a row
 end.  The wrapping band (rows H-h+s.. and ..s) and the wrapping chunk
-column are gathered, multiplied and written back to their places.  The GEMM
+column are gathered, multiplied and written back to their places; the
+forward keeps L x's wrapping chunk column as the subgroup's strip and zeroes
+those columns in the workspace, where they would add the discarded chunks'
+share to grad_R.  The GEMM
 along W still computes the H - 1 wrapped chunk products of each plane in its
 flat view and discards them (one more per plane where the images of a
 channel are folded); ``MultCounter`` does not count them.  A
@@ -54,7 +66,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -356,12 +367,23 @@ def _chunks(a: np.ndarray, k: int, s: int) -> np.ndarray:
 def _fold(*arrays):
     """(1, c, n*H, W) views of (n, c, H, W) arrays whose channels each hold
     one contiguous (n, H, W) block, as channel-major arrays do; the arrays
-    themselves unless all of them do.  Folded, the products along W run
-    one GEMM per channel instead of one per channel and image."""
+    themselves unless all of them do.  None entries pass through.  Folded,
+    the products along W run one GEMM per channel instead of one per
+    channel and image."""
     try:
-        return [a.transpose(1, 0, 2, 3).reshape(1, a.shape[1], -1, a.shape[3], copy=False) for a in arrays]
+        return [
+            None if a is None else a.transpose(1, 0, 2, 3).reshape(1, a.shape[1], -1, a.shape[3], copy=False)
+            for a in arrays
+        ]
     except ValueError:
         return arrays
+
+
+def empty_channel_major(x: np.ndarray, shape) -> np.ndarray:
+    """An uninitialized (n, c, …) array of ``shape`` in x's dtype whose
+    memory is that of a C-contiguous (c, n, …) array, so ``_fold`` always
+    applies to it."""
+    return np.empty((shape[1], shape[0], *shape[2:]), dtype=x.dtype).swapaxes(0, 1)
 
 
 def _wrap(size: int, k: int, s: int, axis: int):
@@ -372,10 +394,11 @@ def _wrap(size: int, k: int, s: int, axis: int):
     return pad + (slice(size - k + s, None),), pad + (slice(None, s),)
 
 
-def _gather(a: np.ndarray, k: int, s: int, axis: int) -> np.ndarray:
-    """The patches that wrap along ``axis``, made contiguous: k entries wide."""
+def _gather(a: np.ndarray, k: int, s: int, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The patches that wrap along ``axis``, k entries wide, copied into
+    ``out`` or a new C-ordered array."""
     tail, head = _wrap(a.shape[axis], k, s, axis)
-    return np.concatenate((a[tail], a[head]), axis=axis)
+    return np.concatenate((a[tail], a[head]), axis=axis, out=out)
 
 
 def _scatter(dst: np.ndarray, band: np.ndarray, s: int, axis: int) -> None:
@@ -387,13 +410,6 @@ def _scatter(dst: np.ndarray, band: np.ndarray, s: int, axis: int) -> None:
     dst[head] = band[pad + (slice(k - s, None),)]
 
 
-def _left(L: np.ndarray, x: np.ndarray, lx: np.ndarray, s: int, xw: np.ndarray | None) -> None:
-    """lx = L x along H, on bands from row s; ``xw`` is x's wrap band."""
-    np.matmul(L[:, None], _bands(x, L.shape[2], s), out=_bands(lx, L.shape[1], s))
-    if s:
-        _scatter(lx, np.matmul(L, xw), s, 2)
-
-
 def part_forward(
     x: np.ndarray,
     L: np.ndarray,
@@ -403,15 +419,17 @@ def part_forward(
     out: np.ndarray,
     lx: np.ndarray,
     counter: MultCounter | None = None,
-) -> np.ndarray:
+) -> list:
     """The patch kernel for one part, in the dtype of its inputs.
 
     x is (n, cp, H, W); L is (cp, h_out, h); R is (cp, w, w_out); bias is
     (cp, h_out, w_out) or None; ``shifts`` is ``Part.shifts``.  Writes the
     (n, cp, H/h*h_out, W/w*w_out) result into ``out`` (a channel slice of a
-    larger array is fine) and returns it.  ``lx`` is an (n, cp,
-    H/h*h_out, W) buffer for the L x intermediate; ``cell_forward`` passes a
-    channel-major one, so that ``_fold`` applies to it.
+    larger array is fine).  ``lx`` is a channel-major (n, cp, H/h*h_out, W)
+    workspace that receives L x, left for ``part_backward``: its W-wrap
+    columns zeroed, their values returned as one channel-major (n, cb,
+    H/h*h_out, w) strip per run of cb shifted channels (None per unshifted
+    run).
 
     Two band GEMMs on views, with no patch transpose: L acts along H on x
     viewed as (n, cp, H/h, h, W) bands, then R acts along W on that result
@@ -435,18 +453,28 @@ def part_forward(
     whole_plane = (nh, nw) == (1, 1)
     if whole_plane:
         L, R = _conjugate(L, shifts, +1), _conjugate(R, shifts, +1)
+    strips = []
     for a, b, s in _runs(shifts, whole_plane):
         c = slice(a, b)
         xc, lc = x[:, c], lx[:, c]
-        _left(L[c], xc, lc, s, _gather(xc, h, s, 2) if s else None)
-        lf, of = _fold(lc, out[:, c])
+        np.matmul(L[c][:, None], _bands(xc, h, s), out=_bands(lc, h_out, s))
+        strip = None
+        if s:
+            _scatter(lc, np.matmul(L[c], _gather(xc, h, s, 2)), s, 2)
+            strip = _gather(lc, w, s, 3, empty_channel_major(lc, (*lc.shape[:3], w)))
+            # the wrapping chunks' products are discarded; zeroed, these
+            # columns add nothing to the backward's grad_R
+            for piece in _wrap(W, w, s, 3):
+                lc[piece] = 0
+        strips.append(strip)
+        lf, of, sf = _fold(lc, out[:, c], strip)
         np.matmul(_chunks(lf, w, s), R[c], out=_chunks(of, w_out, s))
         if s:
-            _scatter(of, np.matmul(_gather(lf, w, s, 3), R[c]), s, 3)
+            _scatter(of, np.matmul(sf, R[c]), s, 3)
     if bias is not None:
         patches = out.reshape(n, cp, nh, h_out, nw, w_out, copy=False)
         patches += _conjugate(bias, shifts, +1)[:, None, :, None, :]
-    return out
+    return strips
 
 
 def part_backward(
@@ -458,11 +486,14 @@ def part_backward(
     gy: np.ndarray,
     out: np.ndarray,
     lx: np.ndarray,
+    strips: list,
 ):
     """Gradients of ``part_forward`` for the output gradient ``gy``.
 
-    Uses the forward's views of x and the same views of G = ``gy``, with no
-    patch transpose:
+    ``lx`` and ``strips`` are what ``part_forward`` left: L x, with its
+    W-wrap columns zeroed, and those columns' values.  Uses the forward's
+    views of x and L x and the same views of G = ``gy``, with no patch
+    transpose:
 
     - grad_R = sum over n of (L X)^T G on the (H/h*h_out*W/w, w) rows;
     - grad_L = sum over (n, H/h) bands of (G R^T) X^T, which equals
@@ -471,14 +502,15 @@ def part_backward(
       larger array is fine).
 
     A shifted subgroup reads every view at offset s and handles its
-    wrapping band and chunk column apart, as in the forward; for grad_R the
-    wrap columns of L X are zeroed once gathered, so the wrong chunks add
-    nothing.  ``lx`` is the forward's L X buffer, here reused for G R^T.
-    Whole-plane weight gradients are rolled back by (-s, -s).
+    wrapping band and chunk column apart, as in the forward; the zeroed
+    wrap columns of L X make the wrong chunks add nothing to grad_R, and
+    the strip adds the wrapping chunks' share.  G R^T overwrites ``lx``
+    once L X is used, so ``lx`` is consumed.  Whole-plane weight gradients
+    are rolled back by (-s, -s).
 
     Returns (grad_L, grad_R, grad_bias-or-None).  Each weight gradient is
-    reduced in one fixed order, so repeated backward passes are
-    bit-identical.  Neither x nor gy is written to.
+    reduced in one fixed order, so repeated backward passes on equal
+    inputs are bit-identical.  Neither x nor gy is written to.
     """
     n, cp, H, W = x.shape
     h_out, h = L.shape[1:]
@@ -493,28 +525,23 @@ def part_backward(
     grad_l, grad_r = np.empty_like(L), np.empty_like(R)
     # BLAS takes G R^T about 3x longer from a transposed view of R
     Rts = np.ascontiguousarray(R.swapaxes(-1, -2))
-    for a, b, s in _runs(shifts, whole_plane):
+    for (a, b, s), strip in zip(_runs(shifts, whole_plane), strips):
         c = slice(a, b)
         xc, lc, oc = x[:, c], lx[:, c], out[:, c]
         Lc, Rt = L[c], Rts[c]
-        xw = _gather(xc, h, s, 2) if s else None
-        _left(Lc, xc, lc, s, xw)
-        lf, gf = _fold(lc, gy[:, c])
-        if s:
-            lw, gw = _gather(lf, w, s, 3), _gather(gf, w_out, s, 3)
-            for piece in _wrap(W, w, s, 3):
-                lf[piece] = 0
+        lf, gf, lw = _fold(lc, gy[:, c], strip)
         lrows, grows = _chunks(lf, w, s), _chunks(gf, w_out, s)
         grad_r[c] = np.matmul(lrows.swapaxes(-1, -2), grows).sum(axis=0)
         np.matmul(grows, Rt, out=lrows)
         if s:
+            gw = _gather(gf, w_out, s, 3)
             grad_r[c] += np.matmul(lw.swapaxes(-1, -2), gw).sum(axis=0)
             _scatter(lf, np.matmul(gw, Rt), s, 3)
         gbands = _bands(lc, h_out, s)
         grad_l[c] = np.matmul(gbands, _bands(xc, h, s).swapaxes(-1, -2)).sum(axis=(0, 2))
         np.matmul(Lc.swapaxes(-1, -2)[:, None], gbands, out=_bands(oc, h, s))
         if s:
-            grw = _gather(lc, h, s, 2)
+            grw, xw = _gather(lc, h, s, 2), _gather(xc, h, s, 2)
             grad_l[c] += np.matmul(grw, xw.swapaxes(-1, -2)).sum(axis=0)
             _scatter(oc, np.matmul(Lc.swapaxes(-1, -2), grw), s, 2)
     if whole_plane:
@@ -522,51 +549,46 @@ def part_backward(
     return grad_l, grad_r, grad_b
 
 
-def _lx_buffer(x: np.ndarray, parts, weights) -> np.ndarray:
-    """One flat buffer that fits the largest part's L x intermediate."""
-    n, _, H, W = x.shape
-    size = max(n * p.count * (H // p.h * p.h_out) * W for p in parts)
-    return np.empty(size, dtype=np.result_type(x, *(L for L, _, _ in weights)))
+def lx_shape(x_shape, out_shape) -> tuple:
+    """The (n, c, H', W) shape of a layer's L x workspace, for an (n, c, H,
+    W) input and its (n, c, H', W') output."""
+    return (*out_shape[:3], x_shape[3])
 
 
-def _lx_view(buf: np.ndarray, x: np.ndarray, part: Part) -> np.ndarray:
-    """A part's (n, cp, H/h*h_out, W) L x intermediate in ``buf``, channel-major
-    so that ``_fold`` applies to it."""
-    n, _, H, W = x.shape
-    shape = (part.count, n, H // part.h * part.h_out, W)
-    return buf[: math.prod(shape)].reshape(shape).transpose(1, 0, 2, 3)
-
-
-def cell_forward(x: np.ndarray, parts, weights, out: np.ndarray, counter: MultCounter | None = None) -> np.ndarray:
+def cell_forward(x: np.ndarray, parts, weights, out: np.ndarray, lx: np.ndarray, counter: MultCounter | None = None):
     """The part loop: ``part_forward`` on each part's channels of x.
 
     ``weights`` holds one stacked (L, R, bias-or-None) per part.  Every
-    element of the caller's (n, c, H', W') ``out`` is written, and ``out``
-    is returned.  Callers pass ``np.empty_like(x, shape=…)``, so channel-major
-    inputs give channel-major outputs, or, in ``model.NeoCellLayer``, a
-    recycled array of that layout.  One L x buffer, allocated per call,
-    serves every part.
+    element of the caller's (n, c, H', W') ``out`` is written.  Callers
+    pass ``np.empty_like(x, shape=…)``, so channel-major inputs give
+    channel-major outputs, or, in ``model.NeoCellLayer``, a recycled array
+    of that layout.  ``lx`` is the caller's channel-major workspace of
+    ``lx_shape`` (``empty_channel_major``): every part's L x is left there.
+    Returns the W-wrap strips, one list per part, which ``cell_backward``
+    takes with ``lx``.
     """
-    buf = _lx_buffer(x, parts, weights)
+    strips = []
     for part, (L, R, bias) in zip(parts, weights):
         s = slice(part.start, part.stop)
-        part_forward(x[:, s], L, R, bias, part.shifts, out[:, s], _lx_view(buf, x, part), counter)
-    return out
+        strips.append(part_forward(x[:, s], L, R, bias, part.shifts, out[:, s], lx[:, s], counter))
+    return strips
 
 
-def cell_backward(x: np.ndarray, parts, weights, gy: np.ndarray, gx: np.ndarray):
+def cell_backward(x: np.ndarray, parts, weights, gy: np.ndarray, gx: np.ndarray, lx: np.ndarray, strips):
     """Gradients of ``cell_forward`` for the output gradient ``gy``.
 
-    Writes grad_x into the caller's ``gx``, shaped and laid out like x (as
-    ``cell_forward``'s ``out``), and returns (gx, grads) with one (grad_L,
-    grad_R, grad_bias-or-None) per part, shaped like ``weights``.
+    ``lx`` and ``strips`` are what ``cell_forward`` on x and ``weights``
+    left; the backward consumes ``lx``.  Writes grad_x into the caller's
+    ``gx``, shaped and laid out like x (as ``cell_forward``'s ``out``), and
+    returns (gx, grads) with one (grad_L, grad_R, grad_bias-or-None) per
+    part, shaped like ``weights``.
     """
-    buf = _lx_buffer(x, parts, weights)
     grads = []
-    for part, (L, R, bias) in zip(parts, weights):
+    for part, (L, R, bias), part_strips in zip(parts, weights, strips):
         s = slice(part.start, part.stop)
-        lx = _lx_view(buf, x, part)
-        grads.append(part_backward(x[:, s], L, R, bias is not None, part.shifts, gy[:, s], gx[:, s], lx))
+        grads.append(
+            part_backward(x[:, s], L, R, bias is not None, part.shifts, gy[:, s], gx[:, s], lx[:, s], part_strips)
+        )
     return gx, grads
 
 
@@ -586,21 +608,27 @@ def forward_patchwise(
     out = np.empty_like(x.array, shape=output_shape(spec, x.dims))
     params.validate(spec)
     parts = merge_parts(spec)
-    return Tensor4(cell_forward(x.array, parts, _part_weights(spec, params, parts), out, counter))
+    lx = empty_channel_major(x.array, lx_shape(x.dims, out.shape))
+    cell_forward(x.array, parts, _part_weights(spec, params, parts), out, lx, counter)
+    return Tensor4(out)
 
 
 def neocell_backward(x: Tensor4, spec: NeoCellSpec, params: NeoCellParams, grad_out: Tensor4):
-    """Analytic gradients of ``forward_patchwise`` through ``cell_backward``.
+    """Analytic gradients of ``forward_patchwise`` through ``cell_backward``,
+    on the L x workspace that a ``cell_forward`` pass fills.
 
     Returns (grad_x, grad_params) with grad_params shaped exactly like
     ``params``.
     """
-    spec.validate_input(x.dims)
+    out_shape = output_shape(spec, x.dims)
     params.validate(spec)
     if grad_out.dims[:2] != x.dims[:2]:
         raise ShapeError(f"grad_out dims {grad_out.dims} do not match input {x.dims}")
     parts = merge_parts(spec)
-    gx, grads = cell_backward(x.array, parts, _part_weights(spec, params, parts), grad_out.array, np.empty_like(x.array))
+    weights = _part_weights(spec, params, parts)
+    lx = empty_channel_major(x.array, lx_shape(x.dims, out_shape))
+    strips = cell_forward(x.array, parts, weights, np.empty_like(x.array, shape=out_shape), lx)
+    gx, grads = cell_backward(x.array, parts, weights, grad_out.array, np.empty_like(x.array), lx, strips)
     gl = [Matrix(m) for gL, _, _ in grads for m in gL]
     gr = [Matrix(m) for _, gR, _ in grads for m in gR]
     gb = [Matrix(m) for _, _, gB in grads for m in gB] if spec.use_bias else None

@@ -6,8 +6,9 @@ one warmup epoch ramping linearly to the peak rate followed by cosine
 annealing to 0, batch size 64, basic augmentation, label smoothing 0.1.
 These values are constants (``RunConfig``'s class constants and
 ``OptimSpec``'s momentum), not config keys.  Both init arms ("neoinit" vs
-"random-normal") run under identical settings; a run whose loss turns
-non-finite is recorded as diverged rather than crashing.
+"random-normal") run under identical settings; a run whose training loss,
+gradient or epoch validation loss turns non-finite is recorded as diverged
+rather than crashing.
 
 Run config files are flat key = value text with the versioned header line
 ``neonext-run-config v1``, one key per ``RunConfig`` field: what varies
@@ -117,10 +118,19 @@ class RunConfig(metaclass=_TakesOptimizer):
             raise ConfigError(f"seeds must not repeat, got {self.seeds}")
         if self.init not in ("neoinit", "random-normal"):
             raise ConfigError(f"init must be neoinit or random-normal, got {self.init!r}")
-        if self.data not in ("synthetic", "cifar10"):
+        # each data source's keys are checked only where that source is read
+        if self.data == "cifar10":
+            if not self.data_dir:
+                raise ConfigError("cifar10 runs need data_dir")
+            ranges = (("epochs", 0),)
+        elif self.data == "synthetic":
+            if self.data_dir:
+                raise ConfigError(f"data_dir is read only under data = cifar10, got {self.data_dir!r} with synthetic data")
+            # a synthetic train split holds at least one whole batch
+            ranges = (("synth_train", self.batch_size), ("synth_val", 1), ("epochs", 0))
+        else:
             raise ConfigError(f"data must be synthetic or cifar10, got {self.data!r}")
-        # a synthetic train split holds at least one whole batch
-        for key, least in (("synth_train", self.batch_size), ("synth_val", 1), ("epochs", 0)):
+        for key, least in ranges:
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
         OptimSpec(self.lr)    # checks lr
@@ -199,8 +209,6 @@ class RunReport:
 def _load_data(cfg: RunConfig) -> tuple[Dataset, Dataset]:
     # the dataset is a pure function of the config, shared by all seeds/arms
     if cfg.data == "cifar10":
-        if not cfg.data_dir:
-            raise ConfigError("cifar10 runs need data_dir")
         return load_cifar10(cfg.data_dir)
     full = synth_task(Rng(20240901), cfg.synth_train + cfg.synth_val, cfg.classes)
     return split_dataset(full, cfg.synth_val)
@@ -282,6 +290,9 @@ def train_run(cfg: RunConfig, seed: int | None = None) -> RunReport:
                 break
             step += 1
         val_loss, val_acc = evaluate(model, val_ds)
+        if divergence_step is None and not math.isfinite(val_loss):
+            # an update that blew up after the epoch's last forward shows only here
+            divergence_step = step
         train_loss = float(np.mean(losses)) if losses else float("nan")
         rows.append(
             EpochRow(epoch, train_loss, val_loss, val_acc, lr_at(schedule, step, steps_per_epoch), time.perf_counter() - t0)

@@ -255,6 +255,27 @@ class TestTrainCli:
         write_tiny_config(cfg, tmp_path / "out", lr="1e9", init="random-normal", epochs="2")
         assert main(["train", "--config", str(cfg)]) == 2
 
+    def test_blow_up_in_the_last_update_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        write_tiny_config(cfg, tmp_path / "out", lr="1e9", init="random-normal")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().out.startswith("seed 1: diverged, epochs 1, val_loss nan")
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"data": "cifar10"}, "error: cifar10 runs need data_dir\n"),
+            ({"data_dir": "/data"}, "error: data_dir is read only under data = cifar10, got '/data' with synthetic data\n"),
+        ],
+        ids=["cifar10-without-data-dir", "synthetic-with-data-dir"],
+    )
+    def test_data_source_keys_exit_1_before_any_run(self, overrides, message, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        write_tiny_config(cfg, tmp_path / "out", **overrides)
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "out").exists()
+
     def test_config_error_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("not a config\n")

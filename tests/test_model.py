@@ -260,7 +260,46 @@ class TestNeoCellLayerAliasing:
         gx_ref, _ = neocell_backward(Tensor4(x2), self.RECYCLE_SPEC, params, Tensor4(g2))
         assert np.array_equal(gx, gx_ref.array)
 
-    @pytest.mark.parametrize(
+    @staticmethod
+    def record(layer, x):
+        """A forward on a tape: (tape, output Val)."""
+        tape = Tape()
+        return tape, layer.forward(Param("x", x), tape, ForwardCtx())
+
+    @staticmethod
+    def finish(tape, out, gout):
+        """The backward of a recorded forward for output gradient ``gout``."""
+        tape.record(Val(0.0), (out,), lambda g: (gout,))
+        return backward(tape)
+
+    @staticmethod
+    def assert_matches_reference(layer, x, gout, out, grads):
+        params = layer_params(layer)
+        assert np.array_equal(out, forward_patchwise(Tensor4(x), layer.spec, params).array)
+        gx, gp = neocell_backward(Tensor4(x), layer.spec, params, Tensor4(gout))
+        assert np.array_equal(grads["x"], gx.array)
+        for part, (pl, pr, _) in zip(layer.parts, layer.part_params):
+            want_l, want_r, _ = gp.stacked(part)
+            assert np.array_equal(grads[pl.name], want_l) and np.array_equal(grads[pr.name], want_r)
+
+    def test_held_tapes_keep_their_workspaces(self):
+        # the L x workspace stays on the tape until its backward: a second
+        # forward before it may not reuse the first's
+        layer, (x1, g1, x2, g2) = self.recycle_case(self.BIG)
+        tape1, out1 = self.record(layer, x1)
+        lx1 = weakref.ref(layer._kept["lx"][1])
+        tape2, out2 = self.record(layer, x2)
+        lx2 = weakref.ref(layer._kept["lx"][1])
+        assert lx1() is not lx2() and not np.shares_memory(lx1(), lx2())
+        self.assert_matches_reference(layer, x1, g1, out1.array, self.finish(tape1, out1, g1))
+        self.assert_matches_reference(layer, x2, g2, out2.array, self.finish(tape2, out2, g2))
+        del tape1, tape2
+        # dropped with its tape, the first workspace is freed; the kept one is reused
+        assert lx1() is None
+        self.record(layer, x1)
+        assert layer._kept["lx"][1] is lx2()
+
+    SPECS = pytest.mark.parametrize(
         "groups",
         [
             (GroupSpec(0, 2, 4, 4, 4, 4), GroupSpec(2, 5, 4, 4, 4, 4, shift=3)),
@@ -270,6 +309,36 @@ class TestNeoCellLayerAliasing:
         ],
         ids=["shifted", "downsample", "whole-plane-shifted"],
     )
+
+    @SPECS
+    @pytest.mark.parametrize("x_layout, g_layout", [("cm", "c"), ("c", "cm")])
+    def test_forward_and_backward_layouts_may_differ(self, groups, x_layout, g_layout):
+        # the backward folds the images of a channel by gy's layout, which a
+        # replayed backward's C-ordered probe makes differ from x's: a mixed
+        # step gives bit for bit what the step in gy's layout gives
+        layout = {"c": np.ascontiguousarray, "cm": to_channel_major}
+        spec = NeoCellSpec(groups)
+        rng = Rng(32)
+        layer = NeoCellLayer("cell", spec, rng)
+        x = rng.normal((2, spec.channel_count, 8, 8), 1.0)
+        gout = layout[g_layout](rng.normal(layer.out_shape(x.shape), 1.0))
+        assert channel_major(gout) == (g_layout == "cm")
+        mixed_x = layout[x_layout](x)
+        assert channel_major(mixed_x) == (x_layout == "cm")
+
+        def run(x):
+            tape, out = self.record(layer, x)
+            return out.array, self.finish(tape, out, gout)
+
+        mixed, matched = run(mixed_x), run(layout[g_layout](x))
+        assert np.array_equal(mixed[0], matched[0])
+        assert mixed[1].keys() == matched[1].keys()
+        assert all(np.array_equal(mixed[1][k], matched[1][k]) for k in mixed[1])
+        if g_layout == "c":
+            # neocell_backward's Tensor4 arguments are C-ordered
+            self.assert_matches_reference(layer, x, gout, *mixed)
+
+    @SPECS
     def test_inputs_untouched_and_outputs_unaliased(self, groups):
         spec = NeoCellSpec(groups)
         rng = Rng(31)

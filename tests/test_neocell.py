@@ -13,8 +13,10 @@ from neonext.neocell import (
     blockdiag_factors,
     cell_backward,
     cell_forward,
+    empty_channel_major,
     forward_blockdiag,
     forward_patchwise,
+    lx_shape,
     merge_parts,
     neocell_backward,
     neoinit_params,
@@ -279,10 +281,12 @@ class TestShiftedKernel:
         def run(backward_of=None):
             xa = xp.array.transpose(1, 0, 2, 3) if channel_major else xp.array
             arrays = [tuple(None if p is None else p.array for p in triple) for triple in weights]
+            out = np.empty_like(xa, shape=output_shape(spec, xa.shape))
+            lx = empty_channel_major(xa, lx_shape(xa.shape, out.shape))
+            strips = cell_forward(xa, parts, arrays, out, lx)
             if backward_of is None:
-                out = np.empty_like(xa, shape=output_shape(spec, xa.shape))
-                return float((cell_forward(xa, parts, arrays, out) * gout).sum())
-            return cell_backward(xa, parts, arrays, backward_of, np.empty_like(xa))
+                return float((out * gout).sum())
+            return cell_backward(xa, parts, arrays, backward_of, np.empty_like(xa), lx, strips)
 
         gx, grads = run(gout)
         analytic = Grads({"x": gx.transpose(1, 0, 2, 3) if channel_major else gx})

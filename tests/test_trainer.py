@@ -152,6 +152,16 @@ class TestTrainRun:
         status = Path(cfg.out_dir, "status.txt").read_text()
         assert "diverged" in status
 
+    def test_blow_up_in_the_last_update_is_diverged(self, tmp_path):
+        # no forward follows the epoch's last update: the epoch's evaluation sees it
+        cfg = tiny_cfg(tmp_path, lr=1e9, init="random-normal")
+        report = train_run(cfg)
+        steps = 192 // RunConfig.batch_size
+        assert math.isfinite(report.rows[-1].train_loss) and math.isnan(report.rows[-1].val_loss)
+        assert (report.status, report.divergence_step) == ("diverged", steps)
+        status = Path(cfg.out_dir, "status.txt").read_text()
+        assert status == f"status diverged\nseed 1\ninit random-normal\ndivergence_step {steps}\n"
+
     def test_csv_schema(self, tmp_path):
         cfg = tiny_cfg(tmp_path, epochs=1)
         report = train_run(cfg)
@@ -192,10 +202,11 @@ _path = st.text(
 ).map(str.strip)
 
 
+# data_dir is set under cifar10 and only there
+_sources = st.just(("synthetic", "")) | st.tuples(st.just("cifar10"), _path.filter(bool))
 _configs = st.builds(
-    RunConfig,
-    data=st.sampled_from(["synthetic", "cifar10"]),
-    data_dir=_path,
+    lambda source, **kw: RunConfig(data=source[0], data_dir=source[1], **kw),
+    _sources,
     synth_train=st.integers(64, 10**6),
     synth_val=st.integers(1, 10**6),
     lr=_positive,
@@ -325,6 +336,25 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="^synth_train must be >= 64, got 63$"):
             parse_config(f"{CONFIG_HEADER}\nsynth_train = 63\n")
         assert parse_config(f"{CONFIG_HEADER}\nsynth_train = 64\n").synth_train == 64
+
+    def test_synthetic_data_refuses_a_data_dir(self):
+        with pytest.raises(ConfigError, match="^data_dir is read only under data = cifar10, got '/data' with synthetic data$"):
+            parse_config(f"{CONFIG_HEADER}\ndata_dir = /data\n")
+        with pytest.raises(ConfigError, match="data_dir"):
+            RunConfig(data_dir="x")
+
+    def test_cifar10_needs_data_dir_at_parse_time(self):
+        with pytest.raises(ConfigError, match="^cifar10 runs need data_dir$"):
+            parse_config(f"{CONFIG_HEADER}\ndata = cifar10\n")
+        assert parse_config(f"{CONFIG_HEADER}\ndata = cifar10\ndata_dir = /data\n").data_dir == "/data"
+
+    @pytest.mark.parametrize("line", ["synth_train = 10", "synth_val = 0", "synth_train = -5"])
+    def test_synthetic_sizes_are_checked_only_under_synthetic(self, line):
+        with pytest.raises(ConfigError, match=line.split()[0]):
+            parse_config(f"{CONFIG_HEADER}\n{line}\n")
+        cfg = parse_config(f"{CONFIG_HEADER}\ndata = cifar10\ndata_dir = /data\n{line}\n")
+        key, _, value = line.partition(" = ")
+        assert getattr(cfg, key) == int(value)
 
     def test_bad_init_rejected(self):
         with pytest.raises(ConfigError, match="init"):
