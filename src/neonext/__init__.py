@@ -11,7 +11,6 @@ from .neocell import (
     NeoCellSpec,
     forward_blockdiag,
     forward_patchwise,
-    neocell_backward,
     output_shape,
 )
 from .autodiff import Grads, Param, Tape, backward, fd_check
@@ -25,7 +24,7 @@ __all__ = [
     "neoinit_pattern",
     "GroupSpec", "NeoCellSpec", "NeoCellParams",
     "forward_patchwise", "forward_blockdiag", "output_shape",
-    "Grads", "Param", "Tape", "backward", "fd_check", "neocell_backward",
+    "Grads", "Param", "Tape", "backward", "fd_check",
     "ModelSpec", "build_model", "named_spec",
     "OptimSpec", "ScheduleSpec", "RunConfig", "lr_at", "train_run", "run_ablation",
     "OpCost", "BenchResult", "flops_dwconv", "flops_neocell", "dwconv_reference", "bench",

@@ -30,10 +30,8 @@ from .neocell import (
     blockdiag_product,
     cell_forward,
     empty_channel_major,
-    forward_patchwise,
     init_part,
     merge_parts,
-    neoinit_params,
 )
 from .rng import Rng
 from .tensor import Tensor4
@@ -131,16 +129,18 @@ def _dwconv(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
 # -------------------------------------------------------- counted execution
 
 def _square_spec(c: int, k: int) -> NeoCellSpec:
-    return NeoCellSpec((GroupSpec(0, c, k, k, k, k),), use_bias=False)
+    return NeoCellSpec((GroupSpec(0, c, k, k, k, k),))
 
 
 def counted_neocell(c: int, h: int, w: int, k: int, seed: int = 0) -> int:
-    """Multiplies executed by the patchwise forward on a (1, c, h, w) input."""
+    """Multiplies executed by the patch kernel on a (1, c, h, w) input."""
     spec = _square_spec(c, k)
-    params = neoinit_params(spec, Rng(seed))
-    x = Tensor4(Rng(seed + 1).normal((1, c, h, w), 1.0))
+    spec.validate_input((1, c, h, w))
+    (part,) = merge_parts(spec)
+    weights = init_part(part, Rng(seed))
+    x = Rng(seed + 1).normal((1, c, h, w), 1.0)
     counter = MultCounter()
-    forward_patchwise(x, spec, params, counter)
+    cell_forward(x, [part], [weights], np.empty_like(x), empty_channel_major(x, x.shape), counter)
     return counter.multiplies
 
 
@@ -180,7 +180,7 @@ def _bench_callable(op: str, c: int, h: int, w: int, k: int, seed: int, dtype: s
 
             def fn():
                 out = np.empty_like(x)
-                cell_forward(x, [part], [(L, R, None)], out, empty_channel_major(x, x.shape))
+                cell_forward(x, [part], [(L, R)], out, empty_channel_major(x, x.shape))
                 return out
 
             return fn, mults
@@ -191,10 +191,10 @@ def _bench_callable(op: str, c: int, h: int, w: int, k: int, seed: int, dtype: s
     if op == "dwconv":
         if k % 2 == 0:
             raise ConfigError(f"dwconv benchmark needs odd k, got {k}")
+        mults = flops_dwconv(c, h, w, k).multiplies   # checks the dims before any draw
         kernels = rng.normal((c, k, k), 1.0).astype(dt)
         x = rng.normal((1, c, h, w), 1.0).astype(dt)
-        fn = lambda: _dwconv(x, kernels)
-        return fn, flops_dwconv(c, h, w, k).multiplies
+        return (lambda: _dwconv(x, kernels)), mults
     raise ConfigError(f"unknown bench op {op!r}; known: {BENCH_OPS}")
 
 

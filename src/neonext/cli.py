@@ -136,11 +136,8 @@ def _gradcheck_case(args):
 
     x_param = Param("input", rng.normal((2, args.c, args.h, args.w), 1.0), "input")
     if args.layer == "neocell":
-        spec = NeoCellSpec((GroupSpec(0, args.c, args.k, args.k, args.k, args.k, shift=1 if args.k > 1 else 0),), use_bias=True)
+        spec = NeoCellSpec((GroupSpec(0, args.c, args.k, args.k, args.k, args.k, shift=1 if args.k > 1 else 0),))
         layer = NeoCellLayer("neocell", spec, rng, init="neoinit")
-        for g in layer.part_params:
-            if g[2] is not None:
-                g[2].array[...] = rng.normal(g[2].array.shape, 0.5)
     elif args.layer == "pointwise":
         layer = PointwiseLayer("pointwise", args.c, 2 * args.c, rng)
     elif args.layer == "batchnorm":

@@ -38,17 +38,15 @@ def _choice(rng: Rng, seq):
 
 
 def random_params(spec: NeoCellSpec, rng: Rng) -> NeoCellParams:
-    """Unit-normal weights (and bias, when enabled) for every channel."""
+    """Unit-normal weights for every channel."""
     C = spec.channel_count
     left: list = [None] * C
     right: list = [None] * C
-    bias: list = [None] * C
     for g in spec.groups:
         for c in g.channels:
             left[c] = Matrix(rng.normal((g.h_out, g.h), 1.0))
             right[c] = Matrix(rng.normal((g.w, g.w_out), 1.0))
-            bias[c] = Matrix(rng.normal((g.h_out, g.w_out), 1.0))
-    return NeoCellParams(left, right, bias if spec.use_bias else None)
+    return NeoCellParams(left, right)
 
 
 def random_case(rng: Rng):
@@ -56,7 +54,6 @@ def random_case(rng: Rng):
     kind = _choice(rng, ("mixed-square", "mixed-square", "down-2to1", "up-2to3"))
     n = _choice(rng, (1, 2))
     c = int(rng.integers(1, 7)[0]) + 2
-    use_bias = bool(_choice(rng, (0, 1)))
     if kind == "mixed-square":
         side = _choice(rng, (28, 56))
         groups = []
@@ -67,13 +64,13 @@ def random_case(rng: Rng):
             shift = int(rng.integers(1, k)[0])
             groups.append(GroupSpec(start, start + size, k, k, k, k, shift=shift))
             start += size
-        spec = NeoCellSpec(tuple(groups), use_bias=use_bias)
+        spec = NeoCellSpec(tuple(groups))
         dims = (n, c, side, side)
     elif kind == "down-2to1":
-        spec = NeoCellSpec((GroupSpec(0, c, 2, 2, 1, 1),), use_bias=use_bias)
+        spec = NeoCellSpec((GroupSpec(0, c, 2, 2, 1, 1),))
         dims = (n, c, _choice(rng, (8, 16, 28, 56)), _choice(rng, (8, 16, 28, 56)))
     else:
-        spec = NeoCellSpec((GroupSpec(0, c, 2, 2, 3, 3),), use_bias=use_bias)
+        spec = NeoCellSpec((GroupSpec(0, c, 2, 2, 3, 3),))
         side = _choice(rng, (8, 16, 28))
         dims = (n, c, side, side)
     x = Tensor4(rng.normal(dims, 1.0))

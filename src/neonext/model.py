@@ -20,10 +20,10 @@ size is not divisible by the requested size, the largest of {7, 4, 2, 1}
 that divides the map is substituted and the substitution is recorded in the
 manifest.
 
-``NeoCellLayer`` holds its patch weights as one stacked ``Param`` triple per
-``neocell.Part`` and runs ``neocell``'s one part loop, ``cell_forward`` and,
-on the tape, ``cell_backward`` on the L x workspace and wrap strips that
-the forward left; ``neocell`` owns the patch layout.
+``NeoCellLayer`` holds its patch weights as one stacked (left, right)
+``Param`` pair per ``neocell.Part`` and runs ``neocell``'s one part loop,
+``cell_forward`` and, on the tape, ``cell_backward`` on the L x workspace
+and wrap strips that the forward left; ``neocell`` owns the patch layout.
 
 Activation layout: layers take (n, c, h, w) arrays in any memory order,
 but they are built for channel-major ones, whose memory is that of a
@@ -217,23 +217,21 @@ class ForwardCtx:
 
 
 class NeoCellLayer:
-    def __init__(self, name: str, spec: NeoCellSpec, rng: Rng, init: str = "neoinit"):
+    def __init__(self, name: str, spec: NeoCellSpec, rng: Rng | None, init: str = "neoinit"):
         self.name = name
         self.spec = spec
         self.parts = merge_parts(spec)
-        self.part_params: list[tuple[Param, Param, Param | None]] = []
+        # (left, right, None): the third slot stays for perfbench's unpacking
+        self.part_params: list[tuple[Param, Param, None]] = []
         for pi, part in enumerate(self.parts):
             left, right = init_part(part, rng, init)
             pl = Param(f"{name}.p{pi}.left", left, "neocell_left")
             pr = Param(f"{name}.p{pi}.right", right, "neocell_right")
-            pb = None
-            if spec.use_bias:
-                pb = Param(f"{name}.p{pi}.bias", np.zeros((part.count, part.h_out, part.w_out)), "neocell_bias")
-            self.part_params.append((pl, pr, pb))
+            self.part_params.append((pl, pr, None))
         self._kept = {}    # "out" / "gx" -> (key, array) of the last call
 
     def params(self):
-        return [p for triple in self.part_params for p in triple if p is not None]
+        return [p for pl, pr, _ in self.part_params for p in (pl, pr)]
 
     def out_shape(self, dims):
         return output_shape(self.spec, dims)
@@ -261,14 +259,14 @@ class NeoCellLayer:
         x = v.array
         out = self._recycled("out", x, self.out_shape(x.shape))
         lx = self._recycled("lx", x, lx_shape(x.shape, out.shape), empty_channel_major)
-        weights = [(pl.array, pr.array, None if pb is None else pb.array) for pl, pr, pb in self.part_params]
+        weights = [(pl.array, pr.array) for pl, pr, _ in self.part_params]
         strips = cell_forward(x, self.parts, weights, out, lx)
         ov = Val(out)
 
         def back(gout):
             # consumes lx: a tape runs its backward once
             gx, grads = cell_backward(x, self.parts, weights, gout, self._recycled("gx", x, x.shape), lx, strips)
-            return [gx] + [g for triple in grads for g in triple if g is not None]
+            return [gx] + [g for pair in grads for g in pair]
 
         _record(tape, ov, (v, *self.params()), back)
         return ov
@@ -625,7 +623,7 @@ def build_model(spec: ModelSpec, input_size: int, rng: Rng, init: str = "neoinit
         groups, notes = make_stage_groups(C, map_size, STAGE_POLICIES[si])
         for note in notes:
             manifest.append(f"stage{si}: {note}")
-        cell_spec = NeoCellSpec(groups, use_bias=False)
+        cell_spec = NeoCellSpec(groups)
         cell_spec.validate_input((1, C, map_size, map_size))
         gdesc = ", ".join(
             f"[{g.start}:{g.stop}) {g.h}x{g.w} shift {g.shift}" for g in groups
@@ -638,7 +636,7 @@ def build_model(spec: ModelSpec, input_size: int, rng: Rng, init: str = "neoinit
             if map_size % 2:
                 raise ShapeError(f"stage{si}: map {map_size} not even, cannot downsample")
             down_groups = (GroupSpec(0, C, 2, 2, 1, 1, shift=0),)
-            down_spec = NeoCellSpec(down_groups, use_bias=False)
+            down_spec = NeoCellSpec(down_groups)
             layers.append(NeoCellLayer(f"down{si}.neocell", down_spec, rng, init))
             layers.append(BatchNormLayer(f"down{si}.norm1", C))
             layers.append(GeluLayer())

@@ -2,18 +2,18 @@
 block-diagonal execution path.
 
 A layer splits each channel plane into an (H/h) x (W/w) grid of h x w
-patches and maps every patch X to ``L @ X @ R`` (plus an optional per-channel
-bias), where L is (h_out x h) and R is (w x w_out).  Channels are organized
-into groups that may differ in patch size, in resampling factors, and in a
-cyclic spatial shift of the patch grid.
+patches and maps every patch X to ``L @ X @ R``, with no bias, where L is
+(h_out x h) and R is (w x w_out).  Channels are organized into groups that
+may differ in patch size, in resampling factors, and in a cyclic spatial
+shift of the patch grid.
 
 This module is the only one that knows the patch layout.  Consecutive groups
 of equal patch geometry merge into one ``Part``, and one kernel pair,
 ``part_forward`` / ``part_backward``, computes every patch product and its
 gradients.  One part loop, ``cell_forward`` / ``cell_backward``, runs that
-kernel over the parts, on one stacked (L, R, bias-or-None) per part:
-``model.NeoCellLayer`` passes its ``Param`` arrays, ``forward_patchwise`` /
-``neocell_backward`` the per-channel ``NeoCellParams`` stacked per part.
+kernel over the parts, on one stacked (L, R) pair per part:
+``model.NeoCellLayer`` passes its ``Param`` arrays, ``forward_patchwise``
+the per-channel ``NeoCellParams`` stacked per part.
 
 The kernel never gathers patches: it runs two band GEMMs on views of
 (n, c, H, W), L along H on (n, c, H/h, h, W) bands and then R along W on
@@ -32,7 +32,7 @@ layout; ``cell_forward`` leaves it there and returns the W-wrap strips of
 each shifted subgroup, and ``cell_backward`` takes both and consumes the
 workspace in place, overwriting L x with G R^T.  A workspace therefore
 serves one backward, as a tape does (``autodiff.backward`` refuses a
-consumed tape); ``neocell_backward`` fills a fresh one with a forward pass.
+consumed tape).
 
 Shifts never move activations.  A subgroup shifted by s reads the same
 views from row s and from flat element s: every band along H except the one
@@ -46,7 +46,7 @@ along W still computes the H - 1 wrapped chunk products of each plane in its
 flat view and discards them (one more per plane where the images of a
 channel are folded); ``MultCounter`` does not count them.  A
 whole-plane part (H == h and W == w) has no band to offset: it runs
-unshifted on L, R and bias rolled by (s, s), which is the same conjugation,
+unshifted on L and R rolled by (s, s), which is the same conjugation,
 and rolls the weight gradients back.  Patch weights are initialized in one
 place, ``init_part``.
 
@@ -115,12 +115,17 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class NeoCellSpec:
-    """Ordered groups covering all channels exactly once, plus the bias flag."""
+    """Ordered groups covering all channels exactly once.
+
+    The operator has no bias: ``use_bias`` is kept for callers that name
+    it, and only False is accepted."""
 
     groups: tuple[GroupSpec, ...]
     use_bias: bool = False
 
     def __post_init__(self):
+        if self.use_bias:
+            raise ParameterError("the patch operator has no bias; use_bias must be False")
         groups = tuple(self.groups)
         object.__setattr__(self, "groups", groups)
         if not groups:
@@ -171,19 +176,14 @@ def output_shape(spec: NeoCellSpec, in_dims):
 
 
 class NeoCellParams:
-    """Per-channel weights: left (h_out x h), right (w x w_out), optional bias."""
+    """Per-channel weights: left (h_out x h), right (w x w_out)."""
 
-    def __init__(self, left: list[Matrix], right: list[Matrix], bias: list[Matrix] | None = None):
+    def __init__(self, left: list[Matrix], right: list[Matrix]):
         self.left = list(left)
         self.right = list(right)
-        self.bias = list(bias) if bias is not None else None
         if len(self.left) != len(self.right):
             raise ParameterError(
                 f"left/right channel counts differ: {len(self.left)} vs {len(self.right)}"
-            )
-        if self.bias is not None and len(self.bias) != len(self.left):
-            raise ParameterError(
-                f"bias channel count {len(self.bias)} differs from {len(self.left)}"
             )
 
     def validate(self, spec: NeoCellSpec) -> None:
@@ -191,8 +191,6 @@ class NeoCellParams:
             raise ParameterError(
                 f"params cover {len(self.left)} channels, spec needs {spec.channel_count}"
             )
-        if spec.use_bias and self.bias is None:
-            raise ParameterError("spec enables bias but params carry none")
         for idx, g in enumerate(spec.groups):
             for c in g.channels:
                 L, R = self.left[c], self.right[c]
@@ -206,22 +204,14 @@ class NeoCellParams:
                         f"group {idx} channel {c}: right is {R.rows}x{R.cols}, "
                         f"expected {g.w}x{g.w_out}"
                     )
-                if spec.use_bias:
-                    B = self.bias[c]
-                    if (B.rows, B.cols) != (g.h_out, g.w_out):
-                        raise ParameterError(
-                            f"group {idx} channel {c}: bias is {B.rows}x{B.cols}, "
-                            f"expected {g.h_out}x{g.w_out}"
-                        )
 
     def stacked(self, unit):
         """Weights of channels [unit.start, unit.stop) of a group or part, as
-        stacked arrays (c, h_out, h), (c, w, w_out), bias or None."""
+        stacked arrays (c, h_out, h), (c, w, w_out)."""
         s = slice(unit.start, unit.stop)
         L = np.stack([m.array for m in self.left[s]])
         R = np.stack([m.array for m in self.right[s]])
-        B = None if self.bias is None else np.stack([m.array for m in self.bias[s]])
-        return L, R, B
+        return L, R
 
 
 @dataclass(frozen=True)
@@ -281,21 +271,6 @@ def init_part(part: Part, rng: Rng | None, init: str = "neoinit"):
     return left, right
 
 
-def neoinit_params(spec: NeoCellSpec, rng: Rng | None) -> NeoCellParams:
-    """``init_part`` NeoInit weights for every channel (``rng=None``: the
-    noise-free patterns); bias zero."""
-    parts = merge_parts(spec)
-    stacks = [init_part(part, rng) for part in parts]
-    bias = None
-    if spec.use_bias:
-        bias = [Matrix(np.zeros((p.h_out, p.w_out))) for p in parts for _ in range(p.count)]
-    return NeoCellParams(
-        [Matrix(m) for L, _ in stacks for m in L],
-        [Matrix(m) for _, R in stacks for m in R],
-        bias,
-    )
-
-
 class MultCounter:
     """Tally of scalar multiplications performed inside instrumented kernels."""
 
@@ -323,8 +298,7 @@ def _conjugate(a: np.ndarray, shifts, sign: int) -> np.ndarray:
     ``sign * shift`` on both axes; ``a`` itself when no subgroup is shifted.
 
     Rolling a patch matrix by (s, s) conjugates the patch operator by a
-    cyclic shift of s: whole-plane parts take their shifts this way, and
-    every shifted subgroup its bias."""
+    cyclic shift of s: whole-plane parts take their shifts this way."""
     if not any(s for _, _, s in shifts):
         return a
     return np.take(a, _conjugation_index(shifts, a.shape, sign))
@@ -414,7 +388,6 @@ def part_forward(
     x: np.ndarray,
     L: np.ndarray,
     R: np.ndarray,
-    bias: np.ndarray | None,
     shifts,
     out: np.ndarray,
     lx: np.ndarray,
@@ -422,10 +395,10 @@ def part_forward(
 ) -> list:
     """The patch kernel for one part, in the dtype of its inputs.
 
-    x is (n, cp, H, W); L is (cp, h_out, h); R is (cp, w, w_out); bias is
-    (cp, h_out, w_out) or None; ``shifts`` is ``Part.shifts``.  Writes the
-    (n, cp, H/h*h_out, W/w*w_out) result into ``out`` (a channel slice of a
-    larger array is fine).  ``lx`` is a channel-major (n, cp, H/h*h_out, W)
+    x is (n, cp, H, W); L is (cp, h_out, h); R is (cp, w, w_out);
+    ``shifts`` is ``Part.shifts``.  Writes the (n, cp, H/h*h_out,
+    W/w*w_out) result into ``out`` (a channel slice of a larger array is
+    fine).  ``lx`` is a channel-major (n, cp, H/h*h_out, W)
     workspace that receives L x, left for ``part_backward``: its W-wrap
     columns zeroed, their values returned as one channel-major (n, cb,
     H/h*h_out, w) strip per run of cb shifted channels (None per unshifted
@@ -437,8 +410,8 @@ def part_forward(
     out as the output.  A subgroup shifted by s reads the same views from
     row s and from flat element s; its one wrapping band along H and its
     wrapping chunk column along W are gathered, multiplied and scattered
-    back.  A whole-plane part instead runs unshifted on weights and bias
-    rolled by (s, s).  L goes first, so each patch costs exactly the
+    back.  A whole-plane part instead runs unshifted on weights rolled by
+    (s, s).  L goes first, so each patch costs exactly the
     h_out*h*w + h_out*w*w_out multiplies that ``counter`` tallies.  It does
     not count the wrapped chunk products that a shifted subgroup computes
     and discards: H - 1 per plane, and one more per plane but the last
@@ -471,9 +444,6 @@ def part_forward(
         np.matmul(_chunks(lf, w, s), R[c], out=_chunks(of, w_out, s))
         if s:
             _scatter(of, np.matmul(sf, R[c]), s, 3)
-    if bias is not None:
-        patches = out.reshape(n, cp, nh, h_out, nw, w_out, copy=False)
-        patches += _conjugate(bias, shifts, +1)[:, None, :, None, :]
     return strips
 
 
@@ -481,7 +451,6 @@ def part_backward(
     x: np.ndarray,
     L: np.ndarray,
     R: np.ndarray,
-    has_bias: bool,
     shifts,
     gy: np.ndarray,
     out: np.ndarray,
@@ -508,18 +477,14 @@ def part_backward(
     once L X is used, so ``lx`` is consumed.  Whole-plane weight gradients
     are rolled back by (-s, -s).
 
-    Returns (grad_L, grad_R, grad_bias-or-None).  Each weight gradient is
-    reduced in one fixed order, so repeated backward passes on equal
-    inputs are bit-identical.  Neither x nor gy is written to.
+    Returns (grad_L, grad_R).  Each weight gradient is reduced in one
+    fixed order, so repeated backward passes on equal inputs are
+    bit-identical.  Neither x nor gy is written to.
     """
-    n, cp, H, W = x.shape
+    H, W = x.shape[2:]
     h_out, h = L.shape[1:]
     w, w_out = R.shape[1:]
-    nh, nw = H // h, W // w
-    grad_b = None
-    if has_bias:
-        grad_b = _conjugate(gy.reshape(n, cp, nh, h_out, nw, w_out).sum(axis=(0, 2, 4)), shifts, -1)
-    whole_plane = (nh, nw) == (1, 1)
+    whole_plane = (H // h, W // w) == (1, 1)
     if whole_plane:
         L, R = _conjugate(L, shifts, +1), _conjugate(R, shifts, +1)
     grad_l, grad_r = np.empty_like(L), np.empty_like(R)
@@ -546,7 +511,7 @@ def part_backward(
             _scatter(oc, np.matmul(Lc.swapaxes(-1, -2), grw), s, 2)
     if whole_plane:
         grad_l, grad_r = _conjugate(grad_l, shifts, -1), _conjugate(grad_r, shifts, -1)
-    return grad_l, grad_r, grad_b
+    return grad_l, grad_r
 
 
 def lx_shape(x_shape, out_shape) -> tuple:
@@ -558,9 +523,8 @@ def lx_shape(x_shape, out_shape) -> tuple:
 def cell_forward(x: np.ndarray, parts, weights, out: np.ndarray, lx: np.ndarray, counter: MultCounter | None = None):
     """The part loop: ``part_forward`` on each part's channels of x.
 
-    ``weights`` holds one stacked (L, R, bias-or-None) per part.  Every
-    element of the caller's (n, c, H', W') ``out`` is written.  Callers
-    pass ``np.empty_like(x, shape=…)``, so channel-major inputs give
+    ``weights`` holds one stacked (L, R) pair per part.  Every element of
+    the caller's (n, c, H', W') ``out`` is written.  Callers pass ``np.empty_like(x, shape=…)``, so channel-major inputs give
     channel-major outputs, or, in ``model.NeoCellLayer``, a recycled array
     of that layout.  ``lx`` is the caller's channel-major workspace of
     ``lx_shape`` (``empty_channel_major``): every part's L x is left there.
@@ -568,9 +532,9 @@ def cell_forward(x: np.ndarray, parts, weights, out: np.ndarray, lx: np.ndarray,
     takes with ``lx``.
     """
     strips = []
-    for part, (L, R, bias) in zip(parts, weights):
+    for part, (L, R) in zip(parts, weights):
         s = slice(part.start, part.stop)
-        strips.append(part_forward(x[:, s], L, R, bias, part.shifts, out[:, s], lx[:, s], counter))
+        strips.append(part_forward(x[:, s], L, R, part.shifts, out[:, s], lx[:, s], counter))
     return strips
 
 
@@ -580,22 +544,14 @@ def cell_backward(x: np.ndarray, parts, weights, gy: np.ndarray, gx: np.ndarray,
     ``lx`` and ``strips`` are what ``cell_forward`` on x and ``weights``
     left; the backward consumes ``lx``.  Writes grad_x into the caller's
     ``gx``, shaped and laid out like x (as ``cell_forward``'s ``out``), and
-    returns (gx, grads) with one (grad_L, grad_R, grad_bias-or-None) per
-    part, shaped like ``weights``.
+    returns (gx, grads) with one (grad_L, grad_R) pair per part, shaped
+    like ``weights``.
     """
     grads = []
-    for part, (L, R, bias), part_strips in zip(parts, weights, strips):
+    for part, (L, R), part_strips in zip(parts, weights, strips):
         s = slice(part.start, part.stop)
-        grads.append(
-            part_backward(x[:, s], L, R, bias is not None, part.shifts, gy[:, s], gx[:, s], lx[:, s], part_strips)
-        )
+        grads.append(part_backward(x[:, s], L, R, part.shifts, gy[:, s], gx[:, s], lx[:, s], part_strips))
     return gx, grads
-
-
-def _part_weights(spec: NeoCellSpec, params: NeoCellParams, parts):
-    """``cell_forward`` weights from per-channel ones; bias only if the spec
-    enables it."""
-    return [(L, R, B if spec.use_bias else None) for L, R, B in map(params.stacked, parts)]
 
 
 def forward_patchwise(
@@ -609,30 +565,8 @@ def forward_patchwise(
     params.validate(spec)
     parts = merge_parts(spec)
     lx = empty_channel_major(x.array, lx_shape(x.dims, out.shape))
-    cell_forward(x.array, parts, _part_weights(spec, params, parts), out, lx, counter)
+    cell_forward(x.array, parts, [params.stacked(p) for p in parts], out, lx, counter)
     return Tensor4(out)
-
-
-def neocell_backward(x: Tensor4, spec: NeoCellSpec, params: NeoCellParams, grad_out: Tensor4):
-    """Analytic gradients of ``forward_patchwise`` through ``cell_backward``,
-    on the L x workspace that a ``cell_forward`` pass fills.
-
-    Returns (grad_x, grad_params) with grad_params shaped exactly like
-    ``params``.
-    """
-    out_shape = output_shape(spec, x.dims)
-    params.validate(spec)
-    if grad_out.dims[:2] != x.dims[:2]:
-        raise ShapeError(f"grad_out dims {grad_out.dims} do not match input {x.dims}")
-    parts = merge_parts(spec)
-    weights = _part_weights(spec, params, parts)
-    lx = empty_channel_major(x.array, lx_shape(x.dims, out_shape))
-    strips = cell_forward(x.array, parts, weights, np.empty_like(x.array, shape=out_shape), lx)
-    gx, grads = cell_backward(x.array, parts, weights, grad_out.array, np.empty_like(x.array), lx, strips)
-    gl = [Matrix(m) for gL, _, _ in grads for m in gL]
-    gr = [Matrix(m) for _, gR, _ in grads for m in gR]
-    gb = [Matrix(m) for _, _, gB in grads for m in gB] if spec.use_bias else None
-    return Tensor4(gx), NeoCellParams(gl, gr, gb)
 
 
 def _block_diagonal(M: np.ndarray, n: int) -> np.ndarray:
@@ -702,13 +636,6 @@ def forward_blockdiag(
     params.validate(spec)
     H, W = x.dims[2:]
     for g in spec.groups:
-        L, R, bias = params.stacked(g)
-        A, B = blockdiag_factors(g, L, R, H, W)
-        y = blockdiag_product(A, x.array[:, g.start : g.stop], B, counter)
-        if spec.use_bias:
-            tiled = np.tile(bias, (1, H // g.h, W // g.w))
-            if g.shift:
-                tiled = np.roll(tiled, (g.shift, g.shift), axis=(1, 2))
-            y = y + tiled[None]
-        out[:, g.start : g.stop] = y
+        A, B = blockdiag_factors(g, *params.stacked(g), H, W)
+        out[:, g.start : g.stop] = blockdiag_product(A, x.array[:, g.start : g.stop], B, counter)
     return Tensor4(out)

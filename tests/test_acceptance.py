@@ -24,12 +24,7 @@ from neonext.model import (
     one_hot,
     softmax_cross_entropy,
 )
-from neonext.neocell import (
-    GroupSpec,
-    NeoCellSpec,
-    forward_patchwise,
-    neoinit_params,
-)
+from neonext.neocell import GroupSpec, NeoCellSpec
 from neonext.neoinit import neoinit_pattern
 from neonext.rng import Rng
 from neonext.tensor import Tensor4
@@ -101,8 +96,8 @@ class TestCriterion2Gradients:
                 GroupSpec(1, 2, 4, 4, 4, 4, shift=3),
                 GroupSpec(2, 3, 7, 7, 7, 7, shift=1),
             )), (2, 3, 28, 28)),
-            ("downsample 2->1", NeoCellSpec((GroupSpec(0, 2, 2, 2, 1, 1),), use_bias=True), (2, 2, 8, 8)),
-            ("upsample 2->3", NeoCellSpec((GroupSpec(0, 2, 2, 2, 3, 3),), use_bias=True), (2, 2, 8, 8)),
+            ("downsample 2->1", NeoCellSpec((GroupSpec(0, 2, 2, 2, 1, 1),)), (2, 2, 8, 8)),
+            ("upsample 2->3", NeoCellSpec((GroupSpec(0, 2, 2, 2, 3, 3),)), (2, 2, 8, 8)),
         ]
         for name, spec, dims in variants:
             worst = max(worst, _layer_fd(spec, dims, seed=11))
@@ -173,18 +168,18 @@ class TestCriterion4InitFidelity:
         assert np.array_equal(neoinit_pattern(3, 7), want_37)
         assert np.array_equal(neoinit_pattern(1, 2), [[0.5, 0.5]])
 
-        # noise-free square init makes the layer the exact identity
+        # noise-free square init (rng=None) makes the layer the exact identity
         spec = NeoCellSpec((GroupSpec(0, 2, 4, 4, 4, 4), GroupSpec(2, 3, 7, 7, 7, 7)))
-        params = neoinit_params(spec, None)
+        layer = NeoCellLayer("cell", spec, None)
         x = Tensor4(Rng(1).normal((2, 3, 28, 28), 1.0))
-        y = forward_patchwise(x, spec, params)
+        y = layer.forward(Val(x.array), None, ForwardCtx())
         assert np.array_equal(y.array, x.array)
 
         # noise-free 2->1 unit is 2x average pooling
         down = NeoCellSpec((GroupSpec(0, 3, 2, 2, 1, 1),))
-        dparams = neoinit_params(down, None)
+        dlayer = NeoCellLayer("down", down, None)
         xd = Tensor4(Rng(3).normal((2, 3, 16, 16), 1.0))
-        yd = forward_patchwise(xd, down, dparams).array
+        yd = dlayer.forward(Val(xd.array), None, ForwardCtx()).array
         pooled = xd.array.reshape(2, 3, 8, 2, 8, 2).mean(axis=(3, 5))
         assert np.abs(yd - pooled).max() <= 1e-12
         report(

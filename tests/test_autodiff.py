@@ -11,26 +11,33 @@ from neonext.autodiff import (
 )
 from neonext.equiv import random_params
 from neonext.errors import NumericError, ParameterError, UsageError
-from neonext.model import ForwardCtx, LinearLayer
+from neonext.model import ForwardCtx, LinearLayer, NeoCellLayer
 from neonext.neocell import (
     GroupSpec,
     NeoCellParams,
     NeoCellSpec,
     forward_blockdiag,
     forward_patchwise,
-    neocell_backward,
-    neoinit_params,
 )
 from neonext.rng import Rng
 from neonext.tensor import Matrix, Tensor4
 
 
-def loss_and_grads_neocell(x, spec, params):
-    """0.5*||y||^2 through the patchwise forward, with analytic gradients."""
-    y = forward_patchwise(x, spec, params)
-    loss = 0.5 * float((y.array**2).sum())
-    gx, gp = neocell_backward(x, spec, params, y)
-    return loss, gx, gp
+def neocell_grads(x, spec, params, gout=None):
+    """The model layer's tape gradients with the per-channel ``params`` as
+    its weights, for the output gradient ``gout`` (by default the output,
+    the gradient of 0.5*||y||^2): grad_x, then per-channel grad_left and
+    grad_right lists."""
+    layer = NeoCellLayer("cell", spec, None)
+    for part, (pl, pr, _) in zip(layer.parts, layer.part_params):
+        pl.array[...], pr.array[...] = params.stacked(part)
+    tape = Tape()
+    out = layer.forward(Param("x", x.array), tape, CTX)
+    tape.record(Val(0.0), (out,), lambda g: (out.array if gout is None else gout.array,))
+    grads = backward(tape)
+    left = [g for pl, _, _ in layer.part_params for g in grads[pl.name]]
+    right = [g for _, pr, _ in layer.part_params for g in grads[pr.name]]
+    return grads["x"], left, right
 
 
 def half_square(tape, v):
@@ -112,25 +119,24 @@ class TestTape:
 
     def test_repeat_backward_bit_identical(self):
         rng = Rng(3)
-        spec = NeoCellSpec((GroupSpec(0, 2, 4, 4, 4, 4, shift=1),), use_bias=True)
+        spec = NeoCellSpec((GroupSpec(0, 2, 4, 4, 4, 4, shift=1),))
         params = random_params(spec, rng)
         x = Tensor4(rng.normal((2, 2, 8, 8), 1.0))
-        _, gx1, gp1 = loss_and_grads_neocell(x, spec, params)
-        _, gx2, gp2 = loss_and_grads_neocell(x, spec, params)
-        assert np.array_equal(gx1.array, gx2.array)
+        first, second = neocell_grads(x, spec, params), neocell_grads(x, spec, params)
+        assert np.array_equal(first[0], second[0])
         for c in range(2):
-            assert np.array_equal(gp1.left[c].array, gp2.left[c].array)
-            assert np.array_equal(gp1.right[c].array, gp2.right[c].array)
+            assert np.array_equal(first[1][c], second[1][c])
+            assert np.array_equal(first[2][c], second[2][c])
 
 
 class TestNeocellBackward:
     def test_identity_params_pass_gradient_through(self):
         spec = NeoCellSpec((GroupSpec(0, 2, 4, 4, 4, 4),))
-        params = neoinit_params(spec, None)
+        identity = NeoCellParams([Matrix(np.eye(4))] * 2, [Matrix(np.eye(4))] * 2)
         x = Tensor4(Rng(4).normal((1, 2, 8, 8), 1.0))
         gout = Tensor4(Rng(5).normal((1, 2, 8, 8), 1.0))
-        gx, _ = neocell_backward(x, spec, params, gout)
-        assert np.array_equal(gx.array, gout.array)
+        gx, _, _ = neocell_grads(x, spec, identity, gout)
+        assert np.array_equal(gx, gout.array)
 
     def test_scalar_case_chain_rule(self):
         spec = NeoCellSpec((GroupSpec(0, 1, 1, 1, 1, 1),))
@@ -138,19 +144,16 @@ class TestNeocellBackward:
         params = NeoCellParams([Matrix([[l]])], [Matrix([[r]])])
         x = Tensor4(np.full((1, 1, 1, 1), xval))
         gout = Tensor4(np.full((1, 1, 1, 1), g))
-        gx, gp = neocell_backward(x, spec, params, gout)
-        assert np.isclose(gx.array.item(), l * g * r, rtol=0, atol=1e-15)
-        assert np.isclose(gp.left[0].array.item(), g * xval * r, rtol=0, atol=1e-15)
-        assert np.isclose(gp.right[0].array.item(), l * xval * g, rtol=0, atol=1e-15)
+        gx, gl, gr = neocell_grads(x, spec, params, gout)
+        assert np.isclose(gx.item(), l * g * r, rtol=0, atol=1e-15)
+        assert np.isclose(gl[0].item(), g * xval * r, rtol=0, atol=1e-15)
+        assert np.isclose(gr[0].item(), l * xval * g, rtol=0, atol=1e-15)
 
     def test_random_mixed_config_matches_central_differences(self):
-        spec = NeoCellSpec(
-            (GroupSpec(0, 1, 4, 4, 4, 4, shift=1), GroupSpec(1, 2, 7, 7, 7, 7, shift=1)),
-            use_bias=True,
-        )
+        spec = NeoCellSpec((GroupSpec(0, 1, 4, 4, 4, 4, shift=1), GroupSpec(1, 2, 7, 7, 7, 7, shift=1)))
         params = random_params(spec, Rng(6))
         x = Tensor4(Rng(7).normal((1, 2, 28, 28), 1.0))
-        _, gx, gp = loss_and_grads_neocell(x, spec, params)
+        gx, gl, gr = neocell_grads(x, spec, params)
         eps = 1e-5
 
         def rel(a, fd):
@@ -162,7 +165,7 @@ class TestNeocellBackward:
         worst = 0.0
         probe = Rng(8)
         for c in range(2):
-            for attr, grad in (("left", gp.left[c]), ("right", gp.right[c]), ("bias", gp.bias[c])):
+            for attr, grad in (("left", gl[c]), ("right", gr[c])):
                 base = getattr(params, attr)[c].array
                 flat_idx = int(probe.integers(1, base.size)[0])
                 i, j = np.unravel_index(flat_idx, base.shape)
@@ -178,22 +181,22 @@ class TestNeocellBackward:
                     kw = {attr: minus}
                     p_minus = NeoCellParams(**{**_params_kw(params), **kw})
                     fd = (loss_with(p_plus) - loss_with(p_minus)) / (2 * eps)
-                    worst = max(worst, rel(grad.array[idx], fd))
+                    worst = max(worst, rel(grad[idx], fd))
         # input gradient via perturbation of single pixels
         for idx in [(0, 0, 0, 0), (0, 1, 13, 27), (0, 0, 5, 5)]:
             delta = np.zeros(x.dims)
             delta[idx] = eps
             fd = (loss_with_x(x.array + delta, spec, params) - loss_with_x(x.array - delta, spec, params)) / (2 * eps)
-            worst = max(worst, rel(gx.array[idx], fd))
+            worst = max(worst, rel(gx[idx], fd))
         assert worst <= 1e-4
 
     def test_rectangular_resampling_matches_central_differences(self):
         # h != w and h_out != w_out on an H != W input: every weight entry and
         # every input pixel is probed, so a swapped axis shows up
-        spec = NeoCellSpec((GroupSpec(0, 2, 2, 4, 3, 1),), use_bias=True)
+        spec = NeoCellSpec((GroupSpec(0, 2, 2, 4, 3, 1),))
         params = random_params(spec, Rng(23))
         x = Tensor4(Rng(24).normal((2, 2, 4, 8), 1.0))
-        _, gx, gp = loss_and_grads_neocell(x, spec, params)
+        gx, gl, gr = neocell_grads(x, spec, params)
         eps = 1e-5
 
         def rel(a, fd):
@@ -203,7 +206,7 @@ class TestNeocellBackward:
             return 0.5 * float((forward_patchwise(x, spec, p).array ** 2).sum())
 
         worst = 0.0
-        for attr in ("left", "right", "bias"):
+        for attr, grad in (("left", gl), ("right", gr)):
             for c in range(2):
                 base = getattr(params, attr)[c].array
                 for idx in np.ndindex(base.shape):
@@ -215,29 +218,29 @@ class TestNeocellBackward:
                         mats[c] = Matrix(base + delta)
                         losses.append(loss_with(NeoCellParams(**{**_params_kw(params), attr: mats})))
                     fd = (losses[0] - losses[1]) / (2 * eps)
-                    worst = max(worst, rel(getattr(gp, attr)[c].array[idx], fd))
+                    worst = max(worst, rel(grad[c][idx], fd))
         for idx in np.ndindex(x.dims):
             delta = np.zeros(x.dims)
             delta[idx] = eps
             fd = (loss_with_x(x.array + delta, spec, params) - loss_with_x(x.array - delta, spec, params)) / (2 * eps)
-            worst = max(worst, rel(gx.array[idx], fd))
+            worst = max(worst, rel(gx[idx], fd))
         assert worst <= 1e-4
 
     def test_blockdiag_and_patchwise_gradients_agree(self):
-        spec = NeoCellSpec((GroupSpec(0, 2, 4, 4, 4, 4, shift=2),), use_bias=True)
+        spec = NeoCellSpec((GroupSpec(0, 2, 4, 4, 4, 4, shift=2),))
         params = random_params(spec, Rng(9))
         x = Tensor4(Rng(10).normal((1, 2, 8, 8), 1.0))
         y_ref = forward_patchwise(x, spec, params)
         y_blk = forward_blockdiag(x, spec, params)
-        gx_ref, gp_ref = neocell_backward(x, spec, params, y_ref)
-        gx_blk, gp_blk = neocell_backward(x, spec, params, y_blk)
-        assert np.abs(gx_ref.array - gx_blk.array).max() <= 1e-9
+        gx_ref, gl_ref, _ = neocell_grads(x, spec, params, y_ref)
+        gx_blk, gl_blk, _ = neocell_grads(x, spec, params, y_blk)
+        assert np.abs(gx_ref - gx_blk).max() <= 1e-9
         for c in range(2):
-            assert np.abs(gp_ref.left[c].array - gp_blk.left[c].array).max() <= 1e-9
+            assert np.abs(gl_ref[c] - gl_blk[c]).max() <= 1e-9
 
 
 def _params_kw(params):
-    return {"left": params.left, "right": params.right, "bias": params.bias}
+    return {"left": params.left, "right": params.right}
 
 
 def loss_with_x(x_arr, spec, params):

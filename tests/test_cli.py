@@ -156,6 +156,14 @@ class TestBenchCli:
         assert captured.err == "error: height 30 not divisible by k=4\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("op, k", [("dwconv", "-1"), ("dwconv", "-3"), ("neocell", "-1"), ("blockdiag", "0")])
+    def test_non_positive_k_exits_1_before_timing(self, op, k, capsys):
+        code = main(["bench", "--op", op, "--c", "2", "--h", "8", "--w", "8", "--k", k, "--iters", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: dims must be positive, got c=2 h=8 w=8 k={k}\n"
+        assert captured.out == ""
+
     def test_out_in_missing_directory_is_created(self, tmp_path):
         out = tmp_path / "new" / "dir" / "bench.csv"
         code = main(["bench", "--op", "neocell", "--c", "2", "--h", "8", "--w", "8", "--k", "4",

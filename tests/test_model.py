@@ -30,12 +30,12 @@ from neonext.neocell import (
     GroupSpec,
     NeoCellParams,
     NeoCellSpec,
+    blockdiag_factors,
     forward_blockdiag,
     forward_patchwise,
-    neocell_backward,
 )
 from neonext.rng import Rng
-from neonext.tensor import Matrix, Tensor4
+from neonext.tensor import Tensor4
 
 
 class TestStageGroups:
@@ -155,7 +155,7 @@ class TestBuild:
 
 
 class TestNeoCellLayerKernel:
-    """The model layer and the per-channel reference API share one kernel."""
+    """The model layer against the per-channel reference paths."""
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10_000))
@@ -164,10 +164,8 @@ class TestNeoCellLayerKernel:
         x, spec, _ = random_case(rng)
         params = random_params(spec, rng)
         layer = NeoCellLayer("cell", spec, rng)
-        for part, triple in zip(layer.parts, layer.part_params):
-            for p, weights in zip(triple, params.stacked(part)):
-                if p is not None:
-                    p.array[...] = weights
+        for part, (pl, pr, _) in zip(layer.parts, layer.part_params):
+            pl.array[...], pr.array[...] = params.stacked(part)
         gout = rng.normal(layer.out_shape(x.dims), 1.0)
         xp = Param("x", x.array)
         tape = Tape()
@@ -177,19 +175,36 @@ class TestNeoCellLayerKernel:
 
         assert np.array_equal(out.array, forward_patchwise(x, spec, params).array)
         assert np.abs(out.array - forward_blockdiag(x, spec, params).array).max() <= 1e-10
-        gx, gp = neocell_backward(x, spec, params, Tensor4(gout))
-        assert np.array_equal(grads["x"], gx.array)
-        for part, triple in zip(layer.parts, layer.part_params):
-            for p, want in zip(triple, gp.stacked(part)):
-                if p is not None:
-                    assert np.array_equal(grads[p.name], want)
+        # y = A x B per channel, so grad_x = A^T G B^T
+        for g in spec.groups:
+            A, B = blockdiag_factors(g, *params.stacked(g), *x.dims[2:])
+            want = A.swapaxes(-1, -2)[None] @ gout[:, g.start : g.stop] @ B.swapaxes(-1, -2)[None]
+            assert np.abs(grads["x"][:, g.start : g.stop] - want).max() <= 1e-10
+        # the output is linear in each side's weights, so <grad, D> equals
+        # <G, forward with D on that side>
+        for side in ("left", "right"):
+            probe = random_params(spec, rng)
+            mixed = NeoCellParams(**{"left": params.left, "right": params.right, side: getattr(probe, side)})
+            want = float((gout * forward_blockdiag(x, spec, mixed).array).sum())
+            got = sum(
+                float((grads[p.name] * d).sum())
+                for part, triple in zip(layer.parts, layer.part_params)
+                for p, d in zip(triple, probe.stacked(part))
+                if p.name.endswith(side)
+            )
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
-def layer_params(layer):
-    """A layer's stacked part weights as per-channel ``NeoCellParams``."""
-    left = [Matrix(m) for pl, _, _ in layer.part_params for m in pl.array]
-    right = [Matrix(m) for _, pr, _ in layer.part_params for m in pr.array]
-    return NeoCellParams(left, right)
+def fresh_step(layer, x, gout):
+    """One forward and backward of a new layer with ``layer``'s weights,
+    which has no arrays to recycle: (output, grads by parameter name)."""
+    fresh = NeoCellLayer(layer.name, layer.spec, None)
+    for (fl, fr, _), (pl, pr, _) in zip(fresh.part_params, layer.part_params):
+        fl.array[...], fr.array[...] = pl.array, pr.array
+    tape = Tape()
+    out = fresh.forward(Param("x", x), tape, ForwardCtx())
+    tape.record(Val(0.0), (out,), lambda g: (gout,))
+    return out.array, backward(tape)
 
 
 class TestNeoCellLayerAliasing:
@@ -255,10 +270,8 @@ class TestNeoCellLayerAliasing:
         reused = first == second    # a new memory order gets fresh arrays
         assert (refs[0]() is out, refs[1]() is gx) == (reused, reused)
         assert channel_major(out) == channel_major(gx) == (second == "cm")
-        params = layer_params(layer)
-        assert np.array_equal(out, forward_patchwise(Tensor4(x2), self.RECYCLE_SPEC, params).array)
-        gx_ref, _ = neocell_backward(Tensor4(x2), self.RECYCLE_SPEC, params, Tensor4(g2))
-        assert np.array_equal(gx, gx_ref.array)
+        out_ref, grads_ref = fresh_step(layer, layout[second](x2), layout[second](g2))
+        assert np.array_equal(out, out_ref) and np.array_equal(gx, grads_ref["x"])
 
     @staticmethod
     def record(layer, x):
@@ -274,13 +287,10 @@ class TestNeoCellLayerAliasing:
 
     @staticmethod
     def assert_matches_reference(layer, x, gout, out, grads):
-        params = layer_params(layer)
-        assert np.array_equal(out, forward_patchwise(Tensor4(x), layer.spec, params).array)
-        gx, gp = neocell_backward(Tensor4(x), layer.spec, params, Tensor4(gout))
-        assert np.array_equal(grads["x"], gx.array)
-        for part, (pl, pr, _) in zip(layer.parts, layer.part_params):
-            want_l, want_r, _ = gp.stacked(part)
-            assert np.array_equal(grads[pl.name], want_l) and np.array_equal(grads[pr.name], want_r)
+        out_ref, grads_ref = fresh_step(layer, x, gout)
+        assert np.array_equal(out, out_ref)
+        assert grads.keys() == grads_ref.keys()
+        assert all(np.array_equal(grads[k], grads_ref[k]) for k in grads)
 
     def test_held_tapes_keep_their_workspaces(self):
         # the L x workspace stays on the tape until its backward: a second
@@ -334,9 +344,7 @@ class TestNeoCellLayerAliasing:
         assert np.array_equal(mixed[0], matched[0])
         assert mixed[1].keys() == matched[1].keys()
         assert all(np.array_equal(mixed[1][k], matched[1][k]) for k in mixed[1])
-        if g_layout == "c":
-            # neocell_backward's Tensor4 arguments are C-ordered
-            self.assert_matches_reference(layer, x, gout, *mixed)
+        self.assert_matches_reference(layer, x, gout, *mixed)
 
     @SPECS
     def test_inputs_untouched_and_outputs_unaliased(self, groups):
@@ -415,7 +423,7 @@ class TestActivationLayout:
 
 class TestBlockBehavior:
     def _block(self, drop_path=0.0):
-        cell = NeoCellSpec((GroupSpec(0, 8, 4, 4, 4, 4),), use_bias=False)
+        cell = NeoCellSpec((GroupSpec(0, 8, 4, 4, 4, 4),))
         spec = BlockSpec(8, cell, drop_path)
         return Block("blk", spec, Rng(4), "neoinit")
 

@@ -16,10 +16,9 @@ from neonext.neocell import (
     empty_channel_major,
     forward_blockdiag,
     forward_patchwise,
+    init_part,
     lx_shape,
     merge_parts,
-    neocell_backward,
-    neoinit_params,
     output_shape,
 )
 from neonext.rng import Rng
@@ -57,11 +56,28 @@ def scalar_loop_forward(x, spec, params):
                                 for a in range(g.w):
                                     acc += lx[p, a] * R[a, q]
                                 y[p, q] = acc
-                        if spec.use_bias:
-                            y = y + params.bias[c].array
                         res[b, i * g.h_out : (i + 1) * g.h_out, j * g.w_out : (j + 1) * g.w_out] = y
             out[:, c] = np.roll(res, (g.shift, g.shift), axis=(1, 2))
     return out
+
+
+def noise_free_params(spec):
+    """Per-channel ``NeoCellParams`` of ``init_part``'s noise-free patterns."""
+    stacks = [init_part(part, None) for part in merge_parts(spec)]
+    return NeoCellParams([Matrix(m) for L, _ in stacks for m in L], [Matrix(m) for _, R in stacks for m in R])
+
+
+def run_cell(x, spec, params, gout=None):
+    """The part loop on the array x as given, in its memory order: the
+    output, or with ``gout`` (output, grad_x, one (grad_L, grad_R) per part)."""
+    parts = merge_parts(spec)
+    weights = [params.stacked(part) for part in parts]
+    out = np.empty_like(x, shape=output_shape(spec, x.shape))
+    lx = empty_channel_major(x, lx_shape(x.shape, out.shape))
+    strips = cell_forward(x, parts, weights, out, lx)
+    if gout is None:
+        return out
+    return (out, *cell_backward(x, parts, weights, gout, np.empty_like(x), lx, strips))
 
 
 class TestSpecValidation:
@@ -90,6 +106,12 @@ class TestSpecValidation:
         spec = NeoCellSpec((GroupSpec(0, 1, 4, 4, 4, 4), GroupSpec(1, 2, 2, 2, 1, 1)))
         with pytest.raises(ShapeError, match="disagrees"):
             spec.validate_input((1, 2, 8, 8))
+
+    def test_use_bias_only_accepts_false(self):
+        groups = (GroupSpec(0, 1, 4, 4, 4, 4),)
+        assert NeoCellSpec(groups, use_bias=False) == NeoCellSpec(groups)
+        with pytest.raises(ParameterError, match="no bias"):
+            NeoCellSpec(groups, use_bias=True)
 
     def test_param_shape_mismatch(self):
         spec = NeoCellSpec((GroupSpec(0, 1, 4, 4, 4, 4),))
@@ -133,7 +155,7 @@ class TestForwardPatchwise:
     def test_identity_bit_exact(self):
         spec = NeoCellSpec((GroupSpec(0, 2, 4, 4, 4, 4), GroupSpec(2, 3, 2, 2, 2, 2)))
         x = Tensor4(Rng(1).normal((2, 3, 8, 8), 1.0))
-        y = forward_patchwise(x, spec, neoinit_params(spec, None))
+        y = forward_patchwise(x, spec, noise_free_params(spec))
         assert np.array_equal(y.array, x.array)
 
     def test_row_permutation_patch(self):
@@ -154,10 +176,7 @@ class TestForwardPatchwise:
         assert np.abs(y.array - pooled).max() < 1e-15
 
     def test_matches_scalar_loop_oracle(self):
-        spec = NeoCellSpec(
-            (GroupSpec(0, 1, 4, 4, 4, 4, shift=1), GroupSpec(1, 2, 4, 4, 4, 4)),
-            use_bias=True,
-        )
+        spec = NeoCellSpec((GroupSpec(0, 1, 4, 4, 4, 4, shift=1), GroupSpec(1, 2, 4, 4, 4, 4)))
         params = random_params(spec, Rng(3))
         x = Tensor4(Rng(4).normal((2, 2, 8, 8), 1.0))
         got = forward_patchwise(x, spec, params).array
@@ -166,14 +185,14 @@ class TestForwardPatchwise:
 
     def test_non_divisible_input_is_hard_error(self):
         spec = NeoCellSpec((GroupSpec(0, 1, 4, 4, 4, 4),))
-        params = neoinit_params(spec, None)
+        params = noise_free_params(spec)
         with pytest.raises(ShapeError, match="group 0.*height"):
             forward_patchwise(Tensor4(np.zeros((1, 1, 6, 8))), spec, params)
 
 
 # h != w and h_out != w_out on an H != W input, so a kernel that mixes up the
 # two axes cannot pass
-RECT_SPEC = NeoCellSpec((GroupSpec(0, 2, 2, 4, 3, 1),), use_bias=True)
+RECT_SPEC = NeoCellSpec((GroupSpec(0, 2, 2, 4, 3, 1),))
 
 
 class TestRectangularResampling:
@@ -216,71 +235,70 @@ def _to_channel_major(a):
     return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
 
 
-def _shifted_case(name, use_bias, channel_major):
+def _shifted_case(name, channel_major):
     n, H, W, groups = SHIFTED_CASES[name]
-    spec = NeoCellSpec(groups, use_bias=use_bias)
+    spec = NeoCellSpec(groups)
     params = random_params(spec, Rng(41))
     x = Rng(42).normal((n, spec.channel_count, H, W), 1.0)
-    return spec, params, _to_channel_major(x) if channel_major else x
+    if channel_major:
+        x = _to_channel_major(x)
+    # n == 1 makes both layouts C-contiguous
+    assert x.flags.c_contiguous != (channel_major and n > 1)
+    return spec, params, x
 
 
 def _shifted_params(cases):
     return pytest.mark.parametrize(
-        "name, use_bias, channel_major",
-        [
-            pytest.param(c, b, m, id=c + "-bias" * b + "-channel-major" * m)
-            for c in cases
-            for b in (False, True)
-            for m in (False, True)
-        ],
+        "name, channel_major",
+        [pytest.param(c, m, id=c + "-channel-major" * m) for c in cases for m in (False, True)],
     )
 
 
 class TestShiftedKernel:
-    """Shifted subgroups: band views at offset s, whole-plane conjugation."""
+    """Shifted subgroups: band views at offset s, whole-plane conjugation.
+    The kernel runs on x as given, so the channel-major ids reach its
+    channel-major path."""
 
     @_shifted_params(SHIFTED_CASES)
-    def test_matches_blockdiag(self, name, use_bias, channel_major):
-        spec, params, x = _shifted_case(name, use_bias, channel_major)
-        got = forward_patchwise(Tensor4(x), spec, params).array
+    def test_matches_blockdiag(self, name, channel_major):
+        spec, params, x = _shifted_case(name, channel_major)
+        got = run_cell(x, spec, params)
         assert np.abs(got - forward_blockdiag(Tensor4(x), spec, params).array).max() <= 1e-10
 
     @_shifted_params(SHIFTED_CASES)
-    def test_matches_scalar_loop_oracle(self, name, use_bias, channel_major):
-        spec, params, x = _shifted_case(name, use_bias, channel_major)
-        got = forward_patchwise(Tensor4(x), spec, params).array
+    def test_matches_scalar_loop_oracle(self, name, channel_major):
+        spec, params, x = _shifted_case(name, channel_major)
+        got = run_cell(x, spec, params)
         assert np.abs(got - scalar_loop_forward(Tensor4(x), spec, params)).max() <= 1e-12
 
     @_shifted_params(SHIFTED_CASES)
-    def test_grad_x_is_blockdiag_adjoint(self, name, use_bias, channel_major):
+    def test_grad_x_is_blockdiag_adjoint(self, name, channel_major):
         # y = A x B per channel, so grad_x = A^T G B^T
-        spec, params, x = _shifted_case(name, use_bias, channel_major)
+        spec, params, x = _shifted_case(name, channel_major)
         gout = Rng(43).normal(x.shape, 1.0)
-        gx, _ = neocell_backward(Tensor4(x), spec, params, Tensor4(gout))
+        if channel_major:
+            gout = _to_channel_major(gout)
+        _, gx, _ = run_cell(x, spec, params, gout)
         for g in spec.groups:
-            L, R, _ = params.stacked(g)
-            A, B = blockdiag_factors(g, L, R, *x.shape[2:])
+            A, B = blockdiag_factors(g, *params.stacked(g), *x.shape[2:])
             want = A.swapaxes(-1, -2)[None] @ gout[:, g.start : g.stop] @ B.swapaxes(-1, -2)[None]
-            assert np.abs(gx.array[:, g.start : g.stop] - want).max() <= 1e-10
+            assert np.abs(gx[:, g.start : g.stop] - want).max() <= 1e-10
 
     @_shifted_params(FD_CASES)
-    def test_gradients_match_central_differences(self, name, use_bias, channel_major):
-        spec, params, x = _shifted_case(name, use_bias, channel_major)
+    def test_gradients_match_central_differences(self, name, channel_major):
+        spec, params, x = _shifted_case(name, channel_major)
         parts = merge_parts(spec)
         gout = Rng(44).normal(x.shape, 1.0)
         # a channel-major input is probed through its C-ordered (c, n, H, W) memory
         xp = Param("x", x.transpose(1, 0, 2, 3) if channel_major else x)
         weights = [
-            tuple(None if a is None else Param(f"p{i}.{kind}", a) for kind, a in zip(("left", "right", "bias"), stacked))
+            tuple(Param(f"p{i}.{kind}", a) for kind, a in zip(("left", "right"), stacked))
             for i, stacked in enumerate(map(params.stacked, parts))
         ]
-        if not use_bias:
-            weights = [(L, R, None) for L, R, _ in weights]
-        wparams = [p for triple in weights for p in triple if p is not None]
 
         def run(backward_of=None):
             xa = xp.array.transpose(1, 0, 2, 3) if channel_major else xp.array
-            arrays = [tuple(None if p is None else p.array for p in triple) for triple in weights]
+            arrays = [(L.array, R.array) for L, R in weights]
             out = np.empty_like(xa, shape=output_shape(spec, xa.shape))
             lx = empty_channel_major(xa, lx_shape(xa.shape, out.shape))
             strips = cell_forward(xa, parts, arrays, out, lx)
@@ -290,11 +308,10 @@ class TestShiftedKernel:
 
         gx, grads = run(gout)
         analytic = Grads({"x": gx.transpose(1, 0, 2, 3) if channel_major else gx})
-        for triple, g in zip(weights, grads):
-            for p, gp in zip(triple, g):
-                if p is not None:
-                    analytic[p.name] = gp
-        report = fd_check(run, [xp] + wparams, analytic, threshold=1e-4)
+        for pair, g in zip(weights, grads):
+            for p, gp in zip(pair, g):
+                analytic[p.name] = gp
+        report = fd_check(run, [xp] + [p for pair in weights for p in pair], analytic, threshold=1e-4)
         assert report.passed, report.table()
 
 
@@ -353,7 +370,7 @@ class TestForwardBlockdiag:
     def test_identity_params(self):
         spec = NeoCellSpec((GroupSpec(0, 2, 4, 4, 4, 4),))
         x = Tensor4(Rng(9).normal((1, 2, 8, 8), 1.0))
-        y = forward_blockdiag(x, spec, neoinit_params(spec, None))
+        y = forward_blockdiag(x, spec, noise_free_params(spec))
         assert np.abs(y.array - x.array).max() <= 1e-12
 
     def test_worked_two_block_example_exact(self):
@@ -381,8 +398,8 @@ class TestForwardBlockdiag:
 
 class TestInvariants:
     def test_shift_conjugacy_bit_exact(self):
-        spec_s = NeoCellSpec((GroupSpec(0, 3, 4, 4, 4, 4, shift=3),), use_bias=True)
-        spec_0 = NeoCellSpec((GroupSpec(0, 3, 4, 4, 4, 4, shift=0),), use_bias=True)
+        spec_s = NeoCellSpec((GroupSpec(0, 3, 4, 4, 4, 4, shift=3),))
+        spec_0 = NeoCellSpec((GroupSpec(0, 3, 4, 4, 4, 4, shift=0),))
         params = random_params(spec_s, Rng(11))
         x = Tensor4(Rng(12).normal((2, 3, 8, 8), 1.0))
         got = forward_patchwise(x, spec_s, params)
@@ -406,8 +423,8 @@ class TestInvariants:
         c = 2
         down = NeoCellSpec((GroupSpec(0, c, 2, 2, 1, 1),))
         up = NeoCellSpec((GroupSpec(0, c, 1, 1, 2, 2),))
-        down_p = neoinit_params(down, None)
-        up_p = neoinit_params(up, None)
+        down_p = noise_free_params(down)
+        up_p = noise_free_params(up)
         x = Tensor4(Rng(16).normal((1, c, 8, 8), 1.0))
         y = forward_patchwise(forward_patchwise(x, down, down_p), up, up_p).array
         pooled = x.array.reshape(1, c, 4, 2, 4, 2).mean(axis=(3, 5))
