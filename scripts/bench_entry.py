@@ -13,17 +13,23 @@ the commit, the environment block of the first record, the seeds, the
 q1/median/q3 and per-run values of every metric ``BENCHMARK.json`` gates, the
 failed fraction of each run, and the per-layer metrics of the traced run.
 The file is created with the workload's command and known caveats when it
-does not exist yet; entries are only ever appended.
+does not exist yet; entries are only ever appended.  A record that is
+missing, not JSON, or lacks a key the entry reads is an ``error: <path>: …``
+line and exit 1, before anything is written.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
+import sys
 from pathlib import Path
 
+from neonext.cli import UsageParser
+from neonext.errors import ConfigError, DataError, UsageError
+
 ROOT = Path(__file__).resolve().parent.parent
+RECORD_KEYS = ("workload", "seed", "seconds", "trace", "environment", "failed_frac", "metrics")
 
 CAVEATS = [
     "Per-layer *.bwd_ms come from perfbench's isolated replay of each layer's backward. On "
@@ -37,8 +43,24 @@ CAVEATS = [
 ]
 
 
-def _load(path: str) -> dict:
-    return json.loads(Path(path).read_text())
+def _load(path: str, metrics=None) -> dict:
+    """The record at ``path``, checked to hold every key ``make_entry`` reads:
+    ``RECORD_KEYS`` and a value for each of ``metrics`` (all, if None)."""
+    try:
+        record = json.loads(Path(path).read_text())
+        for key in RECORD_KEYS:
+            record[key]
+        for name in record["metrics"] if metrics is None else metrics:
+            record["metrics"][name]["value"]
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON: {exc}") from None
+    except KeyError as exc:
+        raise DataError(f"{path}: missing key {exc}") from None
+    except TypeError:
+        raise DataError(f"{path}: not a perfbench record") from None
+    return record
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -46,12 +68,11 @@ def _quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3, "runs": values}
 
 
-def make_entry(label: str, commit: str, note: str, records: list[dict], trace: dict | None) -> dict:
+def make_entry(label: str, commit: str, note: str, records: list[dict], trace: dict | None, gated: list[dict]) -> dict:
     workloads = {r["workload"] for r in records} | ({trace["workload"]} if trace else set())
     seconds = {r["seconds"] for r in records}
     if len(workloads) != 1 or len(seconds) != 1 or any(r["trace"] for r in records):
-        raise SystemExit("error: records must be --trace 0 runs of one workload and one run length")
-    gated = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+        raise ConfigError("records must be --trace 0 runs of one workload and one run length")
     entry = {
         "label": label,
         "commit": commit,
@@ -76,16 +97,24 @@ def make_entry(label: str, commit: str, note: str, records: list[dict], trace: d
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = UsageParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="e.g. parent or change")
     ap.add_argument("--commit", required=True)
     ap.add_argument("--note", default="")
     ap.add_argument("--records", nargs="+", required=True, help="perfbench/out/*-trace0.json records")
     ap.add_argument("--trace-record", default="", help="one perfbench/out/*-trace1.json record")
-    args = ap.parse_args(argv)
-    records = [_load(p) for p in args.records]
+    try:
+        return append_entry(ap.parse_args(argv))
+    except (ConfigError, DataError, UsageError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def append_entry(args) -> int:
+    gated = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    records = [_load(p, [m["name"] for m in gated]) for p in args.records]
     trace = _load(args.trace_record) if args.trace_record else None
-    entry = make_entry(args.label, args.commit, args.note, records, trace)
+    entry = make_entry(args.label, args.commit, args.note, records, trace, gated)
     workload = records[0]["workload"]
     path = ROOT / f"BENCH_{workload}.json"
     if path.exists():

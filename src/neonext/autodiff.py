@@ -156,8 +156,8 @@ def fd_check(
     a deep loss carry an absolute noise floor, so only entries above it are
     resolvable.  ``entries_per_param=None`` probes everything.
     """
-    if not eps > 0:
-        raise ParameterError(f"fd_check: eps must be > 0, got {eps}")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ParameterError(f"fd_check: eps must be finite and > 0, got {eps}")
     if not (np.isfinite(threshold) and threshold >= 0):
         raise ParameterError(f"fd_check: threshold must be finite and >= 0, got {threshold}")
     if entries_per_param is not None and entries_per_param < 1:

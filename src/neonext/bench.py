@@ -56,7 +56,6 @@ class BenchResult:
     t_mean: float
     multiplies: int
     checksum: float
-    dtype: str = "float64"
     warmup: int = 0
 
     @property
@@ -158,24 +157,23 @@ def counted_dwconv(c: int, h: int, w: int, k: int, seed: int = 0) -> int:
 BENCH_OPS = ("neocell", "dwconv", "blockdiag")
 
 BENCH_CSV_HEADER = (
-    "op,c,h,w,k,dtype,iters,warmup,multiplies,checksum,"
+    "op,c,h,w,k,iters,warmup,multiplies,checksum,"
     "t_min_s,t_median_s,t_mean_s,mults_per_s"
 )
 # columns from t_min_s on are timing-dependent; everything before is
 # a pure function of (op, shape, seed)
 
 
-def _bench_callable(op: str, c: int, h: int, w: int, k: int, seed: int, dtype: str):
+def _bench_callable(op: str, c: int, h: int, w: int, k: int, seed: int):
     """(fn, multiplies): fn runs the op's array kernel on a fixed seeded
-    (1, c, h, w) input cast to ``dtype`` and returns a (1, c, h, w) array."""
+    (1, c, h, w) input and returns a (1, c, h, w) array."""
     rng = Rng(seed)
-    dt = np.dtype(dtype)
     if op in ("neocell", "blockdiag"):
         mults = flops_neocell(c, h, w, k).multiplies   # checks the square spec's dims
         spec = _square_spec(c, k)
         (part,) = merge_parts(spec)
-        L, R = (a.astype(dt) for a in init_part(part, rng))
-        x = rng.normal((1, c, h, w), 1.0).astype(dt)
+        L, R = init_part(part, rng)
+        x = rng.normal((1, c, h, w), 1.0)
         if op == "neocell":
 
             def fn():
@@ -192,8 +190,8 @@ def _bench_callable(op: str, c: int, h: int, w: int, k: int, seed: int, dtype: s
         if k % 2 == 0:
             raise ConfigError(f"dwconv benchmark needs odd k, got {k}")
         mults = flops_dwconv(c, h, w, k).multiplies   # checks the dims before any draw
-        kernels = rng.normal((c, k, k), 1.0).astype(dt)
-        x = rng.normal((1, c, h, w), 1.0).astype(dt)
+        kernels = rng.normal((c, k, k), 1.0)
+        x = rng.normal((1, c, h, w), 1.0)
         return (lambda: _dwconv(x, kernels)), mults
     raise ConfigError(f"unknown bench op {op!r}; known: {BENCH_OPS}")
 
@@ -207,16 +205,13 @@ def bench(
     iters: int = 10,
     warmup: int = 2,
     seed: int = 0,
-    dtype: str = "float64",
 ) -> BenchResult:
     """Time one operator on fixed seeded inputs and report stable statistics."""
     if iters < 1:
         raise ConfigError(f"iters must be >= 1, got {iters}")
     if warmup < 0:
         raise ConfigError(f"warmup must be >= 0, got {warmup}")
-    if dtype not in ("float64", "float32"):
-        raise ConfigError(f"dtype must be float64 or float32, got {dtype!r}")
-    fn, mults = _bench_callable(op, c, h, w, k, seed, dtype)
+    fn, mults = _bench_callable(op, c, h, w, k, seed)
     for _ in range(warmup):
         fn()
     times = []
@@ -234,7 +229,6 @@ def bench(
         t_mean=float(times_arr.mean()),
         multiplies=mults,
         checksum=float(result.sum()),
-        dtype=dtype,
         warmup=warmup,
     )
 
@@ -265,7 +259,7 @@ def append_bench_csv(path, result: BenchResult) -> None:
             f.write(BENCH_CSV_HEADER + "\n")
         c, h, w, k = result.shape
         f.write(
-            f"{result.op},{c},{h},{w},{k},{result.dtype},"
+            f"{result.op},{c},{h},{w},{k},"
             f"{result.iters},{result.warmup},{result.multiplies},{result.checksum!r},"
             f"{result.t_min!r},{result.t_median!r},{result.t_mean!r},{result.mults_per_s!r}\n"
         )

@@ -25,8 +25,18 @@ import numpy as np
 from .bench import BENCH_OPS, append_bench_csv, bench as run_bench, check_bench_csv
 from .equiv import run_trials
 from .autodiff import Param, Tape, Val, backward, fd_check
-from .errors import ConfigError, DataError, ParameterError, ShapeError, UsageError
-from .model import ForwardCtx, build_model, named_spec, one_hot, softmax_cross_entropy
+from .errors import ConfigError, DataError, NumericError, ParameterError, ShapeError, UsageError
+from .model import (
+    BatchNormLayer,
+    ForwardCtx,
+    GeluLayer,
+    NeoCellLayer,
+    PointwiseLayer,
+    build_model,
+    named_spec,
+    one_hot,
+    softmax_cross_entropy,
+)
 from .neocell import GroupSpec, NeoCellSpec, init_part, merge_parts
 from .neoinit import format_grid
 from .rng import Rng
@@ -51,7 +61,6 @@ def _add_bench(sub):
     p.add_argument("--iters", type=int, default=10)
     p.add_argument("--warmup", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dtype", choices=("float64", "float32"), default="float64")
     p.add_argument("--out", type=str, default="", help="CSV file to append to")
 
 
@@ -102,7 +111,7 @@ def _cmd_bench(args) -> int:
         check_bench_csv(args.out)   # a refused file fails before the timed runs
     result = run_bench(
         args.op, args.c, args.h, args.w, args.k,
-        iters=args.iters, warmup=args.warmup, seed=args.seed, dtype=args.dtype,
+        iters=args.iters, warmup=args.warmup, seed=args.seed,
     )
     print(
         f"{result.op} c={args.c} h={args.h} w={args.w} k={args.k} "
@@ -131,8 +140,6 @@ def _gradcheck_case(args):
             return softmax_cross_entropy(tape, logits, targets)
 
         return loss_fn, params
-
-    from .model import BatchNormLayer, GeluLayer, NeoCellLayer, PointwiseLayer
 
     x_param = Param("input", rng.normal((2, args.c, args.h, args.w), 1.0), "input")
     if args.layer == "neocell":
@@ -178,14 +185,16 @@ def _cmd_gradcheck(args) -> int:
     entries = None if args.entries == 0 else args.entries
     if args.layer == "model" and entries is None:
         entries = 3   # a full sweep over every model weight is never practical
-    report = fd_check(
-        lambda: float(loss_fn().array),
-        params,
-        grads,
-        eps=args.eps,
-        threshold=args.threshold,
-        entries_per_param=entries,
-    )
+    # a probe that overflows is reported by fd_check as a NumericError
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = fd_check(
+            lambda: float(loss_fn().array),
+            params,
+            grads,
+            eps=args.eps,
+            threshold=args.threshold,
+            entries_per_param=entries,
+        )
     print(report.table())
     print(f"max relative error {report.max_rel_err:.3e} (threshold {args.threshold:g})")
     return 0 if report.passed else 1
@@ -271,7 +280,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, DataError, ParameterError, ShapeError, OSError) as exc:
+    except (ConfigError, DataError, NumericError, ParameterError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -29,8 +30,6 @@ CIFAR_TRAIN_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
 CIFAR_TEST_FILE = "test_batch.bin"
 _RECORD = 3073
 _RECORDS_PER_FILE = 10000
-
-AUGMENT_POLICIES = ("none", "basic", "basic+mixup")
 
 
 @dataclass
@@ -71,7 +70,8 @@ class BatchPlan:
 class Batch:
     images: Tensor4
     labels: np.ndarray
-    targets: np.ndarray | None = None   # soft label distributions, when mixed
+    # no batch carries soft targets; kept for perfbench, which reads it
+    targets: ClassVar[np.ndarray | None] = None
 
 
 def batch_order(plan: BatchPlan, n: int) -> np.ndarray:
@@ -187,51 +187,17 @@ def crop_with_pad(images: np.ndarray, offsets: np.ndarray, pad: int = 4) -> np.n
     return out
 
 
-def draw_mixup_lambda(rng: Rng, alpha: float) -> float:
-    """Beta(alpha, alpha) draw via Johnk's rejection method."""
-    if not alpha > 0:
-        raise ParameterError(f"mixup alpha must be > 0, got {alpha}")
-    inv = 1.0 / alpha
-    for _ in range(200):
-        u, v = rng.uniform(2)
-        x, y = u**inv, v**inv
-        if 0 < x + y <= 1.0:
-            return x / (x + y)
-    return 0.5
+def augment(batch: Batch, rng: Rng, policy: str = "basic", classes: int | None = None, mixup_alpha: float | None = None) -> Batch:
+    """Crop-with-pad-4 plus horizontal flip, the one augmentation.
 
-
-def apply_mixup(batch: Batch, lam: float, perm: np.ndarray, classes: int) -> Batch:
-    """Convex image/label mixing; lam == 1 returns the originals unmixed."""
-    from .model import one_hot
-
-    imgs = batch.images.array
-    targets = batch.targets if batch.targets is not None else one_hot(batch.labels, classes)
-    mixed = lam * imgs + (1.0 - lam) * imgs[perm]
-    mixed_t = lam * targets + (1.0 - lam) * targets[perm]
-    return Batch(Tensor4(mixed), batch.labels, mixed_t)
-
-
-def augment(batch: Batch, rng: Rng, policy: str, classes: int | None = None, mixup_alpha: float = 0.8) -> Batch:
-    """Apply the named augmentation policy.
-
-    ``none`` returns the batch untouched; ``basic`` is crop-with-pad-4 plus
-    horizontal flip; ``basic+mixup`` additionally mixes images and soft
-    labels with a Beta(alpha, alpha) draw shared by the batch.
+    ``policy`` accepts only ``"basic"``; ``classes`` and ``mixup_alpha`` are
+    unused and accepted for perfbench's call.
     """
-    if policy not in AUGMENT_POLICIES:
-        raise ConfigError(f"unknown augment policy {policy!r}; known: {AUGMENT_POLICIES}")
-    if policy == "none":
-        return batch
+    if policy != "basic":
+        raise ConfigError(f"unknown augment policy {policy!r}; the only policy is 'basic'")
     imgs = batch.images.array
     n = imgs.shape[0]
     offsets = np.stack([rng.integers(n, 9), rng.integers(n, 9)], axis=1)
     out = crop_with_pad(imgs, offsets)
     out = flip_horizontal(out, rng.uniform(n) < 0.5)
-    result = Batch(Tensor4(out), batch.labels, batch.targets)
-    if policy == "basic+mixup":
-        if classes is None:
-            raise ConfigError("mixup needs the class count")
-        lam = draw_mixup_lambda(rng, mixup_alpha)
-        perm = rng.permutation(n)
-        result = apply_mixup(result, lam, perm, classes)
-    return result
+    return Batch(Tensor4(out), batch.labels)

@@ -594,8 +594,6 @@ def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
 
 
 def smooth_targets(targets: np.ndarray, smoothing: float) -> np.ndarray:
-    if smoothing == 0.0:
-        return targets
     k = targets.shape[1]
     return (1.0 - smoothing) * targets + smoothing / k
 

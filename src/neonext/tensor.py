@@ -2,8 +2,7 @@
 
 Conventions, pinned for the whole package:
 
-- element type is 64-bit IEEE float everywhere in the core (32-bit exists
-  only as a benchmark option elsewhere);
+- element type is 64-bit IEEE float everywhere;
 - ``Tensor4`` is laid out row-major over (n, c, h, w) with unit stride on
   the last axis, no broadcasting, no negative-stride views;
 - every operation is pure: inputs are never mutated, and both ``Tensor4``

@@ -95,9 +95,9 @@ class RunConfig(metaclass=_TakesOptimizer):
     classes: ClassVar[int] = 10
     warmup_epochs: ClassVar[int] = 1
     batch_size: ClassVar[int] = 64
-    augment: ClassVar[str] = "basic"
+    augment: ClassVar[str] = "basic"       # read only by perfbench, which passes it to augment
     label_smoothing: ClassVar[float] = 0.1
-    mixup_alpha: ClassVar[float] = 0.8    # unused under basic augmentation; perfbench passes it on
+    mixup_alpha: ClassVar[float] = 0.8    # read only by perfbench; augment accepts and ignores it
     drop_path: ClassVar[float] = MODEL_SPECS[model].drop_path_rate
 
     data: str = "synthetic"
@@ -271,9 +271,8 @@ def train_run(cfg: RunConfig, seed: int | None = None) -> RunReport:
         plan = BatchPlan(seed=root.derive(100).seed, batch_size=cfg.batch_size, epoch=epoch)
         losses = []
         for batch in batches(train_ds, plan):
-            batch = augment(batch, aug_rng, cfg.augment, classes=train_ds.num_classes, mixup_alpha=cfg.mixup_alpha)
-            targets = batch.targets if batch.targets is not None else one_hot(batch.labels, train_ds.num_classes)
-            targets = smooth_targets(targets, cfg.label_smoothing)
+            batch = augment(batch, aug_rng)
+            targets = smooth_targets(one_hot(batch.labels, train_ds.num_classes), cfg.label_smoothing)
             tape = Tape()
             # a non-finite loss or gradient ends the run as diverged, not as an error
             try:

@@ -137,10 +137,6 @@ class TestBenchHarness:
         r = bench("blockdiag", 2, 8, 8, 4, iters=1, warmup=0)
         assert r.multiplies > 0
 
-    def test_float32_option(self):
-        r = bench("neocell", 2, 8, 8, 4, iters=1, warmup=0, dtype="float32")
-        assert r.dtype == "float32"
-
     def test_unknown_op(self):
         with pytest.raises(ConfigError):
             bench("winograd", 1, 8, 8, 3)
@@ -157,7 +153,7 @@ class TestBenchHarness:
 
     def test_csv_with_other_header_refused_before_writing(self, tmp_path):
         path = tmp_path / "old.csv"
-        old = BENCH_CSV_HEADER.replace("dtype,", "dtype,threads,")
+        old = BENCH_CSV_HEADER.replace(",iters,", ",dtype,iters,")
         path.write_text(old + "\nneocell,1,8,8,4,float64,1,1,0,1024,0.5,1e-05,1e-05,1e-05,1e8\n")
         before = path.read_bytes()
         with pytest.raises(ConfigError, match="old.csv"):
@@ -173,15 +169,14 @@ class TestBenchHarness:
 
 
 class TestBenchKernels:
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("op", BENCH_OPS)
-    def test_callable_returns_the_output_plane(self, op, dtype):
-        fn, _ = _bench_callable(op, 2, 6, 6, 3, 0, dtype)
+    def test_callable_returns_the_output_plane(self, op):
+        fn, _ = _bench_callable(op, 2, 6, 6, 3, 0)
         y = fn()
         assert y.shape == (1, 2, 6, 6)
-        assert y.dtype == np.dtype(dtype)
+        assert y.dtype == np.float64
 
-    def test_float32_blockdiag_runs_the_block_diagonal_product(self, monkeypatch):
+    def test_blockdiag_runs_the_block_diagonal_product(self, monkeypatch):
         dtypes = []
         real = bench_module.blockdiag_product
 
@@ -190,10 +185,9 @@ class TestBenchKernels:
             return real(A, X, B, counter)
 
         monkeypatch.setattr(bench_module, "blockdiag_product", spy)
-        r = bench("blockdiag", 2, 6, 6, 3, iters=2, warmup=1, dtype="float32")
+        bench("blockdiag", 2, 6, 6, 3, iters=2, warmup=1)
         assert len(dtypes) == 4   # multiply count, warmup, two timed calls
-        assert set(dtypes) == {(np.dtype(np.float32),) * 3}
-        assert r.multiplies == bench("blockdiag", 2, 6, 6, 3, iters=1, warmup=0).multiplies
+        assert set(dtypes) == {(np.dtype(np.float64),) * 3}
 
     def test_negative_warmup_rejected(self):
         with pytest.raises(ConfigError, match="warmup must be >= 0, got -1"):

@@ -130,7 +130,7 @@ class TestBenchCli:
 
     def test_mismatched_csv_header_exits_1_before_timing(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "old.csv"
-        out.write_text(BENCH_CSV_HEADER.replace("dtype,", "dtype,threads,") + "\n")
+        out.write_text(BENCH_CSV_HEADER.replace(",iters,", ",dtype,iters,") + "\n")
         before = out.read_bytes()
 
         def no_bench(*args, **kwargs):
@@ -208,8 +208,9 @@ class TestGradcheckCli:
     @pytest.mark.parametrize(
         "arg, message",
         [
-            ("--eps=0", "eps must be > 0, got 0.0"),
-            ("--eps=-1e-5", "eps must be > 0, got -1e-05"),
+            ("--eps=0", "eps must be finite and > 0, got 0.0"),
+            ("--eps=-1e-5", "eps must be finite and > 0, got -1e-05"),
+            ("--eps=inf", "eps must be finite and > 0, got inf"),
             ("--entries=-1", "entries_per_param must be >= 1 or None, got -1"),
             ("--threshold=nan", "threshold must be finite and >= 0, got nan"),
             ("--threshold=inf", "threshold must be finite and >= 0, got inf"),
@@ -221,6 +222,14 @@ class TestGradcheckCli:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: fd_check: {message}\n"
+        assert captured.out == ""
+
+    def test_non_finite_probe_loss_exits_1(self, capsys):
+        # a finite but huge eps overflows the probed loss
+        code = main(["gradcheck", "--layer", "gelu", "--c", "1", "--h", "2", "--w", "2", "--eps=1e300"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: non-finite loss while probing input[0]\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize(
@@ -366,4 +375,4 @@ class TestUsageErrors:
 
     def test_negative_eps_with_equals_is_a_typed_error(self, capsys):
         assert main(["gradcheck", "--eps=-1e-5"]) == 1
-        assert capsys.readouterr().err.startswith("error: fd_check: eps must be > 0")
+        assert capsys.readouterr().err.startswith("error: fd_check: eps must be finite and > 0")

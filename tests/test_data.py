@@ -1,27 +1,25 @@
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from neonext.data import (
-    AUGMENT_POLICIES,
     Batch,
     BatchPlan,
     CIFAR_TRAIN_FILES,
     CIFAR_TEST_FILE,
-    apply_mixup,
     augment,
     batch_order,
     batches,
     crop_with_pad,
-    draw_mixup_lambda,
     flip_horizontal,
     load_cifar10,
     split_dataset,
     synth_task,
 )
-from neonext.errors import ConfigError, DataError, ParameterError
+from neonext.errors import ConfigError, DataError
 from neonext.rng import Rng
 
 REAL_CIFAR_DIR = os.environ.get("CIFAR10_DIR", "")
@@ -152,14 +150,17 @@ class TestAugment:
         ds = synth_task(Rng(11), n, 4)
         return Batch(ds.images, ds.labels)
 
-    def test_policy_none_returns_batch_unchanged(self):
-        b = self._batch()
-        out = augment(b, Rng(0), "none")
-        assert out is b
-
     def test_unknown_policy(self):
-        with pytest.raises(ConfigError, match="unknown augment policy"):
-            augment(self._batch(), Rng(0), "heavy")
+        # "none" and "basic+mixup" are refused like any other unknown name
+        for policy in ("heavy", "none", "basic+mixup"):
+            with pytest.raises(ConfigError, match=re.escape(f"unknown augment policy {policy!r}")):
+                augment(self._batch(), Rng(0), policy)
+
+    def test_batch_has_no_soft_targets(self):
+        b = self._batch(4)
+        assert augment(b, Rng(0)).targets is None
+        with pytest.raises(TypeError):
+            Batch(b.images, b.labels, np.ones((4, 4)) / 4)
 
     def test_flip_twice_restores(self):
         imgs = self._batch().images.array
@@ -181,33 +182,3 @@ class TestAugment:
         out = augment(self._batch(64), Rng(1), "basic")
         assert out.images.array.min() >= 0.0
         assert out.images.array.max() <= 1.0
-
-    def test_mixup_lambda_one_is_identity(self):
-        b = self._batch(8)
-        perm = np.arange(8)[::-1].copy()
-        out = apply_mixup(b, 1.0, perm, 4)
-        assert np.array_equal(out.images.array, b.images.array)
-        onehot = np.zeros((8, 4))
-        onehot[np.arange(8), b.labels] = 1.0
-        assert np.array_equal(out.targets, onehot)
-
-    def test_mixup_targets_are_convex(self):
-        out = augment(self._batch(32), Rng(2), "basic+mixup", classes=4)
-        assert out.targets is not None
-        assert np.allclose(out.targets.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-        assert out.images.array.min() >= 0.0 and out.images.array.max() <= 1.0
-
-    def test_mixup_lambda_in_unit_interval(self):
-        rng = Rng(3)
-        draws = [draw_mixup_lambda(rng, 0.8) for _ in range(200)]
-        assert all(0.0 <= l <= 1.0 for l in draws)
-        assert np.std(draws) > 0.1   # actually spread out
-
-    @pytest.mark.parametrize("alpha", [0.0, -0.5, float("nan")])
-    def test_mixup_lambda_needs_positive_alpha(self, alpha):
-        # Beta(0, 0) is undefined; alpha = 0 used to end in a ZeroDivisionError
-        with pytest.raises(ParameterError, match="alpha must be > 0"):
-            draw_mixup_lambda(Rng(3), alpha)
-
-    def test_policies_frozen(self):
-        assert AUGMENT_POLICIES == ("none", "basic", "basic+mixup")

@@ -74,6 +74,32 @@ def test_no_private_imports():
     assert not found, found
 
 
+def function_level_imports(source: str) -> list[str]:
+    """Imports inside a function body, where they hide a module cycle."""
+    return [
+        f"line {node.lineno}: in {fn.name}"
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+
+
+def test_function_level_imports_detected():
+    source = "import os\ndef f():\n    from .model import one_hot\n    def g():\n        import re\n"
+    assert function_level_imports(source) == ["line 3: in f", "line 5: in f", "line 5: in g"]
+
+
+def test_no_function_level_imports():
+    found = {
+        str(path.relative_to(ROOT)): names
+        for folder in ("src", "scripts")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        if (names := function_level_imports(path.read_text()))
+    }
+    assert not found, found
+
+
 def test_perfbench_imports_resolve():
     # the suite never imports perfbench, so a name deleted from neonext
     # that the benchmark still imports would pass it unnoticed

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -40,7 +41,7 @@ def test_bench_sweep_bad_iters_is_an_error_line(tmp_path):
 
 def test_bench_sweep_refuses_other_csv_header_before_any_bench(tmp_path):
     out = tmp_path / "old.csv"
-    out.write_text(BENCH_CSV_HEADER.replace("dtype,", "dtype,threads,") + "\n")
+    out.write_text(BENCH_CSV_HEADER.replace(",iters,", ",dtype,iters,") + "\n")
     before = out.read_bytes()
     proc = run_script("bench_sweep.py", "--c", "2", "--size", "8", "--ks", "4",
                       "--iters", "1", "--warmup", "0", "--out", str(out))
@@ -90,3 +91,38 @@ def test_bench_sweep_creates_missing_out_directory(tmp_path):
                       "--iters", "1", "--warmup", "0", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().splitlines()[0] == BENCH_CSV_HEADER
+
+
+def perf_record(*drop):
+    """A perfbench --trace 0 record with every key bench_entry.py reads, but ``drop``."""
+    gated = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    record = {
+        "workload": "train-micro", "seed": 1, "seconds": 30, "trace": 0, "environment": {},
+        "failed_frac": 0.0, "metrics": {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in gated},
+    }
+    return {k: v for k, v in record.items() if k not in drop}
+
+
+@pytest.mark.parametrize("case", ["usage", "missing-file", "invalid-json", "missing-key"])
+def test_bench_entry_bad_input_exits_1_and_writes_nothing(tmp_path, case):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(perf_record()))
+    if case == "invalid-json":
+        bad.write_text("{\"workload\": ")
+    elif case == "missing-key":
+        bad.write_text(json.dumps(perf_record("seconds")))
+    args = ["--label", "change", "--commit", "abc"]
+    if case != "usage":
+        args += ["--records", str(good), str(bad)]
+    committed = {p.name: p.read_bytes() for p in sorted(ROOT.glob("BENCH_*.json"))}
+    proc = run_script("bench_entry.py", *args)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    expected = {
+        "usage": "error: bench_entry.py: the following arguments are required: --records\n",
+        "missing-file": f"error: {bad}: No such file or directory\n",
+        "invalid-json": f"error: {bad}: invalid JSON: ",
+        "missing-key": f"error: {bad}: missing key 'seconds'\n",
+    }[case]
+    assert proc.stderr.startswith(expected), proc.stderr
+    assert {p.name: p.read_bytes() for p in sorted(ROOT.glob("BENCH_*.json"))} == committed
