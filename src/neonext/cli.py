@@ -174,10 +174,14 @@ def _gradcheck_case(args):
     return loss_fn, params
 
 
-def _cmd_gradcheck(args) -> int:
-    for flag in ("c", "h", "w"):
+def _check_sizes(args, *flags) -> None:
+    for flag in flags:
         if getattr(args, flag) < 1:
             raise ConfigError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+
+
+def _cmd_gradcheck(args) -> int:
+    _check_sizes(args, "c", "h", "w", "k")
     loss_fn, params = _gradcheck_case(args)
     tape = Tape()
     loss_fn(tape)
@@ -229,6 +233,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_init_dump(args) -> int:
+    _check_sizes(args, "rows", "cols")
     (part,) = merge_parts(NeoCellSpec((GroupSpec(0, 1, args.cols, 1, args.rows, 1),)))
     left, _ = init_part(part, None if args.no_noise else Rng(args.seed))
     m = Matrix(left[0])

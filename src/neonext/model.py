@@ -15,10 +15,11 @@ Architecture produced by ``build_model``:
 Group policy: stages 0-2 split the channels into two equal parts requesting
 4x4 and 7x7 patch matrices, each part further split into k subgroups with
 cyclic shifts 0..k-1 (remainder channels go to the earliest subgroups); the
-last stage uses a single unshifted part requesting 7x7.  When a stage's map
-size is not divisible by the requested size, the largest of {7, 4, 2, 1}
-that divides the map is substituted and the substitution is recorded in the
-manifest.
+last stage uses a single unshifted part requesting 7x7.  A part whose patch
+covers the whole map is one unshifted group: a cyclic shift there would only
+permute the rows and columns of L and R.  When a stage's map size is not
+divisible by the requested size, the largest of {7, 4, 2, 1} that divides
+the map is substituted and the substitution is recorded in the manifest.
 
 ``NeoCellLayer`` holds its patch weights as one stacked (left, right)
 ``Param`` pair per ``neocell.Part`` and runs ``neocell``'s one part loop,
@@ -175,6 +176,7 @@ def make_stage_groups(channels: int, map_size: int, policy: str):
         k = _effective_size(requested, map_size)
         if k != requested:
             notes.append(f"requested {requested}x{requested} at map {map_size} -> using {k}x{k}")
+        shifted = shifted and k < map_size   # a whole-plane patch has no border to shift
         n_sub = k if shifted else 1
         sizes = [part_channels // n_sub] * n_sub
         for i in range(part_channels % n_sub):
@@ -709,8 +711,8 @@ def load_checkpoint(model: Model, directory: str | Path) -> None:
 
     ``manifest.txt`` must equal ``model.manifest()``.  Every ``index.txt``
     entry must name a parameter or running stat of the model and carry its
-    shape, every one of them must be listed, and each tensor file must hold
-    that many values.  Otherwise ``ConfigError`` names the first differing
+    shape, every one of them must be listed once, and each tensor file must
+    hold that many values.  Otherwise ``ConfigError`` names the first differing
     manifest line or the entry, and the model is left untouched.
     """
     d = Path(directory)
@@ -730,6 +732,8 @@ def load_checkpoint(model: Model, directory: str | Path) -> None:
         name, fname, shape = fields
         if name not in targets:
             raise ConfigError(f"checkpoint entry {name} is not in the model")
+        if name in entries:
+            raise ConfigError(f"checkpoint index lists entry {name} twice")
         want = ",".join(map(str, targets[name].shape))
         if shape != want:
             raise ConfigError(f"checkpoint entry {name} has shape {shape}, the model's is {want}")

@@ -10,10 +10,11 @@ shift of the patch grid.
 This module is the only one that knows the patch layout.  Consecutive groups
 of equal patch geometry merge into one ``Part``, and one kernel pair,
 ``part_forward`` / ``part_backward``, computes every patch product and its
-gradients.  One part loop, ``cell_forward`` / ``cell_backward``, runs that
-kernel over the parts, on one stacked (L, R) pair per part:
-``model.NeoCellLayer`` passes its ``Param`` arrays, ``forward_patchwise``
-the per-channel ``NeoCellParams`` stacked per part.
+gradients, one batch per run of equal shift.  One part loop,
+``cell_forward`` / ``cell_backward``, runs that kernel over the parts, on
+one stacked (L, R) pair per part: ``model.NeoCellLayer`` passes its
+``Param`` arrays, ``forward_patchwise`` the per-channel ``NeoCellParams``
+stacked per part.
 
 The kernel never gathers patches: it runs two band GEMMs on views of
 (n, c, H, W), L along H on (n, c, H/h, h, W) bands and then R along W on
@@ -41,14 +42,12 @@ end.  The wrapping band (rows H-h+s.. and ..s) and the wrapping chunk
 column are gathered, multiplied and written back to their places; the
 forward keeps L x's wrapping chunk column as the subgroup's strip and zeroes
 those columns in the workspace, where they would add the discarded chunks'
-share to grad_R.  The GEMM
-along W still computes the H - 1 wrapped chunk products of each plane in its
-flat view and discards them (one more per plane where the images of a
-channel are folded); ``MultCounter`` does not count them.  A
-whole-plane part (H == h and W == w) has no band to offset: it runs
-unshifted on L and R rolled by (s, s), which is the same conjugation,
-and rolls the weight gradients back.  Patch weights are initialized in one
-place, ``init_part``.
+share to grad_R.  The GEMM along W still computes the H - 1 wrapped chunk
+products of each plane in its flat view and discards them (one more per
+plane where the images of a channel are folded); ``MultCounter`` does not
+count them.  A shifted whole-plane group (H == h, W == w) takes the same
+path, its one patch being the wrapping band; ``model`` builds none.  Patch
+weights are initialized in one place, ``init_part``.
 
 ``forward_blockdiag`` is the independent reference: one product per channel
 plane with block-diagonal factors A (left) and B (right), which
@@ -64,7 +63,6 @@ sizes are a hard error; the operator defines no padding.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -216,7 +214,8 @@ class NeoCellParams:
 
 @dataclass(frozen=True)
 class Part:
-    """Contiguous run of groups sharing patch geometry, computed as one batch."""
+    """Contiguous run of groups sharing patch geometry, computed as one batch
+    per run of equal shift."""
 
     start: int
     stop: int
@@ -224,7 +223,7 @@ class Part:
     w: int
     h_out: int
     w_out: int
-    shifts: tuple[tuple[int, int, int], ...]   # (offset-in-part, size, shift)
+    runs: tuple[tuple[int, int, int], ...]   # (start, stop, shift) in the part
 
     @property
     def count(self) -> int:
@@ -235,11 +234,14 @@ def merge_parts(spec: NeoCellSpec) -> list[Part]:
     """The spec's groups in channel order, runs of equal geometry merged."""
     ordered = sorted(spec.groups, key=lambda g: g.start)
     parts = []
-    for geometry, run in itertools.groupby(ordered, key=lambda g: (g.h, g.w, g.h_out, g.w_out)):
-        run = list(run)
-        base = run[0].start
-        shifts = tuple((g.start - base, g.count, g.shift) for g in run)
-        parts.append(Part(base, run[-1].stop, *geometry, shifts))
+    for geometry, groups in itertools.groupby(ordered, key=lambda g: (g.h, g.w, g.h_out, g.w_out)):
+        groups = list(groups)
+        base = groups[0].start
+        runs = []
+        for shift, run in itertools.groupby(groups, key=lambda g: g.shift):
+            run = list(run)
+            runs.append((run[0].start - base, run[-1].stop - base, shift))
+        parts.append(Part(base, groups[-1].stop, *geometry, tuple(runs)))
     return parts
 
 
@@ -279,44 +281,6 @@ class MultCounter:
 
     def add(self, n: int):
         self.multiplies += int(n)
-
-
-@functools.lru_cache(maxsize=256)
-def _conjugation_index(shifts, shape, sign: int) -> np.ndarray:
-    """Flat indices into a C-ordered (cp, r, q) stack that roll each
-    subgroup's matrices by ``sign * shift`` on both axes."""
-    cp, r, q = shape
-    s = sign * np.repeat([s for _, _, s in shifts], [size for _, size, _ in shifts])[:, None]
-    rows, cols = (np.arange(r) - s) % r, (np.arange(q) - s) % q
-    index = (np.arange(cp)[:, None, None] * r + rows[:, :, None]) * q + cols[:, None, :]
-    index.flags.writeable = False
-    return index
-
-
-def _conjugate(a: np.ndarray, shifts, sign: int) -> np.ndarray:
-    """Stacked (cp, r, q) matrices, each shifted subgroup's rolled by
-    ``sign * shift`` on both axes; ``a`` itself when no subgroup is shifted.
-
-    Rolling a patch matrix by (s, s) conjugates the patch operator by a
-    cyclic shift of s: whole-plane parts take their shifts this way."""
-    if not any(s for _, _, s in shifts):
-        return a
-    return np.take(a, _conjugation_index(shifts, a.shape, sign))
-
-
-def _runs(part_shifts, whole_plane: bool):
-    """(start, stop, shift) channel runs computed as one batch each.
-
-    Consecutive subgroups of equal shift merge.  A whole-plane part (one
-    patch per plane) is one unshifted run: its shifts are conjugated into
-    the weights instead."""
-    if whole_plane:
-        return [(0, sum(size for _, size, _ in part_shifts), 0)]
-    runs = []
-    for s, run in itertools.groupby(part_shifts, key=lambda t: t[2]):
-        run = list(run)
-        runs.append((run[0][0], run[-1][0] + run[-1][1], s))
-    return runs
 
 
 def _bands(a: np.ndarray, k: int, s: int) -> np.ndarray:
@@ -388,7 +352,7 @@ def part_forward(
     x: np.ndarray,
     L: np.ndarray,
     R: np.ndarray,
-    shifts,
+    runs,
     out: np.ndarray,
     lx: np.ndarray,
     counter: MultCounter | None = None,
@@ -396,7 +360,7 @@ def part_forward(
     """The patch kernel for one part, in the dtype of its inputs.
 
     x is (n, cp, H, W); L is (cp, h_out, h); R is (cp, w, w_out);
-    ``shifts`` is ``Part.shifts``.  Writes the (n, cp, H/h*h_out,
+    ``runs`` is ``Part.runs``.  Writes the (n, cp, H/h*h_out,
     W/w*w_out) result into ``out`` (a channel slice of a larger array is
     fine).  ``lx`` is a channel-major (n, cp, H/h*h_out, W)
     workspace that receives L x, left for ``part_backward``: its W-wrap
@@ -407,27 +371,21 @@ def part_forward(
     Two band GEMMs on views, with no patch transpose: L acts along H on x
     viewed as (n, cp, H/h, h, W) bands, then R acts along W on that result
     viewed as (n, cp, H/h*h_out*W/w, w) rows, whose product is already laid
-    out as the output.  A subgroup shifted by s reads the same views from
-    row s and from flat element s; its one wrapping band along H and its
-    wrapping chunk column along W are gathered, multiplied and scattered
-    back.  A whole-plane part instead runs unshifted on weights rolled by
-    (s, s).  L goes first, so each patch costs exactly the
+    out as the output.  A run shifted by s reads the same views from row s
+    and from flat element s; its one wrapping band along H and its wrapping
+    chunk column along W are gathered, multiplied and scattered back.  L
+    goes first, so each patch costs exactly the
     h_out*h*w + h_out*w*w_out multiplies that ``counter`` tallies.  It does
     not count the wrapped chunk products that a shifted subgroup computes
     and discards: H - 1 per plane, and one more per plane but the last
     where ``_fold`` stacks the images of a channel.
     """
-    n, cp, H, W = x.shape
     h_out, h = L.shape[1:]
     w, w_out = R.shape[1:]
-    nh, nw = H // h, W // w
     if counter is not None:
-        counter.add(n * cp * nh * nw * (h_out * h * w + h_out * w * w_out))
-    whole_plane = (nh, nw) == (1, 1)
-    if whole_plane:
-        L, R = _conjugate(L, shifts, +1), _conjugate(R, shifts, +1)
+        counter.add(x.size // (h * w) * (h_out * h * w + h_out * w * w_out))
     strips = []
-    for a, b, s in _runs(shifts, whole_plane):
+    for a, b, s in runs:
         c = slice(a, b)
         xc, lc = x[:, c], lx[:, c]
         np.matmul(L[c][:, None], _bands(xc, h, s), out=_bands(lc, h_out, s))
@@ -437,7 +395,7 @@ def part_forward(
             strip = _gather(lc, w, s, 3, empty_channel_major(lc, (*lc.shape[:3], w)))
             # the wrapping chunks' products are discarded; zeroed, these
             # columns add nothing to the backward's grad_R
-            for piece in _wrap(W, w, s, 3):
+            for piece in _wrap(x.shape[3], w, s, 3):
                 lc[piece] = 0
         strips.append(strip)
         lf, of, sf = _fold(lc, out[:, c], strip)
@@ -451,7 +409,7 @@ def part_backward(
     x: np.ndarray,
     L: np.ndarray,
     R: np.ndarray,
-    shifts,
+    runs,
     gy: np.ndarray,
     out: np.ndarray,
     lx: np.ndarray,
@@ -470,27 +428,22 @@ def part_backward(
     - grad_x = L^T (G R^T), written into ``out`` (a channel slice of a
       larger array is fine).
 
-    A shifted subgroup reads every view at offset s and handles its
-    wrapping band and chunk column apart, as in the forward; the zeroed
-    wrap columns of L X make the wrong chunks add nothing to grad_R, and
-    the strip adds the wrapping chunks' share.  G R^T overwrites ``lx``
-    once L X is used, so ``lx`` is consumed.  Whole-plane weight gradients
-    are rolled back by (-s, -s).
+    A shifted run reads every view at offset s and handles its wrapping
+    band and chunk column apart, as in the forward; the zeroed wrap columns
+    of L X make the wrong chunks add nothing to grad_R, and the strip adds
+    the wrapping chunks' share.  G R^T overwrites ``lx`` once L X is used,
+    so ``lx`` is consumed.
 
     Returns (grad_L, grad_R).  Each weight gradient is reduced in one
     fixed order, so repeated backward passes on equal inputs are
     bit-identical.  Neither x nor gy is written to.
     """
-    H, W = x.shape[2:]
     h_out, h = L.shape[1:]
     w, w_out = R.shape[1:]
-    whole_plane = (H // h, W // w) == (1, 1)
-    if whole_plane:
-        L, R = _conjugate(L, shifts, +1), _conjugate(R, shifts, +1)
     grad_l, grad_r = np.empty_like(L), np.empty_like(R)
     # BLAS takes G R^T about 3x longer from a transposed view of R
     Rts = np.ascontiguousarray(R.swapaxes(-1, -2))
-    for (a, b, s), strip in zip(_runs(shifts, whole_plane), strips):
+    for (a, b, s), strip in zip(runs, strips):
         c = slice(a, b)
         xc, lc, oc = x[:, c], lx[:, c], out[:, c]
         Lc, Rt = L[c], Rts[c]
@@ -509,8 +462,6 @@ def part_backward(
             grw, xw = _gather(lc, h, s, 2), _gather(xc, h, s, 2)
             grad_l[c] += np.matmul(grw, xw.swapaxes(-1, -2)).sum(axis=0)
             _scatter(oc, np.matmul(Lc.swapaxes(-1, -2), grw), s, 2)
-    if whole_plane:
-        grad_l, grad_r = _conjugate(grad_l, shifts, -1), _conjugate(grad_r, shifts, -1)
     return grad_l, grad_r
 
 
@@ -534,7 +485,7 @@ def cell_forward(x: np.ndarray, parts, weights, out: np.ndarray, lx: np.ndarray,
     strips = []
     for part, (L, R) in zip(parts, weights):
         s = slice(part.start, part.stop)
-        strips.append(part_forward(x[:, s], L, R, part.shifts, out[:, s], lx[:, s], counter))
+        strips.append(part_forward(x[:, s], L, R, part.runs, out[:, s], lx[:, s], counter))
     return strips
 
 
@@ -550,7 +501,7 @@ def cell_backward(x: np.ndarray, parts, weights, gy: np.ndarray, gx: np.ndarray,
     grads = []
     for part, (L, R), part_strips in zip(parts, weights, strips):
         s = slice(part.start, part.stop)
-        grads.append(part_backward(x[:, s], L, R, part.shifts, gy[:, s], gx[:, s], lx[:, s], part_strips))
+        grads.append(part_backward(x[:, s], L, R, part.runs, gy[:, s], gx[:, s], lx[:, s], part_strips))
     return gx, grads
 
 

@@ -42,12 +42,15 @@ class TestInitDump:
         want = init_part(part, Rng(11))[0][0]
         assert np.array_equal(read_matrix(out).array, want)
 
-    @pytest.mark.parametrize("rows, cols", [("0", "3"), ("3", "0")])
+    @pytest.mark.parametrize("rows, cols", [("0", "3"), ("3", "0"), ("-2", "3"), ("3", "-1")])
     def test_empty_dims_exit_1(self, rows, cols, tmp_path, capsys):
         out = tmp_path / "m.t4"
         code = main(["init-dump", "--rows", rows, "--cols", cols, "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        flag, value = ("rows", rows) if int(rows) < 1 else ("cols", cols)
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --{flag} must be >= 1, got {value}\n"
+        assert captured.out == ""
         assert not out.exists()
 
     def test_repeat_invocation_byte_identical(self, tmp_path, capsys):
@@ -240,6 +243,8 @@ class TestGradcheckCli:
             ("batchnorm", "c", "0"),
             ("gelu", "h", "0"),
             ("gelu", "w", "-1"),
+            ("neocell", "k", "0"),
+            ("neocell", "k", "-3"),
         ],
     )
     def test_empty_sizes_exit_1_before_any_work(self, layer, flag, value, capsys):

@@ -76,6 +76,31 @@ class TestStageGroups:
         assert [g.count for g in four_part] == [2, 1, 1, 1]
         assert [g.shift for g in four_part] == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize("channels, map_size", [(48, 4), (96, 2), (96, 4)])
+    def test_whole_plane_parts_are_unshifted(self, channels, map_size):
+        # a patch covering the whole plane has no border for a shift to cross
+        groups, _ = make_stage_groups(channels, map_size, "mixed-shift")
+        half = channels // 2
+        assert [(g.start, g.stop, g.h, g.shift) for g in groups] == [
+            (0, half, map_size, 0),
+            (half, channels, map_size, 0),
+        ]
+
+    @pytest.mark.parametrize(
+        "channels, map_size, layout",
+        [
+            # (start, stop, k, shift); at map 8 the 7x7 part falls back to 4x4
+            (24, 8, [(0, 3, 4, 0), (3, 6, 4, 1), (6, 9, 4, 2), (9, 12, 4, 3),
+                     (12, 15, 4, 0), (15, 18, 4, 1), (18, 21, 4, 2), (21, 24, 4, 3)]),
+            (96, 56, [(0, 12, 4, 0), (12, 24, 4, 1), (24, 36, 4, 2), (36, 48, 4, 3),
+                      (48, 55, 7, 0), (55, 62, 7, 1), (62, 69, 7, 2), (69, 76, 7, 3),
+                      (76, 83, 7, 4), (83, 90, 7, 5), (90, 96, 7, 6)]),
+        ],
+    )
+    def test_band_maps_keep_every_shift(self, channels, map_size, layout):
+        groups, _ = make_stage_groups(channels, map_size, "mixed-shift")
+        assert [(g.start, g.stop, g.h, g.shift) for g in groups] == layout
+
     def test_odd_channels_rejected_for_mixed(self):
         with pytest.raises(ConfigError, match="even"):
             make_stage_groups(7, 8, "mixed-shift")
@@ -314,7 +339,7 @@ class TestNeoCellLayerAliasing:
         [
             (GroupSpec(0, 2, 4, 4, 4, 4), GroupSpec(2, 5, 4, 4, 4, 4, shift=3)),
             (GroupSpec(0, 3, 2, 2, 1, 1),),
-            # 8x8 patches on the 8x8 input: the shift goes into the weights
+            # 8x8 patches on the 8x8 input: the one patch is the wrapping band
             (GroupSpec(0, 1, 8, 8, 8, 8), GroupSpec(1, 3, 8, 8, 8, 8, shift=5)),
         ],
         ids=["shifted", "downsample", "whole-plane-shifted"],
@@ -538,6 +563,16 @@ class TestCheckpoint:
         index.write_text("\n".join(lines + [f"bogus.param\t{fname}\t{shape}"]) + "\n")
         before = [p.array.copy() for p in model.params()]
         with pytest.raises(ConfigError, match="bogus.param"):
+            load_checkpoint(model, tmp_path / "ckpt")
+        assert all(np.array_equal(p.array, b) for p, b in zip(model.params(), before))
+
+    def test_repeated_entry_rejected(self, tmp_path):
+        model, index = self._saved(tmp_path)
+        lines = index.read_text().splitlines()
+        gamma_file = next(line.split("\t")[1] for line in lines if line.startswith("stem.norm.gamma\t"))
+        index.write_text("\n".join(lines + [f"stem.pointwise.bias\t{gamma_file}\t24"]) + "\n")
+        before = [p.array.copy() for p in model.params()]
+        with pytest.raises(ConfigError, match="lists entry stem.pointwise.bias twice"):
             load_checkpoint(model, tmp_path / "ckpt")
         assert all(np.array_equal(p.array, b) for p, b in zip(model.params(), before))
 

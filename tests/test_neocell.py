@@ -211,6 +211,32 @@ class TestRectangularResampling:
         assert np.abs(got - forward_blockdiag(x, RECT_SPEC, params).array).max() <= 1e-10
 
 
+class TestMergeParts:
+    def test_runs_merge_equal_shifts_and_parts_split_on_geometry(self):
+        spec = NeoCellSpec((
+            GroupSpec(0, 2, 4, 4, 4, 4),
+            GroupSpec(2, 3, 4, 4, 4, 4),
+            GroupSpec(3, 5, 4, 4, 4, 4, shift=1),
+            GroupSpec(5, 6, 4, 4, 4, 4, shift=2),
+            GroupSpec(6, 7, 4, 4, 4, 4, shift=2),
+            GroupSpec(7, 8, 4, 4, 4, 4),
+            GroupSpec(8, 10, 2, 2, 1, 1),
+            GroupSpec(10, 13, 7, 7, 7, 7, shift=3),
+        ))
+        parts = merge_parts(spec)
+        assert [(p.start, p.stop, p.h, p.w, p.h_out, p.w_out) for p in parts] == [
+            (0, 8, 4, 4, 4, 4),
+            (8, 10, 2, 2, 1, 1),
+            (10, 13, 7, 7, 7, 7),
+        ]
+        # (start, stop, shift) relative to the part's first channel
+        assert [p.runs for p in parts] == [
+            ((0, 3, 0), (3, 5, 1), (5, 7, 2), (7, 8, 0)),
+            ((0, 2, 0),),
+            ((0, 3, 3),),
+        ]
+
+
 def _groups(k, shifts):
     """Square k x k groups of the given (size, shift) in channel order."""
     groups, start = [], 0
@@ -220,8 +246,9 @@ def _groups(k, shifts):
     return tuple(groups)
 
 
-# (n, H, W, groups): whole-plane parts (H == h, W == w) run on rolled weights;
-# the others read bands at offset s and handle the one wrapping band apart
+# (n, H, W, groups): every shifted run reads bands at offset s and handles the
+# one wrapping band apart; on a whole plane (H == h, W == w) that band is
+# the one patch and no other band is left
 SHIFTED_CASES = {
     "whole-4x4": (2, 4, 4, _groups(4, [(1, 0), (2, 1), (1, 2), (1, 3)])),
     "whole-2x2": (2, 2, 2, _groups(2, [(1, 0), (2, 1)])),
@@ -254,9 +281,9 @@ def _shifted_params(cases):
 
 
 class TestShiftedKernel:
-    """Shifted subgroups: band views at offset s, whole-plane conjugation.
-    The kernel runs on x as given, so the channel-major ids reach its
-    channel-major path."""
+    """Shifted subgroups: band views at offset s and the wrapping band, on
+    band maps and whole planes alike.  The kernel runs on x as given, so
+    the channel-major ids reach its channel-major path."""
 
     @_shifted_params(SHIFTED_CASES)
     def test_matches_blockdiag(self, name, channel_major):
