@@ -22,7 +22,7 @@ divisible by the requested size, the largest of {7, 4, 2, 1} that divides
 the map is substituted and the substitution is recorded in the manifest.
 
 ``NeoCellLayer`` holds its patch weights as one stacked (left, right)
-``Param`` pair per ``neocell.Part`` and runs ``neocell``'s one part loop,
+``Param`` pair per ``neocell.Part`` and runs ``neocell``'s one kernel pair,
 ``cell_forward`` and, on the tape, ``cell_backward`` on the L x workspace
 and wrap strips that the forward left; ``neocell`` owns the patch layout.
 
@@ -57,7 +57,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, replace
 from itertools import zip_longest
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import numpy as np
 from scipy.special import ndtr
@@ -710,10 +710,11 @@ def load_checkpoint(model: Model, directory: str | Path) -> None:
     """Load what ``save_checkpoint`` wrote into ``model``.
 
     ``manifest.txt`` must equal ``model.manifest()``.  Every ``index.txt``
-    entry must name a parameter or running stat of the model and carry its
-    shape, every one of them must be listed once, and each tensor file must
-    hold that many values.  Otherwise ``ConfigError`` names the first differing
-    manifest line or the entry, and the model is left untouched.
+    entry must name a parameter or running stat of the model, carry its
+    shape and name a file under ``params/`` by a relative path without
+    ``..``; every one of them must be listed once, and each file must be a
+    tensor of that many values.  Otherwise ``ConfigError`` names the first
+    differing manifest line or the entry, and the model is left untouched.
     """
     d = Path(directory)
     saved = (d / "manifest.txt").read_text().splitlines()
@@ -737,12 +738,18 @@ def load_checkpoint(model: Model, directory: str | Path) -> None:
         want = ",".join(map(str, targets[name].shape))
         if shape != want:
             raise ConfigError(f"checkpoint entry {name} has shape {shape}, the model's is {want}")
+        parts = PurePosixPath(fname).parts
+        if len(parts) < 2 or parts[0] != "params" or ".." in parts:
+            raise ConfigError(f"checkpoint entry {name} names file {fname!r}, not a relative path under params/")
         entries[name] = fname
     loaded = {}
     for name, target in targets.items():
         if name not in entries:
             raise ConfigError(f"checkpoint misses parameter {name}")
-        arr = read_tensor(d / entries[name]).array
+        try:
+            arr = read_tensor(d / entries[name]).array
+        except (OSError, ShapeError) as err:
+            raise ConfigError(f"checkpoint entry {name} cannot be read: {err}") from err
         if arr.size != target.size:
             raise ConfigError(f"checkpoint entry {name} holds {arr.size} values, expected {target.size}")
         loaded[name] = arr.reshape(target.shape)

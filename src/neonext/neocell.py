@@ -9,12 +9,11 @@ shift of the patch grid.
 
 This module is the only one that knows the patch layout.  Consecutive groups
 of equal patch geometry merge into one ``Part``, and one kernel pair,
-``part_forward`` / ``part_backward``, computes every patch product and its
-gradients, one batch per run of equal shift.  One part loop,
-``cell_forward`` / ``cell_backward``, runs that kernel over the parts, on
-one stacked (L, R) pair per part: ``model.NeoCellLayer`` passes its
-``Param`` arrays, ``forward_patchwise`` the per-channel ``NeoCellParams``
-stacked per part.
+``cell_forward`` / ``cell_backward``, computes every patch product and its
+gradients: one loop over the parts, each with one stacked (L, R) pair
+(``model.NeoCellLayer`` passes its ``Param`` arrays, ``forward_patchwise``
+the per-channel ``NeoCellParams`` stacked per part), and within a part one
+batch per run of equal shift.
 
 The kernel never gathers patches: it runs two band GEMMs on views of
 (n, c, H, W), L along H on (n, c, H/h, h, W) bands and then R along W on
@@ -29,11 +28,10 @@ order ``MultCounter`` counts: h_out*h*w + h_out*w*w_out multiplies per patch.
 The forward keeps what the backward needs.  Every part's L x goes into one
 channel-major (n, c, H/h*h_out, W) workspace of the caller's
 (``empty_channel_major``), so ``_fold`` always applies to it whatever x's
-layout; ``cell_forward`` leaves it there and returns the W-wrap strips of
-each shifted subgroup, and ``cell_backward`` takes both and consumes the
-workspace in place, overwriting L x with G R^T.  A workspace therefore
-serves one backward, as a tape does (``autodiff.backward`` refuses a
-consumed tape).
+layout; ``cell_forward`` leaves it there and returns one W-wrap strip per
+run, and ``cell_backward`` takes both and consumes the workspace in place,
+overwriting L x with G R^T.  A workspace therefore serves one backward, as a
+tape does (``autodiff.backward`` refuses a consumed tape).
 
 Shifts never move activations.  A subgroup shifted by s reads the same
 views from row s and from flat element s: every band along H except the one
@@ -348,123 +346,6 @@ def _scatter(dst: np.ndarray, band: np.ndarray, s: int, axis: int) -> None:
     dst[head] = band[pad + (slice(k - s, None),)]
 
 
-def part_forward(
-    x: np.ndarray,
-    L: np.ndarray,
-    R: np.ndarray,
-    runs,
-    out: np.ndarray,
-    lx: np.ndarray,
-    counter: MultCounter | None = None,
-) -> list:
-    """The patch kernel for one part, in the dtype of its inputs.
-
-    x is (n, cp, H, W); L is (cp, h_out, h); R is (cp, w, w_out);
-    ``runs`` is ``Part.runs``.  Writes the (n, cp, H/h*h_out,
-    W/w*w_out) result into ``out`` (a channel slice of a larger array is
-    fine).  ``lx`` is a channel-major (n, cp, H/h*h_out, W)
-    workspace that receives L x, left for ``part_backward``: its W-wrap
-    columns zeroed, their values returned as one channel-major (n, cb,
-    H/h*h_out, w) strip per run of cb shifted channels (None per unshifted
-    run).
-
-    Two band GEMMs on views, with no patch transpose: L acts along H on x
-    viewed as (n, cp, H/h, h, W) bands, then R acts along W on that result
-    viewed as (n, cp, H/h*h_out*W/w, w) rows, whose product is already laid
-    out as the output.  A run shifted by s reads the same views from row s
-    and from flat element s; its one wrapping band along H and its wrapping
-    chunk column along W are gathered, multiplied and scattered back.  L
-    goes first, so each patch costs exactly the
-    h_out*h*w + h_out*w*w_out multiplies that ``counter`` tallies.  It does
-    not count the wrapped chunk products that a shifted subgroup computes
-    and discards: H - 1 per plane, and one more per plane but the last
-    where ``_fold`` stacks the images of a channel.
-    """
-    h_out, h = L.shape[1:]
-    w, w_out = R.shape[1:]
-    if counter is not None:
-        counter.add(x.size // (h * w) * (h_out * h * w + h_out * w * w_out))
-    strips = []
-    for a, b, s in runs:
-        c = slice(a, b)
-        xc, lc = x[:, c], lx[:, c]
-        np.matmul(L[c][:, None], _bands(xc, h, s), out=_bands(lc, h_out, s))
-        strip = None
-        if s:
-            _scatter(lc, np.matmul(L[c], _gather(xc, h, s, 2)), s, 2)
-            strip = _gather(lc, w, s, 3, empty_channel_major(lc, (*lc.shape[:3], w)))
-            # the wrapping chunks' products are discarded; zeroed, these
-            # columns add nothing to the backward's grad_R
-            for piece in _wrap(x.shape[3], w, s, 3):
-                lc[piece] = 0
-        strips.append(strip)
-        lf, of, sf = _fold(lc, out[:, c], strip)
-        np.matmul(_chunks(lf, w, s), R[c], out=_chunks(of, w_out, s))
-        if s:
-            _scatter(of, np.matmul(sf, R[c]), s, 3)
-    return strips
-
-
-def part_backward(
-    x: np.ndarray,
-    L: np.ndarray,
-    R: np.ndarray,
-    runs,
-    gy: np.ndarray,
-    out: np.ndarray,
-    lx: np.ndarray,
-    strips: list,
-):
-    """Gradients of ``part_forward`` for the output gradient ``gy``.
-
-    ``lx`` and ``strips`` are what ``part_forward`` left: L x, with its
-    W-wrap columns zeroed, and those columns' values.  Uses the forward's
-    views of x and L x and the same views of G = ``gy``, with no patch
-    transpose:
-
-    - grad_R = sum over n of (L X)^T G on the (H/h*h_out*W/w, w) rows;
-    - grad_L = sum over (n, H/h) bands of (G R^T) X^T, which equals
-      G (X R)^T;
-    - grad_x = L^T (G R^T), written into ``out`` (a channel slice of a
-      larger array is fine).
-
-    A shifted run reads every view at offset s and handles its wrapping
-    band and chunk column apart, as in the forward; the zeroed wrap columns
-    of L X make the wrong chunks add nothing to grad_R, and the strip adds
-    the wrapping chunks' share.  G R^T overwrites ``lx`` once L X is used,
-    so ``lx`` is consumed.
-
-    Returns (grad_L, grad_R).  Each weight gradient is reduced in one
-    fixed order, so repeated backward passes on equal inputs are
-    bit-identical.  Neither x nor gy is written to.
-    """
-    h_out, h = L.shape[1:]
-    w, w_out = R.shape[1:]
-    grad_l, grad_r = np.empty_like(L), np.empty_like(R)
-    # BLAS takes G R^T about 3x longer from a transposed view of R
-    Rts = np.ascontiguousarray(R.swapaxes(-1, -2))
-    for (a, b, s), strip in zip(runs, strips):
-        c = slice(a, b)
-        xc, lc, oc = x[:, c], lx[:, c], out[:, c]
-        Lc, Rt = L[c], Rts[c]
-        lf, gf, lw = _fold(lc, gy[:, c], strip)
-        lrows, grows = _chunks(lf, w, s), _chunks(gf, w_out, s)
-        grad_r[c] = np.matmul(lrows.swapaxes(-1, -2), grows).sum(axis=0)
-        np.matmul(grows, Rt, out=lrows)
-        if s:
-            gw = _gather(gf, w_out, s, 3)
-            grad_r[c] += np.matmul(lw.swapaxes(-1, -2), gw).sum(axis=0)
-            _scatter(lf, np.matmul(gw, Rt), s, 3)
-        gbands = _bands(lc, h_out, s)
-        grad_l[c] = np.matmul(gbands, _bands(xc, h, s).swapaxes(-1, -2)).sum(axis=(0, 2))
-        np.matmul(Lc.swapaxes(-1, -2)[:, None], gbands, out=_bands(oc, h, s))
-        if s:
-            grw, xw = _gather(lc, h, s, 2), _gather(xc, h, s, 2)
-            grad_l[c] += np.matmul(grw, xw.swapaxes(-1, -2)).sum(axis=0)
-            _scatter(oc, np.matmul(Lc.swapaxes(-1, -2), grw), s, 2)
-    return grad_l, grad_r
-
-
 def lx_shape(x_shape, out_shape) -> tuple:
     """The (n, c, H', W) shape of a layer's L x workspace, for an (n, c, H,
     W) input and its (n, c, H', W') output."""
@@ -472,20 +353,55 @@ def lx_shape(x_shape, out_shape) -> tuple:
 
 
 def cell_forward(x: np.ndarray, parts, weights, out: np.ndarray, lx: np.ndarray, counter: MultCounter | None = None):
-    """The part loop: ``part_forward`` on each part's channels of x.
+    """The patch kernel, in the dtype of its inputs.
 
-    ``weights`` holds one stacked (L, R) pair per part.  Every element of
-    the caller's (n, c, H', W') ``out`` is written.  Callers pass ``np.empty_like(x, shape=…)``, so channel-major inputs give
+    x is (n, c, H, W); ``weights`` holds one stacked (L, R) pair per part,
+    L (cp, h_out, h) and R (cp, w, w_out).  Every element of the caller's
+    (n, c, H', W') ``out`` is written.  Callers pass
+    ``np.empty_like(x, shape=…)``, so channel-major inputs give
     channel-major outputs, or, in ``model.NeoCellLayer``, a recycled array
     of that layout.  ``lx`` is the caller's channel-major workspace of
-    ``lx_shape`` (``empty_channel_major``): every part's L x is left there.
-    Returns the W-wrap strips, one list per part, which ``cell_backward``
-    takes with ``lx``.
+    ``lx_shape`` (``empty_channel_major``); it receives every part's L x,
+    left for ``cell_backward`` with its W-wrap columns zeroed.  Returns
+    those columns' values: one channel-major (n, cb, H', w) strip per run
+    of cb shifted channels, None per unshifted run, in part order.
+
+    Two band GEMMs per run on views, with no patch transpose: L acts along
+    H on x viewed as (n, cb, H/h, h, W) bands, then R acts along W on that
+    result viewed as (n, cb, H/h*h_out*W/w, w) rows, whose product is
+    already laid out as the output.  A run shifted by s reads the same
+    views from row s and from flat element s; its one wrapping band along H
+    and its wrapping chunk column along W are gathered, multiplied and
+    scattered back.  L goes first, so each patch costs exactly the
+    h_out*h*w + h_out*w*w_out multiplies that ``counter`` tallies.  It does
+    not count the wrapped chunk products that a shifted subgroup computes
+    and discards: H - 1 per plane, and one more per plane but the last
+    where ``_fold`` stacks the images of a channel.
     """
+    n, _, H, W = x.shape
     strips = []
     for part, (L, R) in zip(parts, weights):
-        s = slice(part.start, part.stop)
-        strips.append(part_forward(x[:, s], L, R, part.runs, out[:, s], lx[:, s], counter))
+        h, w, h_out, w_out = part.h, part.w, part.h_out, part.w_out
+        if counter is not None:
+            counter.add(n * part.count * (H // h) * (W // w) * (h_out * h * w + h_out * w * w_out))
+        # weights are indexed within the part, activations across the layer
+        for a, b, s in part.runs:
+            c = slice(part.start + a, part.start + b)
+            xc, lc = x[:, c], lx[:, c]
+            np.matmul(L[a:b, None], _bands(xc, h, s), out=_bands(lc, h_out, s))
+            strip = None
+            if s:
+                _scatter(lc, np.matmul(L[a:b], _gather(xc, h, s, 2)), s, 2)
+                strip = _gather(lc, w, s, 3, empty_channel_major(lc, (*lc.shape[:3], w)))
+                # the wrapping chunks' products are discarded; zeroed, these
+                # columns add nothing to the backward's grad_R
+                for piece in _wrap(W, w, s, 3):
+                    lc[piece] = 0
+            strips.append(strip)
+            lf, of, sf = _fold(lc, out[:, c], strip)
+            np.matmul(_chunks(lf, w, s), R[a:b], out=_chunks(of, w_out, s))
+            if s:
+                _scatter(of, np.matmul(sf, R[a:b]), s, 3)
     return strips
 
 
@@ -493,15 +409,55 @@ def cell_backward(x: np.ndarray, parts, weights, gy: np.ndarray, gx: np.ndarray,
     """Gradients of ``cell_forward`` for the output gradient ``gy``.
 
     ``lx`` and ``strips`` are what ``cell_forward`` on x and ``weights``
-    left; the backward consumes ``lx``.  Writes grad_x into the caller's
-    ``gx``, shaped and laid out like x (as ``cell_forward``'s ``out``), and
-    returns (gx, grads) with one (grad_L, grad_R) pair per part, shaped
-    like ``weights``.
+    left: L x, with its W-wrap columns zeroed, and those columns' values.
+    Uses the forward's views of x and L x and the same views of G = ``gy``,
+    with no patch transpose:
+
+    - grad_R = sum over n of (L X)^T G on the (H/h*h_out*W/w, w) rows;
+    - grad_L = sum over (n, H/h) bands of (G R^T) X^T, which equals
+      G (X R)^T;
+    - grad_x = L^T (G R^T), written into the caller's ``gx``, shaped and
+      laid out like x (as ``cell_forward``'s ``out``).
+
+    A shifted run reads every view at offset s and handles its wrapping
+    band and chunk column apart, as in the forward; the zeroed wrap columns
+    of L X make the wrong chunks add nothing to grad_R, and the strip adds
+    the wrapping chunks' share.  G R^T overwrites ``lx`` once L X is used,
+    so ``lx`` is consumed.
+
+    Returns (gx, grads) with one (grad_L, grad_R) pair per part, shaped
+    like ``weights``.  Each weight gradient is reduced in one fixed order,
+    so repeated backward passes on equal inputs are bit-identical.  Neither
+    x nor gy is written to.
     """
     grads = []
-    for part, (L, R), part_strips in zip(parts, weights, strips):
-        s = slice(part.start, part.stop)
-        grads.append(part_backward(x[:, s], L, R, part.runs, gy[:, s], gx[:, s], lx[:, s], part_strips))
+    strips = iter(strips)
+    for part, (L, R) in zip(parts, weights):
+        h, w, h_out, w_out = part.h, part.w, part.h_out, part.w_out
+        grad_l, grad_r = np.empty_like(L), np.empty_like(R)
+        # BLAS takes G R^T about 3x longer from a transposed view of R
+        Rts = np.ascontiguousarray(R.swapaxes(-1, -2))
+        # zip draws a run first, so each part takes exactly its runs' strips
+        for (a, b, s), strip in zip(part.runs, strips):
+            c = slice(part.start + a, part.start + b)
+            xc, lc, oc = x[:, c], lx[:, c], gx[:, c]
+            Lt, Rt = L[a:b].swapaxes(-1, -2), Rts[a:b]
+            lf, gf, lw = _fold(lc, gy[:, c], strip)
+            lrows, grows = _chunks(lf, w, s), _chunks(gf, w_out, s)
+            grad_r[a:b] = np.matmul(lrows.swapaxes(-1, -2), grows).sum(axis=0)
+            np.matmul(grows, Rt, out=lrows)
+            if s:
+                gw = _gather(gf, w_out, s, 3)
+                grad_r[a:b] += np.matmul(lw.swapaxes(-1, -2), gw).sum(axis=0)
+                _scatter(lf, np.matmul(gw, Rt), s, 3)
+            gbands = _bands(lc, h_out, s)
+            grad_l[a:b] = np.matmul(gbands, _bands(xc, h, s).swapaxes(-1, -2)).sum(axis=(0, 2))
+            np.matmul(Lt[:, None], gbands, out=_bands(oc, h, s))
+            if s:
+                grw, xw = _gather(lc, h, s, 2), _gather(xc, h, s, 2)
+                grad_l[a:b] += np.matmul(grw, xw.swapaxes(-1, -2)).sum(axis=0)
+                _scatter(oc, np.matmul(Lt, grw), s, 2)
+        grads.append((grad_l, grad_r))
     return gx, grads
 
 

@@ -576,6 +576,47 @@ class TestCheckpoint:
             load_checkpoint(model, tmp_path / "ckpt")
         assert all(np.array_equal(p.array, b) for p, b in zip(model.params(), before))
 
+    def _pointed(self, tmp_path, name, fname):
+        """The saved model and checkpoint with ``name``'s index entry
+        pointing at ``fname``."""
+        model, index = self._saved(tmp_path)
+        lines = index.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith(f"{name}\t"))
+        _, _, shape = lines[i].split("\t")
+        lines[i] = f"{name}\t{fname}\t{shape}"
+        index.write_text("\n".join(lines) + "\n")
+        return model, [p.array.copy() for p in model.params()]
+
+    @pytest.mark.parametrize(
+        "fname",
+        ["{other}/params/0000.t4", "params/../../other/params/0000.t4", "0000.t4", "params"],
+        ids=["absolute", "dot-dot", "outside-params", "params-dir"],
+    )
+    def test_file_outside_params_rejected(self, tmp_path, fname):
+        other = build_model(named_spec("neonext-micro", classes=10), 32, Rng(14))
+        save_checkpoint(other, tmp_path / "other")
+        fname = fname.format(other=(tmp_path / "other").resolve())
+        model, before = self._pointed(tmp_path, "stem.pointwise.weight", fname)
+        with pytest.raises(ConfigError, match="entry stem.pointwise.weight names file .* not a relative path under params/"):
+            load_checkpoint(model, tmp_path / "ckpt")
+        assert all(np.array_equal(p.array, b) for p, b in zip(model.params(), before))
+
+    def test_missing_file_rejected(self, tmp_path):
+        model, before = self._pointed(tmp_path, "stem.pointwise.weight", "params/absent.t4")
+        with pytest.raises(ConfigError, match="entry stem.pointwise.weight cannot be read: .*absent.t4"):
+            load_checkpoint(model, tmp_path / "ckpt")
+        assert all(np.array_equal(p.array, b) for p, b in zip(model.params(), before))
+
+    def test_short_file_rejected(self, tmp_path):
+        model, index = self._saved(tmp_path)
+        fname = next(line.split("\t")[1] for line in index.read_text().splitlines() if line.startswith("stem.norm.gamma\t"))
+        path = tmp_path / "ckpt" / fname
+        path.write_bytes(path.read_bytes()[:-8])
+        before = [p.array.copy() for p in model.params()]
+        with pytest.raises(ConfigError, match="entry stem.norm.gamma cannot be read: .*expected .* bytes"):
+            load_checkpoint(model, tmp_path / "ckpt")
+        assert all(np.array_equal(p.array, b) for p, b in zip(model.params(), before))
+
     def test_manifest_mismatch_rejected_before_loading(self, tmp_path):
         self._saved(tmp_path)
         manifest = tmp_path / "ckpt" / "manifest.txt"

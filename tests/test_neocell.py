@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from neonext.autodiff import Grads, Param, fd_check
 from neonext.equiv import random_case, random_params, run_trials
 from neonext.errors import ConfigError, ParameterError, ShapeError
+from neonext.model import make_stage_groups
 from neonext.neocell import (
     GroupSpec,
+    MultCounter,
     NeoCellParams,
     NeoCellSpec,
     blockdiag_factors,
@@ -237,9 +239,10 @@ class TestMergeParts:
         ]
 
 
-def _groups(k, shifts):
-    """Square k x k groups of the given (size, shift) in channel order."""
-    groups, start = [], 0
+def _groups(k, shifts, start=0):
+    """Square k x k groups of the given (size, shift) in channel order, from
+    channel ``start``."""
+    groups = []
     for size, shift in shifts:
         groups.append(GroupSpec(start, start + size, k, k, k, k, shift=shift))
         start += size
@@ -248,14 +251,23 @@ def _groups(k, shifts):
 
 # (n, H, W, groups): every shifted run reads bands at offset s and handles the
 # one wrapping band apart; on a whole plane (H == h, W == w) that band is
-# the one patch and no other band is left
+# the one patch and no other band is left.  The kernel indexes weights
+# within a part and activations across the layer: in "two-parts" and
+# "non-square" the second part starts past channel 0, so the two differ,
+# and "non-square" wraps h x w patches with h != w along both axes.
 SHIFTED_CASES = {
     "whole-4x4": (2, 4, 4, _groups(4, [(1, 0), (2, 1), (1, 2), (1, 3)])),
     "whole-2x2": (2, 2, 2, _groups(2, [(1, 0), (2, 1)])),
     "band-8x8": (2, 8, 8, _groups(4, [(1, 0), (1, 1), (2, 3), (1, 2)])),
     "band-56x56": (2, 56, 56, _groups(7, [(1, 0), (2, 6)])),
+    "two-parts": (2, 8, 8, _groups(2, [(1, 1), (1, 0)]) + _groups(4, [(1, 0), (2, 3), (1, 1)], start=2)),
+    "non-square": (2, 8, 8, (
+        GroupSpec(0, 2, 4, 2, 4, 2, shift=1),
+        GroupSpec(2, 3, 2, 4, 2, 4, shift=1),
+        GroupSpec(3, 4, 2, 4, 2, 4),
+    )),
 }
-FD_CASES = ("whole-4x4", "whole-2x2", "band-8x8")
+FD_CASES = ("whole-4x4", "whole-2x2", "band-8x8", "two-parts", "non-square")
 
 
 def _to_channel_major(a):
@@ -282,8 +294,9 @@ def _shifted_params(cases):
 
 class TestShiftedKernel:
     """Shifted subgroups: band views at offset s and the wrapping band, on
-    band maps and whole planes alike.  The kernel runs on x as given, so
-    the channel-major ids reach its channel-major path."""
+    band maps and whole planes alike, in parts past channel 0 and on
+    non-square patches.  The kernel runs on x as given, so the
+    channel-major ids reach its channel-major path."""
 
     @_shifted_params(SHIFTED_CASES)
     def test_matches_blockdiag(self, name, channel_major):
@@ -339,6 +352,33 @@ class TestShiftedKernel:
                 analytic[p.name] = gp
         report = fd_check(run, [xp] + [p for pair in weights for p in pair], analytic, threshold=1e-4)
         assert report.passed, report.table()
+
+
+def _stage_spec(policy, map_size):
+    return NeoCellSpec(make_stage_groups(24, map_size, policy)[0]), map_size
+
+
+# (spec, map size): the model's stage layouts, then multi-part resampling
+COUNTED_SPECS = {
+    **{f"{policy}-{m}": _stage_spec(policy, m) for policy in ("mixed-shift", "single-7") for m in (56, 8, 4, 2, 1)},
+    "down-2to1": (NeoCellSpec((GroupSpec(0, 2, 2, 2, 1, 1), GroupSpec(2, 4, 4, 4, 2, 2))), 8),
+    "up-2to3": (NeoCellSpec((GroupSpec(0, 2, 2, 2, 3, 3), GroupSpec(2, 3, 4, 4, 6, 6))), 8),
+}
+
+
+class TestMultCounter:
+    @pytest.mark.parametrize("name", COUNTED_SPECS)
+    def test_tally_is_per_patch_formula(self, name):
+        spec, m = COUNTED_SPECS[name]
+        n = 2
+        x = Tensor4(Rng(45).normal((n, spec.channel_count, m, m), 1.0))
+        counter = MultCounter()
+        forward_patchwise(x, spec, random_params(spec, Rng(46)), counter)
+        want = sum(
+            n * g.count * (m // g.h) * (m // g.w) * (g.h_out * g.h * g.w + g.h_out * g.w * g.w_out)
+            for g in spec.groups
+        )
+        assert counter.multiplies == want
 
 
 class TestMaterialize:

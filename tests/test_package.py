@@ -100,6 +100,59 @@ def test_no_function_level_imports():
     assert not found, found
 
 
+def module_definitions(source: str) -> dict[str, int]:
+    """A module's top-level functions and classes, with their lines."""
+    return {
+        node.name: node.lineno
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name a module reads, reads as an attribute or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
+def unreferenced_definitions(defining: dict[str, str], others: list[str]) -> list[str]:
+    """Top-level functions and classes of the ``defining`` sources (by label)
+    that no source names anywhere but in their own ``def`` or ``class``
+    line; docstrings and comments do not count."""
+    used = set().union(*map(referenced_names, [*defining.values(), *others]))
+    return [
+        f"{label} line {line}: {name}"
+        for label, source in defining.items()
+        for name, line in module_definitions(source).items()
+        if name not in used
+    ]
+
+
+def test_unreferenced_definitions_detected():
+    defining = {"m.py": 'def used(): pass\ndef unused():\n    """``unused``"""\nclass Kept: pass\nclass Dropped:\n    def used(self): pass\n'}
+    others = ["from m import Kept\nused()\n"]
+    assert unreferenced_definitions(defining, others) == ["m.py line 2: unused", "m.py line 5: Dropped"]
+
+
+def sources(folder: str) -> dict[str, str]:
+    """The text of every Python file under ``folder``, by repo-relative path."""
+    return {str(path.relative_to(ROOT)): path.read_text() for path in sorted((ROOT / folder).rglob("*.py"))}
+
+
+def test_no_unreferenced_definitions():
+    # a function or class nothing calls, imports or names is dead code
+    others = [text for folder in ("scripts", "perfbench", "tests") for text in sources(folder).values()]
+    found = unreferenced_definitions(sources("src"), others)
+    assert not found, found
+
+
 def test_perfbench_imports_resolve():
     # the suite never imports perfbench, so a name deleted from neonext
     # that the benchmark still imports would pass it unnoticed
