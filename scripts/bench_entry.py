@@ -34,10 +34,11 @@ RECORD_KEYS = ("workload", "seed", "seconds", "trace", "environment", "failed_fr
 CAVEATS = [
     "Per-layer *.bwd_ms come from perfbench's isolated replay of each layer's backward. On "
     "train-micro and eval-micro the replay feeds a C-ordered probe gradient where a real step "
-    "feeds channel-major ones, so it does layout work the real backward does not, and NeoCell's "
-    "products along W run one GEMM per image instead of one per channel. autodiff.overhead_ms "
-    "(real backward minus the replay sum) reads negative on all three workloads; take per-layer "
-    "backward times as indicative only.",
+    "feeds row-interleaved ones (the memory of a (c, h, n, w) array), so it does layout work the "
+    "real backward does not: pointwise layers copy the probe into per-channel rows, and NeoCell "
+    "copies it into its input's layout before its kernel. autodiff.overhead_ms (real backward "
+    "minus the replay sum) reads negative on all three workloads; take per-layer backward times "
+    "as indicative only.",
     "The 2-vCPU hosts these were measured on switch between speed modes about 1.45x apart for "
     "minutes at a time; compare entries by their quartiles, not single runs.",
 ]

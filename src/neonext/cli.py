@@ -9,6 +9,11 @@ Subcommands:
 - ``init-dump``    write the left matrix ``init_part`` draws (binary + text grid)
 - ``equiv-check``  randomized patchwise vs block-diagonal agreement trials
 
+Every output file flag (``--out``, ``--text-out``) follows one rule,
+checked before any work: a missing parent directory is created, and a path
+that is a directory, or whose parent cannot be made, is an error that names
+the flag.  So a bad path leaves no partial output.
+
 Exit codes: 0 success, 1 error, usage error or failed check, 2 training
 diverged.
 """
@@ -107,6 +112,7 @@ def _add_equiv(sub):
 
 
 def _cmd_bench(args) -> int:
+    _check_outputs(args, "out")
     if args.out:
         check_bench_csv(args.out)   # a refused file fails before the timed runs
     result = run_bench(
@@ -180,6 +186,21 @@ def _check_sizes(args, *flags) -> None:
             raise ConfigError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
 
 
+def _check_outputs(args, *flags) -> None:
+    """Apply the output rule (see the module docstring) to each flag's path."""
+    for flag in flags:
+        path = getattr(args, flag.replace("-", "_"))
+        if not path:
+            continue
+        p = Path(path)
+        try:
+            p.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--{flag} {path}: cannot create directory {p.parent}: {exc.strerror}") from None
+        if p.is_dir():
+            raise ConfigError(f"--{flag} {path} is a directory")
+
+
 def _cmd_gradcheck(args) -> int:
     _check_sizes(args, "c", "h", "w", "k")
     loss_fn, params = _gradcheck_case(args)
@@ -234,6 +255,7 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_init_dump(args) -> int:
     _check_sizes(args, "rows", "cols")
+    _check_outputs(args, "out", "text-out")
     (part,) = merge_parts(NeoCellSpec((GroupSpec(0, 1, args.cols, 1, args.rows, 1),)))
     left, _ = init_part(part, None if args.no_noise else Rng(args.seed))
     m = Matrix(left[0])
@@ -249,6 +271,7 @@ def _cmd_init_dump(args) -> int:
 def _cmd_equiv(args) -> int:
     if not (np.isfinite(args.tol) and args.tol >= 0):
         raise ConfigError(f"--tol must be finite and >= 0, got {args.tol}")
+    _check_outputs(args, "out")
     results = run_trials(args.trials, args.seed)
     worst = max(r.max_abs_dev for r in results)
     if args.out:

@@ -27,18 +27,24 @@ the map is substituted and the substitution is recorded in the manifest.
 and wrap strips that the forward left; ``neocell`` owns the patch layout.
 
 Activation layout: layers take (n, c, h, w) arrays in any memory order,
-but they are built for channel-major ones, whose memory is that of a
-C-contiguous (c, n, h, w) array.  Space-to-depth makes the one layout copy,
-at the model's entry, and every later layer keeps that order up to the
-global pool.  Each channel's n*h*w values are then one contiguous row:
-``_channel_cols`` views them as a (c, n*h*w) matrix without a copy, so a
+but they are built for row-interleaved ones, whose memory is that of a
+C-contiguous (c, h, n, w) array: each channel holds row 0 of every image,
+then row 1, and so on.  Space-to-depth makes the one layout copy, at the
+model's entry, and every later layer keeps that order up to the global
+pool.  Each channel's n*h*w values are then one contiguous row:
+``_channel_cols`` views them as a (c, h*n*w) matrix without a copy, so a
 pointwise layer is one bare GEMM, whose result ``_cols_to_nchw`` views as
-channel-major again, and batchnorm's reductions over (n, h, w) each sweep
-one row.  The other layers allocate their outputs and input gradients in
-their input's memory order; ``NeoCellLayer`` instead hands out its previous
-call's output, input gradient and channel-major L x workspace again when
-they are large and nothing else references them (``_recycled``).  A tape
-holds the workspace from the forward until its backward consumes it.
+row-interleaved again, and batchnorm's reductions over (n, h, w) each sweep
+one row.  NeoCell's kernel views the n images of a channel's band of rows
+as one block (``neocell._fold``), so its products along H run one GEMM per
+channel and band, not one per image.  The other layers allocate their
+outputs and input gradients in their input's memory order.
+``NeoCellLayer`` allocates its L x workspace in that order too, copies an
+output gradient of another layout into its output's (which no model step
+needs), and hands out its previous call's output, input gradient and
+workspace again when they are large and nothing else references them
+(``_recycled``).  A tape holds the workspace from the forward until its
+backward consumes it.
 
 Batchnorm normalizes with batch statistics in train mode and with its
 ``running_mean``/``running_var`` in eval mode.  A train-mode forward with
@@ -69,7 +75,6 @@ from .neocell import (
     NeoCellSpec,
     cell_backward,
     cell_forward,
-    empty_channel_major,
     init_part,
     lx_shape,
     merge_parts,
@@ -199,16 +204,16 @@ def _record(tape: Tape | None, out: Val, ins, back):
 
 
 def _channel_cols(a: np.ndarray) -> np.ndarray:
-    """(n, c, h, w) -> (c, n*h*w) per-channel rows: a view of a channel-major
-    ``a``, a copy otherwise."""
+    """(n, c, h, w) -> (c, h*n*w) per-channel rows: a view of a
+    row-interleaved ``a``, a copy otherwise."""
     n, c, h, w = a.shape
-    return a.transpose(1, 0, 2, 3).reshape(c, n * h * w)
+    return a.transpose(1, 2, 0, 3).reshape(c, h * n * w)
 
 
 def _cols_to_nchw(cols: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
-    """(c, n*h*w) rows -> channel-major (n, c, h, w) view of the same memory."""
+    """(c, h*n*w) rows -> row-interleaved (n, c, h, w) view of the same memory."""
     c = cols.shape[0]
-    return cols.reshape(c, n, h, w).transpose(1, 0, 2, 3)
+    return cols.reshape(c, h, n, w).transpose(2, 0, 1, 3)
 
 
 @dataclass
@@ -238,11 +243,10 @@ class NeoCellLayer:
     def out_shape(self, dims):
         return output_shape(self.spec, dims)
 
-    def _recycled(self, slot: str, x: np.ndarray, shape, empty=np.empty_like) -> np.ndarray:
-        """An uninitialized ``shape`` array in x's dtype, from ``empty(x,
-        shape=shape)`` (by default in x's memory order): this slot's last
-        one when its key matches and nothing else references it, else a
-        fresh one, kept if it has RECYCLE_MIN_BYTES.
+    def _recycled(self, slot: str, x: np.ndarray, shape) -> np.ndarray:
+        """An uninitialized ``shape`` array in x's dtype and memory order:
+        this slot's last one when its key matches and nothing else
+        references it, else a fresh one, kept if it has RECYCLE_MIN_BYTES.
 
         "Nothing else" is read from CPython's reference count (the kept
         tuple and ``getrefcount``'s argument make 2).  A numpy view holds
@@ -252,7 +256,7 @@ class NeoCellLayer:
         key = (shape, x.dtype, x.strides)
         kept = self._kept.pop(slot, None)
         if kept is None or kept[0] != key or sys.getrefcount(kept[1]) != 2:
-            kept = (key, empty(x, shape=shape))
+            kept = (key, np.empty_like(x, shape=shape))
         if kept[1].nbytes >= RECYCLE_MIN_BYTES:
             self._kept[slot] = kept
         return kept[1]
@@ -260,12 +264,18 @@ class NeoCellLayer:
     def forward(self, v: Val, tape: Tape | None, ctx: ForwardCtx) -> Val:
         x = v.array
         out = self._recycled("out", x, self.out_shape(x.shape))
-        lx = self._recycled("lx", x, lx_shape(x.shape, out.shape), empty_channel_major)
+        lx = self._recycled("lx", x, lx_shape(x.shape, out.shape))
         weights = [(pl.array, pr.array) for pl, pr, _ in self.part_params]
         strips = cell_forward(x, self.parts, weights, out, lx)
         ov = Val(out)
+        strides = out.strides
 
         def back(gout):
+            if gout.strides != strides:
+                # the kernel's views need gout in out's layout; a model step
+                # never differs, a probe gradient from outside may
+                g, gout = gout, np.empty_like(x, shape=gout.shape)
+                gout[...] = g
             # consumes lx: a tape runs its backward once
             gx, grads = cell_backward(x, self.parts, weights, gout, self._recycled("gx", x, x.shape), lx, strips)
             return [gx] + [g for pair in grads for g in pair]
@@ -413,9 +423,9 @@ class SpaceToDepthLayer:
         p = self.p
         n, c, H, W = v.array.shape
         _, cpp, h, w = self.out_shape((n, c, H, W))   # ShapeError on an indivisible input
-        # the model's one layout copy, into channel-major order
-        a = v.array.reshape(n, c, h, p, w, p).transpose(1, 3, 5, 0, 2, 4).reshape(cpp, n, h, w)
-        ov = Val(a.transpose(1, 0, 2, 3))
+        # the model's one layout copy, into row-interleaved order
+        a = v.array.reshape(n, c, h, p, w, p).transpose(1, 3, 5, 2, 0, 4).reshape(cpp, h, n, w)
+        ov = Val(a.transpose(2, 0, 1, 3))
 
         def back(g):
             return (g.reshape(n, c, p, p, h, w).transpose(0, 1, 4, 2, 5, 3).reshape(n, c, H, W),)

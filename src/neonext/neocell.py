@@ -18,20 +18,23 @@ batch per run of equal shift.
 The kernel never gathers patches: it runs two band GEMMs on views of
 (n, c, H, W), L along H on (n, c, H/h, h, W) bands and then R along W on
 (n, c, H/h*h_out*W/w, w) rows of each flattened plane, whose product is
-already the output layout.  The views only need each (H, W) plane
-contiguous, so the kernel runs on C-ordered arrays and on the channel-major
-ones a model passes (see ``model``); where every channel holds one
-contiguous (n, H, W) block, as in channel-major arrays, the products along
-W take the n images of a channel as one GEMM.  L goes first, which is the
-order ``MultCounter`` counts: h_out*h*w + h_out*w*w_out multiplies per patch.
+already the output layout.  These per-plane views only need each (H, W)
+plane contiguous, so the kernel runs on C-ordered and channel-major arrays
+alike.  Its fast layout is the row-interleaved one a model passes (see
+``model``), whose memory is that of a C-contiguous (c, H, n, W) array:
+``_fold`` views each channel's n images there as one (H, n*W) block, so L
+runs one GEMM per (channel, band) with N = n*W, and as one flat run of H*n
+rows, so R runs one GEMM per channel.  Arrays passed to one call share
+their layout, or all keep each plane contiguous.  L goes first, which is
+the order ``MultCounter`` counts: h_out*h*w + h_out*w*w_out multiplies per
+patch.
 
 The forward keeps what the backward needs.  Every part's L x goes into one
-channel-major (n, c, H/h*h_out, W) workspace of the caller's
-(``empty_channel_major``), so ``_fold`` always applies to it whatever x's
-layout; ``cell_forward`` leaves it there and returns one W-wrap strip per
-run, and ``cell_backward`` takes both and consumes the workspace in place,
-overwriting L x with G R^T.  A workspace therefore serves one backward, as a
-tape does (``autodiff.backward`` refuses a consumed tape).
+(n, c, H/h*h_out, W) workspace of the caller's, in x's layout;
+``cell_forward`` leaves it there and returns one W-wrap strip per run, and
+``cell_backward`` takes both and consumes the workspace in place,
+overwriting L x with G R^T.  A workspace therefore serves one backward, as
+a tape does (``autodiff.backward`` refuses a consumed tape).
 
 Shifts never move activations.  A subgroup shifted by s reads the same
 views from row s and from flat element s: every band along H except the one
@@ -41,9 +44,9 @@ column are gathered, multiplied and written back to their places; the
 forward keeps L x's wrapping chunk column as the subgroup's strip and zeroes
 those columns in the workspace, where they would add the discarded chunks'
 share to grad_R.  The GEMM along W still computes the H - 1 wrapped chunk
-products of each plane in its flat view and discards them (one more per
-plane where the images of a channel are folded); ``MultCounter`` does not
-count them.  A shifted whole-plane group (H == h, W == w) takes the same
+products of each plane in its flat view and discards them (n*H - 1 per
+channel where ``_fold`` runs a channel's rows as one); ``MultCounter`` does
+not count them.  A shifted whole-plane group (H == h, W == w) takes the same
 path, its one patch being the wrapping band; ``model`` builds none.  Patch
 weights are initialized in one place, ``init_part``.
 
@@ -300,26 +303,24 @@ def _chunks(a: np.ndarray, k: int, s: int) -> np.ndarray:
     return a.reshape(n, c, H * W, copy=False)[:, :, s : s + m * k].reshape(n, c, m, k, copy=False)
 
 
-def _fold(*arrays):
-    """(1, c, n*H, W) views of (n, c, H, W) arrays whose channels each hold
-    one contiguous (n, H, W) block, as channel-major arrays do; the arrays
-    themselves unless all of them do.  None entries pass through.  Folded,
-    the products along W run one GEMM per channel instead of one per
-    channel and image."""
+def _fold(arrays, axis: int):
+    """Row-interleaved (n, c, H, W) arrays, whose memory is that of a
+    C-contiguous (c, H, n, W) array, with the images merged into ``axis``:
+    (1, c, H, n*W) views for axis 3, where a band of rows holds the n
+    images of a channel as one block, and (1, c, H*n, W) views for axis 2,
+    where each channel's rows are one flat run.  The arrays themselves
+    unless each channel of all of them is one such run; None entries pass
+    through."""
+
+    def view(a):
+        n, c, H, W = a.shape
+        flat = a.transpose(1, 2, 0, 3).reshape(1, c, H * n * W, copy=False)
+        return flat.reshape((1, c, H, n * W) if axis == 3 else (1, c, H * n, W))
+
     try:
-        return [
-            None if a is None else a.transpose(1, 0, 2, 3).reshape(1, a.shape[1], -1, a.shape[3], copy=False)
-            for a in arrays
-        ]
+        return [None if a is None else view(a) for a in arrays]
     except ValueError:
         return arrays
-
-
-def empty_channel_major(x: np.ndarray, shape) -> np.ndarray:
-    """An uninitialized (n, c, …) array of ``shape`` in x's dtype whose
-    memory is that of a C-contiguous (c, n, …) array, so ``_fold`` always
-    applies to it."""
-    return np.empty((shape[1], shape[0], *shape[2:]), dtype=x.dtype).swapaxes(0, 1)
 
 
 def _wrap(size: int, k: int, s: int, axis: int):
@@ -357,26 +358,27 @@ def cell_forward(x: np.ndarray, parts, weights, out: np.ndarray, lx: np.ndarray,
 
     x is (n, c, H, W); ``weights`` holds one stacked (L, R) pair per part,
     L (cp, h_out, h) and R (cp, w, w_out).  Every element of the caller's
-    (n, c, H', W') ``out`` is written.  Callers pass
-    ``np.empty_like(x, shape=…)``, so channel-major inputs give
-    channel-major outputs, or, in ``model.NeoCellLayer``, a recycled array
-    of that layout.  ``lx`` is the caller's channel-major workspace of
-    ``lx_shape`` (``empty_channel_major``); it receives every part's L x,
-    left for ``cell_backward`` with its W-wrap columns zeroed.  Returns
-    those columns' values: one channel-major (n, cb, H', w) strip per run
+    (n, c, H', W') ``out`` is written.  ``lx`` is the caller's workspace of
+    ``lx_shape``; it receives every part's L x, left for ``cell_backward``
+    with its W-wrap columns zeroed.  Callers pass ``np.empty_like(x,
+    shape=…)`` for both, so they take x's layout, or, in
+    ``model.NeoCellLayer``, recycled arrays of that layout.  Returns the
+    W-wrap columns' values: one (n, cb, H', w) strip in x's layout per run
     of cb shifted channels, None per unshifted run, in part order.
 
     Two band GEMMs per run on views, with no patch transpose: L acts along
     H on x viewed as (n, cb, H/h, h, W) bands, then R acts along W on that
     result viewed as (n, cb, H/h*h_out*W/w, w) rows, whose product is
-    already laid out as the output.  A run shifted by s reads the same
-    views from row s and from flat element s; its one wrapping band along H
-    and its wrapping chunk column along W are gathered, multiplied and
-    scattered back.  L goes first, so each patch costs exactly the
-    h_out*h*w + h_out*w*w_out multiplies that ``counter`` tallies.  It does
-    not count the wrapped chunk products that a shifted subgroup computes
-    and discards: H - 1 per plane, and one more per plane but the last
-    where ``_fold`` stacks the images of a channel.
+    already laid out as the output.  On the row-interleaved arrays a model
+    passes, ``_fold`` makes the first one GEMM per (channel, band) and the
+    second one per channel.  A run shifted by s reads the same views from
+    row s and from flat element s; its one wrapping band along H and its
+    wrapping chunk column along W are gathered, multiplied and scattered
+    back.  L goes first, so each patch costs exactly the h_out*h*w +
+    h_out*w*w_out multiplies that ``counter`` tallies.  It does not count
+    the wrapped chunk products that a shifted subgroup computes and
+    discards: H' - 1 per plane, and one more per plane but the last where
+    ``_fold`` runs the rows of a channel's images as one.
     """
     n, _, H, W = x.shape
     strips = []
@@ -387,18 +389,19 @@ def cell_forward(x: np.ndarray, parts, weights, out: np.ndarray, lx: np.ndarray,
         # weights are indexed within the part, activations across the layer
         for a, b, s in part.runs:
             c = slice(part.start + a, part.start + b)
-            xc, lc = x[:, c], lx[:, c]
-            np.matmul(L[a:b, None], _bands(xc, h, s), out=_bands(lc, h_out, s))
+            lc = lx[:, c]
+            xb, lb = _fold((x[:, c], lc), 3)
+            np.matmul(L[a:b, None], _bands(xb, h, s), out=_bands(lb, h_out, s))
             strip = None
             if s:
-                _scatter(lc, np.matmul(L[a:b], _gather(xc, h, s, 2)), s, 2)
-                strip = _gather(lc, w, s, 3, empty_channel_major(lc, (*lc.shape[:3], w)))
+                _scatter(lb, np.matmul(L[a:b], _gather(xb, h, s, 2)), s, 2)
+                strip = _gather(lc, w, s, 3, np.empty_like(lc, shape=(*lc.shape[:3], w)))
                 # the wrapping chunks' products are discarded; zeroed, these
                 # columns add nothing to the backward's grad_R
                 for piece in _wrap(W, w, s, 3):
                     lc[piece] = 0
             strips.append(strip)
-            lf, of, sf = _fold(lc, out[:, c], strip)
+            lf, of, sf = _fold((lc, out[:, c], strip), 2)
             np.matmul(_chunks(lf, w, s), R[a:b], out=_chunks(of, w_out, s))
             if s:
                 _scatter(of, np.matmul(sf, R[a:b]), s, 3)
@@ -419,11 +422,12 @@ def cell_backward(x: np.ndarray, parts, weights, gy: np.ndarray, gx: np.ndarray,
     - grad_x = L^T (G R^T), written into the caller's ``gx``, shaped and
       laid out like x (as ``cell_forward``'s ``out``).
 
-    A shifted run reads every view at offset s and handles its wrapping
-    band and chunk column apart, as in the forward; the zeroed wrap columns
-    of L X make the wrong chunks add nothing to grad_R, and the strip adds
-    the wrapping chunks' share.  G R^T overwrites ``lx`` once L X is used,
-    so ``lx`` is consumed.
+    ``gy`` is laid out like the forward's ``out``.  A shifted run reads
+    every view at offset s and handles its wrapping band and chunk column
+    apart, as in the forward; the zeroed wrap columns of L X make the wrong
+    chunks add nothing to grad_R, and the strip adds the wrapping chunks'
+    share.  G R^T overwrites ``lx`` once L X is used, so ``lx`` is
+    consumed.
 
     Returns (gx, grads) with one (grad_L, grad_R) pair per part, shaped
     like ``weights``.  Each weight gradient is reduced in one fixed order,
@@ -440,9 +444,8 @@ def cell_backward(x: np.ndarray, parts, weights, gy: np.ndarray, gx: np.ndarray,
         # zip draws a run first, so each part takes exactly its runs' strips
         for (a, b, s), strip in zip(part.runs, strips):
             c = slice(part.start + a, part.start + b)
-            xc, lc, oc = x[:, c], lx[:, c], gx[:, c]
             Lt, Rt = L[a:b].swapaxes(-1, -2), Rts[a:b]
-            lf, gf, lw = _fold(lc, gy[:, c], strip)
+            lf, gf, lw = _fold((lx[:, c], gy[:, c], strip), 2)
             lrows, grows = _chunks(lf, w, s), _chunks(gf, w_out, s)
             grad_r[a:b] = np.matmul(lrows.swapaxes(-1, -2), grows).sum(axis=0)
             np.matmul(grows, Rt, out=lrows)
@@ -450,13 +453,14 @@ def cell_backward(x: np.ndarray, parts, weights, gy: np.ndarray, gx: np.ndarray,
                 gw = _gather(gf, w_out, s, 3)
                 grad_r[a:b] += np.matmul(lw.swapaxes(-1, -2), gw).sum(axis=0)
                 _scatter(lf, np.matmul(gw, Rt), s, 3)
-            gbands = _bands(lc, h_out, s)
-            grad_l[a:b] = np.matmul(gbands, _bands(xc, h, s).swapaxes(-1, -2)).sum(axis=(0, 2))
-            np.matmul(Lt[:, None], gbands, out=_bands(oc, h, s))
+            xb, lb, ob = _fold((x[:, c], lx[:, c], gx[:, c]), 3)
+            gbands = _bands(lb, h_out, s)
+            grad_l[a:b] = np.matmul(gbands, _bands(xb, h, s).swapaxes(-1, -2)).sum(axis=(0, 2))
+            np.matmul(Lt[:, None], gbands, out=_bands(ob, h, s))
             if s:
-                grw, xw = _gather(lc, h, s, 2), _gather(xc, h, s, 2)
+                grw, xw = _gather(lb, h, s, 2), _gather(xb, h, s, 2)
                 grad_l[a:b] += np.matmul(grw, xw.swapaxes(-1, -2)).sum(axis=0)
-                _scatter(oc, np.matmul(Lt, grw), s, 2)
+                _scatter(ob, np.matmul(Lt, grw), s, 2)
         grads.append((grad_l, grad_r))
     return gx, grads
 
@@ -471,7 +475,7 @@ def forward_patchwise(
     out = np.empty_like(x.array, shape=output_shape(spec, x.dims))
     params.validate(spec)
     parts = merge_parts(spec)
-    lx = empty_channel_major(x.array, lx_shape(x.dims, out.shape))
+    lx = np.empty_like(x.array, shape=lx_shape(x.dims, out.shape))
     cell_forward(x.array, parts, [params.stacked(p) for p in parts], out, lx, counter)
     return Tensor4(out)
 

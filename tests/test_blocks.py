@@ -101,7 +101,7 @@ class TestPointwise:
                     want[n, :, i, j] = W @ x[n, :, i, j] + b
         assert np.abs(got - want).max() <= 1e-12
 
-    def test_channel_major_input_runs_without_layout_copies(self):
+    def test_row_interleaved_input_runs_without_layout_copies(self):
         rng = Rng(11)
         layer = pointwise(rng.normal((12, 12), 1.0))
         W = layer.weight.array
@@ -109,8 +109,9 @@ class TestPointwise:
         def run_on_tape(order):
             """Output, input gradient and the traced peak bytes of forward and
             backward, for an input and an output gradient in ``order``."""
-            x = rng.normal((12, 2, 40, 50), 1.0).transpose(1, 0, 2, 3)   # (n, c, h, w), channel-major
-            g = rng.normal((12, 2, 40, 50), 1.0).transpose(1, 0, 2, 3)
+            # (n, c, h, w) views of (c, h, n, w) memory: row-interleaved
+            x = rng.normal((12, 40, 2, 50), 1.0).transpose(2, 0, 1, 3)
+            g = rng.normal((12, 40, 2, 50), 1.0).transpose(2, 0, 1, 3)
             if order == "C":
                 x, g = np.ascontiguousarray(x), np.ascontiguousarray(g)
             tape = Tape()
@@ -126,9 +127,9 @@ class TestPointwise:
                 tracemalloc.stop()
             return x, g, y.array, gx, fwd_peak, bwd_peak
 
-        x, g, y, gx, fwd_peak, bwd_peak = run_on_tape("channel-major")
+        x, g, y, gx, fwd_peak, bwd_peak = run_on_tape("row-interleaved")
         for out in (y, gx):
-            assert out.transpose(1, 0, 2, 3).flags.c_contiguous
+            assert out.transpose(1, 2, 0, 3).flags.c_contiguous
         assert np.allclose(y, np.einsum("oc,nchw->nohw", W, x), rtol=0, atol=1e-14)
         assert np.allclose(gx, np.einsum("oc,nohw->nchw", W, g), rtol=0, atol=1e-14)
         # each pass allocates its result and nothing of the input's size more

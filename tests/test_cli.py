@@ -381,3 +381,45 @@ class TestUsageErrors:
     def test_negative_eps_with_equals_is_a_typed_error(self, capsys):
         assert main(["gradcheck", "--eps=-1e-5"]) == 1
         assert capsys.readouterr().err.startswith("error: fd_check: eps must be finite and > 0")
+
+
+# (command line without the output flag, the flag): every output flag of
+# every subcommand, with arguments that make each run quick
+OUTPUT_FLAGS = {
+    "bench-out": (["bench", "--op", "neocell", "--c", "2", "--h", "8", "--w", "8", "--k", "4",
+                   "--iters", "1", "--warmup", "0"], "--out"),
+    "init-dump-out": (["init-dump", "--rows", "2", "--cols", "2"], "--out"),
+    "init-dump-text-out": (["init-dump", "--rows", "2", "--cols", "2"], "--text-out"),
+    "equiv-check-out": (["equiv-check", "--trials", "2"], "--out"),
+}
+
+
+class TestOutputPaths:
+    """One rule for every output flag, checked before any work: a missing
+    parent directory is created; a path under a regular file, or one that
+    is a directory, exits 1 naming the flag, with nothing printed or
+    written."""
+
+    @pytest.mark.parametrize("case", OUTPUT_FLAGS)
+    def test_missing_parent_directory_is_created(self, case, tmp_path):
+        argv, flag = OUTPUT_FLAGS[case]
+        out = tmp_path / "missing" / "dir" / "file"
+        assert main(argv + [flag, str(out)]) == 0
+        assert out.is_file() and out.stat().st_size > 0
+
+    @pytest.mark.parametrize("case", OUTPUT_FLAGS)
+    @pytest.mark.parametrize("where", ["under-a-file", "a-directory"])
+    def test_unwritable_path_exits_1_before_any_work(self, case, where, tmp_path, capsys):
+        argv, flag = OUTPUT_FLAGS[case]
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "adir").mkdir()
+        out = tmp_path / "afile" / "x.csv" if where == "under-a-file" else tmp_path / "adir"
+        # the other output of init-dump is valid: it must not be written either
+        other = tmp_path / "other"
+        extra = ["--text-out" if flag == "--out" else "--out", str(other)] if argv[0] == "init-dump" else []
+        assert main(argv + extra + [flag, str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag} {out}")
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+        assert not any((tmp_path / "adir").iterdir())

@@ -179,6 +179,42 @@ class TestBuild:
             ModelSpec("bad", (1, 1, 1, 1), (64, 32, 96, 192))
 
 
+def assert_matches_blockdiag(layer, spec, params, x, gout, out, grads, rng):
+    """The layer's forward and gradients for output gradient ``gout``
+    against the block-diagonal reference of ``params`` on x."""
+    assert np.abs(out - forward_blockdiag(Tensor4(x), spec, params).array).max() <= 1e-10
+    # y = A x B per channel, so grad_x = A^T G B^T
+    for g in spec.groups:
+        A, B = blockdiag_factors(g, *params.stacked(g), *x.shape[2:])
+        want = A.swapaxes(-1, -2)[None] @ gout[:, g.start : g.stop] @ B.swapaxes(-1, -2)[None]
+        assert np.abs(grads["x"][:, g.start : g.stop] - want).max() <= 1e-10
+    # the output is linear in each side's weights, so <grad, D> equals
+    # <G, forward with D on that side>
+    for side in ("left", "right"):
+        probe = random_params(spec, rng)
+        mixed = NeoCellParams(**{"left": params.left, "right": params.right, side: getattr(probe, side)})
+        want = float((gout * forward_blockdiag(Tensor4(x), spec, mixed).array).sum())
+        got = sum(
+            float((grads[p.name] * d).sum())
+            for part, triple in zip(layer.parts, layer.part_params)
+            for p, d in zip(triple, probe.stacked(part))
+            if p.name.endswith(side)
+        )
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def _guard_specs():
+    """(name, spec, map size): the model's stage layouts at maps 1 to 16 for
+    both policies, and the 2->1 downsample."""
+    specs = []
+    for m in (1, 2, 4, 8, 16):
+        for policy in ("mixed-shift", "single-7"):
+            specs.append((f"{policy}-{m}", NeoCellSpec(make_stage_groups(8, m, policy)[0]), m))
+        if m > 1:
+            specs.append((f"down-{m}", NeoCellSpec((GroupSpec(0, 8, 2, 2, 1, 1),)), m))
+    return specs
+
+
 class TestNeoCellLayerKernel:
     """The model layer against the per-channel reference paths."""
 
@@ -197,27 +233,34 @@ class TestNeoCellLayerKernel:
         out = layer.forward(xp, tape, ForwardCtx())
         tape.record(Val(0.0), (out,), lambda g: (gout,))
         grads = backward(tape)
-
         assert np.array_equal(out.array, forward_patchwise(x, spec, params).array)
-        assert np.abs(out.array - forward_blockdiag(x, spec, params).array).max() <= 1e-10
-        # y = A x B per channel, so grad_x = A^T G B^T
-        for g in spec.groups:
-            A, B = blockdiag_factors(g, *params.stacked(g), *x.dims[2:])
-            want = A.swapaxes(-1, -2)[None] @ gout[:, g.start : g.stop] @ B.swapaxes(-1, -2)[None]
-            assert np.abs(grads["x"][:, g.start : g.stop] - want).max() <= 1e-10
-        # the output is linear in each side's weights, so <grad, D> equals
-        # <G, forward with D on that side>
-        for side in ("left", "right"):
-            probe = random_params(spec, rng)
-            mixed = NeoCellParams(**{"left": params.left, "right": params.right, side: getattr(probe, side)})
-            want = float((gout * forward_blockdiag(x, spec, mixed).array).sum())
-            got = sum(
-                float((grads[p.name] * d).sum())
-                for part, triple in zip(layer.parts, layer.part_params)
-                for p, d in zip(triple, probe.stacked(part))
-                if p.name.endswith(side)
-            )
-            assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+        assert_matches_blockdiag(layer, spec, params, x.array, gout, out.array, grads, rng)
+
+    # 1000 examples take about 8 s on a 2-vCPU Xeon
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        case=st.sampled_from(_guard_specs()),
+        n=st.integers(1, 3),
+        x_layout=st.sampled_from(("c", "cm", "ri")),
+        g_layout=st.sampled_from(("c", "cm", "ri")),
+        seed=st.integers(0, 10_000),
+    )
+    def test_every_layout_matches_blockdiag(self, case, n, x_layout, g_layout, seed):
+        # x and G each in C order, channel-major or row-interleaved, on the
+        # model's stage layouts
+        _, spec, m = case
+        rng = Rng(seed)
+        params = random_params(spec, rng)
+        layer = NeoCellLayer("cell", spec, None)
+        for part, (pl, pr, _) in zip(layer.parts, layer.part_params):
+            pl.array[...], pr.array[...] = params.stacked(part)
+        x = to_layout(rng.normal((n, spec.channel_count, m, m), 1.0), x_layout)
+        gout = to_layout(rng.normal(layer.out_shape(x.shape), 1.0), g_layout)
+        tape = Tape()
+        out = layer.forward(Param("x", x), tape, ForwardCtx())
+        tape.record(Val(0.0), (out,), lambda g: (gout,))
+        grads = backward(tape)
+        assert_matches_blockdiag(layer, spec, params, x, gout, out.array, grads, rng)
 
 
 def fresh_step(layer, x, gout):
@@ -285,17 +328,18 @@ class TestNeoCellLayerAliasing:
         refs = [weakref.ref(a) for a in self.step(layer, x1, g1)]
         assert [r() for r in refs] == [None, None]
 
-    @pytest.mark.parametrize("first, second", [("c", "c"), ("cm", "cm"), ("c", "cm")])
+    @pytest.mark.parametrize(
+        "first, second", [("c", "c"), ("cm", "cm"), ("c", "cm"), ("ri", "ri"), ("c", "ri")]
+    )
     def test_recycled_results_match_reference_path(self, first, second):
-        layout = {"c": np.asarray, "cm": to_channel_major}
         layer, (x1, g1, x2, g2) = self.recycle_case(self.BIG)
         # the first call leaves stale values in the arrays the second reuses
-        refs = [weakref.ref(a) for a in self.step(layer, layout[first](x1), layout[first](g1))]
-        out, gx = self.step(layer, layout[second](x2), layout[second](g2))
+        refs = [weakref.ref(a) for a in self.step(layer, to_layout(x1, first), to_layout(g1, first))]
+        out, gx = self.step(layer, to_layout(x2, second), to_layout(g2, second))
         reused = first == second    # a new memory order gets fresh arrays
         assert (refs[0]() is out, refs[1]() is gx) == (reused, reused)
-        assert channel_major(out) == channel_major(gx) == (second == "cm")
-        out_ref, grads_ref = fresh_step(layer, layout[second](x2), layout[second](g2))
+        assert in_layout(out, second) and in_layout(gx, second)
+        out_ref, grads_ref = fresh_step(layer, to_layout(x2, second), to_layout(g2, second))
         assert np.array_equal(out, out_ref) and np.array_equal(gx, grads_ref["x"])
 
     @staticmethod
@@ -346,30 +390,30 @@ class TestNeoCellLayerAliasing:
     )
 
     @SPECS
-    @pytest.mark.parametrize("x_layout, g_layout", [("cm", "c"), ("c", "cm")])
+    @pytest.mark.parametrize(
+        "x_layout, g_layout", [("cm", "c"), ("c", "cm"), ("ri", "c"), ("c", "ri"), ("ri", "cm")]
+    )
     def test_forward_and_backward_layouts_may_differ(self, groups, x_layout, g_layout):
-        # the backward folds the images of a channel by gy's layout, which a
-        # replayed backward's C-ordered probe makes differ from x's: a mixed
-        # step gives bit for bit what the step in gy's layout gives
-        layout = {"c": np.ascontiguousarray, "cm": to_channel_major}
+        # the layer copies an output gradient whose layout differs from x's
+        # into x's, as a replayed backward's C-ordered probe needs: a mixed
+        # step gives bit for bit what the step with G in x's layout gives
         spec = NeoCellSpec(groups)
         rng = Rng(32)
         layer = NeoCellLayer("cell", spec, rng)
-        x = rng.normal((2, spec.channel_count, 8, 8), 1.0)
-        gout = layout[g_layout](rng.normal(layer.out_shape(x.shape), 1.0))
-        assert channel_major(gout) == (g_layout == "cm")
-        mixed_x = layout[x_layout](x)
-        assert channel_major(mixed_x) == (x_layout == "cm")
+        x = to_layout(rng.normal((2, spec.channel_count, 8, 8), 1.0), x_layout)
+        gout = rng.normal(layer.out_shape(x.shape), 1.0)
+        assert in_layout(x, x_layout) and x_layout != g_layout
 
-        def run(x):
+        def run(g):
             tape, out = self.record(layer, x)
-            return out.array, self.finish(tape, out, gout)
+            return out.array, self.finish(tape, out, g)
 
-        mixed, matched = run(mixed_x), run(layout[g_layout](x))
+        mixed, matched = run(to_layout(gout, g_layout)), run(to_layout(gout, x_layout))
         assert np.array_equal(mixed[0], matched[0])
         assert mixed[1].keys() == matched[1].keys()
         assert all(np.array_equal(mixed[1][k], matched[1][k]) for k in mixed[1])
-        self.assert_matches_reference(layer, x, gout, *mixed)
+        assert in_layout(mixed[1]["x"], x_layout)
+        self.assert_matches_reference(layer, x, to_layout(gout, x_layout), *mixed)
 
     @SPECS
     def test_inputs_untouched_and_outputs_unaliased(self, groups):
@@ -391,21 +435,52 @@ class TestNeoCellLayerAliasing:
         assert not np.shares_memory(grads["x"], gout)
 
 
-def channel_major(a):
-    """True when (n, c, h, w) ``a`` has the memory of a C-contiguous (c, n, h, w) array."""
-    return a.transpose(1, 0, 2, 3).flags.c_contiguous
+# layout name -> the axis order whose C-contiguous memory an (n, c, h, w)
+# array of that layout has: C order, channel-major and the row-interleaved
+# layout a model runs in
+LAYOUTS = {"c": (0, 1, 2, 3), "cm": (1, 0, 2, 3), "ri": (1, 2, 0, 3)}
 
 
-def to_channel_major(a):
-    return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+def to_layout(a, layout):
+    order = LAYOUTS[layout]
+    return np.ascontiguousarray(a.transpose(order)).transpose(np.argsort(order))
 
 
-def c_ordered(a):
-    return a.flags.c_contiguous
+def in_layout(a, layout):
+    return a.transpose(LAYOUTS[layout]).flags.c_contiguous
+
+
+class LayoutTape(Tape):
+    """A tape whose backward asserts that every 4-d input gradient has the
+    strides of its input's array, so no node hands back a gradient in
+    another layout; ``checked`` counts the nodes that ran."""
+
+    def __init__(self):
+        super().__init__()
+        self.checked = 0
+
+    @staticmethod
+    def layout(a):
+        """The strides of ``a``'s axes longer than 1, which alone fix its layout."""
+        return tuple(st for st, d in zip(a.strides, a.shape) if d > 1)
+
+    def record(self, out, ins, backward_fn):
+        # layouts only: holding the arrays would keep NeoCellLayer from recycling
+        layouts = [self.layout(v.array) if v.array.ndim == 4 else None for v in ins]
+
+        def checked(g):
+            gins = backward_fn(g)
+            for want, gi in zip(layouts, gins):
+                assert want is None or self.layout(gi) == want
+            self.checked += 1
+            return gins
+
+        super().record(out, ins, checked)
 
 
 class TestActivationLayout:
-    """Inside a model, activations stay channel-major from the stem on."""
+    """Inside a model, activations stay row-interleaved from the stem on:
+    the memory of a C-contiguous (c, h, n, w) array."""
 
     @pytest.mark.parametrize(
         "groups",
@@ -422,18 +497,19 @@ class TestActivationLayout:
         x = rng.normal((2, spec.channel_count, 8, 8), 1.0)
         gout = rng.normal(layer.out_shape(x.shape), 1.0)
         results = []
-        for convert, in_order in ((np.ascontiguousarray, c_ordered), (to_channel_major, channel_major)):
-            xp = Param("x", convert(x))
+        for layout in LAYOUTS:
+            xp = Param("x", to_layout(x, layout))
             tape = Tape()
             out = layer.forward(xp, tape, ForwardCtx())
-            tape.record(Val(0.0), (out,), lambda g: (convert(gout),))
+            tape.record(Val(0.0), (out,), lambda g: (to_layout(gout, layout),))
             gx = backward(tape)["x"]
-            assert in_order(xp.array) and in_order(out.array) and in_order(gx)
+            assert all(in_layout(a, layout) for a in (xp.array, out.array, gx)), layout
             results.append((out.array, gx))
-        for a, b in zip(*results):
-            assert np.abs(a - b).max() <= 1e-12
+        for other in results[1:]:
+            for a, b in zip(results[0], other):
+                assert np.abs(a - b).max() <= 1e-12
 
-    def test_block_outputs_are_channel_major_in_train_mode(self):
+    def test_block_outputs_are_row_interleaved_in_train_mode(self):
         model = build_model(named_spec("neonext-micro", classes=10), 32, Rng(33))
         ctx = ForwardCtx("train", Rng(34), update_stats=False)
         v = Val(Rng(35).normal((4, 3, 32, 32), 1.0))
@@ -442,8 +518,20 @@ class TestActivationLayout:
             v = layer.forward(v, Tape(), ctx)
             if isinstance(layer, Block):
                 blocks += 1
-                assert channel_major(v.array), layer.name
+                assert in_layout(v.array, "ri"), layer.name
         assert blocks == sum(model.spec.depths)
+
+    def test_train_step_gradients_keep_the_layout(self):
+        # a train step as ``trainer.train_run`` takes it: no backward node
+        # returns a gradient in another layout than its input's, so no
+        # layout copy runs in the backward
+        model = build_model(named_spec("neonext-micro", classes=10), 32, Rng(36))
+        ctx = ForwardCtx("train", Rng(37), update_stats=True)
+        tape = LayoutTape()
+        logits = model.forward(Tensor4(Rng(38).normal((8, 3, 32, 32), 1.0)), ctx, tape)
+        softmax_cross_entropy(tape, logits, one_hot(np.arange(8) % 10, 10))
+        backward(tape)
+        assert tape.checked == len(tape.nodes)
 
 
 class TestBlockBehavior:

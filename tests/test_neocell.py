@@ -15,7 +15,6 @@ from neonext.neocell import (
     blockdiag_factors,
     cell_backward,
     cell_forward,
-    empty_channel_major,
     forward_blockdiag,
     forward_patchwise,
     init_part,
@@ -75,7 +74,7 @@ def run_cell(x, spec, params, gout=None):
     parts = merge_parts(spec)
     weights = [params.stacked(part) for part in parts]
     out = np.empty_like(x, shape=output_shape(spec, x.shape))
-    lx = empty_channel_major(x, lx_shape(x.shape, out.shape))
+    lx = np.empty_like(x, shape=lx_shape(x.shape, out.shape))
     strips = cell_forward(x, parts, weights, out, lx)
     if gout is None:
         return out
@@ -270,53 +269,57 @@ SHIFTED_CASES = {
 FD_CASES = ("whole-4x4", "whole-2x2", "band-8x8", "two-parts", "non-square")
 
 
-def _to_channel_major(a):
-    return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+# id suffix -> the axis order whose C-contiguous memory the layout has: C
+# order, channel-major (c, n, H, W) and row-interleaved (c, H, n, W), which
+# the model passes and the kernel folds
+LAYOUTS = {"": (0, 1, 2, 3), "-channel-major": (1, 0, 2, 3), "-row-interleaved": (1, 2, 0, 3)}
 
 
-def _shifted_case(name, channel_major):
+def _to_layout(a, layout):
+    order = LAYOUTS[layout]
+    return np.ascontiguousarray(a.transpose(order)).transpose(np.argsort(order))
+
+
+def _shifted_case(name, layout):
     n, H, W, groups = SHIFTED_CASES[name]
     spec = NeoCellSpec(groups)
     params = random_params(spec, Rng(41))
-    x = Rng(42).normal((n, spec.channel_count, H, W), 1.0)
-    if channel_major:
-        x = _to_channel_major(x)
-    assert x.flags.c_contiguous != channel_major
+    x = _to_layout(Rng(42).normal((n, spec.channel_count, H, W), 1.0), layout)
+    # n >= 2, so every layout differs from the others
+    assert n >= 2 and x.flags.c_contiguous == (layout == "")
     return spec, params, x
 
 
 def _shifted_params(cases):
     return pytest.mark.parametrize(
-        "name, channel_major",
-        [pytest.param(c, m, id=c + "-channel-major" * m) for c in cases for m in (False, True)],
+        "name, layout", [pytest.param(c, m, id=c + m) for c in cases for m in LAYOUTS]
     )
 
 
 class TestShiftedKernel:
     """Shifted subgroups: band views at offset s and the wrapping band, on
     band maps and whole planes alike, in parts past channel 0 and on
-    non-square patches.  The kernel runs on x as given, so the
-    channel-major ids reach its channel-major path."""
+    non-square patches.  The kernel runs on x as given, so the C-ordered
+    and channel-major ids reach its per-plane path and the row-interleaved
+    ids its folded one."""
 
     @_shifted_params(SHIFTED_CASES)
-    def test_matches_blockdiag(self, name, channel_major):
-        spec, params, x = _shifted_case(name, channel_major)
+    def test_matches_blockdiag(self, name, layout):
+        spec, params, x = _shifted_case(name, layout)
         got = run_cell(x, spec, params)
         assert np.abs(got - forward_blockdiag(Tensor4(x), spec, params).array).max() <= 1e-10
 
     @_shifted_params(SHIFTED_CASES)
-    def test_matches_scalar_loop_oracle(self, name, channel_major):
-        spec, params, x = _shifted_case(name, channel_major)
+    def test_matches_scalar_loop_oracle(self, name, layout):
+        spec, params, x = _shifted_case(name, layout)
         got = run_cell(x, spec, params)
         assert np.abs(got - scalar_loop_forward(Tensor4(x), spec, params)).max() <= 1e-12
 
     @_shifted_params(SHIFTED_CASES)
-    def test_grad_x_is_blockdiag_adjoint(self, name, channel_major):
+    def test_grad_x_is_blockdiag_adjoint(self, name, layout):
         # y = A x B per channel, so grad_x = A^T G B^T
-        spec, params, x = _shifted_case(name, channel_major)
-        gout = Rng(43).normal(x.shape, 1.0)
-        if channel_major:
-            gout = _to_channel_major(gout)
+        spec, params, x = _shifted_case(name, layout)
+        gout = _to_layout(Rng(43).normal(x.shape, 1.0), layout)
         _, gx, _ = run_cell(x, spec, params, gout)
         for g in spec.groups:
             A, B = blockdiag_factors(g, *params.stacked(g), *x.shape[2:])
@@ -324,29 +327,30 @@ class TestShiftedKernel:
             assert np.abs(gx[:, g.start : g.stop] - want).max() <= 1e-10
 
     @_shifted_params(FD_CASES)
-    def test_gradients_match_central_differences(self, name, channel_major):
-        spec, params, x = _shifted_case(name, channel_major)
+    def test_gradients_match_central_differences(self, name, layout):
+        spec, params, x = _shifted_case(name, layout)
         parts = merge_parts(spec)
-        gout = Rng(44).normal(x.shape, 1.0)
-        # a channel-major input is probed through its C-ordered (c, n, H, W) memory
-        xp = Param("x", x.transpose(1, 0, 2, 3) if channel_major else x)
+        gout = _to_layout(Rng(44).normal(x.shape, 1.0), layout)
+        # x is probed through its memory, the C-ordered array of LAYOUTS' axis order
+        order = LAYOUTS[layout]
+        xp = Param("x", x.transpose(order))
         weights = [
             tuple(Param(f"p{i}.{kind}", a) for kind, a in zip(("left", "right"), stacked))
             for i, stacked in enumerate(map(params.stacked, parts))
         ]
 
         def run(backward_of=None):
-            xa = xp.array.transpose(1, 0, 2, 3) if channel_major else xp.array
+            xa = xp.array.transpose(np.argsort(order))
             arrays = [(L.array, R.array) for L, R in weights]
             out = np.empty_like(xa, shape=output_shape(spec, xa.shape))
-            lx = empty_channel_major(xa, lx_shape(xa.shape, out.shape))
+            lx = np.empty_like(xa, shape=lx_shape(xa.shape, out.shape))
             strips = cell_forward(xa, parts, arrays, out, lx)
             if backward_of is None:
                 return float((out * gout).sum())
             return cell_backward(xa, parts, arrays, backward_of, np.empty_like(xa), lx, strips)
 
         gx, grads = run(gout)
-        analytic = Grads({"x": gx.transpose(1, 0, 2, 3) if channel_major else gx})
+        analytic = Grads({"x": gx.transpose(order)})
         for pair, g in zip(weights, grads):
             for p, gp in zip(pair, g):
                 analytic[p.name] = gp
