@@ -46,7 +46,7 @@ from .neocell import GroupSpec, NeoCellSpec, init_part, merge_parts
 from .neoinit import format_grid
 from .rng import Rng
 from .tensor import Matrix, Tensor4, write_matrix
-from .trainer import parse_config, run_ablation, train_run
+from .trainer import load_data, parse_config, run_ablation, train_run
 
 
 class UsageParser(argparse.ArgumentParser):
@@ -227,11 +227,12 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = parse_config(Path(args.config))
+    data = load_data(cfg)
     any_diverged = False
     base_out = Path(cfg.out_dir)
     for seed in cfg.seeds:
         run_cfg = replace(cfg, out_dir=str(base_out / f"seed{seed}")) if len(cfg.seeds) > 1 else cfg
-        report = train_run(run_cfg, seed)
+        report = train_run(run_cfg, seed, data)
         last = report.rows[-1]
         print(
             f"seed {seed}: {report.status}, epochs {last.epoch}, "

@@ -8,7 +8,10 @@ bytes, red plane first).  Pixels are scaled to [0, 1] float64.
 The synthetic task is a CI-scale stand-in: each class owns a fixed
 low-frequency template (a coarse 8x8 pattern upsampled to 32x32), and a
 sample is its class template plus smooth seeded noise, so the class is a
-linearly separable function of low-frequency content.
+linearly separable function of low-frequency content.  Every term is 8x8
+repeated 4x4, so the images are built at 8x8 and repeated once at the end:
+repetition commutes with the elementwise arithmetic, so the pixels are the
+same bits as a 32x32 build.
 
 Batching is a pure function of (BatchPlan, dataset); replaying a plan yields
 bit-identical batches.
@@ -135,35 +138,35 @@ def _upsample4(a: np.ndarray) -> np.ndarray:
 def synth_task(rng: Rng, n: int, classes: int) -> Dataset:
     """Procedural 3x32x32 dataset with linearly separable low-frequency classes.
 
-    Labels are balanced within one sample per class.
+    Labels are balanced within one sample per class.  Draws templates,
+    permutation, noise and jitter in that order, combines them at 8x8 and
+    repeats the result to 32x32.
     """
     if classes < 2:
         raise ParameterError(f"synth_task needs >= 2 classes, got {classes}")
     if n < classes:
         raise ParameterError(f"synth_task needs n >= classes, got n={n}, classes={classes}")
     templates = rng.normal((classes, 3, 8, 8), 1.0)
-    templates = _upsample4(templates)
     labels = np.arange(n) % classes
     labels = labels[rng.permutation(n)]
-    noise = _upsample4(rng.normal((n, 3, 8, 8), 1.0))
+    noise = rng.normal((n, 3, 8, 8), 1.0)
     jitter = rng.normal((n, 1, 1, 1), 1.0)
     raw = 0.35 * templates[labels] + 0.12 * noise + 0.05 * jitter
-    images = np.clip(0.5 + raw, 0.0, 1.0)
+    images = _upsample4(np.clip(0.5 + raw, 0.0, 1.0))
     return Dataset(Tensor4(images), labels, classes)
 
 
 def split_dataset(ds: Dataset, n_val: int) -> tuple[Dataset, Dataset]:
-    """Disjoint (train, val) split: the last n_val samples become val."""
+    """Disjoint (train, val) split: the last n_val samples become val.
+
+    Each split's images are one copy of a slice of ``ds``'s."""
     if not (0 < n_val < ds.size):
         raise ParameterError(f"n_val must be in (0, {ds.size}), got {n_val}")
     cut = ds.size - n_val
-    train_idx = np.arange(0, cut)
-    val_idx = np.arange(cut, ds.size)
-    assert not np.intersect1d(train_idx, val_idx).size
     imgs = ds.images.array
     return (
-        Dataset(Tensor4(imgs[train_idx]), ds.labels[train_idx], ds.num_classes),
-        Dataset(Tensor4(imgs[val_idx]), ds.labels[val_idx], ds.num_classes),
+        Dataset(Tensor4(imgs[:cut]), ds.labels[:cut], ds.num_classes),
+        Dataset(Tensor4(imgs[cut:]), ds.labels[cut:], ds.num_classes),
     )
 
 

@@ -250,8 +250,11 @@ def init_part(part: Part, rng: Rng | None, init: str = "neoinit"):
     """Initial stacked (left, right) weights of one part.
 
     ``"neoinit"``: the identity / skewed-identity pattern plus Gaussian noise
-    of std 1/sqrt(rows*cols), one draw per channel, all lefts of the part
-    before all rights; ``rng=None`` gives the noise-free patterns.
+    of std 1/sqrt(rows*cols), all lefts of the part before all rights;
+    ``rng=None`` gives the noise-free patterns.  Each side's noise is one
+    draw for the whole part, giving the numbers one ``rng.normal`` draw per
+    channel gives: Box-Muller takes raws in pairs, so for an odd rows*cols
+    each channel's row of the block holds one normal more, which is dropped.
     ``"random-normal"`` (the ablation baseline): left std 1/sqrt(h), right
     std 1/sqrt(w), one draw per side.
     """
@@ -261,11 +264,14 @@ def init_part(part: Part, rng: Rng | None, init: str = "neoinit"):
         def draw(rows, cols):
             pattern = neoinit_pattern(rows, cols)
             if rng is None:
-                return pattern
-            return pattern + rng.normal((rows, cols), 1.0 / np.sqrt(rows * cols))
+                return np.repeat(pattern[None], count, axis=0)
+            size = rows * cols
+            padded = size + size % 2    # the raws one channel's draw of size normals takes
+            noise = rng.standard_normal(count * padded).reshape(count, padded)[:, :size]
+            return pattern + (noise * (1.0 / np.sqrt(size))).reshape(count, rows, cols)
 
-        left = np.stack([draw(part.h_out, part.h) for _ in range(count)])
-        right = np.stack([draw(part.w, part.w_out) for _ in range(count)])
+        left = draw(part.h_out, part.h)
+        right = draw(part.w, part.w_out)
     elif init == "random-normal":
         left = rng.normal((count, part.h_out, part.h), 1.0 / np.sqrt(part.h))
         right = rng.normal((count, part.w, part.w_out), 1.0 / np.sqrt(part.w))

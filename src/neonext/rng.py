@@ -44,6 +44,11 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _check_count(method: str, n: int) -> None:
+    if n < 0:
+        raise ParameterError(f"{method}: n must be >= 0, got {n}")
+
+
 class Rng:
     """SplitMix64 stream with uniform/normal transforms.
 
@@ -60,18 +65,19 @@ class Rng:
         return int(self._seed)
 
     def next_u64(self, n: int) -> np.ndarray:
-        if n < 0:
-            raise ParameterError(f"next_u64: n must be >= 0, got {n}")
+        _check_count("next_u64", n)
         idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
         return _mix64(self._seed + idx * _GOLDEN)
 
     def uniform(self, n: int) -> np.ndarray:
         """n doubles uniform on [0, 1)."""
+        _check_count("uniform", n)
         return (self.next_u64(n) >> np.uint64(11)).astype(np.float64) * _U53
 
     def standard_normal(self, n: int) -> np.ndarray:
         """n doubles from N(0, 1) via Box-Muller; draws ceil(n/2)*2 raws."""
+        _check_count("standard_normal", n)
         pairs = (n + 1) // 2
         raw = self.next_u64(2 * pairs)
         a, b = raw[0::2], raw[1::2]
@@ -85,16 +91,20 @@ class Rng:
         return out[:n]
 
     def normal(self, shape, sigma: float = 1.0) -> np.ndarray:
-        if sigma < 0:
-            raise ParameterError(f"normal: sigma must be >= 0, got {sigma}")
+        if not (np.isfinite(sigma) and sigma >= 0):
+            raise ParameterError(f"normal: sigma must be finite and >= 0, got {sigma}")
+        if (np.asarray(shape) < 0).any():
+            raise ParameterError(f"normal: shape must have no negative dims, got {shape}")
         size = int(np.prod(shape))
         return (self.standard_normal(size) * sigma).reshape(shape)
 
     def permutation(self, n: int) -> np.ndarray:
+        _check_count("permutation", n)
         return np.argsort(self.uniform(n), kind="stable")
 
     def integers(self, n: int, bound: int) -> np.ndarray:
         """n ints uniform on [0, bound) via floor(u * bound)."""
+        _check_count("integers", n)
         if bound < 1:
             raise ParameterError(f"integers: bound must be >= 1, got {bound}")
         return np.minimum((self.uniform(n) * bound).astype(np.int64), bound - 1)

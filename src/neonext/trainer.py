@@ -206,8 +206,13 @@ class RunReport:
         return self.rows[-1].val_loss
 
 
-def _load_data(cfg: RunConfig) -> tuple[Dataset, Dataset]:
-    # the dataset is a pure function of the config, shared by all seeds/arms
+def load_data(cfg: RunConfig) -> tuple[Dataset, Dataset]:
+    """The config's (train, val) datasets.
+
+    They are a pure function of the data keys, so callers that run several
+    seeds or arms of one config load them once and pass them to each
+    ``train_run``.
+    """
     if cfg.data == "cifar10":
         return load_cifar10(cfg.data_dir)
     full = synth_task(Rng(20240901), cfg.synth_train + cfg.synth_val, cfg.classes)
@@ -243,11 +248,14 @@ def _write_csv(path: Path, rows: list[EpochRow]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def train_run(cfg: RunConfig, seed: int | None = None) -> RunReport:
-    """One training run; divergence is a reported outcome, not a crash."""
+def train_run(cfg: RunConfig, seed: int | None = None, data: tuple[Dataset, Dataset] | None = None) -> RunReport:
+    """One training run; divergence is a reported outcome, not a crash.
+
+    ``data`` is ``load_data(cfg)``'s (train, val) pair, or None to load it.
+    """
     seed = cfg.seeds[0] if seed is None else seed
     t0 = time.perf_counter()
-    train_ds, val_ds = _load_data(cfg)
+    train_ds, val_ds = load_data(cfg) if data is None else data
     root = Rng(seed)
     init_rng = root.derive(1)
     aug_rng = root.derive(2)
@@ -360,6 +368,7 @@ def run_ablation(base_cfg: RunConfig, seeds: list[int] | None = None) -> Ablatio
     if len(seeds) < 2:
         raise ConfigError(f"ablation needs >= 2 seeds, got {seeds}")
     out_root = Path(base_cfg.out_dir)
+    data = load_data(base_cfg)
     arms: dict[str, ArmSummary] = {}
     for init in ("neoinit", "random-normal"):
         runs = []
@@ -370,7 +379,7 @@ def run_ablation(base_cfg: RunConfig, seeds: list[int] | None = None) -> Ablatio
                 seeds=(seed,),
                 out_dir=str(out_root / f"{init}_seed{seed}"),
             )
-            runs.append(train_run(cfg, seed))
+            runs.append(train_run(cfg, seed, data))
         accs = [r.final_val_acc for r in runs]
         losses = [r.final_val_loss for r in runs]
         arms[init] = ArmSummary(

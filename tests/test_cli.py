@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from neonext import cli
 from neonext.bench import BENCH_CSV_HEADER
 from neonext.cli import main
 from neonext.neocell import GroupSpec, NeoCellSpec, init_part, merge_parts
@@ -271,6 +272,15 @@ class TestTrainCli:
         main(["train", "--config", str(cfg_b)])
         strip = lambda p: [",".join(ln.split(",")[:-1]) for ln in Path(p).read_text().splitlines()]
         assert strip(tmp_path / "out_a" / "run.csv") == strip(tmp_path / "out_b" / "run.csv")
+
+    def test_train_loads_the_data_once_for_all_seeds(self, tmp_path, monkeypatch):
+        calls, load = [], cli.load_data
+        monkeypatch.setattr(cli, "load_data", lambda cfg: calls.append(cfg) or load(cfg))
+        cfg = tmp_path / "run.cfg"
+        write_tiny_config(cfg, tmp_path / "out", seeds="1,2,3", epochs="0")
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert len(calls) == 1
+        assert all((tmp_path / "out" / f"seed{s}" / "run.csv").is_file() for s in (1, 2, 3))
 
     def test_diverged_run_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"

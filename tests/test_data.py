@@ -96,7 +96,39 @@ class TestRealCifar:
         assert abs(means[2] - 0.4465) <= 0.01
 
 
+def synth_full_resolution(rng, n, classes):
+    """``synth_task`` as first written, the reference for its 8x8 arithmetic:
+    every term repeated to 32x32 before it is combined."""
+    up = lambda a: a.repeat(4, axis=-2).repeat(4, axis=-1)
+    templates = up(rng.normal((classes, 3, 8, 8), 1.0))
+    labels = (np.arange(n) % classes)[rng.permutation(n)]
+    noise = up(rng.normal((n, 3, 8, 8), 1.0))
+    jitter = rng.normal((n, 1, 1, 1), 1.0)
+    raw = 0.35 * templates[labels] + 0.12 * noise + 0.05 * jitter
+    return np.clip(0.5 + raw, 0.0, 1.0), labels
+
+
 class TestSynthTask:
+    @pytest.mark.parametrize("seed, n, classes", [(5, 100, 2), (20240901, 96, 10), (3, 37, 7)])
+    def test_matches_full_resolution_formula(self, seed, n, classes):
+        ds = synth_task(Rng(seed), n, classes)
+        images, labels = synth_full_resolution(Rng(seed), n, classes)
+        assert ds.images.array.tobytes() == images.tobytes()
+        assert np.array_equal(ds.labels, labels)
+
+    def test_images_constant_on_4x4_blocks(self):
+        blocks = synth_task(Rng(12), 50, 5).images.array.reshape(50, 3, 8, 4, 8, 4)
+        assert (blocks == blocks[:, :, :, :1, :, :1]).all()
+
+    def test_split_is_the_two_slices_each_its_own_copy(self):
+        ds = synth_task(Rng(8), 100, 5)
+        train, val = split_dataset(ds, 30)
+        full = ds.images.array
+        assert np.array_equal(train.images.array, full[:70]) and np.array_equal(val.images.array, full[70:])
+        assert np.array_equal(train.labels, ds.labels[:70]) and np.array_equal(val.labels, ds.labels[70:])
+        assert not np.shares_memory(train.images.array, full)
+        assert not np.shares_memory(val.images.array, full)
+
     def test_deterministic(self):
         a = synth_task(Rng(5), 100, 2)
         b = synth_task(Rng(5), 100, 2)

@@ -62,7 +62,44 @@ class TestPatterns:
                 assert got.tobytes() == neoinit_pattern(cols, rows).T.tobytes(order="C"), (rows, cols)
 
 
+def per_channel_init(part, rng):
+    """``init_part``'s neoinit as first written, the reference for its one
+    block draw per side: one ``rng.normal`` per channel, lefts before rights."""
+
+    def draw(rows, cols):
+        pattern = neoinit_pattern(rows, cols)
+        if rng is None:
+            return pattern
+        return pattern + rng.normal((rows, cols), 1.0 / np.sqrt(rows * cols))
+
+    left = np.stack([draw(part.h_out, part.h) for _ in range(part.count)])
+    right = np.stack([draw(part.w, part.w_out) for _ in range(part.count)])
+    return left, right
+
+
+# name: (channels, h, w, h_out, w_out); left is h_out x h, right w x w_out
+PART_SHAPES = {
+    "7x7": (3, 7, 7, 7, 7),
+    "3x5": (4, 5, 3, 3, 5),
+    "4x4": (3, 4, 4, 4, 4),
+    "down-2to1": (5, 2, 2, 1, 1),
+    "1x1": (2, 1, 1, 1, 1),
+}
+
+
 class TestNoise:
+    @pytest.mark.parametrize("shape", PART_SHAPES.values(), ids=PART_SHAPES)
+    def test_matches_per_channel_draws(self, shape):
+        count, h, w, h_out, w_out = shape
+        (part,) = merge_parts(NeoCellSpec((GroupSpec(0, count, h, w, h_out, w_out),)))
+        rng, ref = Rng(31), Rng(31)
+        for got, want in ((init_part(part, rng), per_channel_init(part, ref)),
+                          (init_part(part, None), per_channel_init(part, None))):
+            for g, wt in zip(got, want):
+                assert g.shape == wt.shape and g.tobytes() == wt.tobytes()
+        # and leaves the stream where the per-channel draws leave it
+        assert rng.next_u64(3).tolist() == ref.next_u64(3).tolist()
+
     def test_noise_decomposes_bit_exactly(self):
         # two channels: one draw per matrix, every left before every right
         (part,) = merge_parts(NeoCellSpec((GroupSpec(0, 2, 5, 4, 3, 2),)))

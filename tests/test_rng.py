@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -79,3 +81,32 @@ class TestGaussianFill:
         base = Rng(8).normal((4, 4), 1.0)
         scaled = Rng(8).normal((4, 4), 2.5)
         assert np.allclose(scaled, 2.5 * base, rtol=0, atol=0)
+
+
+BAD_SIZES = {
+    "standard_normal": (lambda r: r.standard_normal(-1), "standard_normal: n must be >= 0, got -1"),
+    "normal-shape": (lambda r: r.normal((2, -1)), "normal: shape must have no negative dims, got (2, -1)"),
+    "normal-nan-sigma": (lambda r: r.normal((2, 2), float("nan")), "normal: sigma must be finite and >= 0, got nan"),
+    "normal-inf-sigma": (lambda r: r.normal((2, 2), float("inf")), "normal: sigma must be finite and >= 0, got inf"),
+    "next_u64": (lambda r: r.next_u64(-4), "next_u64: n must be >= 0, got -4"),
+    "uniform": (lambda r: r.uniform(-3), "uniform: n must be >= 0, got -3"),
+    "permutation": (lambda r: r.permutation(-1), "permutation: n must be >= 0, got -1"),
+    "integers": (lambda r: r.integers(-2, 5), "integers: n must be >= 0, got -2"),
+}
+
+
+class TestBadSizes:
+    @pytest.mark.parametrize("call, message", BAD_SIZES.values(), ids=BAD_SIZES)
+    def test_names_the_method_and_the_value(self, call, message):
+        rng = Rng(1)
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            call(rng)
+        assert rng.next_u64(2).tolist() == Rng(1).next_u64(2).tolist()   # nothing drawn
+
+    def test_empty_draws_are_valid(self):
+        assert Rng(1).standard_normal(0).shape == (0,)
+        assert Rng(1).normal((2, 0)).shape == (2, 0)
+
+    def test_normal_is_scaled_standard_normal(self):
+        a = Rng(4).normal((3, 5), 0.25)
+        assert a.tobytes() == (Rng(4).standard_normal(15) * 0.25).reshape(3, 5).tobytes()

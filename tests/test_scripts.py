@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -126,3 +127,17 @@ def test_bench_entry_bad_input_exits_1_and_writes_nothing(tmp_path, case):
     }[case]
     assert proc.stderr.startswith(expected), proc.stderr
     assert {p.name: p.read_bytes() for p in sorted(ROOT.glob("BENCH_*.json"))} == committed
+
+
+def test_digest_is_reproducible():
+    first = run_script("digest.py", "--quick")
+    second = run_script("digest.py", "--quick")
+    assert first.returncode == 0, first.stderr
+    assert first.stdout == second.stdout
+    lines = [ln.split(" ") for ln in first.stdout.splitlines()]
+    names = [name for name, _ in lines]
+    assert all(re.fullmatch("[0-9a-f]{64}", digest) for _, digest in lines)
+    assert len(set(names)) == len(names)
+    for name in ("train.neoinit.checkpoint", "train.random-normal.run_csv", "equiv-check.csv",
+                 "init-dump.no-noise", "bench.dwconv", "synth.split", "op-neocell56.ri.grads"):
+        assert name in names

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from neonext import trainer
 from neonext.autodiff import Grads, Param
 from neonext.model import MODEL_SPECS
 from neonext.errors import ConfigError, NumericError
@@ -183,6 +184,20 @@ class TestAblation:
         assert f"direction holds: {'yes' if holds else 'no'}\n" in text
         assert report.summary_text() in text
         assert (Path(cfg.out_dir) / "neoinit_seed1" / "run.csv").is_file()
+
+    def test_loads_the_data_once_for_every_seed_and_arm(self, tmp_path, monkeypatch):
+        calls, load = [], trainer.load_data
+        monkeypatch.setattr(trainer, "load_data", lambda cfg: calls.append(cfg) or load(cfg))
+        cfg = tiny_cfg(tmp_path / "ablate", epochs=1, seeds=(1, 2))
+        report = run_ablation(cfg)
+        assert len(calls) == 1
+        # a run on the shared data writes what a run that loads its own writes
+        alone = train_run(tiny_cfg(tmp_path / "alone", epochs=1, seeds=(2,), init="random-normal"))
+        shared = report.arms["random-normal"].runs[1]
+        strip = lambda p: [ln.rsplit(",", 1)[0] for ln in Path(p).read_text().splitlines()]
+        assert strip(shared.csv_path) == strip(alone.csv_path)
+        for f in sorted((Path(alone.checkpoint_path) / "params").iterdir()):
+            assert f.read_bytes() == (Path(shared.checkpoint_path) / "params" / f.name).read_bytes()
 
     def test_needs_two_seeds(self, tmp_path):
         with pytest.raises(ConfigError, match="2 seeds"):
