@@ -5,7 +5,9 @@ Runs a fixed set of small cases and prints one ``<name> <sha256>`` line per
 artefact, with timing fields stripped:
 
 - ``neonext train`` for both init arms, two seeds each: ``run.csv`` without
-  ``wall_time_s``, ``status.txt`` and the exit code, and ``checkpoint/``;
+  ``wall_time_s``, ``status.txt`` and the exit code, ``checkpoint/``, and
+  the parameters and running stats its checkpoints load into a freshly
+  built micro model (``loaded``: the values, whatever the file format);
 - ``neonext equiv-check --trials 100 --seed 0``'s CSV;
 - ``neonext init-dump`` with and without noise, binary and text;
 - the seed-deterministic ``bench`` CSV columns (up to ``checksum``);
@@ -45,7 +47,9 @@ from neonext.autodiff import Param, Tape, backward  # noqa: E402
 from neonext.cli import UsageParser, main as neonext  # noqa: E402
 from neonext.data import split_dataset, synth_task  # noqa: E402
 from neonext.errors import UsageError  # noqa: E402
-from neonext.model import ForwardCtx, NeoCellLayer, build_model, make_stage_groups, named_spec  # noqa: E402
+from neonext.model import (  # noqa: E402
+    ForwardCtx, NeoCellLayer, build_model, load_checkpoint, make_stage_groups, named_spec,
+)
 from neonext.neocell import NeoCellSpec  # noqa: E402
 from neonext.rng import Rng  # noqa: E402
 
@@ -85,16 +89,21 @@ def train_digests(tmp: Path, quick: bool):
         cfg = tmp / f"{init}.cfg"
         cfg.write_text(f"neonext-run-config v1\n{sizes}\nseeds = 1,2\ninit = {init}\nout_dir = {out}\n")
         code = run("train", "--config", str(cfg))
-        csv, status, ckpt = [], [f"exit {code}\n"], []
+        csv, status, ckpt, loaded = [], [f"exit {code}\n"], [], []
         for seed_dir in sorted(out.iterdir()):
             rows = (seed_dir / "run.csv").read_text().splitlines()
             csv.append(seed_dir.name + "\n" + "\n".join(r.rsplit(",", 1)[0] for r in rows) + "\n")
             status.append(seed_dir.name + "\n" + (seed_dir / "status.txt").read_text())
             for rel, data in tree_files(seed_dir / "checkpoint"):
                 ckpt += [f"{seed_dir.name}/{rel}\n", data]
+            model = build_model(named_spec("neonext-micro", classes=10), 32, Rng(7))
+            load_checkpoint(model, seed_dir / "checkpoint")
+            loaded += [seed_dir.name, *(c for p in model.params() for c in (p.name, p.array))]
+            loaded += [a for bn in model.bn_layers() for a in (bn.running_mean, bn.running_var)]
         yield f"train.{init}.run_csv", sha(*csv)
         yield f"train.{init}.status", sha(*status)
         yield f"train.{init}.checkpoint", sha(*ckpt)
+        yield f"train.{init}.loaded", sha(*loaded)
 
 
 def cli_digests(tmp: Path, quick: bool):

@@ -45,7 +45,7 @@ from .model import (
 from .neocell import GroupSpec, NeoCellSpec, init_part, merge_parts
 from .neoinit import format_grid
 from .rng import Rng
-from .tensor import Matrix, Tensor4, write_matrix
+from .tensor import Tensor4, write_tensor
 from .trainer import load_data, parse_config, run_ablation, train_run
 
 
@@ -259,11 +259,10 @@ def _cmd_init_dump(args) -> int:
     _check_outputs(args, "out", "text-out")
     (part,) = merge_parts(NeoCellSpec((GroupSpec(0, 1, args.cols, 1, args.rows, 1),)))
     left, _ = init_part(part, None if args.no_noise else Rng(args.seed))
-    m = Matrix(left[0])
-    grid = format_grid(m)
+    grid = format_grid(left[0])
     print(grid, end="")
     if args.out:
-        write_matrix(args.out, m)
+        write_tensor(args.out, left[0])
     if args.text_out:
         Path(args.text_out).write_text(grid)
     return 0

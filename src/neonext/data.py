@@ -112,20 +112,17 @@ def _load_cifar_file(path: Path):
     if bad.size:
         i = int(bad[0])
         raise DataError(f"{path}: invalid label {labels[i]} at byte offset {i * _RECORD}")
-    images = recs[:, 1:].reshape(_RECORDS_PER_FILE, 3, 32, 32).astype(np.float64) / 255.0
-    return images, labels
+    return recs[:, 1:].reshape(_RECORDS_PER_FILE, 3, 32, 32), labels
 
 
 def load_cifar10(dir_path) -> tuple[Dataset, Dataset]:
+    """The train and test splits; pixels stay uint8 until the one
+    conversion per split."""
     d = Path(dir_path)
-    train_imgs, train_labels = [], []
-    for name in CIFAR_TRAIN_FILES:
-        imgs, labels = _load_cifar_file(d / name)
-        train_imgs.append(imgs)
-        train_labels.append(labels)
+    train_imgs, train_labels = zip(*(_load_cifar_file(d / name) for name in CIFAR_TRAIN_FILES))
     test_imgs, test_labels = _load_cifar_file(d / CIFAR_TEST_FILE)
-    train = Dataset(Tensor4(np.concatenate(train_imgs)), np.concatenate(train_labels), 10)
-    test = Dataset(Tensor4(test_imgs), test_labels, 10)
+    train = Dataset(Tensor4(np.divide(np.concatenate(train_imgs), 255.0)), np.concatenate(train_labels), 10)
+    test = Dataset(Tensor4(np.divide(test_imgs, 255.0)), test_labels, 10)
     return train, test
 
 

@@ -56,6 +56,12 @@ identity/skewed-identity scheme with Gaussian noise, "neoinit", or, for the
 ablation baseline, random normal with std 1/sqrt(h) (left) and 1/sqrt(w)
 (right)); pointwise and classifier weights are N(0, 2/fan_in); biases zero;
 batchnorm gamma 1, beta 0.
+
+Checkpoints are three files: ``manifest.txt`` (``Model.manifest``),
+``index.txt`` (one ``name<TAB>shape`` line per parameter, then each
+batchnorm's running mean and var) and ``params/values.t4`` (every entry's
+values in index order, as one tensor file).  ``load_checkpoint`` accepts
+only the files ``save_checkpoint`` would write for the model it is given.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, replace
 from itertools import zip_longest
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtr
@@ -693,75 +699,58 @@ def analytic_param_count(spec: ModelSpec, input_size: int) -> int:
 
 # ------------------------------------------------------------- checkpoints
 
-def _pack4(a: np.ndarray) -> Tensor4:
-    shape = a.shape
-    padded = (1,) * (4 - a.ndim) + shape
-    return Tensor4(a.reshape(padded))
+VALUES_FILE = "params/values.t4"
+
+
+def _checkpoint_entries(model: Model):
+    """(name, array) of every value a checkpoint holds, in index order."""
+    entries = [(p.name, p.array) for p in model.params()]
+    for bn in model.bn_layers():
+        entries += [(f"{bn.name}.running_mean", bn.running_mean), (f"{bn.name}.running_var", bn.running_var)]
+    return entries
+
+
+def _index(entries) -> str:
+    return "".join(f"{name}\t{','.join(map(str, a.shape))}\n" for name, a in entries)
 
 
 def save_checkpoint(model: Model, directory: str | Path) -> None:
     d = Path(directory)
     (d / "params").mkdir(parents=True, exist_ok=True)
+    entries = _checkpoint_entries(model)
     (d / "manifest.txt").write_text(model.manifest())
-    index = []
-    for i, p in enumerate(model.params()):
-        fname = f"params/{i:04d}.t4"
-        write_tensor(d / fname, _pack4(p.array))
-        index.append(f"{p.name}\t{fname}\t{','.join(map(str, p.array.shape))}")
-    for j, bn in enumerate(model.bn_layers()):
-        for stat, arr in (("mean", bn.running_mean), ("var", bn.running_var)):
-            fname = f"params/stats{j:04d}_{stat}.t4"
-            write_tensor(d / fname, _pack4(arr))
-            index.append(f"{bn.name}.running_{stat}\t{fname}\t{arr.size}")
-    (d / "index.txt").write_text("\n".join(index) + "\n")
+    (d / "index.txt").write_text(_index(entries))
+    write_tensor(d / VALUES_FILE, np.concatenate([a.ravel() for _, a in entries]))
 
 
 def load_checkpoint(model: Model, directory: str | Path) -> None:
     """Load what ``save_checkpoint`` wrote into ``model``.
 
-    ``manifest.txt`` must equal ``model.manifest()``.  Every ``index.txt``
-    entry must name a parameter or running stat of the model, carry its
-    shape and name a file under ``params/`` by a relative path without
-    ``..``; every one of them must be listed once, and each file must be a
-    tensor of that many values.  Otherwise ``ConfigError`` names the first
-    differing manifest line or the entry, and the model is left untouched.
+    ``manifest.txt`` and ``index.txt`` must equal, line for line, what
+    ``save_checkpoint`` writes for ``model``, and ``params/values.t4`` must
+    hold exactly the values the index lists.  Otherwise ``ConfigError``
+    names the file and its first differing line, its value count, or why
+    it cannot be read, and the model is left untouched.
     """
     d = Path(directory)
-    saved = (d / "manifest.txt").read_text().splitlines()
-    for i, (got, want) in enumerate(zip_longest(saved, model.manifest().splitlines()), 1):
-        if got != want:
-            raise ConfigError(f"checkpoint manifest line {i} reads {got!r}, the model's reads {want!r}")
-    targets = {p.name: p.array for p in model.params()}
-    for bn in model.bn_layers():
-        targets[f"{bn.name}.running_mean"] = bn.running_mean
-        targets[f"{bn.name}.running_var"] = bn.running_var
-    entries = {}
-    for line in (d / "index.txt").read_text().splitlines():
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ConfigError(f"checkpoint index line is malformed: {line!r}")
-        name, fname, shape = fields
-        if name not in targets:
-            raise ConfigError(f"checkpoint entry {name} is not in the model")
-        if name in entries:
-            raise ConfigError(f"checkpoint index lists entry {name} twice")
-        want = ",".join(map(str, targets[name].shape))
-        if shape != want:
-            raise ConfigError(f"checkpoint entry {name} has shape {shape}, the model's is {want}")
-        parts = PurePosixPath(fname).parts
-        if len(parts) < 2 or parts[0] != "params" or ".." in parts:
-            raise ConfigError(f"checkpoint entry {name} names file {fname!r}, not a relative path under params/")
-        entries[name] = fname
-    loaded = {}
-    for name, target in targets.items():
-        if name not in entries:
-            raise ConfigError(f"checkpoint misses parameter {name}")
+    entries = _checkpoint_entries(model)
+    for path, want in ((d / "manifest.txt", model.manifest()), (d / "index.txt", _index(entries))):
         try:
-            arr = read_tensor(d / entries[name]).array
-        except (OSError, ShapeError) as err:
-            raise ConfigError(f"checkpoint entry {name} cannot be read: {err}") from err
-        if arr.size != target.size:
-            raise ConfigError(f"checkpoint entry {name} holds {arr.size} values, expected {target.size}")
-        loaded[name] = arr.reshape(target.shape)
-    for name, target in targets.items():
-        target[...] = loaded[name]
+            got = path.read_text()
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigError(f"checkpoint file {path} cannot be read: {err}") from err
+        for i, (a, b) in enumerate(zip_longest(got.splitlines(), want.splitlines()), 1):
+            if a != b:
+                raise ConfigError(f"checkpoint file {path} line {i} reads {a!r}, the model's reads {b!r}")
+    path = d / VALUES_FILE
+    try:
+        values = read_tensor(path).ravel()
+    except (OSError, ShapeError) as err:
+        raise ConfigError(f"checkpoint file {path} cannot be read: {err}") from err
+    total = sum(a.size for _, a in entries)
+    if values.size != total:
+        raise ConfigError(f"checkpoint file {path} holds {values.size} values, the model has {total}")
+    start = 0
+    for _, target in entries:
+        target[...] = values[start : start + target.size].reshape(target.shape)
+        start += target.size

@@ -24,7 +24,6 @@ import math
 import numpy as np
 
 from .errors import ParameterError
-from .tensor import Matrix
 
 
 def _round_half_away(x: float) -> int:
@@ -48,9 +47,9 @@ def neoinit_pattern(rows: int, cols: int) -> np.ndarray:
     return out
 
 
-def format_grid(m: Matrix, width: int = 9, decimals: int = 5) -> str:
-    """Aligned plain-text rendering for human inspection."""
+def format_grid(m: np.ndarray, width: int = 9, decimals: int = 5) -> str:
+    """Aligned plain-text rendering of a matrix for human inspection."""
     lines = []
-    for row in m.array:
+    for row in m:
         lines.append(" ".join(f"{v:{width}.{decimals}f}" for v in row))
     return "\n".join(lines) + "\n"

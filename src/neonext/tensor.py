@@ -1,4 +1,5 @@
-"""Dense rank-4 tensors, small dense matrices, and their binary serialization.
+"""Dense rank-4 tensors, small dense matrices, and the binary file format
+for plain arrays.
 
 Conventions, pinned for the whole package:
 
@@ -6,15 +7,20 @@ Conventions, pinned for the whole package:
 - ``Tensor4`` is laid out row-major over (n, c, h, w) with unit stride on
   the last axis, no broadcasting, no negative-stride views;
 - every operation is pure: inputs are never mutated, and both ``Tensor4``
-  and ``Matrix`` freeze their backing buffer at construction.
+  and ``Matrix`` freeze their backing buffer at construction.  ``Matrix``
+  serves the per-channel reference API only (``neocell.NeoCellParams``,
+  ``equiv``).
 
-The module holds containers and their file format only; products live with
+The module holds containers and the file format only; products live with
 the operator (``neocell``), where the block-diagonal reference keeps the
 ascending-k accumulation that matches a scalar loop bit for bit.
 
-Serialization format (used by golden files, ``init-dump`` and checkpoints):
-a 16-byte header of four little-endian uint32 dims (n, c, h, w) followed by
-n*c*h*w little-endian float64 values in row-major order.
+File format (used by ``init-dump`` and checkpoints): a 16-byte header of
+four little-endian uint32 dims (n, c, h, w) followed by n*c*h*w
+little-endian float64 values in row-major order.  ``write_tensor`` takes an
+array of 1 to 4 dims and pads its shape with leading 1s, so a (rows, cols)
+matrix is stored as (1, 1, rows, cols); ``read_tensor`` returns the 4-dim
+array the header names, read-only.
 """
 
 from __future__ import annotations
@@ -92,13 +98,19 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def write_tensor(path: str | os.PathLike, t: Tensor4) -> None:
+def write_tensor(path: str | os.PathLike, array: np.ndarray) -> None:
+    """Store a 1- to 4-dim array, its shape padded to 4 dims with leading 1s."""
+    a = np.asarray(array)
+    if not 1 <= a.ndim <= 4:
+        raise ShapeError(f"tensor files hold 1 to 4 dims, got shape {a.shape}")
+    dims = (1,) * (4 - a.ndim) + a.shape
     with open(path, "wb") as f:
-        f.write(np.asarray(t.dims, dtype=_HEADER_DTYPE).tobytes())
-        f.write(np.ascontiguousarray(t.array, dtype=_DATA_DTYPE).tobytes())
+        f.write(np.asarray(dims, dtype=_HEADER_DTYPE).tobytes())
+        f.write(np.ascontiguousarray(a, dtype=_DATA_DTYPE).tobytes())
 
 
-def read_tensor(path: str | os.PathLike) -> Tensor4:
+def read_tensor(path: str | os.PathLike) -> np.ndarray:
+    """The (n, c, h, w) array a tensor file holds, read-only."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < 16:
@@ -111,18 +123,4 @@ def read_tensor(path: str | os.PathLike) -> Tensor4:
             f"{path}: expected {expected} bytes for dims {(n, c, h, w)}, "
             f"got {len(raw)}"
         )
-    data = np.frombuffer(raw[16:], dtype=_DATA_DTYPE).reshape(n, c, h, w)
-    return Tensor4(data)
-
-
-def write_matrix(path: str | os.PathLike, m: Matrix) -> None:
-    """Store a matrix as a (1, 1, rows, cols) tensor file."""
-    write_tensor(path, Tensor4(m.array.reshape(1, 1, m.rows, m.cols)))
-
-
-def read_matrix(path: str | os.PathLike) -> Matrix:
-    t = read_tensor(path)
-    n, c, h, w = t.dims
-    if n != 1 or c != 1:
-        raise ShapeError(f"{path}: not a matrix file, dims {t.dims}")
-    return Matrix(t.array.reshape(h, w))
+    return np.frombuffer(raw, dtype=_DATA_DTYPE, offset=16).reshape(n, c, h, w)

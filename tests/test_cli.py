@@ -8,7 +8,7 @@ from neonext.bench import BENCH_CSV_HEADER
 from neonext.cli import main
 from neonext.neocell import GroupSpec, NeoCellSpec, init_part, merge_parts
 from neonext.rng import Rng
-from neonext.tensor import read_matrix
+from neonext.tensor import read_tensor
 from neonext.trainer import CONFIG_HEADER
 
 
@@ -34,14 +34,14 @@ class TestInitDump:
         assert code == 0
         printed = capsys.readouterr().out
         assert printed.count("\n") == 7
-        assert np.array_equal(read_matrix(out).array, np.eye(7))
+        assert np.array_equal(read_tensor(out), np.eye(7)[None, None])
 
     def test_noisy_matches_library(self, tmp_path):
         out = tmp_path / "m.t4"
         main(["init-dump", "--rows", "3", "--cols", "5", "--seed", "11", "--out", str(out)])
         (part,) = merge_parts(NeoCellSpec((GroupSpec(0, 1, 5, 1, 3, 1),)))
         want = init_part(part, Rng(11))[0][0]
-        assert np.array_equal(read_matrix(out).array, want)
+        assert np.array_equal(read_tensor(out)[0, 0], want)
 
     @pytest.mark.parametrize("rows, cols", [("0", "3"), ("3", "0"), ("-2", "3"), ("3", "-1")])
     def test_empty_dims_exit_1(self, rows, cols, tmp_path, capsys):

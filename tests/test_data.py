@@ -58,6 +58,15 @@ class TestCifarLoader:
         want = rec0[1:].reshape(3, 32, 32).astype(np.float64) / 255.0
         assert np.array_equal(train.images.array[0], want)
 
+    def test_train_images_match_per_file_float_conversion(self, fake_cifar_dir):
+        """One uint8 -> float64 division after the concatenate gives the
+        bits of the per-file ``astype(float64) / 255.0`` it replaced."""
+        train, _ = load_cifar10(fake_cifar_dir)
+        for i, name in enumerate(CIFAR_TRAIN_FILES):
+            recs = np.fromfile(fake_cifar_dir / name, dtype=np.uint8).reshape(10000, 3073)
+            want = recs[:, 1:].reshape(10000, 3, 32, 32).astype(np.float64) / 255.0
+            assert np.array_equal(train.images.array[i * 10000 : (i + 1) * 10000], want)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="missing"):
             load_cifar10(tmp_path)

@@ -35,7 +35,7 @@ from neonext.neocell import (
     forward_patchwise,
 )
 from neonext.rng import Rng
-from neonext.tensor import Tensor4
+from neonext.tensor import Tensor4, read_tensor, write_tensor
 
 
 class TestStageGroups:
@@ -621,89 +621,80 @@ class TestCheckpoint:
             assert np.array_equal(bn_a.running_var, bn_b.running_var)
         assert np.array_equal(model.logits(x), other.logits(x))
 
-    def test_missing_param_detected(self, tmp_path):
-        spec = named_spec("neonext-micro", classes=10)
-        model = build_model(spec, 32, Rng(13))
-        save_checkpoint(model, tmp_path / "ckpt")
-        idx = (tmp_path / "ckpt" / "index.txt").read_text().splitlines()
-        (tmp_path / "ckpt" / "index.txt").write_text("\n".join(idx[1:]) + "\n")
-        with pytest.raises(ConfigError, match="misses"):
-            load_checkpoint(model, tmp_path / "ckpt")
-
     def _saved(self, tmp_path):
+        """A micro model with non-trivial running stats, saved to
+        ``tmp_path / "ckpt"``, and a snapshot of every value it holds."""
         model = build_model(named_spec("neonext-micro", classes=10), 32, Rng(13))
+        model.forward(Tensor4(Rng(10).normal((2, 3, 32, 32), 1.0)), ForwardCtx("train", Rng(11), update_stats=True))
         save_checkpoint(model, tmp_path / "ckpt")
-        return model, tmp_path / "ckpt" / "index.txt"
+        return model, self._values(model)
 
-    def test_shape_column_checked(self, tmp_path):
-        model, index = self._saved(tmp_path)
+    @staticmethod
+    def _values(model):
+        stats = [a for bn in model.bn_layers() for a in (bn.running_mean, bn.running_var)]
+        return [a.copy() for a in [p.array for p in model.params()] + stats]
+
+    def _refused(self, tmp_path, model, before, match):
+        with pytest.raises(ConfigError, match=match):
+            load_checkpoint(model, tmp_path / "ckpt")
+        assert all(np.array_equal(a, b) for a, b in zip(self._values(model), before, strict=True))
+
+    def _edit_index(self, tmp_path, edit):
+        index = tmp_path / "ckpt" / "index.txt"
         lines = index.read_text().splitlines()
-        name, fname, _ = lines[0].split("\t")
-        lines[0] = f"{name}\t{fname}\t999,999"
+        edit(lines)
         index.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigError, match=f"{name} has shape 999,999"):
-            load_checkpoint(model, tmp_path / "ckpt")
 
-    def test_entry_not_in_model_rejected(self, tmp_path):
-        model, index = self._saved(tmp_path)
-        lines = index.read_text().splitlines()
-        _, fname, shape = lines[0].split("\t")
-        index.write_text("\n".join(lines + [f"bogus.param\t{fname}\t{shape}"]) + "\n")
-        before = [p.array.copy() for p in model.params()]
-        with pytest.raises(ConfigError, match="bogus.param"):
-            load_checkpoint(model, tmp_path / "ckpt")
-        assert all(np.array_equal(p.array, b) for p, b in zip(model.params(), before))
+    def test_three_files_in_index_order(self, tmp_path):
+        model, before = self._saved(tmp_path)
+        d = tmp_path / "ckpt"
+        assert sorted(str(p.relative_to(d)) for p in d.rglob("*") if p.is_file()) == [
+            "index.txt", "manifest.txt", "params/values.t4"]
+        assert (d / "manifest.txt").read_text() == model.manifest()
+        lines = (d / "index.txt").read_text().splitlines()
+        names = [p.name for p in model.params()]
+        names += [f"{bn.name}.running_{stat}" for bn in model.bn_layers() for stat in ("mean", "var")]
+        assert lines == [f"{n}\t{','.join(map(str, a.shape))}" for n, a in zip(names, before, strict=True)]
+        values = read_tensor(d / "params" / "values.t4")
+        assert values.shape[:3] == (1, 1, 1)
+        assert np.array_equal(values.ravel(), np.concatenate([a.ravel() for a in before]))
+
+    def test_missing_param_detected(self, tmp_path):
+        model, before = self._saved(tmp_path)
+        self._edit_index(tmp_path, lambda lines: lines.pop(1))
+        self._refused(tmp_path, model, before, r"index\.txt line 2 reads 'stem\.norm\.gamma\\t24', the model's reads 'stem\.pointwise\.bias\\t24'")
 
     def test_repeated_entry_rejected(self, tmp_path):
-        model, index = self._saved(tmp_path)
-        lines = index.read_text().splitlines()
-        gamma_file = next(line.split("\t")[1] for line in lines if line.startswith("stem.norm.gamma\t"))
-        index.write_text("\n".join(lines + [f"stem.pointwise.bias\t{gamma_file}\t24"]) + "\n")
-        before = [p.array.copy() for p in model.params()]
-        with pytest.raises(ConfigError, match="lists entry stem.pointwise.bias twice"):
-            load_checkpoint(model, tmp_path / "ckpt")
-        assert all(np.array_equal(p.array, b) for p, b in zip(model.params(), before))
+        model, before = self._saved(tmp_path)
+        self._edit_index(tmp_path, lambda lines: lines.insert(2, lines[1]))
+        self._refused(tmp_path, model, before, r"index\.txt line 3 reads 'stem\.pointwise\.bias\\t24', the model's reads 'stem\.norm\.gamma")
 
-    def _pointed(self, tmp_path, name, fname):
-        """The saved model and checkpoint with ``name``'s index entry
-        pointing at ``fname``."""
-        model, index = self._saved(tmp_path)
-        lines = index.read_text().splitlines()
-        i = next(i for i, line in enumerate(lines) if line.startswith(f"{name}\t"))
-        _, _, shape = lines[i].split("\t")
-        lines[i] = f"{name}\t{fname}\t{shape}"
-        index.write_text("\n".join(lines) + "\n")
-        return model, [p.array.copy() for p in model.params()]
+    def test_entry_not_in_model_rejected(self, tmp_path):
+        model, before = self._saved(tmp_path)
 
-    @pytest.mark.parametrize(
-        "fname",
-        ["{other}/params/0000.t4", "params/../../other/params/0000.t4", "0000.t4", "params"],
-        ids=["absolute", "dot-dot", "outside-params", "params-dir"],
-    )
-    def test_file_outside_params_rejected(self, tmp_path, fname):
-        other = build_model(named_spec("neonext-micro", classes=10), 32, Rng(14))
-        save_checkpoint(other, tmp_path / "other")
-        fname = fname.format(other=(tmp_path / "other").resolve())
-        model, before = self._pointed(tmp_path, "stem.pointwise.weight", fname)
-        with pytest.raises(ConfigError, match="entry stem.pointwise.weight names file .* not a relative path under params/"):
-            load_checkpoint(model, tmp_path / "ckpt")
-        assert all(np.array_equal(p.array, b) for p, b in zip(model.params(), before))
+        def rename(lines):
+            lines[1] = lines[1].replace("stem.pointwise.bias", "bogus.param")
 
-    def test_missing_file_rejected(self, tmp_path):
-        model, before = self._pointed(tmp_path, "stem.pointwise.weight", "params/absent.t4")
-        with pytest.raises(ConfigError, match="entry stem.pointwise.weight cannot be read: .*absent.t4"):
-            load_checkpoint(model, tmp_path / "ckpt")
-        assert all(np.array_equal(p.array, b) for p, b in zip(model.params(), before))
+        self._edit_index(tmp_path, rename)
+        self._refused(tmp_path, model, before, r"index\.txt line 2 reads 'bogus\.param\\t24'")
 
-    def test_short_file_rejected(self, tmp_path):
-        model, index = self._saved(tmp_path)
-        fname = next(line.split("\t")[1] for line in index.read_text().splitlines() if line.startswith("stem.norm.gamma\t"))
-        path = tmp_path / "ckpt" / fname
-        path.write_bytes(path.read_bytes()[:-8])
-        before = [p.array.copy() for p in model.params()]
-        with pytest.raises(ConfigError, match="entry stem.norm.gamma cannot be read: .*expected .* bytes"):
-            load_checkpoint(model, tmp_path / "ckpt")
-        assert all(np.array_equal(p.array, b) for p, b in zip(model.params(), before))
+    def test_shape_column_checked(self, tmp_path):
+        model, before = self._saved(tmp_path)
+
+        def reshape(lines):
+            lines[0] = lines[0].split("\t")[0] + "\t999,999"
+
+        self._edit_index(tmp_path, reshape)
+        self._refused(tmp_path, model, before, r"index\.txt line 1 reads 'stem\.pointwise\.weight\\t999,999'")
+
+    def test_reordered_entries_rejected(self, tmp_path):
+        model, before = self._saved(tmp_path)
+
+        def swap(lines):
+            lines[1], lines[2] = lines[2], lines[1]
+
+        self._edit_index(tmp_path, swap)
+        self._refused(tmp_path, model, before, r"index\.txt line 2 reads 'stem\.norm\.gamma\\t24'")
 
     def test_manifest_mismatch_rejected_before_loading(self, tmp_path):
         self._saved(tmp_path)
@@ -712,10 +703,33 @@ class TestCheckpoint:
         lines[1] = lines[1].replace("pointwise 24", "pointwise 32")
         manifest.write_text("\n".join(lines) + "\n")
         other = build_model(named_spec("neonext-micro", classes=10), 32, Rng(14))
-        before = [p.array.copy() for p in other.params()]
-        with pytest.raises(ConfigError, match="manifest line 2 reads .*pointwise 32"):
-            load_checkpoint(other, tmp_path / "ckpt")
-        assert all(np.array_equal(p.array, b) for p, b in zip(other.params(), before))
+        self._refused(tmp_path, other, self._values(other), r"manifest\.txt line 2 reads .*pointwise 32")
+
+    @pytest.mark.parametrize("name", ["manifest.txt", "index.txt"])
+    def test_missing_text_file_rejected(self, tmp_path, name):
+        model, before = self._saved(tmp_path)
+        (tmp_path / "ckpt" / name).unlink()
+        self._refused(tmp_path, model, before, rf"checkpoint file .*{name} cannot be read: .*No such file")
+
+    def test_missing_file_rejected(self, tmp_path):
+        model, before = self._saved(tmp_path)
+        (tmp_path / "ckpt" / "params" / "values.t4").unlink()
+        self._refused(tmp_path, model, before, r"checkpoint file .*values\.t4 cannot be read: .*No such file")
+
+    def test_short_file_rejected(self, tmp_path):
+        model, before = self._saved(tmp_path)
+        path = tmp_path / "ckpt" / "params" / "values.t4"
+        path.write_bytes(path.read_bytes()[:-8])
+        self._refused(tmp_path, model, before, r"checkpoint file .*values\.t4 cannot be read: .*expected .* bytes")
+
+    @pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+    def test_wrong_value_count_rejected(self, tmp_path, delta):
+        model, before = self._saved(tmp_path)
+        path = tmp_path / "ckpt" / "params" / "values.t4"
+        values = read_tensor(path).ravel()
+        total = values.size
+        write_tensor(path, np.resize(values, total + delta))
+        self._refused(tmp_path, model, before, rf"values\.t4 holds {total + delta} values, the model has {total}")
 
 
 class TestDeterminism:

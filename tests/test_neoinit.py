@@ -7,7 +7,6 @@ from neonext.errors import ParameterError
 from neonext.neocell import GroupSpec, NeoCellSpec, init_part, merge_parts
 from neonext.neoinit import format_grid, neoinit_pattern
 from neonext.rng import Rng
-from neonext.tensor import Matrix
 
 
 def one_channel_part(rows, cols):
@@ -155,7 +154,7 @@ class TestInvariants:
 
 
 def test_format_grid_alignment():
-    text = format_grid(Matrix(neoinit_pattern(2, 2)))
+    text = format_grid(neoinit_pattern(2, 2))
     lines = text.splitlines()
     assert len(lines) == 2
     assert len(lines[0]) == len(lines[1])

@@ -138,6 +138,6 @@ def test_digest_is_reproducible():
     names = [name for name, _ in lines]
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for _, digest in lines)
     assert len(set(names)) == len(names)
-    for name in ("train.neoinit.checkpoint", "train.random-normal.run_csv", "equiv-check.csv",
-                 "init-dump.no-noise", "bench.dwconv", "synth.split", "op-neocell56.ri.grads"):
+    for name in ("train.neoinit.checkpoint", "train.neoinit.loaded", "train.random-normal.run_csv",
+                 "equiv-check.csv", "init-dump.no-noise", "bench.dwconv", "synth.split", "op-neocell56.ri.grads"):
         assert name in names

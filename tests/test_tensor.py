@@ -85,26 +85,55 @@ class TestMatmul:
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
-        t = Tensor4(Rng(5).normal((2, 3, 4, 5), 1.0))
+        a = Rng(5).normal((2, 3, 4, 5), 1.0)
         path = tmp_path / "t.t4"
-        write_tensor(path, t)
+        write_tensor(path, a)
         back = read_tensor(path)
-        assert back.dims == t.dims
-        assert np.array_equal(back.array, t.array)
+        assert back.shape == a.shape
+        assert np.array_equal(back, a)
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 5), (2, 3, 5), (2, 3, 4, 5)])
+    def test_roundtrip_pads_leading_ones(self, tmp_path, shape):
+        a = Rng(6).normal(shape, 1.0)
+        path = tmp_path / "t.t4"
+        write_tensor(path, a)
+        back = read_tensor(path)
+        assert back.shape == (1,) * (4 - len(shape)) + shape
+        assert np.array_equal(back.reshape(shape), a)
 
     def test_binary_layout(self, tmp_path):
-        t = Tensor4(np.array([1.5, -2.0], dtype=np.float64).reshape(1, 1, 1, 2))
         path = tmp_path / "t.t4"
-        write_tensor(path, t)
-        raw = path.read_bytes()
-        assert len(raw) == 16 + 2 * 8
-        assert raw[:16] == (1).to_bytes(4, "little") * 3 + (2).to_bytes(4, "little")
-        assert np.frombuffer(raw[16:], dtype="<f8").tolist() == [1.5, -2.0]
+        for a in (np.array([1.5, -2.0]), np.array([1.5, -2.0]).reshape(1, 1, 1, 2)):
+            write_tensor(path, a)
+            raw = path.read_bytes()
+            assert len(raw) == 16 + 2 * 8
+            assert raw[:16] == (1).to_bytes(4, "little") * 3 + (2).to_bytes(4, "little")
+            assert np.frombuffer(raw[16:], dtype="<f8").tolist() == [1.5, -2.0]
+
+    def test_four_dim_bytes_are_header_then_row_major_values(self, tmp_path):
+        a = Rng(7).normal((2, 3, 4, 5), 1.0)
+        path = tmp_path / "t.t4"
+        write_tensor(path, a)
+        header = b"".join(d.to_bytes(4, "little") for d in (2, 3, 4, 5))
+        assert path.read_bytes() == header + a.astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (1, 1, 1, 1, 2)], ids=["0-dim", "5-dim"])
+    def test_other_ranks_rejected(self, tmp_path, shape):
+        path = tmp_path / "t.t4"
+        with pytest.raises(ShapeError, match="1 to 4 dims"):
+            write_tensor(path, np.zeros(shape))
+        assert not path.exists()
+
+    def test_read_is_read_only(self, tmp_path):
+        path = tmp_path / "t.t4"
+        write_tensor(path, np.ones((2, 2)))
+        back = read_tensor(path)
+        with pytest.raises(ValueError):
+            back[0, 0, 0, 0] = 5.0
 
     def test_truncated_file_rejected(self, tmp_path):
-        t = Tensor4(np.zeros((1, 1, 2, 2)))
         path = tmp_path / "t.t4"
-        write_tensor(path, t)
+        write_tensor(path, np.zeros((1, 1, 2, 2)))
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(ShapeError):
             read_tensor(path)
