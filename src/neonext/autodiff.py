@@ -4,7 +4,10 @@ Every forward operation appends one node holding the ids of its inputs and a
 closure that maps the output gradient to input gradients.  ``backward`` walks
 the nodes in exact reverse order and accumulates gradients by value id, so
 two identical passes produce bit-identical results.  Tapes are single-use:
-replaying a consumed or empty tape raises.
+replaying a consumed or empty tape raises.  So ``backward`` drops each
+node's closure once it has passed that node, and with it the arrays the
+forward saved for it: a layer's activations are freed as the backward
+leaves the layer, not when the tape goes.  The nodes stay on the tape.
 
 ``fd_check`` is the independent verification harness: central finite
 differences of a scalar loss against analytic gradients, reported per
@@ -84,9 +87,8 @@ def backward(tape: Tape, loss_grad: float = 1.0) -> Grads:
     store: dict[int, np.ndarray] = {tape.nodes[-1].out_vid: np.asarray(loss_grad, dtype=np.float64)}
     for node in reversed(tape.nodes):
         g = store.pop(node.out_vid, None)
-        if g is None:
-            continue
-        gins = node.backward_fn(g)
+        gins = () if g is None else node.backward_fn(g)
+        node.backward_fn = None
         for vid, gi in zip(node.in_vids, gins):
             if gi is None:
                 continue

@@ -48,7 +48,7 @@ class Dataset:
                 f"image count {self.images.dims[0]} != label count {self.labels.size}"
             )
         arr = self.images.array
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        if not (0.0 <= arr.min() and arr.max() <= 1.0):    # NaN fails this too
             raise DataError("pixel values outside [0, 1]")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise DataError(f"labels outside [0, {self.num_classes})")
@@ -77,6 +77,13 @@ class Batch:
     targets: ClassVar[np.ndarray | None] = None
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, a fresh array no one else holds, marked read-only so that
+    ``Tensor4`` takes it without a copy."""
+    arr.flags.writeable = False
+    return arr
+
+
 def batch_order(plan: BatchPlan, n: int) -> np.ndarray:
     """Sample order for one epoch; a pure function of the plan."""
     return Rng(plan.seed).derive(plan.epoch).permutation(n)
@@ -90,7 +97,7 @@ def batches(ds: Dataset, plan: BatchPlan):
     imgs = ds.images.array
     for base in range(0, stop, step):
         idx = order[base : base + step]
-        yield Batch(Tensor4(imgs[idx]), ds.labels[idx])
+        yield Batch(Tensor4(_read_only(imgs[idx])), ds.labels[idx])
 
 
 # ------------------------------------------------------------------- cifar
@@ -121,8 +128,8 @@ def load_cifar10(dir_path) -> tuple[Dataset, Dataset]:
     d = Path(dir_path)
     train_imgs, train_labels = zip(*(_load_cifar_file(d / name) for name in CIFAR_TRAIN_FILES))
     test_imgs, test_labels = _load_cifar_file(d / CIFAR_TEST_FILE)
-    train = Dataset(Tensor4(np.divide(np.concatenate(train_imgs), 255.0)), np.concatenate(train_labels), 10)
-    test = Dataset(Tensor4(np.divide(test_imgs, 255.0)), test_labels, 10)
+    train = Dataset(Tensor4(_read_only(np.divide(np.concatenate(train_imgs), 255.0))), np.concatenate(train_labels), 10)
+    test = Dataset(Tensor4(_read_only(np.divide(test_imgs, 255.0))), test_labels, 10)
     return train, test
 
 
@@ -150,13 +157,14 @@ def synth_task(rng: Rng, n: int, classes: int) -> Dataset:
     jitter = rng.normal((n, 1, 1, 1), 1.0)
     raw = 0.35 * templates[labels] + 0.12 * noise + 0.05 * jitter
     images = _upsample4(np.clip(0.5 + raw, 0.0, 1.0))
-    return Dataset(Tensor4(images), labels, classes)
+    return Dataset(Tensor4(_read_only(images)), labels, classes)
 
 
 def split_dataset(ds: Dataset, n_val: int) -> tuple[Dataset, Dataset]:
     """Disjoint (train, val) split: the last n_val samples become val.
 
-    Each split's images are one copy of a slice of ``ds``'s."""
+    Each split's images are a read-only view of a slice of ``ds``'s, so
+    the two splits share ``ds``'s memory and copy nothing."""
     if not (0 < n_val < ds.size):
         raise ParameterError(f"n_val must be in (0, {ds.size}), got {n_val}")
     cut = ds.size - n_val
@@ -200,4 +208,4 @@ def augment(batch: Batch, rng: Rng, policy: str = "basic", classes: int | None =
     offsets = np.stack([rng.integers(n, 9), rng.integers(n, 9)], axis=1)
     out = crop_with_pad(imgs, offsets)
     out = flip_horizontal(out, rng.uniform(n) < 0.5)
-    return Batch(Tensor4(out), batch.labels)
+    return Batch(Tensor4(_read_only(out)), batch.labels)

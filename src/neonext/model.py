@@ -381,7 +381,10 @@ class PointwiseLayer:
 
 
 class GeluLayer:
-    """Exact GELU, x * Phi(x) with Phi the standard normal CDF."""
+    """Exact GELU, x * Phi(x) with Phi the standard normal CDF.
+
+    With no tape nothing needs Phi(x) afterwards, so the forward writes
+    x * Phi(x) into Phi's buffer instead of a second array."""
 
     name = "gelu"
 
@@ -394,6 +397,8 @@ class GeluLayer:
     def forward(self, v: Val, tape: Tape | None, ctx: ForwardCtx) -> Val:
         x = v.array
         cdf = ndtr(x)
+        if tape is None:
+            return Val(np.multiply(x, cdf, out=cdf))
         ov = Val(x * cdf)
 
         def back(g):

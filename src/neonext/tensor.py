@@ -6,10 +6,14 @@ Conventions, pinned for the whole package:
 - element type is 64-bit IEEE float everywhere;
 - ``Tensor4`` is laid out row-major over (n, c, h, w) with unit stride on
   the last axis, no broadcasting, no negative-stride views;
-- every operation is pure: inputs are never mutated, and both ``Tensor4``
-  and ``Matrix`` freeze their backing buffer at construction.  ``Matrix``
-  serves the per-channel reference API only (``neocell.NeoCellParams``,
-  ``equiv``).
+- every operation is pure: inputs are never mutated, and the arrays that
+  ``Tensor4`` and ``Matrix`` hold are read-only.  A C-contiguous float64
+  array that is read-only, and views only read-only arrays down to the one
+  that owns the memory, is held as it is; anything else is copied once into
+  a read-only array.  So a caller that hands over a fresh array marks it
+  read-only first and saves the copy, and must then never make that array
+  (or any array it views) writable again.  ``Matrix`` serves the
+  per-channel reference API only (``neocell.NeoCellParams``, ``equiv``).
 
 The module holds containers and the file format only; products live with
 the operator (``neocell``), where the block-diagonal reference keeps the
@@ -35,10 +39,20 @@ _HEADER_DTYPE = np.dtype("<u4")
 _DATA_DTYPE = np.dtype("<f8")
 
 
+def _read_only_throughout(arr: np.ndarray) -> bool:
+    """Whether ``arr`` and every array it views are read-only, down to an
+    array that owns its memory."""
+    while arr is not None:
+        if not isinstance(arr, np.ndarray) or arr.flags.writeable:
+            return False
+        arr = arr.base
+    return True
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=np.float64)
-    if out is arr or out.base is arr:
-        out = out.copy()
+    if arr.dtype == np.float64 and arr.flags.c_contiguous and _read_only_throughout(arr):
+        return arr
+    out = np.array(arr, dtype=np.float64, order="C")
     out.flags.writeable = False
     return out
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,15 @@ from neonext.autodiff import (
 )
 from neonext.equiv import random_params
 from neonext.errors import NumericError, ParameterError, UsageError
-from neonext.model import ForwardCtx, LinearLayer, NeoCellLayer
+from neonext.model import (
+    ForwardCtx,
+    LinearLayer,
+    NeoCellLayer,
+    build_model,
+    named_spec,
+    one_hot,
+    softmax_cross_entropy,
+)
 from neonext.neocell import (
     GroupSpec,
     NeoCellParams,
@@ -103,6 +114,35 @@ class TestTape:
         tape = Tape()
         half_square(tape, lin.forward(Val(np.ones((2, 2))), tape, CTX))
         backward(tape)
+        with pytest.raises(UsageError, match="consumed"):
+            backward(tape)
+
+    def test_backward_frees_what_each_closure_saved(self):
+        def scale_by(saved):
+            return lambda g: (g * saved,)
+
+        saved = np.arange(3.0)
+        held = weakref.ref(saved)
+        p = Param("p", np.ones(3))
+        tape = Tape()
+        tape.record(Val(p.array * saved), (p,), scale_by(saved))
+        del saved
+        gc.collect()
+        assert held() is not None
+        grads = backward(tape, np.ones(3))
+        assert held() is None    # only the closure held it, and the tape is still here
+        assert np.array_equal(grads["p"], [0.0, 1.0, 2.0])
+        assert len(tape.nodes) == 1 and tape.nodes[0].backward_fn is None
+
+    def test_micro_train_step_keeps_its_59_nodes(self):
+        rng = Rng(6)
+        model = build_model(named_spec("neonext-micro", classes=10), 32, rng)
+        tape = Tape()
+        logits = model.forward(Tensor4(rng.normal((4, 3, 32, 32), 1.0)), ForwardCtx("train", Rng(7)), tape)
+        softmax_cross_entropy(tape, logits, one_hot(np.arange(4), 10))
+        backward(tape)
+        assert len(tape.nodes) == 59
+        assert all(node.backward_fn is None for node in tape.nodes)
         with pytest.raises(UsageError, match="consumed"):
             backward(tape)
 

@@ -241,6 +241,15 @@ class TestGelu:
         neg = run(GeluLayer(), -x)
         assert np.abs(pos - (x + neg)).max() <= 1e-12
 
+    def test_untaped_forward_gives_the_taped_bytes(self):
+        # with no tape the product is written into Phi's buffer, in place
+        x = Rng(13).normal((3, 4, 5, 6), 2.0).transpose(2, 0, 1, 3)    # row-interleaved
+        x.flags.writeable = False
+        taped = GeluLayer().forward(Val(x), Tape(), ForwardCtx()).array
+        untaped = run(GeluLayer(), x)
+        assert untaped.tobytes() == taped.tobytes()
+        assert untaped.strides == taped.strides
+
 
 def test_global_avg_pool():
     x = Rng(10).normal((2, 3, 4, 5), 1.0)

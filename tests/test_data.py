@@ -1,5 +1,6 @@
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from neonext.data import (
     BatchPlan,
     CIFAR_TRAIN_FILES,
     CIFAR_TEST_FILE,
+    Dataset,
     augment,
     batch_order,
     batches,
@@ -21,6 +23,7 @@ from neonext.data import (
 )
 from neonext.errors import ConfigError, DataError
 from neonext.rng import Rng
+from neonext.tensor import Tensor4
 
 REAL_CIFAR_DIR = os.environ.get("CIFAR10_DIR", "")
 
@@ -36,11 +39,36 @@ def write_fake_cifar(directory: Path, seed: int = 0) -> None:
         recs.tofile(directory / name)
 
 
+def traced_peak(fn):
+    """``fn()``'s result and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
 @pytest.fixture(scope="session")
 def fake_cifar_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("cifar")
     write_fake_cifar(d)
     return d
+
+
+class TestDataset:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.25, 1.25])
+    def test_pixel_outside_unit_range_refused(self, bad):
+        imgs = np.full((2, 3, 4, 4), 0.5)
+        imgs[1, 2, 3, 0] = bad
+        with pytest.raises(DataError, match=re.escape("pixel values outside [0, 1]")):
+            Dataset(Tensor4(imgs), np.array([0, 1]), 2)
+
+    def test_unit_range_edges_accepted(self):
+        imgs = np.full((2, 3, 4, 4), 0.5)
+        imgs[0, 0, 0, 0], imgs[1, 0, 0, 0] = 0.0, 1.0
+        assert Dataset(Tensor4(imgs), np.array([0, 1]), 2).size == 2
 
 
 class TestCifarLoader:
@@ -49,6 +77,11 @@ class TestCifarLoader:
         assert train.size == 50_000
         assert test.size == 10_000
         assert train.images.dims == (50_000, 3, 32, 32)
+
+    def test_peak_memory_below_one_and_a_half_train_sets(self, fake_cifar_dir):
+        # the float64 train set is not copied after its one conversion
+        (train, _), peak = traced_peak(lambda: load_cifar10(fake_cifar_dir))
+        assert peak < 1.5 * train.images.array.nbytes
 
     def test_pixel_scaling_roundtrip(self, fake_cifar_dir):
         train, _ = load_cifar10(fake_cifar_dir)
@@ -129,14 +162,25 @@ class TestSynthTask:
         blocks = synth_task(Rng(12), 50, 5).images.array.reshape(50, 3, 8, 4, 8, 4)
         assert (blocks == blocks[:, :, :, :1, :, :1]).all()
 
-    def test_split_is_the_two_slices_each_its_own_copy(self):
+    def test_split_is_the_two_slices_as_read_only_views(self):
         ds = synth_task(Rng(8), 100, 5)
         train, val = split_dataset(ds, 30)
         full = ds.images.array
         assert np.array_equal(train.images.array, full[:70]) and np.array_equal(val.images.array, full[70:])
         assert np.array_equal(train.labels, ds.labels[:70]) and np.array_equal(val.labels, ds.labels[70:])
-        assert not np.shares_memory(train.images.array, full)
-        assert not np.shares_memory(val.images.array, full)
+        for split in (train, val):
+            assert np.shares_memory(split.images.array, full)
+            with pytest.raises(ValueError):
+                split.images.array[0, 0, 0, 0] = 0.5
+
+    def test_build_and_split_peak_below_1_6_datasets(self):
+        # neither the build's result nor the two splits are copied
+        def build_and_split():
+            ds = synth_task(Rng(8), 2432, 10)
+            return ds, split_dataset(ds, 432)
+
+        (ds, _), peak = traced_peak(build_and_split)
+        assert peak < 1.6 * ds.images.array.nbytes
 
     def test_deterministic(self):
         a = synth_task(Rng(5), 100, 2)

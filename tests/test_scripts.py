@@ -141,3 +141,28 @@ def test_digest_is_reproducible():
     for name in ("train.neoinit.checkpoint", "train.neoinit.loaded", "train.random-normal.run_csv",
                  "equiv-check.csv", "init-dump.no-noise", "bench.dwconv", "synth.split", "op-neocell56.ri.grads"):
         assert name in names
+
+
+def test_paper_step_micro_case():
+    proc = run_script("paper_step.py", "--model", "neonext-micro", "--size", "32", "--batch", "2", "--steps", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [ln.split(" ")[0] for ln in lines] == ["params", "build_model_s", "step_ms_median", "peak_rss_mb"]
+    assert lines[0] == "params 693256"
+    assert re.fullmatch(r"build_model_s \d+\.\d{3}", lines[1])
+    assert re.fullmatch(r"step_ms_median \d+\.\d over 1 steps", lines[2])
+    assert re.fullmatch(r"peak_rss_mb \d+\.\d", lines[3])
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--batch", "3"), "--batch must be in [1, 2], got 3"),
+    (("--steps", "0"), "--steps must be in [1, 10], got 0"),
+    (("--size", "0"), "--size must be >= 1, got 0"),
+    (("--size", "30"), "input 30 not divisible by stem patch 4"),
+    (("--model", "nope"), "invalid choice: 'nope'"),
+])
+def test_paper_step_bad_input_exits_1(args, message):
+    proc = run_script("paper_step.py", "--model", "neonext-micro", "--size", "32", *args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: paper_step.py: ") and message in proc.stderr, proc.stderr
+    assert proc.stdout == ""

@@ -44,6 +44,30 @@ class TestTensor4:
         Tensor4(src)
         src[0, 0, 0, 0] = 3.0  # still writable
 
+    def test_keeps_a_read_only_array_without_a_copy(self):
+        src = np.ones((3, 1, 2, 2))
+        src.flags.writeable = False
+        assert Tensor4(src).array is src
+        view = src[1:]    # read-only, and so is the array it views
+        t = Tensor4(view)
+        assert t.array is view and np.shares_memory(t.array, src)
+
+    def test_copies_a_writable_array(self):
+        src = np.ones((1, 1, 2, 2))
+        t = Tensor4(src)
+        assert not np.shares_memory(t.array, src)
+        src[0, 0, 0, 0] = 3.0
+        assert t.array[0, 0, 0, 0] == 1.0
+
+    def test_copies_a_read_only_view_of_a_writable_array(self):
+        src = np.ones((3, 1, 2, 2))
+        view = src[1:]
+        view.flags.writeable = False
+        t = Tensor4(view)
+        assert not np.shares_memory(t.array, src)
+        src[1, 0, 0, 0] = 3.0
+        assert t.array[0, 0, 0, 0] == 1.0
+
 
 class TestMatmul:
     """The package's one ascending-k product, run by the block-diagonal
