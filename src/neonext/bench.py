@@ -138,7 +138,7 @@ def counted_neocell(c: int, h: int, w: int, k: int, seed: int = 0) -> int:
     weights = init_part(part, Rng(seed))
     x = Rng(seed + 1).normal((1, c, h, w), 1.0)
     counter = MultCounter()
-    cell_forward(x, [part], [weights], np.empty_like(x), np.empty_like(x), counter)
+    cell_forward(x, [part], [weights], np.empty_like(x), np.empty_like(x), [None], counter)
     return counter.multiplies
 
 
@@ -177,7 +177,7 @@ def _bench_callable(op: str, c: int, h: int, w: int, k: int, seed: int):
 
             def fn():
                 out = np.empty_like(x)
-                cell_forward(x, [part], [(L, R)], out, np.empty_like(x))
+                cell_forward(x, [part], [(L, R)], out, np.empty_like(x), [None])
                 return out
 
             return fn, mults

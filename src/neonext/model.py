@@ -41,10 +41,14 @@ channel and band, not one per image.  The other layers allocate their
 outputs and input gradients in their input's memory order.
 ``NeoCellLayer`` allocates its L x workspace in that order too, copies an
 output gradient of another layout into its output's (which no model step
-needs), and hands out its previous call's output, input gradient and
-workspace again when they are large and nothing else references them
-(``_recycled``).  A tape holds the workspace from the forward until its
-backward consumes it.
+needs), and hands out its previous call's output and kernel workspaces
+(L x, the W-wrap strips, the G R^T scratch) again when its input is large
+and nothing else references them (``_recycled``).  A tape holds L x and
+the strips from the forward until its backward consumes them.  A layer
+whose L x workspace is shaped like its input, every one but the 2->1
+downsamples, has the backward write the input gradient into that
+workspace and returns it; a resampling layer's input gradient is one more
+recycled array, and it makes no scratch.
 
 Batchnorm normalizes with batch statistics in train mode and with its
 ``running_mean``/``running_var`` in eval mode.  A train-mode forward with
@@ -85,6 +89,8 @@ from .neocell import (
     lx_shape,
     merge_parts,
     output_shape,
+    scratch_shape,
+    strip_shapes,
 )
 from .rng import Rng
 from .tensor import Tensor4, read_tensor, write_tensor
@@ -94,11 +100,13 @@ IN_CHANNELS = 3   # RGB
 STEM_PATCH = 4
 EXPANSION = 4     # a block's pointwise expand widens C to EXPANSION * C
 STAGE_POLICIES = ("mixed-shift", "mixed-shift", "mixed-shift", "single-7")
-# NeoCellLayer recycles arrays from this size on.  On a 2-vCPU Xeon,
-# recycling op-neocell56's 18.4 MiB arrays removes ~2,200 first-touch page
-# faults per forward+backward (54 -> 42 ms); with no floor, holding the
-# micro model's (at most 3 MiB) added ~2,000 faults per eval-micro op and
-# slowed it 5-10%.
+# NeoCellLayer recycles its arrays when its input has this size.  On a
+# 2-vCPU Xeon, recycling op-neocell56's 18.4 MiB arrays removes ~2,200
+# first-touch page faults per forward+backward (54 -> 42 ms), and its wrap
+# strips and 2.4 MB G R^T scratch ~900 more (1,150 -> 224) in a process
+# that has freed no large block, where glibc hands freed heap back to the
+# system; with no floor, holding the micro model's (at most 3 MiB) added
+# ~2,000 faults per eval-micro op and slowed it 5-10%.
 RECYCLE_MIN_BYTES = 8 << 20
 BN_EPS = 1e-8
 BN_MOMENTUM = 0.1
@@ -241,7 +249,7 @@ class NeoCellLayer:
             pl = Param(f"{name}.p{pi}.left", left, "neocell_left")
             pr = Param(f"{name}.p{pi}.right", right, "neocell_right")
             self.part_params.append((pl, pr, None))
-        self._kept = {}    # "out" / "gx" -> (key, array) of the last call
+        self._kept = {}    # slot -> (key, array) of the last call
 
     def params(self):
         return [p for pl, pr, _ in self.part_params for p in (pl, pr)]
@@ -252,7 +260,10 @@ class NeoCellLayer:
     def _recycled(self, slot: str, x: np.ndarray, shape) -> np.ndarray:
         """An uninitialized ``shape`` array in x's dtype and memory order:
         this slot's last one when its key matches and nothing else
-        references it, else a fresh one, kept if it has RECYCLE_MIN_BYTES.
+        references it, else a fresh one, kept if x has RECYCLE_MIN_BYTES.
+        The slots are "out", "lx" (which a non-resampling layer's backward
+        also returns as grad_x), "strip<i>" per shifted run, and the
+        backward's "scratch" or, in a resampling layer, "gx".
 
         "Nothing else" is read from CPython's reference count (the kept
         tuple and ``getrefcount``'s argument make 2).  A numpy view holds
@@ -263,7 +274,7 @@ class NeoCellLayer:
         kept = self._kept.pop(slot, None)
         if kept is None or kept[0] != key or sys.getrefcount(kept[1]) != 2:
             kept = (key, np.empty_like(x, shape=shape))
-        if kept[1].nbytes >= RECYCLE_MIN_BYTES:
+        if x.nbytes >= RECYCLE_MIN_BYTES:
             self._kept[slot] = kept
         return kept[1]
 
@@ -271,8 +282,12 @@ class NeoCellLayer:
         x = v.array
         out = self._recycled("out", x, self.out_shape(x.shape))
         lx = self._recycled("lx", x, lx_shape(x.shape, out.shape))
+        strips = [
+            shape and self._recycled(f"strip{i}", x, shape)
+            for i, shape in enumerate(strip_shapes(self.parts, out.shape))
+        ]
         weights = [(pl.array, pr.array) for pl, pr, _ in self.part_params]
-        strips = cell_forward(x, self.parts, weights, out, lx)
+        cell_forward(x, self.parts, weights, out, lx, strips)
         ov = Val(out)
         strides = out.strides
 
@@ -282,8 +297,13 @@ class NeoCellLayer:
                 # never differs, a probe gradient from outside may
                 g, gout = gout, np.empty_like(x, shape=gout.shape)
                 gout[...] = g
-            # consumes lx: a tape runs its backward once
-            gx, grads = cell_backward(x, self.parts, weights, gout, self._recycled("gx", x, x.shape), lx, strips)
+            # consumes lx, a tape runs its backward once; grad_x goes into
+            # lx's place where it fits
+            if lx.shape == x.shape:
+                gx, scratch = lx, self._recycled("scratch", x, scratch_shape(self.parts, lx.shape))
+            else:
+                gx, scratch = self._recycled("gx", x, x.shape), None
+            gx, grads = cell_backward(x, self.parts, weights, gout, gx, lx, strips, scratch)
             return [gx] + [g for pair in grads for g in pair]
 
         _record(tape, ov, (v, *self.params()), back)
@@ -384,7 +404,9 @@ class GeluLayer:
     """Exact GELU, x * Phi(x) with Phi the standard normal CDF.
 
     With no tape nothing needs Phi(x) afterwards, so the forward writes
-    x * Phi(x) into Phi's buffer instead of a second array."""
+    x * Phi(x) into Phi's buffer instead of a second array.  On a tape the
+    forward also builds the derivative Phi(x) + x * phi(x) in one buffer and
+    keeps only that: the backward multiplies it by the output gradient."""
 
     name = "gelu"
 
@@ -400,17 +422,15 @@ class GeluLayer:
         if tape is None:
             return Val(np.multiply(x, cdf, out=cdf))
         ov = Val(x * cdf)
+        d = np.square(x)
+        d *= -0.5
+        np.exp(d, out=d)
+        d *= x
+        d *= _INV_SQRT2PI
+        d += cdf
 
         def back(g):
-            # g * (Phi(x) + x * phi(x)), built in one buffer
-            d = np.square(x)
-            d *= -0.5
-            np.exp(d, out=d)
-            d *= x
-            d *= _INV_SQRT2PI
-            d += cdf
-            d *= g
-            return (d,)
+            return (d * g,)
 
         _record(tape, ov, (v,), back)
         return ov

@@ -31,10 +31,17 @@ patch.
 
 The forward keeps what the backward needs.  Every part's L x goes into one
 (n, c, H/h*h_out, W) workspace of the caller's, in x's layout;
-``cell_forward`` leaves it there and returns one W-wrap strip per run, and
-``cell_backward`` takes both and consumes the workspace in place,
-overwriting L x with G R^T.  A workspace therefore serves one backward, as
-a tape does (``autodiff.backward`` refuses a consumed tape).
+``cell_forward`` leaves it there and puts each shifted run's W-wrap strip
+into an array of the caller's, and ``cell_backward`` takes both and
+consumes the workspace: each run reads its L x for grad_R, then its place
+in the workspace takes either the run's G R^T or, where the workspace is
+shaped like x and the caller passes it as grad_x, the run's grad_x, with
+G R^T in a scratch of the caller's sized for the widest run.  A workspace
+therefore serves one backward, as a tape does (``autodiff.backward``
+refuses a consumed tape).  The kernel's own allocations are small
+temporaries (wrapping bands, weight-gradient products), so a caller that
+holds these arrays across calls, as ``model.NeoCellLayer`` does,
+allocates nothing of activation size per call.
 
 Shifts never move activations.  A subgroup shifted by s reads the same
 views from row s and from flat element s: every band along H except the one
@@ -359,18 +366,32 @@ def lx_shape(x_shape, out_shape) -> tuple:
     return (*out_shape[:3], x_shape[3])
 
 
-def cell_forward(x: np.ndarray, parts, weights, out: np.ndarray, lx: np.ndarray, counter: MultCounter | None = None):
+def strip_shapes(parts, out_shape) -> list:
+    """The shapes of ``cell_forward``'s W-wrap strips for an (n, c, H', W')
+    output: (n, cb, H', w) per run of cb shifted channels, None per
+    unshifted run, in part order."""
+    n, _, H_out, _ = out_shape
+    return [(n, b - a, H_out, p.w) if s else None for p in parts for a, b, s in p.runs]
+
+
+def scratch_shape(parts, lx_shape) -> tuple:
+    """The shape of ``cell_backward``'s G R^T scratch: the L x workspace's
+    with the widest run's channel count."""
+    return (lx_shape[0], max(b - a for p in parts for a, b, _ in p.runs), *lx_shape[2:])
+
+
+def cell_forward(x: np.ndarray, parts, weights, out: np.ndarray, lx: np.ndarray, strips, counter: MultCounter | None = None):
     """The patch kernel, in the dtype of its inputs.
 
     x is (n, c, H, W); ``weights`` holds one stacked (L, R) pair per part,
     L (cp, h_out, h) and R (cp, w, w_out).  Every element of the caller's
     (n, c, H', W') ``out`` is written.  ``lx`` is the caller's workspace of
     ``lx_shape``; it receives every part's L x, left for ``cell_backward``
-    with its W-wrap columns zeroed.  Callers pass ``np.empty_like(x,
-    shape=…)`` for both, so they take x's layout, or, in
-    ``model.NeoCellLayer``, recycled arrays of that layout.  Returns the
-    W-wrap columns' values: one (n, cb, H', w) strip in x's layout per run
-    of cb shifted channels, None per unshifted run, in part order.
+    with its W-wrap columns zeroed.  ``strips`` holds the caller's arrays
+    of ``strip_shapes`` (None per unshifted run); each receives its run's
+    W-wrap columns of L x.  Callers pass ``np.empty_like(x, shape=…)`` for
+    all of them, so they take x's layout, or, in ``model.NeoCellLayer``,
+    recycled arrays of that layout.
 
     Two band GEMMs per run on views, with no patch transpose: L acts along
     H on x viewed as (n, cb, H/h, h, W) bands, then R acts along W on that
@@ -387,34 +408,32 @@ def cell_forward(x: np.ndarray, parts, weights, out: np.ndarray, lx: np.ndarray,
     ``_fold`` runs the rows of a channel's images as one.
     """
     n, _, H, W = x.shape
-    strips = []
+    strips = iter(strips)
     for part, (L, R) in zip(parts, weights):
         h, w, h_out, w_out = part.h, part.w, part.h_out, part.w_out
         if counter is not None:
             counter.add(n * part.count * (H // h) * (W // w) * (h_out * h * w + h_out * w * w_out))
         # weights are indexed within the part, activations across the layer
-        for a, b, s in part.runs:
+        # zip draws a run first, so each part takes exactly its runs' strips
+        for (a, b, s), strip in zip(part.runs, strips):
             c = slice(part.start + a, part.start + b)
             lc = lx[:, c]
             xb, lb = _fold((x[:, c], lc), 3)
             np.matmul(L[a:b, None], _bands(xb, h, s), out=_bands(lb, h_out, s))
-            strip = None
             if s:
                 _scatter(lb, np.matmul(L[a:b], _gather(xb, h, s, 2)), s, 2)
-                strip = _gather(lc, w, s, 3, np.empty_like(lc, shape=(*lc.shape[:3], w)))
+                _gather(lc, w, s, 3, strip)
                 # the wrapping chunks' products are discarded; zeroed, these
                 # columns add nothing to the backward's grad_R
                 for piece in _wrap(W, w, s, 3):
                     lc[piece] = 0
-            strips.append(strip)
             lf, of, sf = _fold((lc, out[:, c], strip), 2)
             np.matmul(_chunks(lf, w, s), R[a:b], out=_chunks(of, w_out, s))
             if s:
                 _scatter(of, np.matmul(sf, R[a:b]), s, 3)
-    return strips
 
 
-def cell_backward(x: np.ndarray, parts, weights, gy: np.ndarray, gx: np.ndarray, lx: np.ndarray, strips):
+def cell_backward(x: np.ndarray, parts, weights, gy: np.ndarray, gx: np.ndarray, lx: np.ndarray, strips, scratch=None):
     """Gradients of ``cell_forward`` for the output gradient ``gy``.
 
     ``lx`` and ``strips`` are what ``cell_forward`` on x and ``weights``
@@ -432,8 +451,12 @@ def cell_backward(x: np.ndarray, parts, weights, gy: np.ndarray, gx: np.ndarray,
     every view at offset s and handles its wrapping band and chunk column
     apart, as in the forward; the zeroed wrap columns of L X make the wrong
     chunks add nothing to grad_R, and the strip adds the wrapping chunks'
-    share.  G R^T overwrites ``lx`` once L X is used, so ``lx`` is
-    consumed.
+    share.  ``lx`` is consumed: each run reads its L X for grad_R first.
+    With a separate ``gx``, G R^T then overwrites the run's L X.  ``gx`` may
+    be ``lx`` itself when ``lx`` is shaped like x (h_out == h): G R^T then
+    goes into the caller's ``scratch`` of ``scratch_shape`` in lx's layout,
+    which only that case takes, and each run's grad_x into the place of its
+    own used-up L X.  Both give the same bits.
 
     Returns (gx, grads) with one (grad_L, grad_R) pair per part, shaped
     like ``weights``.  Each weight gradient is reduced in one fixed order,
@@ -451,20 +474,23 @@ def cell_backward(x: np.ndarray, parts, weights, gy: np.ndarray, gx: np.ndarray,
         for (a, b, s), strip in zip(part.runs, strips):
             c = slice(part.start + a, part.start + b)
             Lt, Rt = L[a:b].swapaxes(-1, -2), Rts[a:b]
-            lf, gf, lw = _fold((lx[:, c], gy[:, c], strip), 2)
-            lrows, grows = _chunks(lf, w, s), _chunks(gf, w_out, s)
-            grad_r[a:b] = np.matmul(lrows.swapaxes(-1, -2), grows).sum(axis=0)
-            np.matmul(grows, Rt, out=lrows)
+            # G R^T goes over L X unless L X's place receives grad_x
+            grt = scratch[:, : b - a] if gx is lx else lx[:, c]
+            lf, gf, tf, lw = _fold((lx[:, c], gy[:, c], grt, strip), 2)
+            grows = _chunks(gf, w_out, s)
+            grad_r[a:b] = np.matmul(_chunks(lf, w, s).swapaxes(-1, -2), grows).sum(axis=0)
+            np.matmul(grows, Rt, out=_chunks(tf, w, s))
             if s:
                 gw = _gather(gf, w_out, s, 3)
                 grad_r[a:b] += np.matmul(lw.swapaxes(-1, -2), gw).sum(axis=0)
-                _scatter(lf, np.matmul(gw, Rt), s, 3)
-            xb, lb, ob = _fold((x[:, c], lx[:, c], gx[:, c]), 3)
-            gbands = _bands(lb, h_out, s)
+                _scatter(tf, np.matmul(gw, Rt), s, 3)
+            # this run's L X is used up: its place may now take grad_x
+            xb, tb, ob = _fold((x[:, c], grt, gx[:, c]), 3)
+            gbands = _bands(tb, h_out, s)
             grad_l[a:b] = np.matmul(gbands, _bands(xb, h, s).swapaxes(-1, -2)).sum(axis=(0, 2))
             np.matmul(Lt[:, None], gbands, out=_bands(ob, h, s))
             if s:
-                grw, xw = _gather(lb, h, s, 2), _gather(xb, h, s, 2)
+                grw, xw = _gather(tb, h, s, 2), _gather(xb, h, s, 2)
                 grad_l[a:b] += np.matmul(grw, xw.swapaxes(-1, -2)).sum(axis=0)
                 _scatter(ob, np.matmul(Lt, grw), s, 2)
         grads.append((grad_l, grad_r))
@@ -482,7 +508,8 @@ def forward_patchwise(
     params.validate(spec)
     parts = merge_parts(spec)
     lx = np.empty_like(x.array, shape=lx_shape(x.dims, out.shape))
-    cell_forward(x.array, parts, [params.stacked(p) for p in parts], out, lx, counter)
+    strips = [s and np.empty_like(x.array, shape=s) for s in strip_shapes(parts, out.shape)]
+    cell_forward(x.array, parts, [params.stacked(p) for p in parts], out, lx, strips, counter)
     return Tensor4(out)
 
 

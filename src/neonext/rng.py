@@ -20,6 +20,11 @@ Derived values:
   z0 = sqrt(-2 ln u1) cos(2 pi u2), z1 = sqrt(-2 ln u1) sin(2 pi u2);
 - permutations: argsort of a fresh uniform draw.
 
+Normals are made ``_CHUNK`` raws at a time: each pass mixes its counters in
+place and writes its Box-Muller pairs into strided slices of the result, so
+a draw holds its result and one chunk's temporaries, never raws for the
+whole draw.  Chunking changes no bit and no stream position.
+
 Uniforms inherit the cross-platform bit guarantee.  Normals additionally
 depend on libm's log/cos/sin rounding; they are bit-stable across runs on a
 given platform, which is what the reproducibility tests pin.
@@ -36,12 +41,22 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _DERIVE = np.uint64(0xD6E8FEB86659FD93)
 _U53 = 2.0**-53
+# Raws per pass of ``standard_normal``.  On a 2-vCPU Xeon, drawn in one
+# pass, the 2.4M normals of op-neocell56's input peaked at 4.5x their bytes
+# (82.7 MB traced) and took a median 117 ms over 16 rounds; in passes of
+# 2**16 raws they peak at 1.14x and take 82 ms.  2**14 and 2**15 timed the
+# same, 2**13 and 2**17 about 5% slower.
+_CHUNK = 1 << 16
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64's finalizer applied to z in place; returns z."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _check_count(method: str, n: int) -> None:
@@ -66,9 +81,11 @@ class Rng:
 
     def next_u64(self, n: int) -> np.ndarray:
         _check_count("next_u64", n)
-        idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+        z = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
-        return _mix64(self._seed + idx * _GOLDEN)
+        z *= _GOLDEN
+        z += self._seed
+        return _mix64(z)
 
     def uniform(self, n: int) -> np.ndarray:
         """n doubles uniform on [0, 1)."""
@@ -76,18 +93,19 @@ class Rng:
         return (self.next_u64(n) >> np.uint64(11)).astype(np.float64) * _U53
 
     def standard_normal(self, n: int) -> np.ndarray:
-        """n doubles from N(0, 1) via Box-Muller; draws ceil(n/2)*2 raws."""
+        """n doubles from N(0, 1) via Box-Muller; draws ceil(n/2)*2 raws,
+        _CHUNK at a time."""
         _check_count("standard_normal", n)
-        pairs = (n + 1) // 2
-        raw = self.next_u64(2 * pairs)
-        a, b = raw[0::2], raw[1::2]
-        u1 = ((a >> np.uint64(11)).astype(np.float64) + 1.0) * _U53
-        u2 = (b >> np.uint64(11)).astype(np.float64) * _U53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * np.pi) * u2
-        out = np.empty(2 * pairs, dtype=np.float64)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
+        size = (n + 1) // 2 * 2
+        out = np.empty(size, dtype=np.float64)
+        for start in range(0, size, _CHUNK):
+            raw = self.next_u64(min(_CHUNK, size - start)) >> np.uint64(11)
+            u1 = (raw[0::2].astype(np.float64) + 1.0) * _U53
+            u2 = raw[1::2].astype(np.float64) * _U53
+            r = np.sqrt(-2.0 * np.log(u1))
+            theta = (2.0 * np.pi) * u2
+            out[start : start + raw.size : 2] = r * np.cos(theta)
+            out[start + 1 : start + raw.size : 2] = r * np.sin(theta)
         return out[:n]
 
     def normal(self, shape, sigma: float = 1.0) -> np.ndarray:
@@ -95,8 +113,9 @@ class Rng:
             raise ParameterError(f"normal: sigma must be finite and >= 0, got {sigma}")
         if (np.asarray(shape) < 0).any():
             raise ParameterError(f"normal: shape must have no negative dims, got {shape}")
-        size = int(np.prod(shape))
-        return (self.standard_normal(size) * sigma).reshape(shape)
+        out = self.standard_normal(int(np.prod(shape)))
+        out *= sigma
+        return out.reshape(shape)
 
     def permutation(self, n: int) -> np.ndarray:
         _check_count("permutation", n)

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from neonext.autodiff import Param, Tape, Val, backward, fd_check
 from neonext.errors import ShapeError
@@ -249,6 +250,26 @@ class TestGelu:
         untaped = run(GeluLayer(), x)
         assert untaped.tobytes() == taped.tobytes()
         assert untaped.strides == taped.strides
+
+    def test_taped_forward_keeps_only_the_derivative(self):
+        # the closure holds Phi(x) + x*phi(x) in one array, not x and Phi(x),
+        # and its backward gives the bytes of the formula built in backward
+        x = Rng(14).normal((3, 4, 5, 6), 2.0).transpose(2, 0, 1, 3)
+        g = Rng(15).normal((3, 4, 5, 6), 1.0).transpose(2, 0, 1, 3)
+        tape = Tape()
+        GeluLayer().forward(Val(x), tape, ForwardCtx())
+        back = tape.nodes[-1].backward_fn
+        held = [cell.cell_contents for cell in back.__closure__]
+        assert [type(a) for a in held] == [np.ndarray] and held[0].shape == x.shape
+        want = np.square(x)
+        want *= -0.5
+        np.exp(want, out=want)
+        want *= x
+        want *= 1.0 / np.sqrt(2.0 * np.pi)
+        want += ndtr(x)
+        want *= g
+        (got,) = back(g)
+        assert got.tobytes() == want.tobytes() and got.strides == want.strides
 
 
 def test_global_avg_pool():

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -377,6 +378,58 @@ class TestNeoCellLayerAliasing:
         assert lx1() is None
         self.record(layer, x1)
         assert layer._kept["lx"][1] is lx2()
+
+    DOWNSAMPLE_SPEC = NeoCellSpec((GroupSpec(0, 8, 2, 2, 1, 1),))
+
+    def test_grad_x_goes_into_the_workspace_unless_resampling(self):
+        # a workspace shaped like x takes grad_x, with G R^T in a scratch,
+        # so no "gx" slot is made; the 2->1 downsample's smaller workspace
+        # cannot, and keeps a "gx" slot and no scratch
+        layer, (x, g, _, _) = self.recycle_case(self.BIG)
+        _, gx = self.step(layer, x, g)
+        assert set(layer._kept) == {"out", "lx", "strip1", "scratch"}
+        assert gx is layer._kept["lx"][1]
+        layer = NeoCellLayer("down", self.DOWNSAMPLE_SPEC, Rng(41))
+        _, gx = self.step(layer, x, Rng(42).normal(layer.out_shape(x.shape), 1.0))
+        assert set(layer._kept) == {"out", "lx", "gx"}
+        assert gx is layer._kept["gx"][1]
+
+    def test_strips_and_scratch_are_reused(self):
+        # from the second step on the layer allocates nothing of activation
+        # size: every kept array is handed out again, stale values and all
+        layer, (x1, g1, x2, g2) = self.recycle_case(self.BIG)
+        self.step(layer, x1, g1)
+        kept = {slot: weakref.ref(array) for slot, (_, array) in layer._kept.items()}
+        tape, out = self.record(layer, x2)
+        grads = self.finish(tape, out, g2)
+        assert layer._kept.keys() == kept.keys()
+        assert all(layer._kept[slot][1] is ref() for slot, ref in kept.items())
+        self.assert_matches_reference(layer, x2, g2, out.array, grads)
+
+    @pytest.mark.parametrize(
+        "spec, bound",
+        [
+            # 3.54x; a separate x-sized grad_x read 4.04x
+            (RECYCLE_SPEC, 3.75),
+            # 2.755x, as with the old layer; a G R^T scratch would read 3.255x
+            (DOWNSAMPLE_SPEC, 3.0),
+        ],
+        ids=["recycle-spec", "downsample"],
+    )
+    def test_first_step_traced_peak(self, spec, bound):
+        # a fresh layer's first forward and backward, with the Param's copy
+        # of x, in multiples of x's bytes
+        rng = Rng(43)
+        layer = NeoCellLayer("cell", spec, rng)
+        x = rng.normal(self.BIG, 1.0)
+        g = rng.normal(layer.out_shape(x.shape), 1.0)
+        tracemalloc.start()
+        try:
+            self.step(layer, x, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / x.nbytes < bound
 
     SPECS = pytest.mark.parametrize(
         "groups",

@@ -21,6 +21,8 @@ from neonext.neocell import (
     lx_shape,
     merge_parts,
     output_shape,
+    scratch_shape,
+    strip_shapes,
 )
 from neonext.rng import Rng
 from neonext.tensor import Matrix, Tensor4
@@ -68,17 +70,23 @@ def noise_free_params(spec):
     return NeoCellParams([Matrix(m) for L, _ in stacks for m in L], [Matrix(m) for _, R in stacks for m in R])
 
 
-def run_cell(x, spec, params, gout=None):
+def run_cell(x, spec, params, gout=None, gx_into_lx=False):
     """The part loop on the array x as given, in its memory order: the
-    output, or with ``gout`` (output, grad_x, one (grad_L, grad_R) per part)."""
+    output, or with ``gout`` (output, grad_x, one (grad_L, grad_R) per part),
+    grad_x written into the L x workspace with ``gx_into_lx``."""
     parts = merge_parts(spec)
     weights = [params.stacked(part) for part in parts]
     out = np.empty_like(x, shape=output_shape(spec, x.shape))
     lx = np.empty_like(x, shape=lx_shape(x.shape, out.shape))
-    strips = cell_forward(x, parts, weights, out, lx)
+    strips = [s and np.empty_like(x, shape=s) for s in strip_shapes(parts, out.shape)]
+    cell_forward(x, parts, weights, out, lx, strips)
     if gout is None:
         return out
-    return (out, *cell_backward(x, parts, weights, gout, np.empty_like(x), lx, strips))
+    if gx_into_lx:
+        gx, scratch = lx, np.empty_like(lx, shape=scratch_shape(parts, lx.shape))
+    else:
+        gx, scratch = np.empty_like(x), None
+    return (out, *cell_backward(x, parts, weights, gout, gx, lx, strips, scratch))
 
 
 class TestSpecValidation:
@@ -326,6 +334,18 @@ class TestShiftedKernel:
             want = A.swapaxes(-1, -2)[None] @ gout[:, g.start : g.stop] @ B.swapaxes(-1, -2)[None]
             assert np.abs(gx[:, g.start : g.stop] - want).max() <= 1e-10
 
+    @_shifted_params(SHIFTED_CASES)
+    def test_grad_x_into_the_workspace_gives_the_same_bits(self, name, layout):
+        # with gx=lx, G R^T goes to a scratch and each run's grad_x over its
+        # own used-up L x
+        spec, params, x = _shifted_case(name, layout)
+        gout = _to_layout(Rng(43).normal(x.shape, 1.0), layout)
+        _, gx, grads = run_cell(x, spec, params, gout)
+        _, gx_lx, grads_lx = run_cell(x, spec, params, gout, gx_into_lx=True)
+        assert gx_lx.strides == gx.strides and gx_lx.tobytes() == gx.tobytes()
+        for pair, pair_lx in zip(grads, grads_lx, strict=True):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(pair, pair_lx))
+
     @_shifted_params(FD_CASES)
     def test_gradients_match_central_differences(self, name, layout):
         spec, params, x = _shifted_case(name, layout)
@@ -344,7 +364,8 @@ class TestShiftedKernel:
             arrays = [(L.array, R.array) for L, R in weights]
             out = np.empty_like(xa, shape=output_shape(spec, xa.shape))
             lx = np.empty_like(xa, shape=lx_shape(xa.shape, out.shape))
-            strips = cell_forward(xa, parts, arrays, out, lx)
+            strips = [s and np.empty_like(xa, shape=s) for s in strip_shapes(parts, out.shape)]
+            cell_forward(xa, parts, arrays, out, lx, strips)
             if backward_of is None:
                 return float((out * gout).sum())
             return cell_backward(xa, parts, arrays, backward_of, np.empty_like(xa), lx, strips)

@@ -1,10 +1,11 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from neonext.errors import ParameterError
-from neonext.rng import Rng
+from neonext.rng import _CHUNK, _U53, Rng
 
 
 class TestStream:
@@ -110,3 +111,40 @@ class TestBadSizes:
     def test_normal_is_scaled_standard_normal(self):
         a = Rng(4).normal((3, 5), 0.25)
         assert a.tobytes() == (Rng(4).standard_normal(15) * 0.25).reshape(3, 5).tobytes()
+
+
+def one_shot_standard_normal(rng, n):
+    """The module docstring's Box-Muller on one draw of all ceil(n/2)*2 raws."""
+    pairs = (n + 1) // 2
+    raw = rng.next_u64(2 * pairs)
+    u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _U53
+    u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * _U53
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = (2.0 * np.pi) * u2
+    out = np.empty(2 * pairs)
+    out[0::2] = r * np.cos(theta)
+    out[1::2] = r * np.sin(theta)
+    return out[:n]
+
+
+class TestChunkedNormals:
+    @pytest.mark.parametrize("n", [0, 1, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+    def test_chunks_give_the_one_shot_draw(self, n):
+        # drawn after a first odd draw, so the stream starts mid-way
+        got_rng, want_rng = Rng(9), Rng(9)
+        got_rng.standard_normal(3), want_rng.standard_normal(3)
+        got = got_rng.standard_normal(n)
+        want = one_shot_standard_normal(want_rng, n)
+        assert got.shape == (n,) and got.tobytes() == want.tobytes()
+        assert got_rng.next_u64(2).tolist() == want_rng.next_u64(2).tolist()
+
+    def test_large_normal_peaks_near_its_result(self):
+        # a one-shot draw peaked at 4.5x its result
+        rng = Rng(10)
+        tracemalloc.start()
+        try:
+            a = rng.normal((8, 96, 56, 56), 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * a.nbytes
