@@ -24,7 +24,9 @@ checkout; comparing two trees is a ``diff`` of two outputs:
     PYTHONPATH=/path/to/other/src python3 scripts/digest.py > b.txt
     diff a.txt b.txt
 
-BLAS is pinned to one thread, as in the benchmark.  ``--quick`` runs
+BLAS runs on one thread, as in the benchmark, unless a thread count is
+already set in the environment; GELU splits over every CPU the process may
+run on.  The digests are the same at any count of either.  ``--quick`` runs
 reduced cases (smaller runs and shapes, no ``neonext-t``) under the same
 names; its digests are comparable only with other ``--quick`` output.
 """
@@ -32,7 +34,7 @@ names; its digests are comparable only with other ``--quick`` output.
 import os
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
-    os.environ[_var] = "1"   # before numpy loads BLAS
+    os.environ.setdefault(_var, "1")   # before numpy loads BLAS
 
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402

@@ -70,7 +70,10 @@ only the files ``save_checkpoint`` would write for the model it is given.
 
 from __future__ import annotations
 
+import contextvars
+import os
 import sys
+import threading
 from dataclasses import dataclass, replace
 from itertools import zip_longest
 from pathlib import Path
@@ -111,6 +114,18 @@ RECYCLE_MIN_BYTES = 8 << 20
 BN_EPS = 1e-8
 BN_MOMENTUM = 0.1
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Elements per block of GeluLayer's loop; one block's slices of x, the output
+# and the derivative (768 KiB) fit a core's L2.  On a 2-vCPU Xeon (2 MiB L2
+# per core), over 60 alternating rounds of the micro model's 11 GELU calls
+# on two threads, blocks of 2**14 to 2**17 timed within 2% of each other at
+# 0.56x one unblocked call's time for batch 256 untaped and 0.61x for batch
+# 64 taped; on one thread, 2**15 blocks took 0.93x (taped) and 0.98x.
+GELU_BLOCK = 1 << 15
+# Fewest elements GeluLayer hands one thread.  On that Xeon a fresh thread
+# costs 0.12 ms to start and join.  Split in two, an array of 2**14
+# elements took 1.1-1.2x one thread's time, 2**15 0.8-0.9x, 2**16 0.65-0.7x
+# (untaped and taped, medians of 200 calls).
+GELU_MIN_PIECE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -403,10 +418,19 @@ class PointwiseLayer:
 class GeluLayer:
     """Exact GELU, x * Phi(x) with Phi the standard normal CDF.
 
-    With no tape nothing needs Phi(x) afterwards, so the forward writes
-    x * Phi(x) into Phi's buffer instead of a second array.  On a tape the
-    forward also builds the derivative Phi(x) + x * phi(x) in one buffer and
-    keeps only that: the backward multiplies it by the output gradient."""
+    The forward cuts flat views of x and of its output, both in x's memory
+    order, into contiguous pieces: one per CPU this process may run on, none
+    of fewer than ``GELU_MIN_PIECE`` elements.  The caller runs the first
+    piece and a thread started for the call runs each other one;
+    ``scipy.special.ndtr`` and numpy's ufuncs release the GIL while they
+    work.  Each piece runs in ``GELU_BLOCK``-element blocks.  A block writes
+    Phi(x) into its output slice and multiplies that slice by x in place, so
+    no temporary is made.  On a tape each block also builds the derivative
+    Phi(x) + x * phi(x) in one buffer, from the output slice while it still
+    holds Phi(x), and the tape keeps only that buffer: the backward
+    multiplies it by the output gradient.  Every element goes through the
+    same operations whatever the split, so the bits are the same at any CPU
+    count."""
 
     name = "gelu"
 
@@ -418,22 +442,66 @@ class GeluLayer:
 
     def forward(self, v: Val, tape: Tape | None, ctx: ForwardCtx) -> Val:
         x = v.array
-        cdf = ndtr(x)
-        if tape is None:
-            return Val(np.multiply(x, cdf, out=cdf))
-        ov = Val(x * cdf)
-        d = np.square(x)
-        d *= -0.5
-        np.exp(d, out=d)
-        d *= x
-        d *= _INV_SQRT2PI
-        d += cdf
+        out = np.empty_like(x)
+        d = None if tape is None else np.empty_like(x)
+        xf, of = x.ravel("K"), out.ravel("K")      # of views out; xf copies an x with gaps
+        df = None if d is None else d.ravel("K")
+
+        def blocks(start, stop):
+            for lo in range(start, stop, GELU_BLOCK):
+                hi = min(lo + GELU_BLOCK, stop)
+                xs, cdf = xf[lo:hi], of[lo:hi]
+                ndtr(xs, out=cdf)
+                if df is not None:
+                    ds = df[lo:hi]
+                    np.square(xs, out=ds)
+                    ds *= -0.5
+                    np.exp(ds, out=ds)
+                    ds *= xs
+                    ds *= _INV_SQRT2PI
+                    ds += cdf
+                np.multiply(xs, cdf, out=cdf)
+
+        _run_pieces(blocks, xf.size)
+        ov = Val(out)
 
         def back(g):
             return (d * g,)
 
         _record(tape, ov, (v,), back)
         return ov
+
+
+def _run_pieces(work, size: int) -> None:
+    """``work(start, stop)`` over [0, size), cut into one contiguous piece
+    per CPU in this process's affinity mask, none smaller than
+    ``GELU_MIN_PIECE``.  The caller runs the first piece; a thread started
+    here runs each other one in a copy of the caller's context (numpy's
+    error state is a context variable).  Every thread is joined before this
+    returns, and then the error of the first piece that failed is raised."""
+    pieces = max(1, min(len(os.sched_getaffinity(0)), size // GELU_MIN_PIECE))
+    cuts = [size * i // pieces for i in range(pieces + 1)]
+    errors = [None] * pieces
+
+    def helper(i):
+        try:
+            work(cuts[i], cuts[i + 1])
+        except BaseException as exc:
+            errors[i] = exc
+
+    threads = []
+    try:
+        for i in range(1, pieces):
+            t = threading.Thread(target=contextvars.copy_context().run, args=(helper, i))
+            t.start()
+            threads.append(t)
+        work(cuts[0], cuts[1])
+    finally:
+        for t in threads:
+            t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 class SpaceToDepthLayer:

@@ -72,7 +72,9 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        self._seed = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
+        if not 0 <= int(seed) < 2**64:
+            raise ParameterError(f"Rng: seed must be in [0, 2**64), got {seed}")
+        self._seed = np.uint64(int(seed))
         self._count = 0
 
     @property

@@ -113,6 +113,10 @@ class RunConfig(metaclass=_TakesOptimizer):
     def __post_init__(self):
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
+        for seed in self.seeds:
+            if not 0 <= seed < 2**64:
+                # Rng takes seeds in [0, 2**64)
+                raise ConfigError(f"seeds must be in [0, 2**64), got {seed}")
         if len(set(self.seeds)) != len(self.seeds):
             # each seed's run writes its own directory: a repeat would overwrite it
             raise ConfigError(f"seeds must not repeat, got {self.seeds}")

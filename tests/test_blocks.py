@@ -1,5 +1,8 @@
 import math
+import os
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ from scipy.special import ndtr
 from neonext.autodiff import Param, Tape, Val, backward, fd_check
 from neonext.errors import ShapeError
 from neonext.model import (
+    GELU_BLOCK,
+    GELU_MIN_PIECE,
     BatchNormLayer,
     ForwardCtx,
     GeluLayer,
@@ -261,15 +266,80 @@ class TestGelu:
         back = tape.nodes[-1].backward_fn
         held = [cell.cell_contents for cell in back.__closure__]
         assert [type(a) for a in held] == [np.ndarray] and held[0].shape == x.shape
-        want = np.square(x)
-        want *= -0.5
-        np.exp(want, out=want)
-        want *= x
-        want *= 1.0 / np.sqrt(2.0 * np.pi)
-        want += ndtr(x)
+        want = gelu_derivative(x)
         want *= g
         (got,) = back(g)
         assert got.tobytes() == want.tobytes() and got.strides == want.strides
+
+    @pytest.mark.parametrize("size", [
+        0, 1, GELU_BLOCK - 1, GELU_BLOCK, GELU_BLOCK + 1,
+        GELU_MIN_PIECE - 1, GELU_MIN_PIECE, GELU_MIN_PIECE + 1,
+        2 * GELU_MIN_PIECE - 1, 2 * GELU_MIN_PIECE, 2 * GELU_MIN_PIECE + 1,
+        7 * GELU_BLOCK + 12345,
+    ])
+    def test_split_sizes_give_the_one_call_bytes(self, size, monkeypatch):
+        # three CPUs, so each size at or above 2 pieces' worth is split
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        flat = Rng(16).normal((2 * size,), 3.0)
+        for x in (flat[:size], flat[:size][::-1], flat[::2]):     # contiguous, reversed, strided
+            check_gelu_bytes(x.reshape(1, 1, 1, size))
+
+    @pytest.mark.parametrize("layout", ["c", "ri", "f", "sliced", "reversed"])
+    def test_split_layouts_give_the_one_call_bytes(self, layout, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        c = Rng(17).normal((9, 25, 31, 17), 3.0)     # 118,575 elements: 3 pieces of odd length
+        x = {
+            "c": c,
+            "ri": np.ascontiguousarray(c.transpose(1, 2, 0, 3)).transpose(2, 0, 1, 3),
+            "f": np.asfortranarray(c),
+            "sliced": c[:, 1:, ::2, :-1],
+            "reversed": c[::-1, :, ::-1],
+        }[layout]
+        check_gelu_bytes(x)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_numpy_error_state_reaches_every_piece(self, cpus, monkeypatch):
+        # numpy's error state is a context variable: the helper threads run
+        # in a copy of the caller's context, and their errors reach the caller
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        x = np.linspace(-3.0, 3.0, 4 * GELU_MIN_PIECE + 5).reshape(1, 1, 1, -1)
+        x[..., -1] = np.inf        # x * phi(x) at inf is 0 * inf: invalid, in the last piece
+        threads = threading.active_count()
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError, match="invalid value"):
+            GeluLayer().forward(Val(x), Tape(), ForwardCtx())
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            GeluLayer().forward(Val(x), Tape(), ForwardCtx())
+        assert threading.active_count() == threads
+
+
+def gelu_derivative(x):
+    """Phi(x) + x * phi(x) by the op sequence ``GeluLayer`` runs."""
+    want = np.square(x)
+    want *= -0.5
+    np.exp(want, out=want)
+    want *= x
+    want *= 1.0 / np.sqrt(2.0 * np.pi)
+    want += ndtr(x)
+    return want
+
+
+def check_gelu_bytes(x):
+    """``GeluLayer``'s outputs on ``x``, untaped and taped, and its backward
+    on a gradient in x's layout, have the bytes and strides of one call of
+    each op on the whole array."""
+    want = x * ndtr(x)
+    untaped = run(GeluLayer(), x)
+    assert untaped.tobytes() == want.tobytes() and untaped.strides == want.strides
+    tape = Tape()
+    taped = GeluLayer().forward(Val(x), tape, ForwardCtx()).array
+    assert taped.tobytes() == want.tobytes() and taped.strides == want.strides
+    g = np.empty_like(x)
+    g[...] = Rng(18).normal(x.shape, 1.0)
+    (got,) = tape.nodes[-1].backward_fn(g)
+    want = gelu_derivative(x)
+    want *= g
+    assert got.tobytes() == want.tobytes() and got.strides == want.strides
 
 
 def test_global_avg_pool():

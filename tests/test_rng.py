@@ -104,6 +104,15 @@ class TestBadSizes:
             call(rng)
         assert rng.next_u64(2).tolist() == Rng(1).next_u64(2).tolist()   # nothing drawn
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_refused(self, seed):
+        # masking it would make Rng(2**64) Rng(0) and Rng(-1) Rng(2**64 - 1)
+        with pytest.raises(ParameterError, match=f"^Rng: seed must be in \\[0, 2\\*\\*64\\), got {seed}$"):
+            Rng(seed)
+
+    def test_seed_range_ends_are_valid(self):
+        assert Rng(0).seed == 0 and Rng(2**64 - 1).seed == 2**64 - 1
+
     def test_empty_draws_are_valid(self):
         assert Rng(1).standard_normal(0).shape == (0,)
         assert Rng(1).normal((2, 0)).shape == (2, 0)

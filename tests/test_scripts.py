@@ -12,11 +12,11 @@ from neonext.bench import BENCH_CSV_HEADER
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
-    env = dict(os.environ)
+def run_script(name, *args, python=(sys.executable,), **env_vars):
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [*python, str(ROOT / "scripts" / name), *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
 
@@ -141,6 +141,19 @@ def test_digest_is_reproducible():
     for name in ("train.neoinit.checkpoint", "train.neoinit.loaded", "train.random-normal.run_csv",
                  "equiv-check.csv", "init-dump.no-noise", "bench.dwconv", "synth.split", "op-neocell56.ri.grads"):
         assert name in names
+
+
+def test_digest_is_the_same_on_one_cpu_and_on_all():
+    # one CPU (set in the child only) with BLAS on 1 thread, against every
+    # CPU with BLAS on 2: GELU's split and BLAS's threads change no bit
+    one_cpu = (sys.executable, "-c", "import os, runpy, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+               "sys.argv = sys.argv[1:]; runpy.run_path(sys.argv[0], run_name='__main__')")
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+    one = run_script("digest.py", "--quick", python=one_cpu, **dict.fromkeys(blas, "1"))
+    every = run_script("digest.py", "--quick", **dict.fromkeys(blas, "2"))
+    assert one.returncode == 0, one.stderr
+    assert every.returncode == 0, every.stderr
+    assert one.stdout == every.stdout
 
 
 def test_paper_step_micro_case():

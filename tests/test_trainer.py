@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -388,6 +389,13 @@ class TestConfigFile:
             parse_config(f"{CONFIG_HEADER}\nseeds = 1,2,1\n")
         with pytest.raises(ConfigError, match="seeds"):
             RunConfig(seeds=(4, 4))
+
+    @pytest.mark.parametrize("seeds, bad", [("-1", -1), ("18446744073709551616", 2**64),
+                                            ("0, 18446744073709551616", 2**64)])
+    def test_seed_outside_64_bits_rejected(self, seeds, bad):
+        # 2**64 would run Rng(0)'s stream, so "0, 2**64" would run one stream twice
+        with pytest.raises(ConfigError, match=re.escape(f"seeds must be in [0, 2**64), got {bad}")):
+            parse_config(f"{CONFIG_HEADER}\nseeds = {seeds}\n")
 
     def test_missing_file_named(self, tmp_path):
         with pytest.raises(ConfigError, match="nosuch.cfg"):
