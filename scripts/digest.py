@@ -25,8 +25,9 @@ checkout; comparing two trees is a ``diff`` of two outputs:
     diff a.txt b.txt
 
 BLAS runs on one thread, as in the benchmark, unless a thread count is
-already set in the environment; GELU splits over every CPU the process may
-run on.  The digests are the same at any count of either.  ``--quick`` runs
+already set in the environment; GELU splits over up to two of the CPUs the
+process may run on.  A test checks that ``--quick`` prints the same digests
+on one CPU with BLAS at 1 thread as on two with BLAS at 2.  ``--quick`` runs
 reduced cases (smaller runs and shapes, no ``neonext-t``) under the same
 names; its digests are comparable only with other ``--quick`` output.
 """

@@ -32,7 +32,7 @@ from .neocell import (
     init_part,
     merge_parts,
 )
-from .rng import Rng
+from .rng import SEED_LIMIT, Rng
 from .tensor import Tensor4
 
 
@@ -136,7 +136,7 @@ def counted_neocell(c: int, h: int, w: int, k: int, seed: int = 0) -> int:
     spec.validate_input((1, c, h, w))
     (part,) = merge_parts(spec)
     weights = init_part(part, Rng(seed))
-    x = Rng(seed + 1).normal((1, c, h, w), 1.0)
+    x = Rng((seed + 1) % SEED_LIMIT).normal((1, c, h, w), 1.0)
     counter = MultCounter()
     cell_forward(x, [part], [weights], np.empty_like(x), np.empty_like(x), [None], counter)
     return counter.multiplies
@@ -144,7 +144,7 @@ def counted_neocell(c: int, h: int, w: int, k: int, seed: int = 0) -> int:
 
 def counted_dwconv(c: int, h: int, w: int, k: int, seed: int = 0) -> int:
     """Multiplies executed by the depthwise reference on a (1, c, h, w) input."""
-    x = Tensor4(Rng(seed + 1).normal((1, c, h, w), 1.0))
+    x = Tensor4(Rng((seed + 1) % SEED_LIMIT).normal((1, c, h, w), 1.0))
     kernels = Rng(seed).normal((c, k, k), 1.0)
     counter = MultCounter()
     dwconv_reference(x, kernels, counter)

@@ -116,16 +116,25 @@ BN_MOMENTUM = 0.1
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # Elements per block of GeluLayer's loop; one block's slices of x, the output
 # and the derivative (768 KiB) fit a core's L2.  On a 2-vCPU Xeon (2 MiB L2
-# per core), over 60 alternating rounds of the micro model's 11 GELU calls
-# on two threads, blocks of 2**14 to 2**17 timed within 2% of each other at
-# 0.56x one unblocked call's time for batch 256 untaped and 0.61x for batch
-# 64 taped; on one thread, 2**15 blocks took 0.93x (taped) and 0.98x.
+# per core), split over both vCPUs, blocks pay off once the arrays outgrow
+# the cache: against the same split run unblocked, 2**15 blocks took 0.88x
+# (taped) and 0.96x on 9.6M elements, 0.94x and 0.98x on 2.4M (16
+# alternating rounds each), and the paper-shape step (`paper_step.py
+# --model neonext-t --size 224 --batch 2 --steps 3`) took 1,588-1,679 ms
+# against 1,722-1,761 ms in 3 of 3 alternating pairs.  At the micro model's
+# shapes they change nothing: eval and train ops took 0.998-1.015x over 70
+# alternating rounds.  Blocks of 2**14 to 2**17 timed within 2% of each other.
 GELU_BLOCK = 1 << 15
 # Fewest elements GeluLayer hands one thread.  On that Xeon a fresh thread
 # costs 0.12 ms to start and join.  Split in two, an array of 2**14
 # elements took 1.1-1.2x one thread's time, 2**15 0.8-0.9x, 2**16 0.65-0.7x
 # (untaped and taped, medians of 200 calls).
 GELU_MIN_PIECE = 1 << 14
+# Most threads GeluLayer runs one call on, the caller's included.  The
+# split was measured on 2 vCPUs only; more threads would each cost a thread
+# start per call and were never timed, and the affinity mask does not show
+# a cgroup's CPU quota.
+GELU_MAX_PIECES = 2
 
 
 @dataclass(frozen=True)
@@ -419,11 +428,14 @@ class GeluLayer:
     """Exact GELU, x * Phi(x) with Phi the standard normal CDF.
 
     The forward cuts flat views of x and of its output, both in x's memory
-    order, into contiguous pieces: one per CPU this process may run on, none
-    of fewer than ``GELU_MIN_PIECE`` elements.  The caller runs the first
-    piece and a thread started for the call runs each other one;
-    ``scipy.special.ndtr`` and numpy's ufuncs release the GIL while they
-    work.  Each piece runs in ``GELU_BLOCK``-element blocks.  A block writes
+    order, into contiguous pieces: one per CPU this process may run on, at
+    most ``GELU_MAX_PIECES``, none of fewer than ``GELU_MIN_PIECE``
+    elements.  The caller runs the first piece and a thread started for the
+    call runs each other one; ``scipy.special.ndtr`` and numpy's ufuncs
+    release the GIL while they work.  The caller waits for the slowest
+    piece, so on a host where another process holds the second CPU the
+    split can be slower than one thread.  Each piece runs in
+    ``GELU_BLOCK``-element blocks.  A block writes
     Phi(x) into its output slice and multiplies that slice by x in place, so
     no temporary is made.  On a tape each block also builds the derivative
     Phi(x) + x * phi(x) in one buffer, from the output slice while it still
@@ -474,12 +486,13 @@ class GeluLayer:
 
 def _run_pieces(work, size: int) -> None:
     """``work(start, stop)`` over [0, size), cut into one contiguous piece
-    per CPU in this process's affinity mask, none smaller than
-    ``GELU_MIN_PIECE``.  The caller runs the first piece; a thread started
-    here runs each other one in a copy of the caller's context (numpy's
-    error state is a context variable).  Every thread is joined before this
-    returns, and then the error of the first piece that failed is raised."""
-    pieces = max(1, min(len(os.sched_getaffinity(0)), size // GELU_MIN_PIECE))
+    per CPU in this process's affinity mask, at most ``GELU_MAX_PIECES``
+    and none smaller than ``GELU_MIN_PIECE``.  The caller runs the first
+    piece; a thread started here runs each other one in a copy of the
+    caller's context (numpy's error state is a context variable).  Every
+    thread is joined before this returns, and then the error of the first
+    piece that failed is raised."""
+    pieces = max(1, min(len(os.sched_getaffinity(0)), GELU_MAX_PIECES, size // GELU_MIN_PIECE))
     cuts = [size * i // pieces for i in range(pieces + 1)]
     errors = [None] * pieces
 

@@ -59,6 +59,17 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
+SEED_LIMIT = 2**64   # seeds are in [0, SEED_LIMIT)
+
+
+def check_seed(seed: int, owner: str) -> int:
+    """``seed`` as an int, or a ``ParameterError`` from ``owner`` naming it
+    if it is outside [0, 2**64): no seed is wrapped onto another's stream."""
+    if not 0 <= int(seed) < SEED_LIMIT:
+        raise ParameterError(f"{owner}: seed must be in [0, 2**64), got {seed}")
+    return int(seed)
+
+
 def _check_count(method: str, n: int) -> None:
     if n < 0:
         raise ParameterError(f"{method}: n must be >= 0, got {n}")
@@ -72,9 +83,7 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        if not 0 <= int(seed) < 2**64:
-            raise ParameterError(f"Rng: seed must be in [0, 2**64), got {seed}")
-        self._seed = np.uint64(int(seed))
+        self._seed = np.uint64(check_seed(seed, "Rng"))
         self._count = 0
 
     @property

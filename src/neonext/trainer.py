@@ -29,7 +29,7 @@ import numpy as np
 
 from .autodiff import Grads, Param, Tape, Val, backward
 from .data import BatchPlan, Dataset, augment, batches, load_cifar10, split_dataset, synth_task
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, ParameterError
 from .model import (
     MODEL_SPECS,
     ForwardCtx,
@@ -41,7 +41,7 @@ from .model import (
     smooth_targets,
     softmax_cross_entropy,
 )
-from .rng import Rng
+from .rng import Rng, check_seed
 from .tensor import Tensor4
 
 REFERENCE_ACC_NEOINIT = 88.45
@@ -114,9 +114,10 @@ class RunConfig(metaclass=_TakesOptimizer):
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
         for seed in self.seeds:
-            if not 0 <= seed < 2**64:
-                # Rng takes seeds in [0, 2**64)
-                raise ConfigError(f"seeds must be in [0, 2**64), got {seed}")
+            try:
+                check_seed(seed, "seeds")
+            except ParameterError as exc:
+                raise ConfigError(str(exc)) from None
         if len(set(self.seeds)) != len(self.seeds):
             # each seed's run writes its own directory: a repeat would overwrite it
             raise ConfigError(f"seeds must not repeat, got {self.seeds}")

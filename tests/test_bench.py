@@ -86,6 +86,11 @@ class TestInstrumentedCounters:
         for c, h, w, k in [(1, 8, 8, 3), (3, 14, 14, 7), (2, 10, 6, 5)]:
             assert counted_dwconv(c, h, w, k) == flops_dwconv(c, h, w, k).multiplies
 
+    def test_counters_take_the_top_seed(self):
+        # the input's stream is seed + 1 taken mod 2**64, not a refused 2**64
+        assert counted_neocell(1, 8, 8, 4, seed=2**64 - 1) == flops_neocell(1, 8, 8, 4).multiplies
+        assert counted_dwconv(1, 8, 8, 3, seed=2**64 - 1) == flops_dwconv(1, 8, 8, 3).multiplies
+
     def test_counter_accumulates(self):
         counter = MultCounter()
         x = Tensor4(Rng(0).normal((1, 1, 4, 4), 1.0))

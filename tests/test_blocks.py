@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from neonext import model
 from neonext.autodiff import Param, Tape, Val, backward, fd_check
 from neonext.errors import ShapeError
 from neonext.model import (
     GELU_BLOCK,
+    GELU_MAX_PIECES,
     GELU_MIN_PIECE,
     BatchNormLayer,
     ForwardCtx,
@@ -278,15 +280,15 @@ class TestGelu:
         7 * GELU_BLOCK + 12345,
     ])
     def test_split_sizes_give_the_one_call_bytes(self, size, monkeypatch):
-        # three CPUs, so each size at or above 2 pieces' worth is split
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        # three pieces, so each size at or above 2 pieces' worth is split
+        three_cpus(monkeypatch)
         flat = Rng(16).normal((2 * size,), 3.0)
         for x in (flat[:size], flat[:size][::-1], flat[::2]):     # contiguous, reversed, strided
             check_gelu_bytes(x.reshape(1, 1, 1, size))
 
     @pytest.mark.parametrize("layout", ["c", "ri", "f", "sliced", "reversed"])
     def test_split_layouts_give_the_one_call_bytes(self, layout, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        three_cpus(monkeypatch)
         c = Rng(17).normal((9, 25, 31, 17), 3.0)     # 118,575 elements: 3 pieces of odd length
         x = {
             "c": c,
@@ -311,6 +313,27 @@ class TestGelu:
             warnings.simplefilter("error")
             GeluLayer().forward(Val(x), Tape(), ForwardCtx())
         assert threading.active_count() == threads
+
+    def test_pieces_are_capped(self, monkeypatch):
+        # on 64 CPUs a call still starts GELU_MAX_PIECES - 1 threads
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        x = Rng(19).normal((1, 1, 1, 64 * GELU_MIN_PIECE), 1.0)
+        GeluLayer().forward(Val(x), Tape(), ForwardCtx())
+        assert len(started) == GELU_MAX_PIECES - 1
+
+
+def three_cpus(monkeypatch):
+    """Let ``GeluLayer`` split into three pieces on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(model, "GELU_MAX_PIECES", 3)
 
 
 def gelu_derivative(x):

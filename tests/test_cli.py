@@ -194,6 +194,13 @@ class TestGradcheckCli:
         assert code == 0, out
         assert "max relative error" in out
 
+    def test_top_seed_passes(self, capsys):
+        # the probe's stream is seed + 1 taken mod 2**64, as it was when Rng masked seeds
+        code = main(["gradcheck", "--layer", "gelu", "--c", "1", "--h", "2", "--w", "2",
+                     "--seed", str(2**64 - 1)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.out + captured.err
+
     def test_model_passes_with_sampling(self, capsys):
         code = main(["gradcheck", "--layer", "model", "--entries", "2"])
         assert code == 0, capsys.readouterr().out

@@ -394,7 +394,7 @@ class TestConfigFile:
                                             ("0, 18446744073709551616", 2**64)])
     def test_seed_outside_64_bits_rejected(self, seeds, bad):
         # 2**64 would run Rng(0)'s stream, so "0, 2**64" would run one stream twice
-        with pytest.raises(ConfigError, match=re.escape(f"seeds must be in [0, 2**64), got {bad}")):
+        with pytest.raises(ConfigError, match=re.escape(f"seeds: seed must be in [0, 2**64), got {bad}")):
             parse_config(f"{CONFIG_HEADER}\nseeds = {seeds}\n")
 
     def test_missing_file_named(self, tmp_path):
