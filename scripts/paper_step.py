@@ -13,7 +13,8 @@ the label-smoothed loss, ``backward`` and the momentum update, as
 
 The peak RSS is the whole process's, imports included, read from
 ``getrusage`` as the benchmark reads it.  BLAS is pinned to one thread, as in
-the benchmark.  The paper's shape is
+the benchmark; exact GELU still splits over up to two of the CPUs the process
+may run on.  The paper's shape is
 
     PYTHONPATH=src python3 scripts/paper_step.py --model neonext-t --size 224 --batch 2 --steps 3
 

@@ -23,8 +23,9 @@ the map is substituted and the substitution is recorded in the manifest.
 
 ``NeoCellLayer`` holds its patch weights as one stacked (left, right)
 ``Param`` pair per ``neocell.Part`` and runs ``neocell``'s one kernel pair,
-``cell_forward`` and, on the tape, ``cell_backward`` on the L x workspace
-and wrap strips that the forward left; ``neocell`` owns the patch layout.
+``cell_forward`` and, on the tape, ``cell_backward`` on the arrays the
+forward saved; ``neocell`` owns the patch layout and decides which arrays
+a call needs.
 
 Activation layout: layers take (n, c, h, w) arrays in any memory order,
 but they are built for row-interleaved ones, whose memory is that of a
@@ -39,16 +40,13 @@ one row.  NeoCell's kernel views the n images of a channel's band of rows
 as one block (``neocell._fold``), so its products along H run one GEMM per
 channel and band, not one per image.  The other layers allocate their
 outputs and input gradients in their input's memory order.
-``NeoCellLayer`` allocates its L x workspace in that order too, copies an
-output gradient of another layout into its output's (which no model step
-needs), and hands out its previous call's output and kernel workspaces
-(L x, the W-wrap strips, the G R^T scratch) again when its input is large
-and nothing else references them (``_recycled``).  A tape holds L x and
-the strips from the forward until its backward consumes them.  A layer
-whose L x workspace is shaped like its input, every one but the 2->1
-downsamples, has the backward write the input gradient into that
-workspace and returns it; a resampling layer's input gradient is one more
-recycled array, and it makes no scratch.
+``NeoCellLayer`` passes its kernel an allocator of that order too
+(``_empty``), which, when the input is large, hands out its previous
+call's arrays again once nothing else references them: the output, L x,
+the W-wrap strips, and the backward's G R^T scratch or input gradient.
+The layer copies an output gradient of another layout into its output's
+(which no model step needs).  A tape holds the forward's saved arrays
+until its backward consumes them.
 
 Batchnorm normalizes with batch statistics in train mode and with its
 ``running_mean``/``running_var`` in eval mode.  A train-mode forward with
@@ -71,6 +69,7 @@ only the files ``save_checkpoint`` would write for the model it is given.
 from __future__ import annotations
 
 import contextvars
+import itertools
 import os
 import sys
 import threading
@@ -89,11 +88,8 @@ from .neocell import (
     cell_backward,
     cell_forward,
     init_part,
-    lx_shape,
     merge_parts,
     output_shape,
-    scratch_shape,
-    strip_shapes,
 )
 from .rng import Rng
 from .tensor import Tensor4, read_tensor, write_tensor
@@ -273,7 +269,7 @@ class NeoCellLayer:
             pl = Param(f"{name}.p{pi}.left", left, "neocell_left")
             pr = Param(f"{name}.p{pi}.right", right, "neocell_right")
             self.part_params.append((pl, pr, None))
-        self._kept = {}    # slot -> (key, array) of the last call
+        self._kept = {}    # (phase, request) -> (key, array) of the last call
 
     def params(self):
         return [p for pl, pr, _ in self.part_params for p in (pl, pr)]
@@ -281,37 +277,36 @@ class NeoCellLayer:
     def out_shape(self, dims):
         return output_shape(self.spec, dims)
 
-    def _recycled(self, slot: str, x: np.ndarray, shape) -> np.ndarray:
-        """An uninitialized ``shape`` array in x's dtype and memory order:
-        this slot's last one when its key matches and nothing else
+    def _empty(self, x: np.ndarray, phase: str):
+        """The allocator for one kernel call: its i-th request for an
+        uninitialized ``shape`` array in x's dtype and memory order gets
+        slot (phase, i)'s last one when its key matches and nothing else
         references it, else a fresh one, kept if x has RECYCLE_MIN_BYTES.
-        The slots are "out", "lx" (which a non-resampling layer's backward
-        also returns as grad_x), "strip<i>" per shifted run, and the
-        backward's "scratch" or, in a resampling layer, "gx".
 
         "Nothing else" is read from CPython's reference count (the kept
         tuple and ``getrefcount``'s argument make 2).  A numpy view holds
         its base, so an array that a tape, a ``Val``, a view or a caller
         still reaches is never written again.
         """
-        key = (shape, x.dtype, x.strides)
-        kept = self._kept.pop(slot, None)
-        if kept is None or kept[0] != key or sys.getrefcount(kept[1]) != 2:
-            kept = (key, np.empty_like(x, shape=shape))
-        if x.nbytes >= RECYCLE_MIN_BYTES:
-            self._kept[slot] = kept
-        return kept[1]
+        slots = itertools.count()
+
+        def empty(shape):
+            slot = (phase, next(slots))
+            key = (shape, x.dtype, x.strides)
+            kept = self._kept.pop(slot, None)
+            if kept is None or kept[0] != key or sys.getrefcount(kept[1]) != 2:
+                kept = (key, np.empty_like(x, shape=shape))
+            if x.nbytes >= RECYCLE_MIN_BYTES:
+                self._kept[slot] = kept
+            return kept[1]
+
+        return empty
 
     def forward(self, v: Val, tape: Tape | None, ctx: ForwardCtx) -> Val:
         x = v.array
-        out = self._recycled("out", x, self.out_shape(x.shape))
-        lx = self._recycled("lx", x, lx_shape(x.shape, out.shape))
-        strips = [
-            shape and self._recycled(f"strip{i}", x, shape)
-            for i, shape in enumerate(strip_shapes(self.parts, out.shape))
-        ]
+        self.spec.validate_input(x.shape)
         weights = [(pl.array, pr.array) for pl, pr, _ in self.part_params]
-        cell_forward(x, self.parts, weights, out, lx, strips)
+        out, saved = cell_forward(x, self.parts, weights, empty=self._empty(x, "forward"))
         ov = Val(out)
         strides = out.strides
 
@@ -321,13 +316,8 @@ class NeoCellLayer:
                 # never differs, a probe gradient from outside may
                 g, gout = gout, np.empty_like(x, shape=gout.shape)
                 gout[...] = g
-            # consumes lx, a tape runs its backward once; grad_x goes into
-            # lx's place where it fits
-            if lx.shape == x.shape:
-                gx, scratch = lx, self._recycled("scratch", x, scratch_shape(self.parts, lx.shape))
-            else:
-                gx, scratch = self._recycled("gx", x, x.shape), None
-            gx, grads = cell_backward(x, self.parts, weights, gout, gx, lx, strips, scratch)
+            # consumes saved's L x; a tape runs its backward once
+            gx, grads = cell_backward(x, self.parts, weights, gout, saved, self._empty(x, "backward"))
             return [gx] + [g for pair in grads for g in pair]
 
         _record(tape, ov, (v, *self.params()), back)

@@ -29,19 +29,19 @@ their layout, or all keep each plane contiguous.  L goes first, which is
 the order ``MultCounter`` counts: h_out*h*w + h_out*w*w_out multiplies per
 patch.
 
-The forward keeps what the backward needs.  Every part's L x goes into one
-(n, c, H/h*h_out, W) workspace of the caller's, in x's layout;
-``cell_forward`` leaves it there and puts each shifted run's W-wrap strip
-into an array of the caller's, and ``cell_backward`` takes both and
-consumes the workspace: each run reads its L x for grad_R, then its place
-in the workspace takes either the run's G R^T or, where the workspace is
-shaped like x and the caller passes it as grad_x, the run's grad_x, with
-G R^T in a scratch of the caller's sized for the widest run.  A workspace
-therefore serves one backward, as a tape does (``autodiff.backward``
-refuses a consumed tape).  The kernel's own allocations are small
-temporaries (wrapping bands, weight-gradient products), so a caller that
-holds these arrays across calls, as ``model.NeoCellLayer`` does,
-allocates nothing of activation size per call.
+The forward keeps what the backward needs, and the kernel alone decides
+which arrays that takes.  Beside the output, ``cell_forward`` returns one
+(n, c, H/h*h_out, W) workspace holding every part's L x and one W-wrap
+strip per shifted run; ``cell_backward`` consumes the workspace: each run
+reads its L x for grad_R, then its place takes the run's grad_x where the
+workspace is shaped like x (G R^T going into a scratch sized for the
+widest run) and the run's G R^T otherwise (grad_x getting an array of its
+own).  A workspace therefore serves one backward, as a tape does
+(``autodiff.backward`` refuses a consumed tape).  These arrays all come
+from the caller's allocator ``empty(shape)``, ``np.empty_like(x,
+shape=shape)`` by default; ``model.NeoCellLayer``'s hands a large input's
+arrays out again from call to call.  The kernel's own allocations are
+small temporaries (wrapping bands, weight-gradient products).
 
 Shifts never move activations.  A subgroup shifted by s reads the same
 views from row s and from flat element s: every band along H except the one
@@ -360,38 +360,19 @@ def _scatter(dst: np.ndarray, band: np.ndarray, s: int, axis: int) -> None:
     dst[head] = band[pad + (slice(k - s, None),)]
 
 
-def lx_shape(x_shape, out_shape) -> tuple:
-    """The (n, c, H', W) shape of a layer's L x workspace, for an (n, c, H,
-    W) input and its (n, c, H', W') output."""
-    return (*out_shape[:3], x_shape[3])
-
-
-def strip_shapes(parts, out_shape) -> list:
-    """The shapes of ``cell_forward``'s W-wrap strips for an (n, c, H', W')
-    output: (n, cb, H', w) per run of cb shifted channels, None per
-    unshifted run, in part order."""
-    n, _, H_out, _ = out_shape
-    return [(n, b - a, H_out, p.w) if s else None for p in parts for a, b, s in p.runs]
-
-
-def scratch_shape(parts, lx_shape) -> tuple:
-    """The shape of ``cell_backward``'s G R^T scratch: the L x workspace's
-    with the widest run's channel count."""
-    return (lx_shape[0], max(b - a for p in parts for a, b, _ in p.runs), *lx_shape[2:])
-
-
-def cell_forward(x: np.ndarray, parts, weights, out: np.ndarray, lx: np.ndarray, strips, counter: MultCounter | None = None):
+def cell_forward(x: np.ndarray, parts, weights, counter: MultCounter | None = None, empty=None):
     """The patch kernel, in the dtype of its inputs.
 
-    x is (n, c, H, W); ``weights`` holds one stacked (L, R) pair per part,
-    L (cp, h_out, h) and R (cp, w, w_out).  Every element of the caller's
-    (n, c, H', W') ``out`` is written.  ``lx`` is the caller's workspace of
-    ``lx_shape``; it receives every part's L x, left for ``cell_backward``
-    with its W-wrap columns zeroed.  ``strips`` holds the caller's arrays
-    of ``strip_shapes`` (None per unshifted run); each receives its run's
-    W-wrap columns of L x.  Callers pass ``np.empty_like(x, shape=…)`` for
-    all of them, so they take x's layout, or, in ``model.NeoCellLayer``,
-    recycled arrays of that layout.
+    x is (n, c, H, W), already checked against the spec the parts come
+    from; ``weights`` holds one stacked (L, R) pair per part, L (cp, h_out,
+    h) and R (cp, w, w_out).  Every array the call needs comes from
+    ``empty(shape)``, in this order: the (n, c, H', W') output, the (n, c,
+    H', W) L x workspace and, per shifted run of cb channels, an (n, cb,
+    H', w) W-wrap strip.  The default, ``np.empty_like(x, shape=shape)``,
+    gives them x's layout.  Returns (out, saved): ``saved`` holds the
+    workspace, with every part's L x and its W-wrap columns zeroed, and one
+    strip per run (None where unshifted) with those columns' values, for
+    ``cell_backward``.
 
     Two band GEMMs per run on views, with no patch transpose: L acts along
     H on x viewed as (n, cb, H/h, h, W) bands, then R acts along W on that
@@ -407,15 +388,21 @@ def cell_forward(x: np.ndarray, parts, weights, out: np.ndarray, lx: np.ndarray,
     discards: H' - 1 per plane, and one more per plane but the last where
     ``_fold`` runs the rows of a channel's images as one.
     """
+    empty = empty or (lambda shape: np.empty_like(x, shape=shape))
     n, _, H, W = x.shape
-    strips = iter(strips)
+    first = parts[0]
+    H_out = H // first.h * first.h_out
+    out = empty((*x.shape[:2], H_out, W // first.w * first.w_out))
+    lx = empty((*x.shape[:2], H_out, W))
+    strips = [empty((n, b - a, H_out, p.w)) if s else None for p in parts for a, b, s in p.runs]
+    each_strip = iter(strips)
     for part, (L, R) in zip(parts, weights):
         h, w, h_out, w_out = part.h, part.w, part.h_out, part.w_out
         if counter is not None:
             counter.add(n * part.count * (H // h) * (W // w) * (h_out * h * w + h_out * w * w_out))
         # weights are indexed within the part, activations across the layer
         # zip draws a run first, so each part takes exactly its runs' strips
-        for (a, b, s), strip in zip(part.runs, strips):
+        for (a, b, s), strip in zip(part.runs, each_strip):
             c = slice(part.start + a, part.start + b)
             lc = lx[:, c]
             xb, lb = _fold((x[:, c], lc), 3)
@@ -431,51 +418,58 @@ def cell_forward(x: np.ndarray, parts, weights, out: np.ndarray, lx: np.ndarray,
             np.matmul(_chunks(lf, w, s), R[a:b], out=_chunks(of, w_out, s))
             if s:
                 _scatter(of, np.matmul(sf, R[a:b]), s, 3)
+    return out, (lx, strips)
 
 
-def cell_backward(x: np.ndarray, parts, weights, gy: np.ndarray, gx: np.ndarray, lx: np.ndarray, strips, scratch=None):
+def cell_backward(x: np.ndarray, parts, weights, gy: np.ndarray, saved, empty=None):
     """Gradients of ``cell_forward`` for the output gradient ``gy``.
 
-    ``lx`` and ``strips`` are what ``cell_forward`` on x and ``weights``
-    left: L x, with its W-wrap columns zeroed, and those columns' values.
-    Uses the forward's views of x and L x and the same views of G = ``gy``,
-    with no patch transpose:
+    ``saved`` is what ``cell_forward`` on x and ``weights`` returned beside
+    its output: L x, with its W-wrap columns zeroed, and those columns'
+    values.  Uses the forward's views of x and L x and the same views of G
+    = ``gy``, with no patch transpose:
 
     - grad_R = sum over n of (L X)^T G on the (H/h*h_out*W/w, w) rows;
     - grad_L = sum over (n, H/h) bands of (G R^T) X^T, which equals
       G (X R)^T;
-    - grad_x = L^T (G R^T), written into the caller's ``gx``, shaped and
-      laid out like x (as ``cell_forward``'s ``out``).
+    - grad_x = L^T (G R^T), shaped and laid out like x.
 
-    ``gy`` is laid out like the forward's ``out``.  A shifted run reads
+    ``gy`` is laid out like the forward's output.  A shifted run reads
     every view at offset s and handles its wrapping band and chunk column
     apart, as in the forward; the zeroed wrap columns of L X make the wrong
     chunks add nothing to grad_R, and the strip adds the wrapping chunks'
-    share.  ``lx`` is consumed: each run reads its L X for grad_R first.
-    With a separate ``gx``, G R^T then overwrites the run's L X.  ``gx`` may
-    be ``lx`` itself when ``lx`` is shaped like x (h_out == h): G R^T then
-    goes into the caller's ``scratch`` of ``scratch_shape`` in lx's layout,
-    which only that case takes, and each run's grad_x into the place of its
-    own used-up L X.  Both give the same bits.
+    share.  The L X workspace is consumed: each run reads its L X for
+    grad_R first.  Where the workspace is shaped like x (h_out == h),
+    grad_x goes into it, each run's over its own used-up L X, and G R^T
+    into a scratch from ``empty`` with the widest run's channel count.
+    Otherwise grad_x is one array from ``empty``, and G R^T overwrites each
+    run's L X.  ``empty`` is as in ``cell_forward``.
 
     Returns (gx, grads) with one (grad_L, grad_R) pair per part, shaped
     like ``weights``.  Each weight gradient is reduced in one fixed order,
     so repeated backward passes on equal inputs are bit-identical.  Neither
     x nor gy is written to.
     """
+    empty = empty or (lambda shape: np.empty_like(x, shape=shape))
+    lx, strips = saved
+    if lx.shape == x.shape:
+        widest = max(b - a for p in parts for a, b, _ in p.runs)
+        gx, scratch = lx, empty((x.shape[0], widest, *x.shape[2:]))
+    else:
+        gx, scratch = empty(x.shape), None
     grads = []
-    strips = iter(strips)
+    each_strip = iter(strips)
     for part, (L, R) in zip(parts, weights):
         h, w, h_out, w_out = part.h, part.w, part.h_out, part.w_out
         grad_l, grad_r = np.empty_like(L), np.empty_like(R)
         # BLAS takes G R^T about 3x longer from a transposed view of R
         Rts = np.ascontiguousarray(R.swapaxes(-1, -2))
         # zip draws a run first, so each part takes exactly its runs' strips
-        for (a, b, s), strip in zip(part.runs, strips):
+        for (a, b, s), strip in zip(part.runs, each_strip):
             c = slice(part.start + a, part.start + b)
             Lt, Rt = L[a:b].swapaxes(-1, -2), Rts[a:b]
             # G R^T goes over L X unless L X's place receives grad_x
-            grt = scratch[:, : b - a] if gx is lx else lx[:, c]
+            grt = lx[:, c] if scratch is None else scratch[:, : b - a]
             lf, gf, tf, lw = _fold((lx[:, c], gy[:, c], grt, strip), 2)
             grows = _chunks(gf, w_out, s)
             grad_r[a:b] = np.matmul(_chunks(lf, w, s).swapaxes(-1, -2), grows).sum(axis=0)
@@ -504,12 +498,10 @@ def forward_patchwise(
     counter: MultCounter | None = None,
 ) -> Tensor4:
     """Reference execution: the part loop on per-channel weights."""
-    out = np.empty_like(x.array, shape=output_shape(spec, x.dims))
+    spec.validate_input(x.dims)
     params.validate(spec)
     parts = merge_parts(spec)
-    lx = np.empty_like(x.array, shape=lx_shape(x.dims, out.shape))
-    strips = [s and np.empty_like(x.array, shape=s) for s in strip_shapes(parts, out.shape)]
-    cell_forward(x.array, parts, [params.stacked(p) for p in parts], out, lx, strips, counter)
+    out, _ = cell_forward(x.array, parts, [params.stacked(p) for p in parts], counter)
     return Tensor4(out)
 
 

@@ -263,6 +263,15 @@ class TestNeoCellLayerKernel:
         grads = backward(tape)
         assert_matches_blockdiag(layer, spec, params, x, gout, out.array, grads, rng)
 
+    def test_indivisible_input_names_group_and_axis(self):
+        # 10 rows divide group 0's 2x2 patches but not group 1's 4x4 ones;
+        # the kernel's shape arithmetic relies on this check
+        spec = NeoCellSpec((GroupSpec(0, 2, 2, 2, 2, 2), GroupSpec(2, 4, 4, 4, 4, 4)))
+        layer = NeoCellLayer("cell", spec, Rng(44))
+        x = Param("x", Rng(45).normal((2, 4, 10, 10), 1.0))
+        with pytest.raises(ShapeError, match=r"^group 1: height 10 not divisible by patch h=4$"):
+            layer.forward(x, Tape(), ForwardCtx())
+
 
 def fresh_step(layer, x, gout):
     """One forward and backward of a new layer with ``layer``'s weights,
@@ -362,14 +371,19 @@ class TestNeoCellLayerAliasing:
         assert grads.keys() == grads_ref.keys()
         assert all(np.array_equal(grads[k], grads_ref[k]) for k in grads)
 
+    # the slots of the kernel's requests: the forward asks for its output,
+    # L x and one strip per shifted run, the backward for its G R^T scratch
+    # or, in a resampling layer, grad_x
+    OUT, LX, STRIP, BACK = ("forward", 0), ("forward", 1), ("forward", 2), ("backward", 0)
+
     def test_held_tapes_keep_their_workspaces(self):
         # the L x workspace stays on the tape until its backward: a second
         # forward before it may not reuse the first's
         layer, (x1, g1, x2, g2) = self.recycle_case(self.BIG)
         tape1, out1 = self.record(layer, x1)
-        lx1 = weakref.ref(layer._kept["lx"][1])
+        lx1 = weakref.ref(layer._kept[self.LX][1])
         tape2, out2 = self.record(layer, x2)
-        lx2 = weakref.ref(layer._kept["lx"][1])
+        lx2 = weakref.ref(layer._kept[self.LX][1])
         assert lx1() is not lx2() and not np.shares_memory(lx1(), lx2())
         self.assert_matches_reference(layer, x1, g1, out1.array, self.finish(tape1, out1, g1))
         self.assert_matches_reference(layer, x2, g2, out2.array, self.finish(tape2, out2, g2))
@@ -377,22 +391,23 @@ class TestNeoCellLayerAliasing:
         # dropped with its tape, the first workspace is freed; the kept one is reused
         assert lx1() is None
         self.record(layer, x1)
-        assert layer._kept["lx"][1] is lx2()
+        assert layer._kept[self.LX][1] is lx2()
 
     DOWNSAMPLE_SPEC = NeoCellSpec((GroupSpec(0, 8, 2, 2, 1, 1),))
 
     def test_grad_x_goes_into_the_workspace_unless_resampling(self):
-        # a workspace shaped like x takes grad_x, with G R^T in a scratch,
-        # so no "gx" slot is made; the 2->1 downsample's smaller workspace
-        # cannot, and keeps a "gx" slot and no scratch
+        # a workspace shaped like x takes grad_x, and the backward's one
+        # request is the G R^T scratch; the 2->1 downsample's smaller
+        # workspace cannot, and its backward's one request is grad_x
         layer, (x, g, _, _) = self.recycle_case(self.BIG)
         _, gx = self.step(layer, x, g)
-        assert set(layer._kept) == {"out", "lx", "strip1", "scratch"}
-        assert gx is layer._kept["lx"][1]
+        assert set(layer._kept) == {self.OUT, self.LX, self.STRIP, self.BACK}
+        assert gx is layer._kept[self.LX][1]
+        assert layer._kept[self.BACK][1].shape == (2, 4, 256, 256)
         layer = NeoCellLayer("down", self.DOWNSAMPLE_SPEC, Rng(41))
         _, gx = self.step(layer, x, Rng(42).normal(layer.out_shape(x.shape), 1.0))
-        assert set(layer._kept) == {"out", "lx", "gx"}
-        assert gx is layer._kept["gx"][1]
+        assert set(layer._kept) == {self.OUT, self.LX, self.BACK}
+        assert gx is layer._kept[self.BACK][1]
 
     def test_strips_and_scratch_are_reused(self):
         # from the second step on the layer allocates nothing of activation

@@ -18,11 +18,8 @@ from neonext.neocell import (
     forward_blockdiag,
     forward_patchwise,
     init_part,
-    lx_shape,
     merge_parts,
     output_shape,
-    scratch_shape,
-    strip_shapes,
 )
 from neonext.rng import Rng
 from neonext.tensor import Matrix, Tensor4
@@ -70,23 +67,26 @@ def noise_free_params(spec):
     return NeoCellParams([Matrix(m) for L, _ in stacks for m in L], [Matrix(m) for _, R in stacks for m in R])
 
 
-def run_cell(x, spec, params, gout=None, gx_into_lx=False):
-    """The part loop on the array x as given, in its memory order: the
-    output, or with ``gout`` (output, grad_x, one (grad_L, grad_R) per part),
-    grad_x written into the L x workspace with ``gx_into_lx``."""
+def run_cell(x, spec, params, gout=None, empty=None):
+    """The part loop on the array x as given, with the kernel's arrays from
+    ``empty`` (x's memory order by default): the output, or with ``gout``
+    (output, grad_x, one (grad_L, grad_R) per part, the forward's saved
+    arrays)."""
     parts = merge_parts(spec)
     weights = [params.stacked(part) for part in parts]
-    out = np.empty_like(x, shape=output_shape(spec, x.shape))
-    lx = np.empty_like(x, shape=lx_shape(x.shape, out.shape))
-    strips = [s and np.empty_like(x, shape=s) for s in strip_shapes(parts, out.shape)]
-    cell_forward(x, parts, weights, out, lx, strips)
+    out, saved = cell_forward(x, parts, weights, empty=empty)
     if gout is None:
         return out
-    if gx_into_lx:
-        gx, scratch = lx, np.empty_like(lx, shape=scratch_shape(parts, lx.shape))
-    else:
-        gx, scratch = np.empty_like(x), None
-    return (out, *cell_backward(x, parts, weights, gout, gx, lx, strips, scratch))
+    return (out, *cell_backward(x, parts, weights, gout, saved, empty), saved)
+
+
+def assert_allocated_arrays_written_before_read(x, spec, params, gout, want):
+    """An allocator that hands out NaN-filled arrays gives ``run_cell``'s
+    result ``want`` bit for bit: output, grad_x and every weight gradient."""
+    got = run_cell(x, spec, params, gout, lambda shape: np.full_like(x, np.nan, shape=shape))
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    for pair, pair_want in zip(got[2], want[2], strict=True):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(pair, pair_want))
 
 
 class TestSpecValidation:
@@ -199,6 +199,21 @@ class TestForwardPatchwise:
             forward_patchwise(Tensor4(np.zeros((1, 1, 6, 8))), spec, params)
 
 
+# id suffix -> the axis order whose C-contiguous memory the layout has: C
+# order, channel-major (c, n, H, W) and row-interleaved (c, H, n, W), which
+# the model passes and the kernel folds
+LAYOUTS = {"": (0, 1, 2, 3), "-channel-major": (1, 0, 2, 3), "-row-interleaved": (1, 2, 0, 3)}
+
+
+def _to_layout(a, layout):
+    order = LAYOUTS[layout]
+    return np.ascontiguousarray(a.transpose(order)).transpose(np.argsort(order))
+
+
+def _in_layout(a, layout):
+    return a.transpose(LAYOUTS[layout]).flags.c_contiguous
+
+
 # h != w and h_out != w_out on an H != W input, so a kernel that mixes up the
 # two axes cannot pass
 RECT_SPEC = NeoCellSpec((GroupSpec(0, 2, 2, 4, 3, 1),))
@@ -218,6 +233,23 @@ class TestRectangularResampling:
         x, params = self._case()
         got = forward_patchwise(x, RECT_SPEC, params).array
         assert np.abs(got - forward_blockdiag(x, RECT_SPEC, params).array).max() <= 1e-10
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=["c", "cm", "ri"])
+    @pytest.mark.parametrize(
+        "spec", [RECT_SPEC, NeoCellSpec((GroupSpec(0, 2, 2, 2, 1, 1),))], ids=["rect", "down-2to1"]
+    )
+    def test_grad_x_gets_its_own_array(self, spec, layout):
+        # an L x workspace not shaped like x cannot take grad_x, which comes
+        # from the allocator in x's layout, as the output does, and G R^T
+        # goes over L x; whatever the allocator's arrays held, the bits are
+        # the same
+        x = _to_layout(Rng(23).normal((2, 2, 4, 8), 1.0), layout)
+        params = random_params(spec, Rng(22))
+        gout = _to_layout(Rng(24).normal(output_shape(spec, x.shape), 1.0), layout)
+        result = out, gx, _, saved = run_cell(x, spec, params, gout)
+        assert not np.shares_memory(gx, saved[0])
+        assert _in_layout(out, layout) and _in_layout(gx, layout)
+        assert_allocated_arrays_written_before_read(x, spec, params, gout, result)
 
 
 class TestMergeParts:
@@ -277,17 +309,6 @@ SHIFTED_CASES = {
 FD_CASES = ("whole-4x4", "whole-2x2", "band-8x8", "two-parts", "non-square")
 
 
-# id suffix -> the axis order whose C-contiguous memory the layout has: C
-# order, channel-major (c, n, H, W) and row-interleaved (c, H, n, W), which
-# the model passes and the kernel folds
-LAYOUTS = {"": (0, 1, 2, 3), "-channel-major": (1, 0, 2, 3), "-row-interleaved": (1, 2, 0, 3)}
-
-
-def _to_layout(a, layout):
-    order = LAYOUTS[layout]
-    return np.ascontiguousarray(a.transpose(order)).transpose(np.argsort(order))
-
-
 def _shifted_case(name, layout):
     n, H, W, groups = SHIFTED_CASES[name]
     spec = NeoCellSpec(groups)
@@ -328,7 +349,7 @@ class TestShiftedKernel:
         # y = A x B per channel, so grad_x = A^T G B^T
         spec, params, x = _shifted_case(name, layout)
         gout = _to_layout(Rng(43).normal(x.shape, 1.0), layout)
-        _, gx, _ = run_cell(x, spec, params, gout)
+        _, gx, _, _ = run_cell(x, spec, params, gout)
         for g in spec.groups:
             A, B = blockdiag_factors(g, *params.stacked(g), *x.shape[2:])
             want = A.swapaxes(-1, -2)[None] @ gout[:, g.start : g.stop] @ B.swapaxes(-1, -2)[None]
@@ -336,15 +357,15 @@ class TestShiftedKernel:
 
     @_shifted_params(SHIFTED_CASES)
     def test_grad_x_into_the_workspace_gives_the_same_bits(self, name, layout):
-        # with gx=lx, G R^T goes to a scratch and each run's grad_x over its
-        # own used-up L x
+        # grad_x goes over the used-up L x, with G R^T in a scratch, and the
+        # output and grad_x take x's layout; whatever the allocator's arrays
+        # held, the bits are the same
         spec, params, x = _shifted_case(name, layout)
         gout = _to_layout(Rng(43).normal(x.shape, 1.0), layout)
-        _, gx, grads = run_cell(x, spec, params, gout)
-        _, gx_lx, grads_lx = run_cell(x, spec, params, gout, gx_into_lx=True)
-        assert gx_lx.strides == gx.strides and gx_lx.tobytes() == gx.tobytes()
-        for pair, pair_lx in zip(grads, grads_lx, strict=True):
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(pair, pair_lx))
+        result = out, gx, _, saved = run_cell(x, spec, params, gout)
+        assert np.shares_memory(gx, saved[0])
+        assert out.strides == gx.strides == x.strides
+        assert_allocated_arrays_written_before_read(x, spec, params, gout, result)
 
     @_shifted_params(FD_CASES)
     def test_gradients_match_central_differences(self, name, layout):
@@ -362,13 +383,10 @@ class TestShiftedKernel:
         def run(backward_of=None):
             xa = xp.array.transpose(np.argsort(order))
             arrays = [(L.array, R.array) for L, R in weights]
-            out = np.empty_like(xa, shape=output_shape(spec, xa.shape))
-            lx = np.empty_like(xa, shape=lx_shape(xa.shape, out.shape))
-            strips = [s and np.empty_like(xa, shape=s) for s in strip_shapes(parts, out.shape)]
-            cell_forward(xa, parts, arrays, out, lx, strips)
+            out, saved = cell_forward(xa, parts, arrays)
             if backward_of is None:
                 return float((out * gout).sum())
-            return cell_backward(xa, parts, arrays, backward_of, np.empty_like(xa), lx, strips)
+            return cell_backward(xa, parts, arrays, backward_of, saved)
 
         gx, grads = run(gout)
         analytic = Grads({"x": gx.transpose(order)})
