@@ -15,6 +15,9 @@ artefact, with timing fields stripped:
   parameters under both inits;
 - op-neocell56's layer (8x96x56x56, mixed-shift groups): output and
   gradients with x and G C-ordered, channel-major and row-interleaved;
+  and ``op-neocell56.split``, both of them at batch 4 with x and G
+  C-ordered and row-interleaved, a size at which the kernel splits its
+  runs over the CPUs in either mode;
 - ``neonext-t``'s parameter count, manifest and initial parameters.
 
 It imports ``neonext`` from ``PYTHONPATH``, so the same script digests any
@@ -25,11 +28,12 @@ checkout; comparing two trees is a ``diff`` of two outputs:
     diff a.txt b.txt
 
 BLAS runs on one thread, as in the benchmark, unless a thread count is
-already set in the environment; GELU splits over up to two of the CPUs the
-process may run on.  A test checks that ``--quick`` prints the same digests
-on one CPU with BLAS at 1 thread as on two with BLAS at 2.  ``--quick`` runs
-reduced cases (smaller runs and shapes, no ``neonext-t``) under the same
-names; its digests are comparable only with other ``--quick`` output.
+already set in the environment; GELU and a large NeoCell layer split over
+up to two of the CPUs the process may run on.  A test checks that
+``--quick`` prints the same digests on one CPU with BLAS at 1 thread as on
+two with BLAS at 2.  ``--quick`` runs reduced cases (smaller runs and
+shapes, no ``neonext-t``) under the same names; its digests are comparable
+only with other ``--quick`` output.
 """
 
 import os
@@ -143,24 +147,44 @@ def model_digests(quick: bool):
     yield "neonext-t.params", sha(*(c for p in model.params() for c in (p.name, p.array)))
 
 
-def op_digests(quick: bool):
-    """op-neocell56's layer and inputs, as its workload builds them from seed 1."""
-    batch, channels, size = (2, 24, 28) if quick else (8, 96, 56)
+def op_step(batch: int, channels: int, size: int):
+    """op-neocell56's layer and inputs at this shape, as its workload builds
+    them from seed 1: a function of a layout that runs one forward and
+    backward of a fresh layer with x and G in that layout and returns the
+    output and the grads."""
     groups, _ = make_stage_groups(channels, size, "mixed-shift")
     root = Rng(1)
     shape = (batch, channels, size, size)
     x = root.derive(2).normal(shape, 1.0)
     g = root.derive(3).normal(shape, 1.0)
-    for layout, order in LAYOUTS.items():
+
+    def step(layout):
+        order = LAYOUTS[layout]
         back = tuple(np.argsort(order))
         layer = NeoCellLayer("stage0.block0.neocell", NeoCellSpec(groups), root.derive(1))
         xp = Param("x", np.ascontiguousarray(x.transpose(order)).transpose(back))
         tape = Tape()
         tape.watch(xp)
         out = layer.forward(xp, tape, ForwardCtx("train"))
-        grads = backward(tape, np.ascontiguousarray(g.transpose(order)).transpose(back))
-        yield f"op-neocell56.{layout}.out", sha(out.array)
+        return out.array, backward(tape, np.ascontiguousarray(g.transpose(order)).transpose(back))
+
+    return step
+
+
+def op_digests(quick: bool):
+    step = op_step(*((2, 24, 28) if quick else (8, 96, 56)))
+    for layout in LAYOUTS:
+        out, grads = step(layout)
+        yield f"op-neocell56.{layout}.out", sha(out)
         yield f"op-neocell56.{layout}.grads", sha(*(c for name in sorted(grads) for c in (name, grads[name])))
+    # at batch 4, x (9.2 MiB) has neocell.LARGE_INPUT_BYTES: the kernel
+    # splits its runs over the CPUs, even in --quick
+    step = op_step(4, 96, 56)
+    chunks = []
+    for layout in ("c", "ri"):
+        out, grads = step(layout)
+        chunks += [layout, out, *(c for name in sorted(grads) for c in (name, grads[name]))]
+    yield "op-neocell56.split", sha(*chunks)
 
 
 def main() -> int:

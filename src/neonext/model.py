@@ -68,11 +68,8 @@ only the files ``save_checkpoint`` would write for the model it is given.
 
 from __future__ import annotations
 
-import contextvars
 import itertools
-import os
 import sys
-import threading
 from dataclasses import dataclass, replace
 from itertools import zip_longest
 from pathlib import Path
@@ -83,6 +80,7 @@ from scipy.special import ndtr
 from .autodiff import Param, Tape, Val
 from .errors import ConfigError, ParameterError, ShapeError
 from .neocell import (
+    LARGE_INPUT_BYTES,
     GroupSpec,
     NeoCellSpec,
     cell_backward,
@@ -91,6 +89,7 @@ from .neocell import (
     merge_parts,
     output_shape,
 )
+from .parallel import cpu_pieces, run_pieces
 from .rng import Rng
 from .tensor import Tensor4, read_tensor, write_tensor
 
@@ -99,14 +98,6 @@ IN_CHANNELS = 3   # RGB
 STEM_PATCH = 4
 EXPANSION = 4     # a block's pointwise expand widens C to EXPANSION * C
 STAGE_POLICIES = ("mixed-shift", "mixed-shift", "mixed-shift", "single-7")
-# NeoCellLayer recycles its arrays when its input has this size.  On a
-# 2-vCPU Xeon, recycling op-neocell56's 18.4 MiB arrays removes ~2,200
-# first-touch page faults per forward+backward (54 -> 42 ms), and its wrap
-# strips and 2.4 MB G R^T scratch ~900 more (1,150 -> 224) in a process
-# that has freed no large block, where glibc hands freed heap back to the
-# system; with no floor, holding the micro model's (at most 3 MiB) added
-# ~2,000 faults per eval-micro op and slowed it 5-10%.
-RECYCLE_MIN_BYTES = 8 << 20
 BN_EPS = 1e-8
 BN_MOMENTUM = 0.1
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -126,11 +117,6 @@ GELU_BLOCK = 1 << 15
 # elements took 1.1-1.2x one thread's time, 2**15 0.8-0.9x, 2**16 0.65-0.7x
 # (untaped and taped, medians of 200 calls).
 GELU_MIN_PIECE = 1 << 14
-# Most threads GeluLayer runs one call on, the caller's included.  The
-# split was measured on 2 vCPUs only; more threads would each cost a thread
-# start per call and were never timed, and the affinity mask does not show
-# a cgroup's CPU quota.
-GELU_MAX_PIECES = 2
 
 
 @dataclass(frozen=True)
@@ -281,7 +267,7 @@ class NeoCellLayer:
         """The allocator for one kernel call: its i-th request for an
         uninitialized ``shape`` array in x's dtype and memory order gets
         slot (phase, i)'s last one when its key matches and nothing else
-        references it, else a fresh one, kept if x has RECYCLE_MIN_BYTES.
+        references it, else a fresh one, kept if x has LARGE_INPUT_BYTES.
 
         "Nothing else" is read from CPython's reference count (the kept
         tuple and ``getrefcount``'s argument make 2).  A numpy view holds
@@ -296,7 +282,7 @@ class NeoCellLayer:
             kept = self._kept.pop(slot, None)
             if kept is None or kept[0] != key or sys.getrefcount(kept[1]) != 2:
                 kept = (key, np.empty_like(x, shape=shape))
-            if x.nbytes >= RECYCLE_MIN_BYTES:
+            if x.nbytes >= LARGE_INPUT_BYTES:
                 self._kept[slot] = kept
             return kept[1]
 
@@ -419,12 +405,8 @@ class GeluLayer:
 
     The forward cuts flat views of x and of its output, both in x's memory
     order, into contiguous pieces: one per CPU this process may run on, at
-    most ``GELU_MAX_PIECES``, none of fewer than ``GELU_MIN_PIECE``
-    elements.  The caller runs the first piece and a thread started for the
-    call runs each other one; ``scipy.special.ndtr`` and numpy's ufuncs
-    release the GIL while they work.  The caller waits for the slowest
-    piece, so on a host where another process holds the second CPU the
-    split can be slower than one thread.  Each piece runs in
+    most ``parallel.MAX_PIECES``, none of fewer than ``GELU_MIN_PIECE``
+    elements, run by ``parallel.run_pieces``.  Each piece runs in
     ``GELU_BLOCK``-element blocks.  A block writes
     Phi(x) into its output slice and multiplies that slice by x in place, so
     no temporary is made.  On a tape each block also builds the derivative
@@ -449,8 +431,12 @@ class GeluLayer:
         xf, of = x.ravel("K"), out.ravel("K")      # of views out; xf copies an x with gaps
         df = None if d is None else d.ravel("K")
 
-        def blocks(start, stop):
-            for lo in range(start, stop, GELU_BLOCK):
+        size = xf.size
+        pieces = max(1, min(cpu_pieces(), size // GELU_MIN_PIECE))
+
+        def blocks(i):
+            stop = size * (i + 1) // pieces
+            for lo in range(size * i // pieces, stop, GELU_BLOCK):
                 hi = min(lo + GELU_BLOCK, stop)
                 xs, cdf = xf[lo:hi], of[lo:hi]
                 ndtr(xs, out=cdf)
@@ -464,7 +450,7 @@ class GeluLayer:
                     ds += cdf
                 np.multiply(xs, cdf, out=cdf)
 
-        _run_pieces(blocks, xf.size)
+        run_pieces(blocks, pieces)
         ov = Val(out)
 
         def back(g):
@@ -472,39 +458,6 @@ class GeluLayer:
 
         _record(tape, ov, (v,), back)
         return ov
-
-
-def _run_pieces(work, size: int) -> None:
-    """``work(start, stop)`` over [0, size), cut into one contiguous piece
-    per CPU in this process's affinity mask, at most ``GELU_MAX_PIECES``
-    and none smaller than ``GELU_MIN_PIECE``.  The caller runs the first
-    piece; a thread started here runs each other one in a copy of the
-    caller's context (numpy's error state is a context variable).  Every
-    thread is joined before this returns, and then the error of the first
-    piece that failed is raised."""
-    pieces = max(1, min(len(os.sched_getaffinity(0)), GELU_MAX_PIECES, size // GELU_MIN_PIECE))
-    cuts = [size * i // pieces for i in range(pieces + 1)]
-    errors = [None] * pieces
-
-    def helper(i):
-        try:
-            work(cuts[i], cuts[i + 1])
-        except BaseException as exc:
-            errors[i] = exc
-
-    threads = []
-    try:
-        for i in range(1, pieces):
-            t = threading.Thread(target=contextvars.copy_context().run, args=(helper, i))
-            t.start()
-            threads.append(t)
-        work(cuts[0], cuts[1])
-    finally:
-        for t in threads:
-            t.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
 
 
 class SpaceToDepthLayer:

@@ -43,6 +43,17 @@ shape=shape)`` by default; ``model.NeoCellLayer``'s hands a large input's
 arrays out again from call to call.  The kernel's own allocations are
 small temporaries (wrapping bands, weight-gradient products).
 
+A call on a large x (``LARGE_INPUT_BYTES``) runs on the CPUs the process
+may use, two at most (``parallel``): each run's channels are cut into
+near-equal consecutive pieces, and piece i of every run goes to one
+thread, the caller's piece 0 and a started thread's each other one.  The
+calling thread takes every array from ``empty`` and tallies the
+multiplies before the pieces start.  The pieces go through the runs
+independently, so in the backward each has channels of the G R^T scratch
+to itself, as wide as its widest share of a run.  Each channel goes
+through the same operations whatever the split, so the bits are the same
+on any number of CPUs.
+
 Shifts never move activations.  A subgroup shifted by s reads the same
 views from row s and from flat element s: every band along H except the one
 that wraps round, and every chunk along W except those that run across a row
@@ -78,8 +89,25 @@ import numpy as np
 
 from .errors import ConfigError, ParameterError, ShapeError
 from .neoinit import neoinit_pattern
+from .parallel import cpu_pieces, run_pieces
 from .rng import Rng
 from .tensor import Matrix, Tensor4
+
+# A large input, in bytes.  From this size the kernel cuts each run's
+# channels into pieces that run on their own threads, and
+# ``model.NeoCellLayer`` keeps its arrays from call to call.  On a 2-vCPU
+# Xeon, a mixed-shift layer's forward+backward split in two, on
+# row-interleaved input (40 alternating rounds), took 0.73x its one-thread
+# time on 8x96x56x56 (18.4 MiB) and 0.91x on 4x96x56x56 (9.2 MiB); below
+# 8 MiB the split lost, as small numpy calls queue on the GIL: 1.30x on
+# 2x96x56x56 (4.6 MiB), 1.19x and 2.2x on the micro model's stage 0 at
+# batch 256 and 64 (3 and 0.75 MiB).  Recycling op-neocell56's arrays
+# removes ~2,200 first-touch page faults per forward+backward (54 -> 42
+# ms), and its wrap strips and 2.4 MB G R^T scratch ~900 more (1,150 ->
+# 224) in a process that has freed no large block, where glibc hands freed
+# heap back to the system; with no floor, holding the micro model's (at
+# most 3 MiB) added ~2,000 faults per eval-micro op and slowed it 5-10%.
+LARGE_INPUT_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -360,6 +388,22 @@ def _scatter(dst: np.ndarray, band: np.ndarray, s: int, axis: int) -> None:
     dst[head] = band[pad + (slice(k - s, None),)]
 
 
+def _runs(parts, *per_part):
+    """(part, its item of each ``per_part`` list, a, b, s) for every run
+    (a, b, s) of every part, in channel order."""
+    return [(part, *items, a, b, s) for part, *items in zip(parts, *per_part) for a, b, s in part.runs]
+
+
+def _shares(runs, x: np.ndarray):
+    """For each piece of a kernel call on x, its channels [lo, hi) of each
+    of ``runs``: one piece per CPU (``parallel.cpu_pieces``) when x has
+    ``LARGE_INPUT_BYTES``, else one.  A run's pieces are consecutive, their
+    sizes one apart at most."""
+    pieces = cpu_pieces() if x.nbytes >= LARGE_INPUT_BYTES else 1
+    return [[(a + (b - a) * i // pieces, a + (b - a) * (i + 1) // pieces) for *_, a, b, _ in runs]
+            for i in range(pieces)]
+
+
 def cell_forward(x: np.ndarray, parts, weights, counter: MultCounter | None = None, empty=None):
     """The patch kernel, in the dtype of its inputs.
 
@@ -382,11 +426,12 @@ def cell_forward(x: np.ndarray, parts, weights, counter: MultCounter | None = No
     second one per channel.  A run shifted by s reads the same views from
     row s and from flat element s; its one wrapping band along H and its
     wrapping chunk column along W are gathered, multiplied and scattered
-    back.  L goes first, so each patch costs exactly the h_out*h*w +
-    h_out*w*w_out multiplies that ``counter`` tallies.  It does not count
-    the wrapped chunk products that a shifted subgroup computes and
-    discards: H' - 1 per plane, and one more per plane but the last where
-    ``_fold`` runs the rows of a channel's images as one.
+    back.  A large x's runs are cut into channel pieces that run on their
+    own threads (``_shares``).  L goes first, so each patch costs exactly
+    the h_out*h*w + h_out*w*w_out multiplies that ``counter`` tallies.  It
+    does not count the wrapped chunk products that a shifted subgroup
+    computes and discards: H' - 1 per plane, and one more per plane but the
+    last where ``_fold`` runs the rows of a channel's images as one.
     """
     empty = empty or (lambda shape: np.empty_like(x, shape=shape))
     n, _, H, W = x.shape
@@ -394,30 +439,38 @@ def cell_forward(x: np.ndarray, parts, weights, counter: MultCounter | None = No
     H_out = H // first.h * first.h_out
     out = empty((*x.shape[:2], H_out, W // first.w * first.w_out))
     lx = empty((*x.shape[:2], H_out, W))
-    strips = [empty((n, b - a, H_out, p.w)) if s else None for p in parts for a, b, s in p.runs]
-    each_strip = iter(strips)
-    for part, (L, R) in zip(parts, weights):
-        h, w, h_out, w_out = part.h, part.w, part.h_out, part.w_out
-        if counter is not None:
+    runs = _runs(parts, weights)
+    strips = [empty((n, b - a, H_out, part.w)) if s else None for part, _, a, b, s in runs]
+    if counter is not None:
+        for part in parts:
+            h, w, h_out, w_out = part.h, part.w, part.h_out, part.w_out
             counter.add(n * part.count * (H // h) * (W // w) * (h_out * h * w + h_out * w * w_out))
-        # weights are indexed within the part, activations across the layer
-        # zip draws a run first, so each part takes exactly its runs' strips
-        for (a, b, s), strip in zip(part.runs, each_strip):
-            c = slice(part.start + a, part.start + b)
-            lc = lx[:, c]
+    shares = _shares(runs, x)
+
+    def run_piece(i):
+        for (part, (L, R), a, b, s), strip, (lo, hi) in zip(runs, strips, shares[i]):
+            if lo == hi:
+                continue
+            h, w, h_out, w_out = part.h, part.w, part.h_out, part.w_out
+            # weights are indexed within the part, activations across the layer
+            c = slice(part.start + lo, part.start + hi)
+            Lc, Rc, lc = L[lo:hi], R[lo:hi], lx[:, c]
+            strip = None if strip is None else strip[:, lo - a : hi - a]
             xb, lb = _fold((x[:, c], lc), 3)
-            np.matmul(L[a:b, None], _bands(xb, h, s), out=_bands(lb, h_out, s))
+            np.matmul(Lc[:, None], _bands(xb, h, s), out=_bands(lb, h_out, s))
             if s:
-                _scatter(lb, np.matmul(L[a:b], _gather(xb, h, s, 2)), s, 2)
+                _scatter(lb, np.matmul(Lc, _gather(xb, h, s, 2)), s, 2)
                 _gather(lc, w, s, 3, strip)
                 # the wrapping chunks' products are discarded; zeroed, these
                 # columns add nothing to the backward's grad_R
                 for piece in _wrap(W, w, s, 3):
                     lc[piece] = 0
             lf, of, sf = _fold((lc, out[:, c], strip), 2)
-            np.matmul(_chunks(lf, w, s), R[a:b], out=_chunks(of, w_out, s))
+            np.matmul(_chunks(lf, w, s), Rc, out=_chunks(of, w_out, s))
             if s:
-                _scatter(of, np.matmul(sf, R[a:b]), s, 3)
+                _scatter(of, np.matmul(sf, Rc), s, 3)
+
+    run_pieces(run_piece, len(shares))
     return out, (lx, strips)
 
 
@@ -441,9 +494,10 @@ def cell_backward(x: np.ndarray, parts, weights, gy: np.ndarray, saved, empty=No
     share.  The L X workspace is consumed: each run reads its L X for
     grad_R first.  Where the workspace is shaped like x (h_out == h),
     grad_x goes into it, each run's over its own used-up L X, and G R^T
-    into a scratch from ``empty`` with the widest run's channel count.
-    Otherwise grad_x is one array from ``empty``, and G R^T overwrites each
-    run's L X.  ``empty`` is as in ``cell_forward``.
+    into a scratch from ``empty`` as wide as the widest run; each piece of
+    a large x (``_shares``) has its own channels of it.  Otherwise grad_x
+    is one array from ``empty``, and G R^T overwrites each run's L X.
+    ``empty`` is as in ``cell_forward``.
 
     Returns (gx, grads) with one (grad_L, grad_R) pair per part, shaped
     like ``weights``.  Each weight gradient is reduced in one fixed order,
@@ -452,42 +506,51 @@ def cell_backward(x: np.ndarray, parts, weights, gy: np.ndarray, saved, empty=No
     """
     empty = empty or (lambda shape: np.empty_like(x, shape=shape))
     lx, strips = saved
+    grads = [(np.empty_like(L), np.empty_like(R)) for L, R in weights]
+    # BLAS takes G R^T about 3x longer from a transposed view of R
+    rts = [np.ascontiguousarray(R.swapaxes(-1, -2)) for _, R in weights]
+    runs = _runs(parts, weights, rts, grads)
+    shares = _shares(runs, x)
     if lx.shape == x.shape:
-        widest = max(b - a for p in parts for a, b, _ in p.runs)
-        gx, scratch = lx, empty((x.shape[0], widest, *x.shape[2:]))
+        # the pieces go through the runs independently, so piece i takes
+        # scratch channels [offsets[i], offsets[i + 1]) for every run
+        widths = (max(hi - lo for lo, hi in share) for share in shares)
+        offsets = list(itertools.accumulate(widths, initial=0))
+        gx, scratch = lx, empty((x.shape[0], offsets[-1], *x.shape[2:]))
     else:
         gx, scratch = empty(x.shape), None
-    grads = []
-    each_strip = iter(strips)
-    for part, (L, R) in zip(parts, weights):
-        h, w, h_out, w_out = part.h, part.w, part.h_out, part.w_out
-        grad_l, grad_r = np.empty_like(L), np.empty_like(R)
-        # BLAS takes G R^T about 3x longer from a transposed view of R
-        Rts = np.ascontiguousarray(R.swapaxes(-1, -2))
-        # zip draws a run first, so each part takes exactly its runs' strips
-        for (a, b, s), strip in zip(part.runs, each_strip):
-            c = slice(part.start + a, part.start + b)
-            Lt, Rt = L[a:b].swapaxes(-1, -2), Rts[a:b]
+
+    def run_piece(i):
+        for (part, (L, _), Rts, (grad_l, grad_r), a, b, s), strip, (lo, hi) in zip(
+            runs, strips, shares[i]
+        ):
+            if lo == hi:
+                continue
+            h, w, h_out, w_out = part.h, part.w, part.h_out, part.w_out
+            c, k = slice(part.start + lo, part.start + hi), slice(lo, hi)
+            Lt, Rt = L[k].swapaxes(-1, -2), Rts[k]
+            strip = None if strip is None else strip[:, lo - a : hi - a]
             # G R^T goes over L X unless L X's place receives grad_x
-            grt = lx[:, c] if scratch is None else scratch[:, : b - a]
+            grt = lx[:, c] if scratch is None else scratch[:, offsets[i] : offsets[i] + hi - lo]
             lf, gf, tf, lw = _fold((lx[:, c], gy[:, c], grt, strip), 2)
             grows = _chunks(gf, w_out, s)
-            grad_r[a:b] = np.matmul(_chunks(lf, w, s).swapaxes(-1, -2), grows).sum(axis=0)
+            grad_r[k] = np.matmul(_chunks(lf, w, s).swapaxes(-1, -2), grows).sum(axis=0)
             np.matmul(grows, Rt, out=_chunks(tf, w, s))
             if s:
                 gw = _gather(gf, w_out, s, 3)
-                grad_r[a:b] += np.matmul(lw.swapaxes(-1, -2), gw).sum(axis=0)
+                grad_r[k] += np.matmul(lw.swapaxes(-1, -2), gw).sum(axis=0)
                 _scatter(tf, np.matmul(gw, Rt), s, 3)
             # this run's L X is used up: its place may now take grad_x
             xb, tb, ob = _fold((x[:, c], grt, gx[:, c]), 3)
             gbands = _bands(tb, h_out, s)
-            grad_l[a:b] = np.matmul(gbands, _bands(xb, h, s).swapaxes(-1, -2)).sum(axis=(0, 2))
+            grad_l[k] = np.matmul(gbands, _bands(xb, h, s).swapaxes(-1, -2)).sum(axis=(0, 2))
             np.matmul(Lt[:, None], gbands, out=_bands(ob, h, s))
             if s:
                 grw, xw = _gather(tb, h, s, 2), _gather(xb, h, s, 2)
-                grad_l[a:b] += np.matmul(grw, xw.swapaxes(-1, -2)).sum(axis=0)
+                grad_l[k] += np.matmul(grw, xw.swapaxes(-1, -2)).sum(axis=0)
                 _scatter(ob, np.matmul(Lt, grw), s, 2)
-        grads.append((grad_l, grad_r))
+
+    run_pieces(run_piece, len(shares))
     return gx, grads
 
 

@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from neonext import model
+from neonext import parallel
 from neonext.autodiff import Param, Tape, Val, backward, fd_check
 from neonext.errors import ShapeError
 from neonext.model import (
     GELU_BLOCK,
-    GELU_MAX_PIECES,
     GELU_MIN_PIECE,
     BatchNormLayer,
     ForwardCtx,
@@ -22,6 +21,7 @@ from neonext.model import (
     PointwiseLayer,
     SpaceToDepthLayer,
 )
+from neonext.parallel import MAX_PIECES
 from neonext.rng import Rng
 
 # Phi(1) from a standard normal table, independent of the erf in the code
@@ -315,7 +315,7 @@ class TestGelu:
         assert threading.active_count() == threads
 
     def test_pieces_are_capped(self, monkeypatch):
-        # on 64 CPUs a call still starts GELU_MAX_PIECES - 1 threads
+        # on 64 CPUs a call still starts MAX_PIECES - 1 threads
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
         started = []
 
@@ -327,13 +327,13 @@ class TestGelu:
         monkeypatch.setattr(threading, "Thread", Counted)
         x = Rng(19).normal((1, 1, 1, 64 * GELU_MIN_PIECE), 1.0)
         GeluLayer().forward(Val(x), Tape(), ForwardCtx())
-        assert len(started) == GELU_MAX_PIECES - 1
+        assert len(started) == MAX_PIECES - 1
 
 
 def three_cpus(monkeypatch):
     """Let ``GeluLayer`` split into three pieces on any machine."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    monkeypatch.setattr(model, "GELU_MAX_PIECES", 3)
+    monkeypatch.setattr(parallel, "MAX_PIECES", 3)
 
 
 def gelu_derivative(x):

@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from neonext.equiv import random_case, random_params, run_trials
 from neonext.errors import ConfigError, ParameterError, ShapeError
 from neonext.model import make_stage_groups
 from neonext.neocell import (
+    LARGE_INPUT_BYTES,
     GroupSpec,
     MultCounter,
     NeoCellParams,
@@ -395,6 +399,92 @@ class TestShiftedKernel:
                 analytic[p.name] = gp
         report = fd_check(run, [xp] + [p for pair in weights for p in pair], analytic, threshold=1e-4)
         assert report.passed, report.table()
+
+
+# (groups, n, map size) of kernel calls above LARGE_INPUT_BYTES.  "mixed"
+# has runs of 3, 2, 1, 1 and 5 channels in two parts, so the pieces' shares
+# of the runs differ in width and some are empty; in "downsample" grad_x
+# gets an array of its own and G R^T goes over L x.
+SPLIT_CASES = {
+    "mixed": (_groups(4, [(3, 0), (2, 1), (1, 3)]) + _groups(7, [(1, 0), (5, 6)], start=6), 2, 224),
+    "downsample": ((GroupSpec(0, 3, 2, 2, 1, 1),), 2, 448),
+}
+
+
+def _split_case(name, layout, size=None):
+    groups, n, full = SPLIT_CASES[name]
+    spec = NeoCellSpec(groups)
+    size = size or full
+    x = _to_layout(Rng(47).normal((n, spec.channel_count, size, size), 1.0), layout)
+    gout = _to_layout(Rng(48).normal(output_shape(spec, x.shape), 1.0), layout)
+    return spec, random_params(spec, Rng(49)), x, gout
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+class TestSplitKernel:
+    """On a large x the kernel cuts every run's channels into one piece per
+    CPU, at most two, and runs each piece but the caller's on a thread it
+    starts; the affinity mask is patched, so the split runs on any
+    machine."""
+
+    @pytest.mark.parametrize("name", SPLIT_CASES)
+    @pytest.mark.parametrize("layout", ["", "-row-interleaved"], ids=["c-ordered", "row-interleaved"])
+    def test_one_cpu_and_two_give_the_same_bits(self, name, layout, monkeypatch):
+        spec, params, x, gout = _split_case(name, layout)
+        assert x.nbytes >= LARGE_INPUT_BYTES
+        results = []
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            out, gx, grads, _ = run_cell(x, spec, params, gout)
+            results.append([a.tobytes() for a in (out, gx, *(g for pair in grads for g in pair))])
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize(
+        "cpus, size, threads", [(2, 224, 1), (64, 224, 1), (1, 224, 0), (2, 112, 0)],
+        ids=["two-cpus", "capped", "one-cpu", "below-the-floor"],
+    )
+    def test_one_thread_starts_per_call_above_the_floor(self, cpus, size, threads, monkeypatch):
+        spec, params, x, gout = _split_case("mixed", "", size)
+        assert (x.nbytes >= LARGE_INPUT_BYTES) == (size == 224)
+        _cpus(monkeypatch, cpus)
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        parts = merge_parts(spec)
+        weights = [params.stacked(part) for part in parts]
+        _, saved = cell_forward(x, parts, weights)
+        assert len(started) == threads
+        cell_backward(x, parts, weights, gout, saved)
+        assert len(started) == 2 * threads
+        assert not any(t.is_alive() for t in started)
+
+    def test_multiplies_are_tallied_once_in_the_calling_thread(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        spec, params, x, _ = _split_case("mixed", "")
+        callers = []
+
+        class Recording(MultCounter):
+            def add(self, n):
+                callers.append(threading.get_ident())
+                super().add(n)
+
+        counter = Recording()
+        forward_patchwise(Tensor4(x), spec, params, counter)
+        n, _, H, W = x.shape
+        want = sum(
+            n * g.count * (H // g.h) * (W // g.w) * (g.h_out * g.h * g.w + g.h_out * g.w * g.w_out)
+            for g in spec.groups
+        )
+        assert counter.multiplies == want
+        assert set(callers) == {threading.get_ident()}
 
 
 def _stage_spec(policy, map_size):

@@ -139,13 +139,15 @@ def test_digest_is_reproducible():
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for _, digest in lines)
     assert len(set(names)) == len(names)
     for name in ("train.neoinit.checkpoint", "train.neoinit.loaded", "train.random-normal.run_csv",
-                 "equiv-check.csv", "init-dump.no-noise", "bench.dwconv", "synth.split", "op-neocell56.ri.grads"):
+                 "equiv-check.csv", "init-dump.no-noise", "bench.dwconv", "synth.split", "op-neocell56.ri.grads",
+                 "op-neocell56.split"):
         assert name in names
 
 
 def test_digest_is_the_same_on_one_cpu_and_on_all():
     # one CPU (set in the child only) with BLAS on 1 thread, against every
-    # CPU with BLAS on 2: GELU's split and BLAS's threads change no bit
+    # CPU with BLAS on 2: the splits of GELU and of a large NeoCell layer
+    # (op-neocell56.split) and BLAS's threads change no bit
     one_cpu = (sys.executable, "-c", "import os, runpy, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
                "sys.argv = sys.argv[1:]; runpy.run_path(sys.argv[0], run_name='__main__')")
     blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
