@@ -12,7 +12,9 @@ Subcommands:
 Every output file flag (``--out``, ``--text-out``) follows one rule,
 checked before any work: a missing parent directory is created, and a path
 that is a directory, or whose parent cannot be made, is an error that names
-the flag.  So a bad path leaves no partial output.
+the flag.  So a bad path leaves no partial output.  Every ``--seed`` is
+checked against ``Rng``'s range before any work too, and its error names
+the flag.
 
 Exit codes: 0 success, 1 error, usage error or failed check, 2 training
 diverged.
@@ -44,7 +46,7 @@ from .model import (
 )
 from .neocell import GroupSpec, NeoCellSpec, init_part, merge_parts
 from .neoinit import format_grid
-from .rng import SEED_LIMIT, Rng
+from .rng import SEED_LIMIT, Rng, check_seed
 from .tensor import Tensor4, write_tensor
 from .trainer import load_data, parse_config, run_ablation, train_run
 
@@ -203,6 +205,8 @@ def _check_outputs(args, *flags) -> None:
 
 def _cmd_gradcheck(args) -> int:
     _check_sizes(args, "c", "h", "w", "k")
+    if args.entries < 0:
+        raise ConfigError(f"--entries must be >= 0, got {args.entries}")
     loss_fn, params = _gradcheck_case(args)
     tape = Tape()
     loss_fn(tape)
@@ -307,6 +311,8 @@ def main(argv=None) -> int:
         "equiv-check": _cmd_equiv,
     }
     try:
+        if "seed" in vars(args):
+            check_seed(args.seed, "--seed")
         return handlers[args.command](args)
     except (ConfigError, DataError, NumericError, ParameterError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,7 +43,7 @@ outputs and input gradients in their input's memory order.
 ``NeoCellLayer`` passes its kernel an allocator of that order too
 (``_empty``), which, when the input is large, hands out its previous
 call's arrays again once nothing else references them: the output, L x,
-the W-wrap strips, and the backward's G R^T scratch or input gradient.
+the W-wrap strips, and the backward's G R^T scratches or input gradient.
 The layer copies an output gradient of another layout into its output's
 (which no model step needs).  A tape holds the forward's saved arrays
 until its backward consumes them.

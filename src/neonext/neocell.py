@@ -34,25 +34,24 @@ which arrays that takes.  Beside the output, ``cell_forward`` returns one
 (n, c, H/h*h_out, W) workspace holding every part's L x and one W-wrap
 strip per shifted run; ``cell_backward`` consumes the workspace: each run
 reads its L x for grad_R, then its place takes the run's grad_x where the
-workspace is shaped like x (G R^T going into a scratch sized for the
-widest run) and the run's G R^T otherwise (grad_x getting an array of its
-own).  A workspace therefore serves one backward, as a tape does
-(``autodiff.backward`` refuses a consumed tape).  These arrays all come
-from the caller's allocator ``empty(shape)``, ``np.empty_like(x,
-shape=shape)`` by default; ``model.NeoCellLayer``'s hands a large input's
-arrays out again from call to call.  The kernel's own allocations are
+workspace is shaped like x (G R^T going into a scratch of the piece's
+own, sized for its widest slice of a run) and the run's G R^T otherwise
+(grad_x getting an array of its own).  A workspace therefore serves one
+backward, as a tape does (``autodiff.backward`` refuses a consumed tape).
+These arrays all come from the caller's allocator ``empty(shape)``,
+``np.empty_like(x, shape=shape)`` by default; ``model.NeoCellLayer``'s
+hands a large input's arrays out again from call to call.  The kernel's own allocations are
 small temporaries (wrapping bands, weight-gradient products).
 
 A call on a large x (``LARGE_INPUT_BYTES``) runs on the CPUs the process
-may use, two at most (``parallel``): each run's channels are cut into
-near-equal consecutive pieces, and piece i of every run goes to one
-thread, the caller's piece 0 and a started thread's each other one.  The
-calling thread takes every array from ``empty`` and tallies the
-multiplies before the pieces start.  The pieces go through the runs
-independently, so in the backward each has channels of the G R^T scratch
-to itself, as wide as its widest share of a run.  Each channel goes
-through the same operations whatever the split, so the bits are the same
-on any number of CPUs.
+may use, two at most (``parallel``): once per call, ``_plan`` cuts each
+run's channels into near-equal consecutive slices, one per piece, and the
+forward and the backward walk piece i's slices on one thread, the caller's
+piece 0 and a started thread's each other one.  The calling thread takes
+every array from ``empty`` and tallies the multiplies before the pieces
+start; in the backward each piece has a G R^T scratch of its own, as wide
+as its widest slice.  Each channel goes through the same operations
+whatever the split, so the bits are the same on any number of CPUs.
 
 Shifts never move activations.  A subgroup shifted by s reads the same
 views from row s and from flat element s: every band along H except the one
@@ -388,20 +387,23 @@ def _scatter(dst: np.ndarray, band: np.ndarray, s: int, axis: int) -> None:
     dst[head] = band[pad + (slice(k - s, None),)]
 
 
-def _runs(parts, *per_part):
-    """(part, its item of each ``per_part`` list, a, b, s) for every run
-    (a, b, s) of every part, in channel order."""
-    return [(part, *items, a, b, s) for part, *items in zip(parts, *per_part) for a, b, s in part.runs]
-
-
-def _shares(runs, x: np.ndarray):
-    """For each piece of a kernel call on x, its channels [lo, hi) of each
-    of ``runs``: one piece per CPU (``parallel.cpu_pieces``) when x has
-    ``LARGE_INPUT_BYTES``, else one.  A run's pieces are consecutive, their
-    sizes one apart at most."""
+def _plan(x: np.ndarray, parts, strips, *per_part):
+    """Each piece's slices of the runs of one kernel call on x: one piece
+    per CPU (``parallel.cpu_pieces``) when x has ``LARGE_INPUT_BYTES``, else
+    one.  A run's slices are consecutive, their sizes one apart at most, and
+    the empty ones are left out.  A slice is (part, its item of each
+    ``per_part`` list, its channels in the layer, in the part, the run's
+    strip of ``strips`` cut to them or None, shift), in channel order."""
     pieces = cpu_pieces() if x.nbytes >= LARGE_INPUT_BYTES else 1
-    return [[(a + (b - a) * i // pieces, a + (b - a) * (i + 1) // pieces) for *_, a, b, _ in runs]
-            for i in range(pieces)]
+    runs = ((part, items, run) for part, *items in zip(parts, *per_part) for run in part.runs)
+    plan = [[] for _ in range(pieces)]
+    for (part, items, (a, b, s)), strip in zip(runs, strips):
+        for i, piece in enumerate(plan):
+            lo, hi = a + (b - a) * i // pieces, a + (b - a) * (i + 1) // pieces
+            if lo < hi:
+                cut = None if strip is None else strip[:, lo - a : hi - a]
+                piece.append((part, *items, slice(part.start + lo, part.start + hi), slice(lo, hi), cut, s))
+    return plan
 
 
 def cell_forward(x: np.ndarray, parts, weights, counter: MultCounter | None = None, empty=None):
@@ -427,7 +429,7 @@ def cell_forward(x: np.ndarray, parts, weights, counter: MultCounter | None = No
     row s and from flat element s; its one wrapping band along H and its
     wrapping chunk column along W are gathered, multiplied and scattered
     back.  A large x's runs are cut into channel pieces that run on their
-    own threads (``_shares``).  L goes first, so each patch costs exactly
+    own threads (``_plan``).  L goes first, so each patch costs exactly
     the h_out*h*w + h_out*w*w_out multiplies that ``counter`` tallies.  It
     does not count the wrapped chunk products that a shifted subgroup
     computes and discards: H' - 1 per plane, and one more per plane but the
@@ -439,23 +441,18 @@ def cell_forward(x: np.ndarray, parts, weights, counter: MultCounter | None = No
     H_out = H // first.h * first.h_out
     out = empty((*x.shape[:2], H_out, W // first.w * first.w_out))
     lx = empty((*x.shape[:2], H_out, W))
-    runs = _runs(parts, weights)
-    strips = [empty((n, b - a, H_out, part.w)) if s else None for part, _, a, b, s in runs]
+    strips = [empty((n, b - a, H_out, part.w)) if s else None for part in parts for a, b, s in part.runs]
     if counter is not None:
         for part in parts:
             h, w, h_out, w_out = part.h, part.w, part.h_out, part.w_out
             counter.add(n * part.count * (H // h) * (W // w) * (h_out * h * w + h_out * w * w_out))
-    shares = _shares(runs, x)
+    plan = _plan(x, parts, strips, weights)
 
     def run_piece(i):
-        for (part, (L, R), a, b, s), strip, (lo, hi) in zip(runs, strips, shares[i]):
-            if lo == hi:
-                continue
+        for part, (L, R), c, k, strip, s in plan[i]:
             h, w, h_out, w_out = part.h, part.w, part.h_out, part.w_out
-            # weights are indexed within the part, activations across the layer
-            c = slice(part.start + lo, part.start + hi)
-            Lc, Rc, lc = L[lo:hi], R[lo:hi], lx[:, c]
-            strip = None if strip is None else strip[:, lo - a : hi - a]
+            # weights are indexed within the part (k), activations across the layer (c)
+            Lc, Rc, lc = L[k], R[k], lx[:, c]
             xb, lb = _fold((x[:, c], lc), 3)
             np.matmul(Lc[:, None], _bands(xb, h, s), out=_bands(lb, h_out, s))
             if s:
@@ -470,7 +467,7 @@ def cell_forward(x: np.ndarray, parts, weights, counter: MultCounter | None = No
             if s:
                 _scatter(of, np.matmul(sf, Rc), s, 3)
 
-    run_pieces(run_piece, len(shares))
+    run_pieces(run_piece, len(plan))
     return out, (lx, strips)
 
 
@@ -494,8 +491,8 @@ def cell_backward(x: np.ndarray, parts, weights, gy: np.ndarray, saved, empty=No
     share.  The L X workspace is consumed: each run reads its L X for
     grad_R first.  Where the workspace is shaped like x (h_out == h),
     grad_x goes into it, each run's over its own used-up L X, and G R^T
-    into a scratch from ``empty`` as wide as the widest run; each piece of
-    a large x (``_shares``) has its own channels of it.  Otherwise grad_x
+    into a scratch from ``empty``, one per piece of the call (``_plan``)
+    and as wide as that piece's widest slice.  Otherwise grad_x
     is one array from ``empty``, and G R^T overwrites each run's L X.
     ``empty`` is as in ``cell_forward``.
 
@@ -509,29 +506,20 @@ def cell_backward(x: np.ndarray, parts, weights, gy: np.ndarray, saved, empty=No
     grads = [(np.empty_like(L), np.empty_like(R)) for L, R in weights]
     # BLAS takes G R^T about 3x longer from a transposed view of R
     rts = [np.ascontiguousarray(R.swapaxes(-1, -2)) for _, R in weights]
-    runs = _runs(parts, weights, rts, grads)
-    shares = _shares(runs, x)
+    plan = _plan(x, parts, strips, weights, rts, grads)
     if lx.shape == x.shape:
-        # the pieces go through the runs independently, so piece i takes
-        # scratch channels [offsets[i], offsets[i + 1]) for every run
-        widths = (max(hi - lo for lo, hi in share) for share in shares)
-        offsets = list(itertools.accumulate(widths, initial=0))
-        gx, scratch = lx, empty((x.shape[0], offsets[-1], *x.shape[2:]))
+        # each piece's G R^T goes into a scratch of its own, as wide as its widest slice
+        widths = [max((k.stop - k.start for *_, k, _, _ in piece), default=0) for piece in plan]
+        gx, scratches = lx, [empty((x.shape[0], width, *x.shape[2:])) for width in widths]
     else:
-        gx, scratch = empty(x.shape), None
+        gx, scratches = empty(x.shape), None
 
     def run_piece(i):
-        for (part, (L, _), Rts, (grad_l, grad_r), a, b, s), strip, (lo, hi) in zip(
-            runs, strips, shares[i]
-        ):
-            if lo == hi:
-                continue
+        for part, (L, _), Rts, (grad_l, grad_r), c, k, strip, s in plan[i]:
             h, w, h_out, w_out = part.h, part.w, part.h_out, part.w_out
-            c, k = slice(part.start + lo, part.start + hi), slice(lo, hi)
             Lt, Rt = L[k].swapaxes(-1, -2), Rts[k]
-            strip = None if strip is None else strip[:, lo - a : hi - a]
             # G R^T goes over L X unless L X's place receives grad_x
-            grt = lx[:, c] if scratch is None else scratch[:, offsets[i] : offsets[i] + hi - lo]
+            grt = lx[:, c] if scratches is None else scratches[i][:, : k.stop - k.start]
             lf, gf, tf, lw = _fold((lx[:, c], gy[:, c], grt, strip), 2)
             grows = _chunks(gf, w_out, s)
             grad_r[k] = np.matmul(_chunks(lf, w, s).swapaxes(-1, -2), grows).sum(axis=0)
@@ -550,7 +538,7 @@ def cell_backward(x: np.ndarray, parts, weights, gy: np.ndarray, saved, empty=No
                 grad_l[k] += np.matmul(grw, xw.swapaxes(-1, -2)).sum(axis=0)
                 _scatter(ob, np.matmul(Lt, grw), s, 2)
 
-    run_pieces(run_piece, len(shares))
+    run_pieces(run_piece, len(plan))
     return gx, grads
 
 

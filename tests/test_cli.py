@@ -222,7 +222,6 @@ class TestGradcheckCli:
             ("--eps=0", "eps must be finite and > 0, got 0.0"),
             ("--eps=-1e-5", "eps must be finite and > 0, got -1e-05"),
             ("--eps=inf", "eps must be finite and > 0, got inf"),
-            ("--entries=-1", "entries_per_param must be >= 1 or None, got -1"),
             ("--threshold=nan", "threshold must be finite and >= 0, got nan"),
             ("--threshold=inf", "threshold must be finite and >= 0, got inf"),
             ("--threshold=-1e-4", "threshold must be finite and >= 0, got -0.0001"),
@@ -233,6 +232,14 @@ class TestGradcheckCli:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: fd_check: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("entries", ["-1", "-7"])
+    def test_negative_entries_exit_1_before_any_work(self, entries, capsys):
+        # 0 probes every entry; below it nothing reaches fd_check
+        assert main(["gradcheck", "--layer", "gelu", "--c", "1", "--h", "2", "--w", "2", f"--entries={entries}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --entries must be >= 0, got {entries}\n"
         assert captured.out == ""
 
     def test_non_finite_probe_loss_exits_1(self, capsys):
@@ -371,6 +378,28 @@ class TestAblateCli:
         assert main(["ablate", "--config", str(cfg), "--seeds", seeds]) == 1
         assert capsys.readouterr().err.startswith(message)
         assert not (tmp_path / "out").exists()
+
+
+class TestSeedFlag:
+    """Every ``--seed`` is checked against Rng's range before any work, and
+    the error names the flag."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--op", "neocell", "--c", "2", "--h", "8", "--w", "8", "--k", "4"],
+            ["gradcheck", "--layer", "gelu", "--c", "1", "--h", "2", "--w", "2"],
+            ["init-dump", "--rows", "2", "--cols", "2"],
+            ["equiv-check", "--trials", "2"],
+        ],
+        ids=["bench", "gradcheck", "init-dump", "equiv-check"],
+    )
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_exits_1_before_any_work(self, argv, seed, capsys):
+        assert main(argv + ["--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --seed: seed must be in [0, 2**64), got {seed}\n"
+        assert captured.out == ""
 
 
 class TestUsageErrors:

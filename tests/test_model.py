@@ -374,8 +374,8 @@ class TestNeoCellLayerAliasing:
         assert all(np.array_equal(grads[k], grads_ref[k]) for k in grads)
 
     # the slots of the kernel's requests: the forward asks for its output,
-    # L x and one strip per shifted run, the backward for its G R^T scratch
-    # or, in a resampling layer, grad_x
+    # L x and one strip per shifted run, the backward for one G R^T scratch
+    # per piece or, in a resampling layer, grad_x
     OUT, LX, STRIP, BACK = ("forward", 0), ("forward", 1), ("forward", 2), ("backward", 0)
 
     def test_held_tapes_keep_their_workspaces(self):
@@ -397,15 +397,20 @@ class TestNeoCellLayerAliasing:
 
     DOWNSAMPLE_SPEC = NeoCellSpec((GroupSpec(0, 8, 2, 2, 1, 1),))
 
-    def test_grad_x_goes_into_the_workspace_unless_resampling(self):
-        # a workspace shaped like x takes grad_x, and the backward's one
-        # request is the G R^T scratch; the 2->1 downsample's smaller
-        # workspace cannot, and its backward's one request is grad_x
-        layer, (x, g, _, _) = self.recycle_case(self.BIG)
-        _, gx = self.step(layer, x, g)
-        assert set(layer._kept) == {self.OUT, self.LX, self.STRIP, self.BACK}
-        assert gx is layer._kept[self.LX][1]
-        assert layer._kept[self.BACK][1].shape == (2, 4, 256, 256)
+    def test_grad_x_goes_into_the_workspace_unless_resampling(self, monkeypatch):
+        # a workspace shaped like x takes grad_x, and the backward's requests
+        # are one G R^T scratch per piece, as wide as the piece's widest
+        # slice of a run: the 4-channel runs' full width on one CPU, their
+        # two halves on two; the 2->1 downsample's smaller workspace
+        # cannot, and its backward's one request is grad_x
+        for cpus, widths in ((1, [4]), (2, [2, 2])):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            layer, (x, g, _, _) = self.recycle_case(self.BIG)
+            _, gx = self.step(layer, x, g)
+            scratches = [("backward", i) for i in range(cpus)]
+            assert set(layer._kept) == {self.OUT, self.LX, self.STRIP, *scratches}
+            assert gx is layer._kept[self.LX][1]
+            assert [layer._kept[slot][1].shape for slot in scratches] == [(2, w, 256, 256) for w in widths]
         layer = NeoCellLayer("down", self.DOWNSAMPLE_SPEC, Rng(41))
         _, gx = self.step(layer, x, Rng(42).normal(layer.out_shape(x.shape), 1.0))
         assert set(layer._kept) == {self.OUT, self.LX, self.BACK}

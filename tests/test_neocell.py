@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neonext import parallel
 from neonext.autodiff import Grads, Param, fd_check
 from neonext.equiv import random_case, random_params, run_trials
 from neonext.errors import ConfigError, ParameterError, ShapeError
@@ -404,10 +405,12 @@ class TestShiftedKernel:
 # (groups, n, map size) of kernel calls above LARGE_INPUT_BYTES.  "mixed"
 # has runs of 3, 2, 1, 1 and 5 channels in two parts, so the pieces' shares
 # of the runs differ in width and some are empty; in "downsample" grad_x
-# gets an array of its own and G R^T goes over L x.
+# gets an array of its own and G R^T goes over L x; "one-wide" has six
+# runs of 1 channel, so every piece but the last gets no channel at all.
 SPLIT_CASES = {
     "mixed": (_groups(4, [(3, 0), (2, 1), (1, 3)]) + _groups(7, [(1, 0), (5, 6)], start=6), 2, 224),
     "downsample": ((GroupSpec(0, 3, 2, 2, 1, 1),), 2, 448),
+    "one-wide": (_groups(4, [(1, 0), (1, 1), (1, 2), (1, 3)]) + _groups(7, [(1, 0), (1, 6)], start=4), 2, 308),
 }
 
 
@@ -424,23 +427,50 @@ def _cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
+def _split_bits(name, layout, monkeypatch, cpus):
+    """The bytes of a split case's output, grad_x and every weight gradient
+    on ``cpus`` CPUs."""
+    spec, params, x, gout = _split_case(name, layout)
+    assert x.nbytes >= LARGE_INPUT_BYTES
+    _cpus(monkeypatch, cpus)
+    out, gx, grads, _ = run_cell(x, spec, params, gout)
+    return [a.tobytes() for a in (out, gx, *(g for pair in grads for g in pair))]
+
+
 class TestSplitKernel:
     """On a large x the kernel cuts every run's channels into one piece per
-    CPU, at most two, and runs each piece but the caller's on a thread it
-    starts; the affinity mask is patched, so the split runs on any
-    machine."""
+    CPU, at most ``parallel.MAX_PIECES``, and runs each piece but the
+    caller's on a thread it starts; the affinity mask (and, for three
+    pieces, the cap) is patched, so the split runs on any machine."""
 
     @pytest.mark.parametrize("name", SPLIT_CASES)
     @pytest.mark.parametrize("layout", ["", "-row-interleaved"], ids=["c-ordered", "row-interleaved"])
     def test_one_cpu_and_two_give_the_same_bits(self, name, layout, monkeypatch):
-        spec, params, x, gout = _split_case(name, layout)
-        assert x.nbytes >= LARGE_INPUT_BYTES
-        results = []
-        for cpus in (1, 2):
-            _cpus(monkeypatch, cpus)
-            out, gx, grads, _ = run_cell(x, spec, params, gout)
-            results.append([a.tobytes() for a in (out, gx, *(g for pair in grads for g in pair))])
-        assert results[0] == results[1]
+        assert _split_bits(name, layout, monkeypatch, 1) == _split_bits(name, layout, monkeypatch, 2)
+
+    @pytest.mark.parametrize("name", SPLIT_CASES)
+    @pytest.mark.parametrize("layout", ["", "-row-interleaved"], ids=["c-ordered", "row-interleaved"])
+    def test_three_cpus_give_the_one_cpu_bits(self, name, layout, monkeypatch):
+        # three pieces take slices of 0 to 2 of mixed's channels per run
+        monkeypatch.setattr(parallel, "MAX_PIECES", 3)
+        assert _split_bits(name, layout, monkeypatch, 1) == _split_bits(name, layout, monkeypatch, 3)
+
+    def test_each_piece_gets_a_scratch_of_its_own(self, monkeypatch):
+        # one per piece, as wide as its widest slice: the caller's piece
+        # of one-wide's runs has no channel, and its scratch none
+        _cpus(monkeypatch, 2)
+        spec, params, x, gout = _split_case("one-wide", "")
+        parts = merge_parts(spec)
+        weights = [params.stacked(part) for part in parts]
+        _, saved = cell_forward(x, parts, weights)
+        shapes = []
+
+        def empty(shape):
+            shapes.append(shape)
+            return np.empty_like(x, shape=shape)
+
+        cell_backward(x, parts, weights, gout, saved, empty)
+        assert shapes == [(2, 0, 308, 308), (2, 1, 308, 308)]
 
     @pytest.mark.parametrize(
         "cpus, size, threads", [(2, 224, 1), (64, 224, 1), (1, 224, 0), (2, 112, 0)],

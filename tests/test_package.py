@@ -167,3 +167,33 @@ def test_perfbench_imports_resolve():
         if not hasattr(importlib.import_module(node.module), a.name)
     ]
     assert not missing, missing
+
+
+def threading_imports(source: str) -> list[str]:
+    """Imports of the standard library's ``threading``, which starts threads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names if name.split(".")[0] == "threading"]
+    return found
+
+
+def test_threading_imports_detected():
+    source = "import os, threading\nfrom threading import Thread\nimport threading as t\nfrom .threading import x\n"
+    assert threading_imports(source) == ["line 1: threading", "line 2: threading", "line 3: threading"]
+
+
+def test_only_parallel_starts_threads():
+    # every split runs through parallel.run_pieces, which joins its threads
+    found = {
+        label: names
+        for folder in ("src", "scripts")
+        for label, text in sources(folder).items()
+        if label != "src/neonext/parallel.py" and (names := threading_imports(text))
+    }
+    assert not found, found
