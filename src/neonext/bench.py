@@ -8,15 +8,16 @@ For a (c, h, w) input and size-k kernels/matrices:
   multiplies, i.e. exactly 2/k of depthwise.
 
 The instrumented kernels tally the multiplies they actually perform, so the
-analytic formulas are checked against executed work, not a model.  Wall
-times are reported, never asserted: only the multiply ratios are portable.
+analytic formulas are checked against executed work, not a model.  ``bench``
+(front end: ``neonext bench``) builds each op once and reports the tally of
+one untimed call of its kernel beside the timed calls.  Wall times are
+reported, never asserted: only the multiply ratios are portable.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from .neocell import (
     init_part,
     merge_parts,
 )
-from .rng import SEED_LIMIT, Rng
+from .rng import Rng
 from .tensor import Tensor4
 
 
@@ -80,13 +81,6 @@ def flops_neocell(c: int, h: int, w: int, k: int) -> OpCost:
     return OpCost(2 * c * h * w * k)
 
 
-def neocell_to_dwconv_ratio(k: int) -> Fraction:
-    """Exact multiply ratio; equals 2/k for every valid shape."""
-    cost_n = flops_neocell(1, k, k, k)
-    cost_d = flops_dwconv(1, k, k, k)
-    return Fraction(cost_n.multiplies, cost_d.multiplies)
-
-
 # ------------------------------------------------------- depthwise reference
 
 def dwconv_reference(x: Tensor4, kernels: np.ndarray, counter: MultCounter | None = None) -> Tensor4:
@@ -124,33 +118,6 @@ def _dwconv(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     return out
 
 
-# -------------------------------------------------------- counted execution
-
-def _square_spec(c: int, k: int) -> NeoCellSpec:
-    return NeoCellSpec((GroupSpec(0, c, k, k, k, k),))
-
-
-def counted_neocell(c: int, h: int, w: int, k: int, seed: int = 0) -> int:
-    """Multiplies executed by the patch kernel on a (1, c, h, w) input."""
-    spec = _square_spec(c, k)
-    spec.validate_input((1, c, h, w))
-    (part,) = merge_parts(spec)
-    weights = init_part(part, Rng(seed))
-    x = Rng((seed + 1) % SEED_LIMIT).normal((1, c, h, w), 1.0)
-    counter = MultCounter()
-    cell_forward(x, [part], [weights], counter)
-    return counter.multiplies
-
-
-def counted_dwconv(c: int, h: int, w: int, k: int, seed: int = 0) -> int:
-    """Multiplies executed by the depthwise reference on a (1, c, h, w) input."""
-    x = Tensor4(Rng((seed + 1) % SEED_LIMIT).normal((1, c, h, w), 1.0))
-    kernels = Rng(seed).normal((c, k, k), 1.0)
-    counter = MultCounter()
-    dwconv_reference(x, kernels, counter)
-    return counter.multiplies
-
-
 # -------------------------------------------------------------- wall clocks
 
 BENCH_OPS = ("neocell", "dwconv", "blockdiag")
@@ -165,27 +132,30 @@ BENCH_CSV_HEADER = (
 
 def _bench_callable(op: str, c: int, h: int, w: int, k: int, seed: int):
     """(fn, multiplies): fn runs the op's array kernel on a fixed seeded
-    (1, c, h, w) input and returns a (1, c, h, w) array."""
+    (1, c, h, w) input and returns a (1, c, h, w) array; multiplies is what
+    the op's instrumented kernel tallies on one untimed call."""
     rng = Rng(seed)
+    counter = MultCounter()
     if op in ("neocell", "blockdiag"):
-        mults = flops_neocell(c, h, w, k).multiplies   # checks the square spec's dims
-        spec = _square_spec(c, k)
+        flops_neocell(c, h, w, k)   # checks the square spec's dims before any draw
+        spec = NeoCellSpec((GroupSpec(0, c, k, k, k, k),))
         (part,) = merge_parts(spec)
         L, R = init_part(part, rng)
         x = rng.normal((1, c, h, w), 1.0)
         if op == "neocell":
-            return (lambda: cell_forward(x, [part], [(L, R)])[0]), mults
+            cell_forward(x, [part], [(L, R)], counter)
+            return (lambda: cell_forward(x, [part], [(L, R)])[0]), counter.multiplies
         A, B = blockdiag_factors(spec.groups[0], L, R, h, w)
-        counter = MultCounter()
         blockdiag_product(A, x, B, counter)
         return (lambda: blockdiag_product(A, x, B)), counter.multiplies
     if op == "dwconv":
         if k % 2 == 0:
             raise ConfigError(f"dwconv benchmark needs odd k, got {k}")
-        mults = flops_dwconv(c, h, w, k).multiplies   # checks the dims before any draw
+        flops_dwconv(c, h, w, k)   # checks the dims before any draw
         kernels = rng.normal((c, k, k), 1.0)
         x = rng.normal((1, c, h, w), 1.0)
-        return (lambda: _dwconv(x, kernels)), mults
+        dwconv_reference(Tensor4(x), kernels, counter)
+        return (lambda: _dwconv(x, kernels)), counter.multiplies
     raise ConfigError(f"unknown bench op {op!r}; known: {BENCH_OPS}")
 
 
@@ -230,11 +200,10 @@ def check_bench_csv(path) -> str:
     """The header line of the bench CSV at ``path``, "" if it is new or empty.
 
     A file whose header is not ``BENCH_CSV_HEADER`` (one written with other
-    columns) is refused, and a missing parent directory is created; callers
-    check before timing anything.
+    columns) is refused; callers check before timing anything, after
+    ``cli._check_outputs`` has made the parent directory.
     """
     p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
     header = ""
     if p.exists():
         with open(p) as f:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from neonext.autodiff import Param, Tape, Val, backward, fd_check
-from neonext.bench import BENCH_CSV_HEADER, counted_dwconv, counted_neocell, flops_dwconv, flops_neocell
+from neonext.bench import BENCH_CSV_HEADER, bench, flops_dwconv, flops_neocell
 from neonext.cli import main as cli_main
 from neonext.equiv import run_trials
 from neonext.model import (
@@ -146,9 +146,9 @@ class TestCriterion3Complexity:
                 )
                 assert ratio == Fraction(2, k)
         for c, h, w, k in [(1, 8, 8, 4), (3, 28, 28, 7), (2, 16, 8, 4), (4, 12, 12, 3)]:
-            assert counted_neocell(c, h, w, k) == flops_neocell(c, h, w, k).multiplies
+            assert bench("neocell", c, h, w, k, iters=1, warmup=0).multiplies == flops_neocell(c, h, w, k).multiplies
         for c, h, w, k in [(1, 8, 8, 3), (3, 14, 14, 7), (2, 10, 6, 5)]:
-            assert counted_dwconv(c, h, w, k) == flops_dwconv(c, h, w, k).multiplies
+            assert bench("dwconv", c, h, w, k, iters=1, warmup=0).multiplies == flops_dwconv(c, h, w, k).multiplies
         for k in (3, 4, 5, 7):
             h = w = 8 * k
             assert flops_neocell(1, h, w, k).multiplies < flops_dwconv(1, h, w, k).multiplies

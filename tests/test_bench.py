@@ -10,12 +10,9 @@ from neonext.bench import (
     _bench_callable,
     append_bench_csv,
     bench,
-    counted_dwconv,
-    counted_neocell,
     dwconv_reference,
     flops_dwconv,
     flops_neocell,
-    neocell_to_dwconv_ratio,
 )
 from neonext.errors import ConfigError, ShapeError
 from neonext.neocell import MultCounter
@@ -64,9 +61,8 @@ class TestFlopFormulas:
             flops_neocell(1, 9, 8, 4)
 
     def test_ratio_exactly_two_over_k(self):
-        for k in (2, 3, 4, 5, 7, 8, 14):
-            assert neocell_to_dwconv_ratio(k) == Fraction(2, k)
-        for c, h, w, k in [(3, 8, 8, 4), (96, 56, 56, 7), (16, 28, 42, 7), (1, 2, 2, 2)]:
+        shapes = [(1, k, k, k) for k in (2, 3, 4, 5, 7, 8, 14)]
+        for c, h, w, k in shapes + [(3, 8, 8, 4), (96, 56, 56, 7), (16, 28, 42, 7), (1, 2, 2, 2)]:
             ratio = Fraction(flops_neocell(c, h, w, k).multiplies, flops_dwconv(c, h, w, k).multiplies)
             assert ratio == Fraction(2, k)
 
@@ -80,16 +76,15 @@ class TestFlopFormulas:
 class TestInstrumentedCounters:
     def test_neocell_counter_matches_formula(self):
         for c, h, w, k in [(1, 8, 8, 4), (3, 28, 28, 7), (2, 16, 8, 4)]:
-            assert counted_neocell(c, h, w, k) == flops_neocell(c, h, w, k).multiplies
+            assert _bench_callable("neocell", c, h, w, k, 0)[1] == flops_neocell(c, h, w, k).multiplies
 
     def test_dwconv_counter_matches_formula(self):
         for c, h, w, k in [(1, 8, 8, 3), (3, 14, 14, 7), (2, 10, 6, 5)]:
-            assert counted_dwconv(c, h, w, k) == flops_dwconv(c, h, w, k).multiplies
+            assert _bench_callable("dwconv", c, h, w, k, 0)[1] == flops_dwconv(c, h, w, k).multiplies
 
     def test_counters_take_the_top_seed(self):
-        # the input's stream is seed + 1 taken mod 2**64, not a refused 2**64
-        assert counted_neocell(1, 8, 8, 4, seed=2**64 - 1) == flops_neocell(1, 8, 8, 4).multiplies
-        assert counted_dwconv(1, 8, 8, 3, seed=2**64 - 1) == flops_dwconv(1, 8, 8, 3).multiplies
+        assert _bench_callable("neocell", 1, 8, 8, 4, 2**64 - 1)[1] == flops_neocell(1, 8, 8, 4).multiplies
+        assert _bench_callable("dwconv", 1, 8, 8, 3, 2**64 - 1)[1] == flops_dwconv(1, 8, 8, 3).multiplies
 
     def test_counter_accumulates(self):
         counter = MultCounter()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neonext import parallel
+from neonext import neocell, parallel
 from neonext.autodiff import Grads, Param, fd_check
 from neonext.equiv import random_case, random_params, run_trials
 from neonext.errors import ConfigError, ParameterError, ShapeError
@@ -471,6 +471,33 @@ class TestSplitKernel:
 
         cell_backward(x, parts, weights, gout, saved, empty)
         assert shapes == [(2, 0, 308, 308), (2, 1, 308, 308)]
+
+    def test_each_piece_writes_only_its_own_scratch(self, monkeypatch):
+        # the pieces run one at a time, each after every scratch is filled
+        # with NaN, so a piece writing another's scratch shows without a race
+        _cpus(monkeypatch, 2)
+        spec, params, x, gout = _split_case("mixed", "")
+        parts = merge_parts(spec)
+        weights = [params.stacked(part) for part in parts]
+        _, saved = cell_forward(x, parts, weights)
+        scratches, ran = [], []
+
+        def empty(shape):
+            scratches.append(np.empty_like(x, shape=shape))
+            return scratches[-1]
+
+        def one_at_a_time(work, pieces):
+            for i in range(pieces):
+                for scratch in scratches:
+                    scratch.fill(np.nan)
+                work(i)
+                ran.append(i)
+                assert all(np.isnan(s).all() for j, s in enumerate(scratches) if j != i), f"piece {i}"
+
+        monkeypatch.setattr(neocell, "run_pieces", one_at_a_time)
+        cell_backward(x, parts, weights, gout, saved, empty)
+        assert ran == [0, 1]
+        assert len(scratches) == 2 and all(s.size for s in scratches)
 
     @pytest.mark.parametrize(
         "cpus, size, threads", [(2, 224, 1), (64, 224, 1), (1, 224, 0), (2, 112, 0)],

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import neonext
@@ -167,6 +168,29 @@ def test_perfbench_imports_resolve():
         if not hasattr(importlib.import_module(node.module), a.name)
     ]
     assert not missing, missing
+
+
+def script_mismatches(readme: str, scripts: list[str]) -> list[str]:
+    """Scripts (file names under ``scripts/``) that README does not name as
+    ``scripts/<name>.py``, and such names in README that are not a script."""
+    named = set(re.findall(r"scripts/([\w-]+\.py)", readme))
+    return [f"scripts/{name}: not in README" for name in sorted(set(scripts) - named)] + [
+        f"scripts/{name}: no such script" for name in sorted(named - set(scripts))
+    ]
+
+
+def test_script_mismatches_detected():
+    readme = "Run `scripts/kept.py --quick`; scripts/gone.py was deleted.\n"
+    assert script_mismatches(readme, ["kept.py", "new.py"]) == [
+        "scripts/new.py: not in README", "scripts/gone.py: no such script",
+    ]
+
+
+def test_readme_names_every_script_and_no_other():
+    scripts = [path.name for path in sorted((ROOT / "scripts").glob("*.py"))]
+    assert scripts
+    found = script_mismatches((ROOT / "README.md").read_text(), scripts)
+    assert not found, found
 
 
 def threading_imports(source: str) -> list[str]:

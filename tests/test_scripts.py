@@ -7,8 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from neonext.bench import BENCH_CSV_HEADER
-
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -19,79 +17,6 @@ def run_script(name, *args, python=(sys.executable,), **env_vars):
         [*python, str(ROOT / "scripts" / name), *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
-
-
-def test_bench_sweep_tiny_case(tmp_path):
-    out = tmp_path / "sweep.csv"
-    proc = run_script("bench_sweep.py", "--c", "2", "--size", "8", "--ks", "4",
-                      "--iters", "1", "--warmup", "0", "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    assert "k=4: multiply ratio 1/2" in proc.stdout
-    lines = out.read_text().splitlines()
-    assert lines[0] == BENCH_CSV_HEADER
-    assert [ln.split(",")[0] for ln in lines[1:]] == ["neocell", "blockdiag"]
-
-
-def test_bench_sweep_bad_iters_is_an_error_line(tmp_path):
-    out = tmp_path / "sweep.csv"
-    proc = run_script("bench_sweep.py", "--c", "2", "--size", "8", "--ks", "4", "--iters", "0", "--out", str(out))
-    assert proc.returncode == 1
-    assert proc.stderr == "error: iters must be >= 1, got 0\n"
-    assert not out.exists()
-
-
-def test_bench_sweep_refuses_other_csv_header_before_any_bench(tmp_path):
-    out = tmp_path / "old.csv"
-    out.write_text(BENCH_CSV_HEADER.replace(",iters,", ",dtype,iters,") + "\n")
-    before = out.read_bytes()
-    proc = run_script("bench_sweep.py", "--c", "2", "--size", "8", "--ks", "4",
-                      "--iters", "1", "--warmup", "0", "--out", str(out))
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error: ") and "old.csv" in proc.stderr
-    assert proc.stdout == ""   # no k= timing line: no bench ran
-    assert out.read_bytes() == before
-
-
-def test_bench_sweep_skips_indivisible_k(tmp_path):
-    out = tmp_path / "sweep.csv"
-    proc = run_script("bench_sweep.py", "--c", "1", "--size", "8", "--ks", "3,4",
-                      "--iters", "1", "--warmup", "0", "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    assert "skip k=3: 8 not divisible" in proc.stderr
-    assert [ln.split(",")[4] for ln in out.read_text().splitlines()[1:]] == ["4", "4"]
-
-
-@pytest.mark.parametrize("ks", ["a", "0", "4,-7", "", "4,,7"])
-def test_bench_sweep_bad_ks_is_an_error_line(tmp_path, ks):
-    out = tmp_path / "sweep.csv"
-    proc = run_script("bench_sweep.py", "--c", "1", "--size", "8", "--ks", ks,
-                      "--iters", "1", "--warmup", "0", "--out", str(out))
-    assert proc.returncode == 1
-    assert proc.stderr == f"error: --ks must be a comma list of positive integers, got {ks!r}\n"
-    assert proc.stdout == ""
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("args, message", [
-    (["--c", "abc"], "argument --c: invalid int value: 'abc'"),
-    (["--bogus"], "unrecognized arguments: --bogus"),
-])
-def test_bench_sweep_usage_error_exits_1(tmp_path, args, message):
-    # exit 2 is the CLI's diverged-run code, so a usage error must not use it
-    out = tmp_path / "sweep.csv"
-    proc = run_script("bench_sweep.py", *args, "--out", str(out))
-    assert proc.returncode == 1
-    assert proc.stderr == f"error: bench_sweep.py: {message}\n"
-    assert proc.stdout == ""
-    assert not out.exists()
-
-
-def test_bench_sweep_creates_missing_out_directory(tmp_path):
-    out = tmp_path / "runs" / "sweep.csv"
-    proc = run_script("bench_sweep.py", "--c", "1", "--size", "8", "--ks", "4",
-                      "--iters", "1", "--warmup", "0", "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    assert out.read_text().splitlines()[0] == BENCH_CSV_HEADER
 
 
 def perf_record(*drop):
