@@ -52,13 +52,13 @@ import numpy as np  # noqa: E402
 
 from neonext.autodiff import Param, Tape, backward  # noqa: E402
 from neonext.cli import UsageParser, main as neonext  # noqa: E402
-from neonext.data import split_dataset, synth_task  # noqa: E402
 from neonext.errors import UsageError  # noqa: E402
 from neonext.model import (  # noqa: E402
     ForwardCtx, NeoCellLayer, build_model, load_checkpoint, make_stage_groups, named_spec,
 )
 from neonext.neocell import NeoCellSpec  # noqa: E402
 from neonext.rng import Rng  # noqa: E402
+from neonext.trainer import RunConfig, load_data  # noqa: E402
 
 # the memory order of each layout: x.transpose(order) is C-contiguous
 LAYOUTS = {"c": (0, 1, 2, 3), "cm": (1, 0, 2, 3), "ri": (1, 2, 0, 3)}
@@ -133,7 +133,7 @@ def cli_digests(tmp: Path, quick: bool):
 
 def model_digests(quick: bool):
     n_train, n_val = (256, 64) if quick else (1920, 512)
-    train, val = split_dataset(synth_task(Rng(20240901), n_train + n_val, 10), n_val)
+    train, val = load_data(RunConfig(synth_train=n_train, synth_val=n_val))
     yield "synth.split", sha(train.images.array, train.labels, val.images.array, val.labels)
     spec = named_spec("neonext-micro", classes=10)
     for init in ("neoinit", "random-normal"):

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +47,7 @@ from .neocell import GroupSpec, NeoCellSpec, init_part, merge_parts
 from .neoinit import format_grid
 from .rng import SEED_LIMIT, Rng, check_seed
 from .tensor import Tensor4, write_tensor
-from .trainer import load_data, parse_config, run_ablation, train_run
+from .trainer import parse_config, run_ablation, train_seeds
 
 
 class UsageParser(argparse.ArgumentParser):
@@ -92,7 +91,6 @@ def _add_train(sub):
 def _add_ablate(sub):
     p = sub.add_parser("ablate", help="run the init-method ablation")
     p.add_argument("--config", required=True)
-    p.add_argument("--seeds", type=str, default="", help="comma list overriding the config seeds")
 
 
 def _add_init_dump(sub):
@@ -230,16 +228,11 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = parse_config(Path(args.config))
-    data = load_data(cfg)
     any_diverged = False
-    base_out = Path(cfg.out_dir)
-    for seed in cfg.seeds:
-        run_cfg = replace(cfg, out_dir=str(base_out / f"seed{seed}")) if len(cfg.seeds) > 1 else cfg
-        report = train_run(run_cfg, seed, data)
+    for report in train_seeds(parse_config(Path(args.config))):
         last = report.rows[-1]
         print(
-            f"seed {seed}: {report.status}, epochs {last.epoch}, "
+            f"seed {report.seed}: {report.status}, epochs {last.epoch}, "
             f"val_loss {last.val_loss:.4f}, val_acc {last.val_acc:.4f} -> {report.csv_path}"
         )
         any_diverged |= report.status == "diverged"
@@ -247,12 +240,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    cfg = parse_config(Path(args.config))
-    try:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()] if args.seeds else None
-    except ValueError:
-        raise ConfigError(f"--seeds must be a comma list of integers, got {args.seeds!r}") from None
-    report = run_ablation(cfg, seeds)
+    report = run_ablation(parse_config(Path(args.config)))
     print(report.summary_text(), end="")
     print(f"report: {report.report_path}")
     return 0

@@ -183,7 +183,7 @@ def flip_horizontal(images: np.ndarray, which: np.ndarray) -> np.ndarray:
     return out
 
 
-def crop_with_pad(images: np.ndarray, offsets: np.ndarray, pad: int = 4) -> np.ndarray:
+def crop_with_pad(images: np.ndarray, offsets: np.ndarray, pad: int) -> np.ndarray:
     """Zero-pad by ``pad`` on each side, then cut the original size at ``offsets``."""
     n, c, h, w = images.shape
     padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=images.dtype)
@@ -204,8 +204,8 @@ def augment(batch: Batch, rng: Rng, policy: str = "basic", classes: int | None =
     if policy != "basic":
         raise ConfigError(f"unknown augment policy {policy!r}; the only policy is 'basic'")
     imgs = batch.images.array
-    n = imgs.shape[0]
-    offsets = np.stack([rng.integers(n, 9), rng.integers(n, 9)], axis=1)
-    out = crop_with_pad(imgs, offsets)
+    n, pad = imgs.shape[0], 4
+    offsets = np.stack([rng.integers(n, 2 * pad + 1), rng.integers(n, 2 * pad + 1)], axis=1)
+    out = crop_with_pad(imgs, offsets, pad)
     out = flip_horizontal(out, rng.uniform(n) < 0.5)
     return Batch(Tensor4(_read_only(out)), batch.labels)

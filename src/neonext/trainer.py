@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import ClassVar
@@ -214,9 +215,8 @@ class RunReport:
 def load_data(cfg: RunConfig) -> tuple[Dataset, Dataset]:
     """The config's (train, val) datasets.
 
-    They are a pure function of the data keys, so callers that run several
-    seeds or arms of one config load them once and pass them to each
-    ``train_run``.
+    They are a pure function of the data keys, so ``train_seeds`` loads them
+    once for all of a config's seeds, and ``run_ablation`` once for both arms.
     """
     if cfg.data == "cifar10":
         return load_cifar10(cfg.data_dir)
@@ -324,6 +324,18 @@ def train_run(cfg: RunConfig, seed: int | None = None, data: tuple[Dataset, Data
     return RunReport(seed, cfg.init, status, rows, divergence_step, str(csv_path), str(ckpt))
 
 
+def train_seeds(cfg: RunConfig, data: tuple[Dataset, Dataset] | None = None) -> Iterator[RunReport]:
+    """Each of the config's seeds' ``train_run`` report, in seed order, on one load of the data.
+
+    A run writes into ``out_dir`` when the config has one seed, and into
+    ``out_dir/seed<n>`` when it has several.
+    """
+    data = load_data(cfg) if data is None else data
+    for seed in cfg.seeds:
+        run_cfg = replace(cfg, out_dir=str(Path(cfg.out_dir) / f"seed{seed}")) if len(cfg.seeds) > 1 else cfg
+        yield train_run(run_cfg, seed, data)
+
+
 @dataclass
 class ArmSummary:
     init: str
@@ -366,25 +378,16 @@ class AblationReport:
         return "\n".join(lines) + "\n"
 
 
-def run_ablation(base_cfg: RunConfig, seeds: list[int] | None = None) -> AblationReport:
-    """Both init arms over all seeds, under identical settings."""
-    base_cfg = base_cfg if seeds is None else replace(base_cfg, seeds=tuple(seeds))   # RunConfig checks seeds
-    seeds = list(base_cfg.seeds)
-    if len(seeds) < 2:
-        raise ConfigError(f"ablation needs >= 2 seeds, got {seeds}")
+def run_ablation(base_cfg: RunConfig) -> AblationReport:
+    """Both init arms over the config's seeds, under identical settings: each
+    arm is ``train_seeds`` into ``<out_dir>/<init>``."""
+    if len(base_cfg.seeds) < 2:
+        raise ConfigError(f"ablation needs >= 2 seeds, got {list(base_cfg.seeds)}")
     out_root = Path(base_cfg.out_dir)
     data = load_data(base_cfg)
     arms: dict[str, ArmSummary] = {}
     for init in ("neoinit", "random-normal"):
-        runs = []
-        for seed in seeds:
-            cfg = replace(
-                base_cfg,
-                init=init,
-                seeds=(seed,),
-                out_dir=str(out_root / f"{init}_seed{seed}"),
-            )
-            runs.append(train_run(cfg, seed, data))
+        runs = list(train_seeds(replace(base_cfg, init=init, out_dir=str(out_root / init)), data))
         accs = [r.final_val_acc for r in runs]
         losses = [r.final_val_loss for r in runs]
         arms[init] = ArmSummary(

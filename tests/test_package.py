@@ -1,9 +1,11 @@
 import ast
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import neonext
+from neonext import cli
 
 
 def test_every_exported_name_resolves():
@@ -191,6 +193,41 @@ def test_readme_names_every_script_and_no_other():
     assert scripts
     found = script_mismatches((ROOT / "README.md").read_text(), scripts)
     assert not found, found
+
+
+def readme_cli_lines(readme: str) -> list[str]:
+    """Every ``neonext …`` line in README's code blocks that holds no shell variable."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.S | re.M)
+    return [
+        line.strip() for block in blocks for line in block.splitlines()
+        if line.strip().startswith("neonext ") and "$" not in line
+    ]
+
+
+def readme_cli_failures(readme: str, monkeypatch) -> list[str]:
+    """README's ``neonext`` lines that ``cli.main`` refuses, with every
+    subcommand handler a no-op: only the arguments are checked."""
+    handlers = [name for name in vars(cli) if name.startswith("_cmd_")]
+    assert len(handlers) == 6, handlers
+    for name in handlers:
+        monkeypatch.setattr(cli, name, lambda args: 0)
+    return [line for line in readme_cli_lines(readme) if cli.main(shlex.split(line, comments=True)[1:]) != 0]
+
+
+def test_readme_cli_failures_detected(monkeypatch, capsys):
+    readme = (
+        "```\nneonext ablate --config x --seeds 1\nneonext train --config x    # one run\n```\n"
+        "Text: neonext ablate --bad.\n```\nfor k in 4 7; do\n  neonext bench --op $op --k $k\ndone\n```\n"
+    )
+    assert readme_cli_failures(readme, monkeypatch) == ["neonext ablate --config x --seeds 1"]
+    assert "unrecognized arguments: --seeds 1" in capsys.readouterr().err
+
+
+def test_readme_cli_examples_run(monkeypatch):
+    readme = (ROOT / "README.md").read_text()
+    commands = {line.split()[1] for line in readme_cli_lines(readme)}
+    assert commands == {"bench", "gradcheck", "train", "ablate", "init-dump", "equiv-check"}
+    assert not readme_cli_failures(readme, monkeypatch)
 
 
 def threading_imports(source: str) -> list[str]:

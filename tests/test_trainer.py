@@ -22,6 +22,7 @@ from neonext.trainer import (
     run_ablation,
     sgd_step,
     train_run,
+    train_seeds,
     write_config,
 )
 
@@ -184,7 +185,26 @@ class TestAblation:
         holds = neo.mean_acc > rand.mean_acc and neo.diverged == 0
         assert f"direction holds: {'yes' if holds else 'no'}\n" in text
         assert report.summary_text() in text
-        assert (Path(cfg.out_dir) / "neoinit_seed1" / "run.csv").is_file()
+        assert (Path(cfg.out_dir) / "neoinit" / "seed1" / "run.csv").is_file()
+
+    def test_arms_are_the_runs_train_writes(self, tmp_path):
+        # each arm is train_seeds on the config with that init, under <out_dir>/<init>
+        cfg = tiny_cfg(tmp_path / "ablate", epochs=1, seeds=(1, 2))
+        run_ablation(cfg)
+        alone = tiny_cfg(tmp_path / "train", epochs=1, seeds=(1, 2), init="neoinit")
+        assert [r.seed for r in train_seeds(alone)] == [1, 2]
+        strip = lambda p: [ln.rsplit(",", 1)[0] for ln in p.read_text().splitlines()]
+        for seed in (1, 2):
+            arm_dir = Path(cfg.out_dir) / "neoinit" / f"seed{seed}"
+            train_dir = Path(alone.out_dir) / f"seed{seed}"
+            assert strip(arm_dir / "run.csv") == strip(train_dir / "run.csv")
+            assert (arm_dir / "status.txt").read_text() == (train_dir / "status.txt").read_text()
+            files = sorted(p.relative_to(train_dir) for p in (train_dir / "checkpoint").rglob("*") if p.is_file())
+            assert files
+            for rel in files:
+                assert (arm_dir / rel).read_bytes() == (train_dir / rel).read_bytes()
+        assert sorted(p.name for p in Path(cfg.out_dir).iterdir()) == ["ablation_report.txt", "neoinit", "random-normal"]
+        assert sorted(p.name for p in (Path(cfg.out_dir) / "random-normal").iterdir()) == ["seed1", "seed2"]
 
     def test_loads_the_data_once_for_every_seed_and_arm(self, tmp_path, monkeypatch):
         calls, load = [], trainer.load_data
@@ -201,14 +221,9 @@ class TestAblation:
             assert f.read_bytes() == (Path(shared.checkpoint_path) / "params" / f.name).read_bytes()
 
     def test_needs_two_seeds(self, tmp_path):
-        with pytest.raises(ConfigError, match="2 seeds"):
-            run_ablation(tiny_cfg(tmp_path), seeds=[1])
-
-    def test_repeated_seeds_rejected_before_any_run(self, tmp_path):
-        # both runs would write one directory, and the report would count them as two
         cfg = tiny_cfg(tmp_path)
-        with pytest.raises(ConfigError, match="seeds must not repeat"):
-            run_ablation(cfg, seeds=[1, 1])
+        with pytest.raises(ConfigError, match="2 seeds"):
+            run_ablation(cfg)
         assert not Path(cfg.out_dir).exists()
 
 
